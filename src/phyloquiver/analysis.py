@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import InputError, SizeGuardError, UndecidedError
@@ -32,10 +31,9 @@ from .quiver import (
     ancestors,
     condense,
     induced_subquiver,
+    memo,
     validate_evolution,
 )
-
-_CACHE = 8192
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -57,7 +55,7 @@ class AnalysisReport:
     isotypy_class_count: int
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def primitive_vertices(quiver: Quiver) -> frozenset[str]:
     """Vertices whose ancestors all lie in their own isotypy class: exactly
     the members of sink classes of the condensation."""
@@ -75,7 +73,7 @@ def is_primitive(quiver: Quiver, v: str) -> bool:
     return v in primitive_vertices(quiver)
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def _height_table(quiver: Quiver) -> dict[str, int]:
     prim = primitive_vertices(quiver)
     _, inn = _adjacency(quiver)
@@ -144,10 +142,10 @@ def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     vertices of full evolutions on every monotonous quiver, where such
     cycles cannot occur.
     """
-    return _critical_ancestors(quiver, v, include_self=False)
+    return _critical_ancestors(quiver, v, False)
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def _critical_ancestors(
     quiver: Quiver, v: str, include_self: bool
 ) -> frozenset[str]:
@@ -188,7 +186,7 @@ def _normal_self_inclusive(quiver: Quiver, v: str) -> bool:
     return _grouped_isotypic(
         condense(quiver),
         _height_table(quiver),
-        _critical_ancestors(quiver, v, include_self=True),
+        _critical_ancestors(quiver, v, True),
     )
 
 

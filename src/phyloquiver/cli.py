@@ -12,7 +12,8 @@ import sys
 
 from . import analysis, clades, esequence, generators, metric, serialize
 from .errors import InputError, SizeGuardError, UndecidedError
-from .esequence import PrecRelation
+from .esequence import ESequence, PrecRelation
+from .metric import FiniteMetricSpace
 
 
 def _write(args, text: str) -> None:
@@ -175,55 +176,45 @@ def _parse_tree_edges(text: str) -> list[tuple[str, str]]:
     return edges
 
 
+def _gen_rooted_tree(args):
+    if not args.edges or not args.root:
+        raise InputError("rooted-tree needs --edges and --root")
+    return generators.gen_rooted_tree_quiver(_parse_tree_edges(args.edges), args.root)
+
+
+# Generator kind -> builder from the parsed arguments; the order is the
+# order of the ``gen`` choices.
+_GENERATORS = {
+    "map-quiver": lambda a: generators.gen_map_quiver(a.n),
+    "surjection-quiver": lambda a: generators.gen_surjection_quiver(a.n),
+    "rooted-tree": _gen_rooted_tree,
+    "g3": lambda a: generators.gen_g3(),
+    "abnormal": lambda a: generators.gen_abnormal(),
+    "nonmonotonous": lambda a: generators.gen_nonmonotonous(),
+    "irregular": lambda a: generators.gen_irregular(),
+    "random-quiver": lambda a: generators.gen_random_quiver(a.n, a.density, a.seed),
+    "random-monotonous":
+        lambda a: generators.gen_random_monotonous(a.n, a.density, a.seed),
+    "random-phylogenetic":
+        lambda a: generators.gen_random_phylogenetic(a.n, a.density, a.seed),
+    "random-ultrametric":
+        lambda a: generators.gen_random_ultrametric(a.n, a.depth, a.seed),
+    "random-metric": lambda a: generators.gen_random_metric(a.n, a.seed),
+    "random-esequence": lambda a: generators.gen_random_esequence(
+        a.levels, a.width, a.order_density, a.seed,
+        single_root=a.single_root, surjective=a.surjective,
+    ),
+}
+
+
 def cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "map-quiver":
-        out = serialize.dumps(serialize.quiver_to_obj(generators.gen_map_quiver(args.n)))
-    elif kind == "surjection-quiver":
-        out = serialize.dumps(
-            serialize.quiver_to_obj(generators.gen_surjection_quiver(args.n))
-        )
-    elif kind == "rooted-tree":
-        if not args.edges or not args.root:
-            raise InputError("rooted-tree needs --edges and --root")
-        quiver = generators.gen_rooted_tree_quiver(
-            _parse_tree_edges(args.edges), args.root
-        )
-        out = serialize.dumps(serialize.quiver_to_obj(quiver))
-    elif kind in ("g3", "abnormal", "nonmonotonous", "irregular"):
-        fn = {
-            "g3": generators.gen_g3,
-            "abnormal": generators.gen_abnormal,
-            "nonmonotonous": generators.gen_nonmonotonous,
-            "irregular": generators.gen_irregular,
-        }[kind]
-        out = serialize.dumps(serialize.quiver_to_obj(fn()))
-    elif kind == "random-quiver":
-        out = serialize.dumps(serialize.quiver_to_obj(
-            generators.gen_random_quiver(args.n, args.density, args.seed)
-        ))
-    elif kind == "random-monotonous":
-        out = serialize.dumps(serialize.quiver_to_obj(
-            generators.gen_random_monotonous(args.n, args.density, args.seed)
-        ))
-    elif kind == "random-phylogenetic":
-        out = serialize.dumps(serialize.quiver_to_obj(
-            generators.gen_random_phylogenetic(args.n, args.density, args.seed)
-        ))
-    elif kind == "random-ultrametric":
-        out = serialize.space_to_csv(
-            generators.gen_random_ultrametric(args.n, args.depth, args.seed)
-        )
-    elif kind == "random-metric":
-        out = serialize.space_to_csv(generators.gen_random_metric(args.n, args.seed))
-    elif kind == "random-esequence":
-        seq = generators.gen_random_esequence(
-            args.levels, args.width, args.order_density, args.seed,
-            single_root=args.single_root, surjective=args.surjective,
-        )
-        out = serialize.dumps(serialize.esequence_to_obj(seq))
-    else:  # argparse choices make this unreachable
-        raise InputError(f"unknown generator kind {kind!r}")
+    result = _GENERATORS[args.kind](args)
+    if isinstance(result, FiniteMetricSpace):
+        out = serialize.space_to_csv(result)
+    elif isinstance(result, ESequence):
+        out = serialize.dumps(serialize.esequence_to_obj(result))
+    else:
+        out = serialize.dumps(serialize.quiver_to_obj(result))
     _write(args, out)
     return 0
 
@@ -280,12 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=None)
 
     p = add("gen", cmd_gen, "emit a fixture or a seeded random instance")
-    p.add_argument("kind", choices=[
-        "map-quiver", "surjection-quiver", "rooted-tree", "g3", "abnormal",
-        "nonmonotonous", "irregular", "random-quiver", "random-monotonous",
-        "random-phylogenetic", "random-ultrametric", "random-metric",
-        "random-esequence",
-    ])
+    p.add_argument("kind", choices=list(_GENERATORS))
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)

@@ -18,20 +18,43 @@ which keeps parental maps flat in serialized form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
 from .metric import FiniteMetricSpace, balls
-from .quiver import Quiver, ancestor_of, condense
+from .quiver import Quiver, ancestor_of, condense, memo
 from . import analysis
 
-_CACHE = 8192
+
+class _Leveled:
+    """Level and children indexes over ``levels`` and ``parent``, shared by
+    :class:`ESequence` and :class:`Forest` and built once per instance."""
+
+    levels: tuple[tuple[str, ...], ...]
+    parent: Mapping[str, str]
+
+    @cached_property
+    def level_of(self) -> dict[str, int]:
+        return {x: m for m, level in enumerate(self.levels) for x in level}
+
+    def labels(self) -> list[str]:
+        return [x for level in self.levels for x in level]
+
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        kids: dict[str, list[str]] = {}
+        for c, p in self.parent.items():
+            kids.setdefault(p, []).append(c)
+        return {p: tuple(sorted(cs)) for p, cs in kids.items()}
+
+    def children(self, x: str) -> tuple[str, ...]:
+        return self._children.get(x, ())
 
 
 @dataclass(frozen=True)
-class ESequence:
+class ESequence(_Leveled):
     """Graded labeled sets with parental maps and per-level strict orders.
 
     ``order`` holds pairs (x, y) meaning x < y; pairs must stay inside one
@@ -83,24 +106,14 @@ class ESequence:
         )
 
     @property
-    def level_of(self) -> dict[str, int]:
-        return {x: m for m, level in enumerate(self.levels) for x in level}
-
-    @property
     def top(self) -> int:
         return len(self.levels) - 1
-
-    def labels(self) -> list[str]:
-        return [x for level in self.levels for x in level]
 
     def parent_iter(self, x: str, k: int) -> str:
         """k-fold parent of x."""
         for _ in range(k):
             x = self.parent[x]
         return x
-
-    def children(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parent.items() if p == x))
 
     def closed_order(self) -> frozenset[tuple[str, str]]:
         """Transitive closure of the stored relation (per level)."""
@@ -168,7 +181,7 @@ def class_label(quiver: Quiver, v: str) -> str:
     return cond.classes[cond.class_of(v)][0]
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def evolutionary_sequence(quiver: Quiver) -> ESequence:
     """Isotypy classes graded by height, with parental maps and the induced
     per-level order.
@@ -245,19 +258,12 @@ def realize_esequence(seq: ESequence) -> Quiver:
 
 
 @dataclass(frozen=True)
-class Forest:
+class Forest(_Leveled):
     """Parental graph of an E-sequence: one tree per root in P0."""
 
     levels: tuple[tuple[str, ...], ...]
     parent: Mapping[str, str]
     roots: tuple[str, ...]
-
-    @property
-    def level_of(self) -> dict[str, int]:
-        return {x: m for m, level in enumerate(self.levels) for x in level}
-
-    def labels(self) -> list[str]:
-        return [x for level in self.levels for x in level]
 
     def chain(self, x: str) -> list[str]:
         """x, p(x), ..., up to a root."""
@@ -265,9 +271,6 @@ class Forest:
         while out[-1] in self.parent:
             out.append(self.parent[out[-1]])
         return out
-
-    def children(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parent.items() if p == x))
 
 
 def build_forest(seq: ESequence) -> Forest:

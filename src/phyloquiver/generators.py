@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import analysis
 from .errors import InputError, SizeGuardError
-from .esequence import ESequence
+from .esequence import ESequence, _transitive_closure
 from .metric import FiniteMetricSpace, validate_space
 from .quiver import Quiver
 
@@ -260,22 +260,4 @@ def gen_random_esequence(
                 for b in perm[i + 1:]:
                     if rng.random() < order_density:
                         order.add((a, b))
-    seq = ESequence.build(names, parent, _close(order))
-    return seq
-
-
-def _close(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    succ: dict[str, set[str]] = {}
-    for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(closed):
-            for z in succ.get(y, ()):
-                if (x, z) not in closed:
-                    closed.add((x, z))
-                    succ.setdefault(x, set()).add(z)
-                    changed = True
-    return closed
+    return ESequence.build(names, parent, _transitive_closure(frozenset(order)))

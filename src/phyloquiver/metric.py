@@ -14,7 +14,7 @@ lies metrically between two others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -112,6 +112,7 @@ class FiniteMetricSpace:
 
     points: tuple[str, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+    is_ultrametric: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -123,13 +124,11 @@ class FiniteMetricSpace:
         check = validate_space(self.points, self.rows)
         if not check.is_metric:
             raise InputError("not a metric: " + "; ".join(check.problems))
+        object.__setattr__(self, "is_ultrametric", check.is_ultrametric)
 
     @classmethod
     def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
-        return cls(
-            tuple(points),
-            tuple(tuple(to_fraction(v) for v in row) for row in rows),
-        )
+        return cls(tuple(points), tuple(tuple(row) for row in rows))
 
     @classmethod
     def single(cls, label: str) -> "FiniteMetricSpace":
@@ -138,16 +137,6 @@ class FiniteMetricSpace:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def is_ultrametric(self) -> bool:
-        n = len(self.points)
-        return all(
-            self.rows[i][j] <= max(self.rows[i][k], self.rows[j][k])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
 
     def distance(self, a: str, b: str) -> Fraction:
         try:

@@ -15,14 +15,34 @@ connected components.
 
 from __future__ import annotations
 
+import functools
 import graphlib
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import InputError
 
-_CACHE = 8192
+
+def memo(fn):
+    """Store ``fn(quiver, *args)`` on the quiver itself, keyed by the
+    function's name and its positional arguments.
+
+    Results live and die with their quiver, and a lookup never hashes it.
+    Keys are strings and argument values, so a warmed quiver still pickles.
+    Two threads racing a first call both compute equal values; the first
+    one stored is the one every caller gets.
+    """
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def memoized(quiver, *args):
+        key = (name, *args) if args else name
+        try:
+            return quiver._memo[key]
+        except KeyError:
+            return quiver._memo.setdefault(key, fn(quiver, *args))
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -31,11 +51,13 @@ class Quiver:
 
     ``edges[i] = (tail, head)`` reads "tail descends from head". Optional
     display labels ride along but take no part in any computation.
+    ``_memo`` holds results derived from this quiver (see :func:`memo`).
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     labels: tuple[tuple[str, str], ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -65,11 +87,12 @@ class Quiver:
         return cls(tuple(vertices), tuple((t, h) for t, h in edges), lab)
 
     @property
+    @memo
     def vertex_set(self) -> frozenset[str]:
-        return _vertex_set(self)
+        return frozenset(self.vertices)
 
     def check_vertex(self, v: str) -> None:
-        if v not in _vertex_set(self):
+        if v not in self.vertex_set:
             raise InputError(f"unknown vertex id {v!r}")
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
@@ -83,7 +106,7 @@ class Quiver:
         return _adjacency(self)[1][v]
 
     def has_edge(self, tail: str, head: str) -> bool:
-        return (tail, head) in _edge_set(self)
+        return (tail, head) in _edge_lookup(self)
 
     def __repr__(self) -> str:  # the default dataclass repr drowns test output
         return f"Quiver({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -246,7 +269,7 @@ def isotypic(quiver: Quiver, a: str, b: str) -> bool:
     return cond.class_of(a) == cond.class_of(b)
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def condense(quiver: Quiver) -> Condensation:
     """Strongly connected components and the acyclic class digraph."""
     out_adj, _ = _adjacency(quiver)
@@ -282,17 +305,7 @@ def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
 # -- cached internals -------------------------------------------------------
 
 
-@lru_cache(maxsize=_CACHE)
-def _vertex_set(quiver: Quiver) -> frozenset[str]:
-    return frozenset(quiver.vertices)
-
-
-@lru_cache(maxsize=_CACHE)
-def _edge_set(quiver: Quiver) -> frozenset[tuple[str, str]]:
-    return frozenset(quiver.edges)
-
-
-@lru_cache(maxsize=_CACHE)
+@memo
 def _edge_lookup(quiver: Quiver) -> Mapping[tuple[str, str], int]:
     lookup: dict[tuple[str, str], int] = {}
     for i, e in enumerate(quiver.edges):
@@ -300,7 +313,7 @@ def _edge_lookup(quiver: Quiver) -> Mapping[tuple[str, str], int]:
     return lookup
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def _adjacency(
     quiver: Quiver,
 ) -> tuple[Mapping[str, tuple[str, ...]], Mapping[str, tuple[str, ...]]]:
@@ -365,7 +378,7 @@ def _tarjan(
     return comps
 
 
-@lru_cache(maxsize=_CACHE)
+@memo
 def _class_reach(
     quiver: Quiver,
 ) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:

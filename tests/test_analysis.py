@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -16,6 +21,7 @@ from phyloquiver import (
     critical_ancestors,
     critical_vertices,
     embeds_in,
+    evolutionary_sequence,
     height,
     heights,
     is_monotonous,
@@ -38,6 +44,7 @@ from phyloquiver.generators import (
     gen_map_quiver,
     gen_nonmonotonous,
     gen_random_monotonous,
+    gen_random_phylogenetic,
     gen_random_quiver,
     gen_rooted_tree_quiver,
     gen_surjection_quiver,
@@ -473,3 +480,55 @@ class TestAnalyzeReport:
                 assert row.phylogenetic == row.normal
                 if row.primitive:
                     assert row.height == 0 and row.normal
+
+
+class TestPerQuiverMemo:
+    def test_dropped_quiver_is_freed(self):
+        q = gen_random_phylogenetic(12, 0.3, seed=1)
+        analyze(q)
+        evolutionary_sequence(q)
+        ref = weakref.ref(q)
+        del q
+        gc.collect()
+        assert ref() is None
+
+    def test_warmed_quiver_round_trips_through_pickle(self):
+        q = gen_random_phylogenetic(12, 0.3, seed=2)
+        report = analyze(q)
+        seq = evolutionary_sequence(q)
+        copy = pickle.loads(pickle.dumps(q))
+        assert copy == q
+        assert analyze(copy) == report
+        assert evolutionary_sequence(copy) == seq
+
+    def test_racing_first_analyze_gives_equal_reports(self):
+        q = gen_random_monotonous(60, 0.2, seed=4)
+        expected = analyze(Quiver(q.vertices, q.edges, q.labels))
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=30)
+            results.append(analyze(q))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+
+    def test_equal_distinct_quivers_give_equal_results(self):
+        for q in random_quivers(20):
+            report = analyze(q)
+            twin = Quiver(q.vertices, q.edges, q.labels)
+            assert twin == q and twin is not q and hash(twin) == hash(q)
+            assert analyze(twin) == report
+            assert heights(twin) == heights(q)
+            assert condense(twin) == condense(q)

@@ -176,6 +176,7 @@ class TestUltrametricTower:
     def test_height_law_and_contraction_lemma(self):
         for s in range(60):
             sp = gen_random_ultrametric(2 + s % 7, depth=1 + s % 4, seed=s)
+            assert sp.is_ultrametric == validate_space(sp.points, sp.rows).is_ultrametric
             t = tower_u(sp)
             assert len(t) == n_nonzero(sp)
             for i, pm in enumerate(t.maps):
@@ -284,6 +285,9 @@ class TestDriftTower:
         for s in range(60):
             sp = gen_random_metric(1 + s % 8, seed=s)
             t = tower_v(sp)
+            for space in t.spaces:
+                check = validate_space(space.points, space.rows)
+                assert space.is_ultrametric == check.is_ultrametric
             assert is_trim(t.terminal)
             for pm in t.maps:
                 assert classify_map(pm).is_drift
