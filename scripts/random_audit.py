@@ -4,7 +4,8 @@
 Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
                                       [--seed-base S] [--max-n N]
 
-Reruns the heavy cross-checks (normality oracle agreement, realization and
+Reruns the heavy cross-checks (normality oracle agreement, universal
+evolutions against the least short full evolution, realization and
 reconstruction round trips, tower laws, clade formulas) on as many fresh
 seeds as asked and prints a one-line verdict per family.
 """
@@ -30,6 +31,19 @@ def audit_oracle(count, base, max_n):
             assert want == got, (s, v)
             checked += 1
     print(f"oracle agreement          ok on {checked} vertices")
+
+
+def audit_universal(count, base, max_n):
+    checked = 0
+    for s in range(count):
+        make = gen.gen_random_monotonous if s % 2 else gen.gen_random_quiver
+        q = make(2 + s % (max_n - 1), 0.15 + 0.05 * (s % 8), seed=base + s)
+        for v in q.vertices:
+            if pq.phylogenetic_status(q, v):
+                least = min(pq.short_full_evolutions(q, v), key=lambda e: e.vertices)
+                assert pq.universal_evolution(q, v) == least, (s, v)
+                checked += 1
+    print(f"universal evolutions      ok on {checked} vertices")
 
 
 def audit_round_trips(count, base):
@@ -85,6 +99,7 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=9)
     args = parser.parse_args()
     audit_oracle(args.quivers, args.seed_base, args.max_n)
+    audit_universal(args.quivers, args.seed_base, args.max_n)
     audit_round_trips(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)
     audit_clades(args.quivers // 3, args.seed_base, args.max_n)

@@ -14,10 +14,15 @@ ancestors is isotypic. On non-monotonous quivers normality remains a
 sufficient condition, and anything beyond it is reported as undecided
 rather than guessed; :func:`verify_universal_bounded` offers an exact
 check against all full evolutions up to a length bound.
+
+Normality is decided for every vertex at once, in one pass over the
+condensation (:func:`_normal_tables`), and :func:`universal_evolution` is a
+polynomial layered dynamic program rather than a search over evolutions.
 """
 
 from __future__ import annotations
 
+import graphlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,7 +33,7 @@ from .quiver import (
     Evolution,
     Quiver,
     _adjacency,
-    ancestors,
+    _class_reach,
     condense,
     induced_subquiver,
     memo,
@@ -101,6 +106,7 @@ def height(quiver: Quiver, v: str) -> int:
     return _height_table(quiver)[v]
 
 
+@memo
 def is_monotonous(quiver: Quiver) -> bool:
     """True when no edge decreases height from tail to head."""
     h = _height_table(quiver)
@@ -149,22 +155,87 @@ def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
 def _critical_ancestors(
     quiver: Quiver, v: str, include_self: bool
 ) -> frozenset[str]:
-    quiver.check_vertex(v)
+    cond = condense(quiver)
+    reach = _class_reach(quiver)[0][cond.class_of(v)]
+    ci = cond.class_index
+    # Copying a finished set sizes the frozenset's table to fit; building it
+    # from a generator leaves it up to twice as large.
+    return frozenset({
+        head for tail, head in _critical_edges(quiver)
+        if ci[tail] in reach and (include_self or head != v)
+    })
+
+
+@memo
+def _critical_edges(quiver: Quiver) -> tuple[tuple[str, str], ...]:
+    """The distinct edges (tail, head) with h(tail) = h(head) + 1."""
     h = _height_table(quiver)
-    anc = ancestors(quiver, v)
-    found: set[str] = set()
-    for tail, head in set(quiver.edges):
-        if tail in anc and h[tail] == h[head] + 1:
-            if include_self or head != v:
-                found.add(head)
-    return frozenset(found)
+    return tuple(dict.fromkeys(e for e in quiver.edges if h[e[0]] == h[e[1]] + 1))
+
+
+@memo
+def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
+    """Self-inclusive normality of every isotypy class, indexed by class id.
+
+    One pass over the condensation, ancestor classes first. Each class
+    carries a map from height to the class of its critical ancestors at
+    that height: the union of its successors' maps and of its own critical
+    edges. A height claimed by two classes makes the class abnormal, and
+    with it every class below, which then carries no map. The largest
+    successor map is copied (or taken over by its last consumer) and the
+    others are merged into it; a map is dropped once its last consumer has
+    read it.
+    """
+    cond = condense(quiver)
+    ci = cond.class_index
+    h = _height_table(quiver)
+    k = len(cond.classes)
+    succ: dict[int, list[int]] = {c: [] for c in range(k)}
+    consumers = [0] * k
+    for a, b in cond.class_edges:
+        succ[a].append(b)
+        consumers[b] += 1
+    own: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for tail, head in _critical_edges(quiver):
+        own[ci[tail]].append((h[head], ci[head]))
+    maps: list[dict[int, int] | None] = [None] * k
+    normal = [False] * k
+    for c in graphlib.TopologicalSorter(succ).static_order():
+        parents = succ[c]
+        table: dict[int, int] | None = None
+        if all(normal[s] for s in parents):
+            largest = max(parents, key=lambda s: len(maps[s]), default=None)
+            if largest is None:
+                table = {}
+            elif consumers[largest] == 1:
+                table = maps[largest]
+            else:
+                table = dict(maps[largest])
+            merged = [p for s in parents if s != largest for p in maps[s].items()]
+            for height_, cls in merged + own[c]:
+                if table.setdefault(height_, cls) != cls:
+                    table = None
+                    break
+        for s in parents:
+            consumers[s] -= 1
+            if not consumers[s]:
+                maps[s] = None
+        maps[c] = table
+        normal[c] = table is not None
+    return tuple(normal)
 
 
 def is_normal(quiver: Quiver, v: str) -> bool:
     """True when the critical ancestors of ``v``, grouped by height, are
     pairwise isotypic within each group."""
-    return _grouped_isotypic(condense(quiver), _height_table(quiver),
-                             critical_ancestors(quiver, v))
+    cond = condense(quiver)
+    normal = _normal_tables(quiver)[cond.class_of(v)]
+    if normal or is_monotonous(quiver):
+        return normal
+    # Off monotonous quivers ``v`` can be its own critical ancestor, and
+    # leaving it out may clear the conflict that the table records.
+    return _grouped_isotypic(cond, _height_table(quiver),
+                             _critical_ancestors(quiver, v, False))
 
 
 def _grouped_isotypic(
@@ -183,11 +254,7 @@ def _normal_self_inclusive(quiver: Quiver, v: str) -> bool:
     # count as its own critical ancestor through a cycle). This is the
     # hypothesis the normal-implies-phylogenetic argument actually needs on
     # non-monotonous quivers; on monotonous ones the two notions coincide.
-    return _grouped_isotypic(
-        condense(quiver),
-        _height_table(quiver),
-        _critical_ancestors(quiver, v, True),
-    )
+    return _normal_tables(quiver)[condense(quiver).class_of(v)]
 
 
 def embeds_in(quiver: Quiver, alpha: Evolution, beta: Evolution) -> bool:
@@ -210,23 +277,31 @@ def short_full_evolutions(quiver: Quiver, v: str) -> Iterator[Evolution]:
     These are exactly the reversed shortest paths from ``v`` to the
     primitive vertices; along each, heights descend by one per step.
     Parallel edges do not multiply the stream: one evolution is produced
-    per vertex sequence.
+    per vertex sequence. The paths come depth first, each vertex trying
+    its parents in sorted order, with an explicit stack.
     """
     quiver.check_vertex(v)
     h = _height_table(quiver)
     out, _ = _adjacency(quiver)
-
-    def walk(u: str, acc: list[str]) -> Iterator[Evolution]:
-        if h[u] == 0:
-            yield validate_evolution(quiver, tuple(reversed(acc)))
-            return
-        for w in out[u]:
-            if h[w] == h[u] - 1:
-                acc.append(w)
-                yield from walk(w, acc)
-                acc.pop()
-
-    yield from walk(v, [v])
+    if h[v] == 0:
+        yield validate_evolution(quiver, (v,))
+        return
+    path = [v]
+    stack = [iter(out[v])]  # stack[i] walks the parents of path[i]
+    while stack:
+        for w in stack[-1]:
+            if h[w] == h[path[-1]] - 1:
+                break
+        else:
+            stack.pop()
+            path.pop()
+            continue
+        path.append(w)
+        if h[w] == 0:
+            yield validate_evolution(quiver, reversed(path))
+            path.pop()
+        else:
+            stack.append(iter(out[w]))
 
 
 def phylogenetic_status(quiver: Quiver, v: str) -> bool | None:
@@ -270,7 +345,38 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
         )
     if not status:
         return None
-    return min(short_full_evolutions(quiver, v), key=lambda e: e.vertices)
+    return _least_short_evolution(quiver, v)
+
+
+def _least_short_evolution(quiver: Quiver, v: str) -> Evolution:
+    """The short full evolution for ``v`` with the least vertex sequence.
+
+    The short evolutions live on the vertices reached from ``v`` along
+    height-decreasing edges, and all have length h(v). So the least one
+    ending at u is the least one ending at some lower parent of u, followed
+    by u. Each height layer, from 0 up, is ranked by (rank of the best
+    parent, vertex id); the answer follows the best parents down from ``v``.
+    """
+    h = _height_table(quiver)
+    out, _ = _adjacency(quiver)
+    lower: dict[str, list[str]] = {}
+    layers = [[v]]  # layers[k] holds the reached vertices of height h(v) - k
+    for _ in range(h[v]):
+        for u in layers[-1]:
+            lower[u] = [w for w in out[u] if h[w] == h[u] - 1]
+        layers.append(list({w for u in layers[-1] for w in lower[u]}))
+    rank: dict[str, int] = {}
+    best: dict[str, str] = {}
+    for layer in reversed(layers):
+        for u in layer:
+            if u in lower:
+                best[u] = min(lower[u], key=rank.__getitem__)
+        layer.sort(key=lambda u: (rank[best[u]], u) if u in best else (0, u))
+        rank.update((u, i) for i, u in enumerate(layer))
+    path = [v]
+    while path[-1] in best:
+        path.append(best[path[-1]])
+    return validate_evolution(quiver, reversed(path))
 
 
 def verify_universal_bounded(
@@ -343,34 +449,36 @@ def phylogenetic_core(quiver: Quiver) -> Quiver:
     ancestor-closed and itself a phylogenetic quiver."""
     if not is_monotonous(quiver):
         raise InputError("phylogenetic core requires a monotonous quiver")
-    keep = [v for v in quiver.vertices if is_normal(quiver, v)]
+    normal, ci = _normal_tables(quiver), condense(quiver).class_index
+    keep = [v for v in quiver.vertices if normal[ci[v]]]
     return induced_subquiver(quiver, keep)
 
 
 def is_phylogenetic_quiver(quiver: Quiver) -> bool:
     """Monotonous and every vertex normal (heights are finite for free)."""
-    return is_monotonous(quiver) and all(
-        is_normal(quiver, v) for v in quiver.vertices
-    )
+    return is_monotonous(quiver) and all(_normal_tables(quiver))
 
 
 def analyze(quiver: Quiver) -> AnalysisReport:
     """Per-vertex and quiver-level summary of the notions above."""
     h = _height_table(quiver)
     prim = primitive_vertices(quiver)
-    rows = tuple(
-        VertexAnalysis(
+    cond = condense(quiver)
+    normal = _normal_tables(quiver)
+    monotonous = is_monotonous(quiver)
+    rows = []
+    for v in quiver.vertices:
+        inclusive = normal[cond.class_index[v]]
+        rows.append(VertexAnalysis(
             vertex=v,
             height=h[v],
             primitive=v in prim,
-            normal=is_normal(quiver, v),
-            phylogenetic=phylogenetic_status(quiver, v),
-        )
-        for v in quiver.vertices
-    )
+            normal=inclusive or (not monotonous and is_normal(quiver, v)),
+            phylogenetic=inclusive if monotonous else (inclusive or None),
+        ))
     return AnalysisReport(
-        vertices=rows,
-        monotonous=is_monotonous(quiver),
-        phylogenetic_quiver=is_phylogenetic_quiver(quiver),
-        isotypy_class_count=len(condense(quiver).classes),
+        vertices=tuple(rows),
+        monotonous=monotonous,
+        phylogenetic_quiver=monotonous and all(normal),
+        isotypy_class_count=len(cond.classes),
     )

@@ -24,16 +24,9 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def _load_space(args):
-    space = serialize.space_from_csv(_read(args.input), source=args.input)
+    text = serialize.read_text(args.input)
+    space = serialize.space_from_csv(text, source=args.input)
     if args.max_points and len(space.points) > args.max_points:
         raise SizeGuardError(
             f"{args.input}: {len(space.points)} points exceed --max-points "
@@ -85,9 +78,8 @@ def cmd_esequence(args) -> int:
 
 def cmd_forest(args) -> int:
     if args.input.endswith(".esq.json"):
-        seq = serialize.esequence_from_obj(
-            serialize.loads(_read(args.input), source=args.input), source=args.input
-        )
+        obj = serialize.loads(serialize.read_text(args.input), source=args.input)
+        seq = serialize.esequence_from_obj(obj, source=args.input)
     else:
         quiver = serialize.read_quiver_file(args.input)
         seq = esequence.evolutionary_sequence(quiver)
@@ -106,7 +98,7 @@ def cmd_reconstruct(args) -> int:
     if args.prec is None or args.prec == "empty":
         prec = PrecRelation.build(())
     else:
-        prec = serialize.prec_from_text(_read(args.prec))
+        prec = serialize.prec_from_text(serialize.read_text(args.prec))
     if args.levels is None:
         values = [
             space.distance(a, b) for a in space.points for b in space.points
@@ -139,7 +131,7 @@ def cmd_metric_tower(args) -> int:
 
 def cmd_validate(args) -> int:
     path = args.input
-    text = _read(path)
+    text = serialize.read_text(path)
     if path.endswith(".csv"):
         labels, rows = serialize.matrix_from_csv(text, source=path)
         check = metric.validate_space(labels, rows)

@@ -52,12 +52,19 @@ def quiver_to_obj(quiver: Quiver) -> dict:
 def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputError(f"{source}: quiver JSON needs 'vertices' and 'edges'")
+    for key in ("vertices", "edges"):
+        if not isinstance(obj[key], (list, tuple)):
+            raise InputError(f"{source}: '{key}' must be a list")
+    labels = obj.get("labels")
+    if labels is None:
+        labels = {}
+    elif not isinstance(labels, dict):
+        raise InputError(f"{source}: 'labels' must be an object")
     edges = []
     for e in obj["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputError(f"{source}: each edge must be a [tail, head] pair")
         edges.append((str(e[0]), str(e[1])))
-    labels = obj.get("labels") or {}
     return Quiver.build([str(v) for v in obj["vertices"]], edges, labels)
 
 
@@ -309,9 +316,16 @@ def evolution_to_obj(evo: Evolution) -> dict:
     return {"vertices": list(evo.vertices), "length": evo.length}
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_quiver_file(path: str) -> Quiver:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if path.endswith(".dot") or path.endswith(".gv"):
         return quiver_from_dot(text, source=path)
     return quiver_from_obj(loads(text, source=path), source=path)

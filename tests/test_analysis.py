@@ -39,8 +39,15 @@ from phyloquiver import (
     validate_evolution,
     verify_universal_bounded,
 )
+from phyloquiver.analysis import (
+    _critical_ancestors,
+    _grouped_isotypic,
+    _least_short_evolution,
+    _normal_self_inclusive,
+)
 from phyloquiver.generators import (
     gen_abnormal,
+    gen_g3,
     gen_map_quiver,
     gen_nonmonotonous,
     gen_random_monotonous,
@@ -55,6 +62,7 @@ from conftest import (
     brute_full_evolutions,
     brute_heights,
     brute_primitives,
+    brute_reach,
 )
 
 
@@ -532,3 +540,123 @@ class TestPerQuiverMemo:
             assert analyze(twin) == report
             assert heights(twin) == heights(q)
             assert condense(twin) == condense(q)
+
+
+def chain_quiver(levels):
+    """c0 <- c1 <- ... <- c(levels - 1); c0 is the only primitive."""
+    vs = [f"c{i}" for i in range(levels)]
+    return Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(levels - 1)])
+
+
+def diamond_ladder(rungs):
+    """Junction j0 below rungs of isotypic pairs a_k <-> b_k, each pair
+    below junction j_k: 2^rungs short full evolutions for the top."""
+    vs, es = ["j0"], []
+    for k in range(1, rungs + 1):
+        a, b, j, below = f"a{k}", f"b{k}", f"j{k}", f"j{k - 1}"
+        vs += [a, b, j]
+        es += [(a, b), (b, a), (a, below), (b, below), (j, a), (j, b)]
+    return Quiver.build(vs, es)
+
+
+def normality_sweep():
+    yield from random_monotonous(80, max_n=12)
+    for s in range(150):  # dense enough for cycles and climbing edges
+        yield gen_random_quiver(3 + s % 10, (0.2, 0.3, 0.45)[s % 3], seed=100 + s)
+    yield from (gen_g3(), gen_abnormal(), gen_nonmonotonous())
+
+
+def brute_critical_ancestors(q, v, include_self):
+    reach, h = brute_reach(q)[v], brute_heights(q)
+    return frozenset(
+        head for tail, head in q.edges
+        if tail in reach and h[tail] == h[head] + 1 and (include_self or head != v)
+    )
+
+
+class TestOnePassNormality:
+    def test_matches_per_vertex_definition(self):
+        self_dependent = 0
+        for q in normality_sweep():
+            cond, h = condense(q), heights(q)
+            for v in q.vertices:
+                for include_self, got in ((False, is_normal(q, v)),
+                                          (True, _normal_self_inclusive(q, v))):
+                    crit = _critical_ancestors(q, v, include_self)
+                    assert crit == brute_critical_ancestors(q, v, include_self)
+                    assert got == _grouped_isotypic(cond, h, crit), (q, v)
+                self_dependent += is_normal(q, v) != _normal_self_inclusive(q, v)
+        assert self_dependent  # the sweep reaches the per-vertex fallback
+
+    def test_analyze_reads_the_same_answers(self):
+        for q in normality_sweep():
+            report = analyze(q)
+            assert report.phylogenetic_quiver == is_phylogenetic_quiver(q)
+            for row in report.vertices:
+                assert row.normal == is_normal(q, row.vertex)
+                assert row.phylogenetic == phylogenetic_status(q, row.vertex)
+            if report.monotonous:
+                core = phylogenetic_core(q).vertices
+                assert core == tuple(v for v in q.vertices if is_normal(q, v))
+
+
+def recursive_short_evolutions(q, v):
+    """The depth-first order of the recursive definition, as vertex tuples."""
+    h = heights(q)
+    parents = {u: sorted({b for a, b in q.edges if a == u}) for u in q.vertices}
+
+    def walk(u, acc):
+        if h[u] == 0:
+            yield tuple(reversed(acc))
+            return
+        for w in parents[u]:
+            if h[w] == h[u] - 1:
+                yield from walk(w, acc + [w])
+
+    return list(walk(v, [v]))
+
+
+class TestLayeredUniversalEvolution:
+    def test_short_evolutions_keep_their_order(self):
+        for q in random_quivers(40, max_n=8, densities=(0.3, 0.5)):
+            for v in q.vertices:
+                got = [e.vertices for e in short_full_evolutions(q, v)]
+                assert got == recursive_short_evolutions(q, v)
+
+    def test_least_short_evolution_is_the_brute_min(self):
+        for q in list(random_quivers(40, max_n=8, densities=(0.3, 0.5))) + [
+            diamond_ladder(4), gen_g3(), gen_abnormal(), gen_nonmonotonous()
+        ]:
+            for v in q.vertices:
+                want = min(short_full_evolutions(q, v), key=lambda e: e.vertices)
+                got = _least_short_evolution(q, v)
+                assert got == want
+                assert got.edge_indices == want.edge_indices
+                if phylogenetic_status(q, v):
+                    assert universal_evolution(q, v) == want
+
+    def test_parallel_edges_pick_the_first_index(self):
+        q = Quiver.build(["A", "B", "C"], [("C", "A"), ("B", "A"), ("C", "B"),
+                                           ("B", "A"), ("C", "A")])
+        evo = universal_evolution(q, "C")
+        assert evo.vertices == ("A", "C") and evo.edge_indices == (0,)
+
+
+class TestDeepQuivers:
+    def test_3000_chain_without_recursion_error(self):
+        q = chain_quiver(3000)
+        top = "c2999"
+        report = analyze(q)
+        assert report.phylogenetic_quiver
+        assert all(row.phylogenetic for row in report.vertices)
+        want = tuple(f"c{i}" for i in range(3000))
+        assert universal_evolution(q, top).vertices == want
+        assert next(short_full_evolutions(q, top)).vertices == want
+
+    def test_18_rung_diamond_ladder(self):
+        q = diamond_ladder(18)
+        evo = universal_evolution(q, "j18")
+        assert evo.length == 36
+        assert evo.vertices == ("j0",) + tuple(
+            x for k in range(1, 19) for x in (f"a{k}", f"j{k}")
+        )

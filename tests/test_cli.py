@@ -48,6 +48,24 @@ class TestAnalyze:
         _, second, _ = run(capsys, "analyze", g3_file)
         assert first == second
 
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {path}")
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"vertices": ["a"], "edges": 5}, "edges"),
+        ({"vertices": {"a": 1}, "edges": []}, "vertices"),
+        ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "labels"),
+    ])
+    def test_wrong_field_types_exit_1(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert f"'{field}' must be" in err and "Traceback" not in err
+
 
 class TestUniversal:
     def test_g3_c(self, capsys, g3_file):

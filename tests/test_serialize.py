@@ -26,6 +26,7 @@ from phyloquiver.serialize import (
     quiver_from_obj,
     quiver_to_dot,
     quiver_to_obj,
+    read_quiver_file,
     space_from_csv,
     space_to_csv,
 )
@@ -46,6 +47,25 @@ class TestQuiverJson:
     def test_missing_keys(self):
         with pytest.raises(InputError, match="vertices"):
             quiver_from_obj({"edges": []})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"vertices": ["a"], "edges": 5}, "'edges' must be a list"),
+        ({"vertices": "a", "edges": []}, "'vertices' must be a list"),
+        ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "'labels' must be an object"),
+        ({"vertices": ["a"], "edges": [], "labels": "x"}, "'labels' must be an object"),
+    ])
+    def test_wrong_field_types_name_the_field(self, obj, field):
+        with pytest.raises(InputError, match=f"q.json: {field}"):
+            quiver_from_obj(obj, source="q.json")
+
+    def test_null_labels_mean_none(self):
+        q = quiver_from_obj({"vertices": ["a"], "edges": [], "labels": None})
+        assert q.labels == ()
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(InputError, match=f"cannot read {path}"):
+            read_quiver_file(str(path))
 
     def test_labels_ride_along(self):
         from phyloquiver import Quiver
