@@ -6,13 +6,15 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
 
 Reruns the heavy cross-checks (normality oracle agreement, universal
 evolutions against the least short full evolution, realization and
-reconstruction round trips, tower laws, clade formulas) on as many fresh
+reconstruction round trips, tower laws, underline_d and is_trim against
+their Fraction definitions, clade formulas) on as many fresh
 seeds as asked and prints a one-line verdict per family.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen
@@ -62,7 +64,19 @@ def audit_round_trips(count, base):
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
 
 
+def fraction_deficits(space):
+    """Per point, every (d(x,y) + d(x,z) - d(y,z)) / 2 over distinct y, z
+    avoiding x, straight from the Fraction distances."""
+    d = space.distance
+    return {
+        x: [(d(x, y) + d(x, z) - d(y, z)) / 2
+            for y, z in itertools.combinations([p for p in space.points if p != x], 2)]
+        for x in space.points
+    }
+
+
 def audit_towers(count, base, max_n):
+    checked = 0
     for s in range(count):
         x = gen.gen_random_ultrametric(1 + s % max_n, depth=1 + s % 5, seed=base + s)
         t = pq.tower_u(x)
@@ -71,7 +85,21 @@ def audit_towers(count, base, max_n):
         tv = pq.tower_v(y)
         assert pq.is_trim(tv.terminal), s
         assert all(pq.classify_map(m).is_drift for m in tv.maps), s
+        for space in t.spaces + tv.spaces:
+            ud = pq.underline_d(space)
+            deficits = fraction_deficits(space)
+            if len(space) == 1:
+                assert ud == {space.points[0]: 0} and pq.is_trim(space), s
+            elif len(space) == 2:
+                half = space.rows[0][1] / 2
+                assert ud == dict.fromkeys(space.points, half), s
+                assert not pq.is_trim(space), s
+            else:
+                assert ud == {p: min(v) for p, v in deficits.items()}, s
+                assert pq.is_trim(space) == all(0 in v for v in deficits.values()), s
+            checked += 1
     print(f"towers                    ok on {count} ultrametric + {count} metric spaces")
+    print(f"underline_d and is_trim   ok on {checked} tower spaces")
 
 
 def audit_clades(count, base, max_n):

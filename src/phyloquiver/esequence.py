@@ -500,35 +500,46 @@ def esequence_isomorphic(first: ESequence, second: ESequence) -> bool:
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def extend(level: int, i: int) -> bool:
-        if level == len(first.levels):
-            return True
+    def fits(level: int, i: int, y: str) -> bool:
         xs = first.levels[level]
-        if i == len(xs):
-            return extend(level + 1, 0)
         x = xs[i]
-        for y in second.levels[level]:
-            if y in used or c1[x] != c2[y]:
-                continue
-            if level > 0 and mapping[first.parent[x]] != second.parent[y]:
-                continue
-            ok = True
-            for z in xs[:i]:
-                fz = mapping[z]
-                if ((x, z) in o1) != ((y, fz) in o2) or ((z, x) in o1) != ((fz, y) in o2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(level, i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
+        if y in used or c1[x] != c2[y]:
+            return False
+        if level > 0 and mapping[first.parent[x]] != second.parent[y]:
+            return False
+        for z in xs[:i]:
+            fz = mapping[z]
+            if ((x, z) in o1) != ((y, fz) in o2) or ((z, x) in o1) != ((fz, y) in o2):
+                return False
+        return True
 
-    return extend(0, 0)
+    # Backtracking over the labels of first, level by level, with an
+    # explicit stack: slot p holds the index of its next candidate in
+    # nexts[p], so deep sequences need no recursion.
+    slots = [(level, i) for level, xs in enumerate(first.levels)
+             for i in range(len(xs))]
+    nexts = [0] * len(slots)
+    p = 0
+    while p < len(slots):
+        if p < 0:
+            return False
+        level, i = slots[p]
+        x = first.levels[level][i]
+        if x in mapping:
+            used.discard(mapping.pop(x))
+        ys = second.levels[level]
+        k = nexts[p]
+        while k < len(ys) and not fits(level, i, ys[k]):
+            k += 1
+        if k == len(ys):
+            nexts[p] = 0
+            p -= 1
+            continue
+        mapping[x] = ys[k]
+        used.add(ys[k])
+        nexts[p] = k + 1
+        p += 1
+    return True
 
 
 def _refined_colors(

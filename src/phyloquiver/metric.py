@@ -10,6 +10,14 @@ general metric space, one step subtracts the per-point slack underline_d
 (half the worst triangle deficit at each point) from every pair distance
 and collapses; iterating lands on a trim space, one in which every point
 lies metrically between two others.
+
+Fractions appear only at the API edge. Each space also keeps its matrix as
+integer rows scaled by 2 * lcm of its denominators, and the cubic checks
+(the metric and ultrametric axioms, underline_d, trimness) and the
+quotient steps run on those rows. Scaling by a positive integer keeps
+order, sums and zeros, so results stay exact; the factor 2 makes every
+half-deficit an integer. Each quotient is validated afresh and takes its
+own scale.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SizeGuardError
@@ -49,11 +59,26 @@ def to_fraction(value) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational number")
 
 
+# A matrix as exact integer rows: (scale, rows) with rows[i][j] = d(i, j) * scale.
+_Scaled = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _scaled(matrix: Sequence[Sequence[Fraction]]) -> _Scaled:
+    """Scale a Fraction matrix by 2 * lcm of its denominators. Every entry
+    becomes an even integer, so each half-deficit of underline_d is an
+    integer too; order, sums and zero tests are those of the rationals."""
+    scale = 2 * lcm(*{v.denominator for row in matrix for v in row})
+    return scale, tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix
+    )
+
+
 @dataclass(frozen=True)
 class SpaceCheck:
     is_metric: bool
     is_ultrametric: bool
     problems: tuple[str, ...]
+    _scaled: _Scaled | None = field(default=None, compare=False, repr=False)
 
 
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
@@ -69,12 +94,56 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError(f"distance matrix must be {n}x{n}")
+    view = _scaled(matrix)
+    ints = view[1]
     for i in range(n):
         for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+            if ints[i][j] != ints[j][i]:
                 raise InputError(
                     f"matrix is not symmetric at ({labels[i]!r}, {labels[j]!r})"
                 )
+    if not _is_metric(ints):
+        return SpaceCheck(False, False, _problems(labels, matrix), view)
+    return SpaceCheck(True, _is_ultrametric(ints), (), view)
+
+
+def _is_metric(ints: tuple[tuple[int, ...], ...]) -> bool:
+    """Zero diagonal, positive off-diagonal, triangle inequality on a
+    symmetric int matrix. d(i, k) <= d(i, j) + d(j, k) for every j is
+    d(i, k) <= min over j of row i + row k, and j = i attains d(i, k)."""
+    for i, row in enumerate(ints):
+        # the diagonal entry is the only zero of its row, and none is negative
+        if row[i] != 0 or row.count(0) != 1 or min(row) < 0:
+            return False
+    return all(
+        min(map(add, row, other)) >= dik
+        for i, row in enumerate(ints)
+        for dik, other in zip(row[i + 1:], ints[i + 1:])
+    )
+
+
+def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
+    """The strong triangle inequality on a metric int matrix: no point is
+    strictly closer than d(i, k) to both i and k. For each row and each of
+    its values, the points strictly closer form one bitmask."""
+    closer: list[dict[int, int]] = []
+    for row in ints:
+        masks: dict[int, int] = {}
+        bits = 0
+        for j in sorted(range(len(row)), key=row.__getitem__):
+            masks.setdefault(row[j], bits)
+            bits |= 1 << j
+        closer.append(masks)
+    return not any(
+        closer[i][dik] & closer[k][dik]
+        for i, row in enumerate(ints)
+        for k, dik in enumerate(row[i + 1:], i + 1)
+    )
+
+
+def _problems(labels: tuple[str, ...], matrix: Sequence[Sequence]) -> tuple[str, ...]:
+    """Every metric-axiom failure of a symmetric matrix, in a fixed order."""
+    n = len(labels)
     problems: list[str] = []
     for i in range(n):
         if matrix[i][i] != 0:
@@ -85,7 +154,6 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
                 problems.append(
                     f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
                 )
-    metric_ok = not problems
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -94,15 +162,7 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
                         f"triangle inequality fails on "
                         f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
                     )
-                    metric_ok = False
-    ultra_ok = metric_ok
-    if metric_ok:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if matrix[i][j] > max(matrix[i][k], matrix[j][k]):
-                        ultra_ok = False
-    return SpaceCheck(metric_ok, ultra_ok, tuple(problems))
+    return tuple(problems)
 
 
 @dataclass(frozen=True)
@@ -113,6 +173,7 @@ class FiniteMetricSpace:
     points: tuple[str, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     is_ultrametric: bool = field(init=False, compare=False, repr=False)
+    _scaled: _Scaled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -125,6 +186,7 @@ class FiniteMetricSpace:
         if not check.is_metric:
             raise InputError("not a metric: " + "; ".join(check.problems))
         object.__setattr__(self, "is_ultrametric", check.is_ultrametric)
+        object.__setattr__(self, "_scaled", check._scaled)
 
     @classmethod
     def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
@@ -137,6 +199,29 @@ class FiniteMetricSpace:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _half_deficits(self) -> tuple[int, ...]:
+        """underline_d of each point, in units of 1/scale."""
+        ints = self._scaled[1]
+        if len(ints) < 3:
+            # 0 on a single point, half the sole distance on a pair
+            return tuple(max(row) // 2 for row in ints)
+        out = []
+        for x, row in enumerate(ints):
+            # The deficit d(x,y) + d(x,z) - d(y,z) over z != x, y is
+            # d(x,y) + min over z of (row x - row y). z = y gives 2 d(x,y),
+            # never below a real deficit (triangle inequality); z = x must
+            # be kept out, so its entry is raised past every real term.
+            probe = list(row)
+            probe[x] = 2 * max(row)
+            best = min(
+                dxy + min(map(sub, probe, other))
+                for y, (dxy, other) in enumerate(zip(row, ints))
+                if y != x
+            )
+            out.append(best // 2)
+        return tuple(out)
 
     def distance(self, a: str, b: str) -> Fraction:
         try:
@@ -239,54 +324,53 @@ def classify_map(pmap: PointMap) -> MapClassification:
     pts = src.points
     if len(pts) == 1:
         return MapClassification(True, None, True)
-    iso = all(
-        tgt.distance(pmap.apply(x), pmap.apply(y)) == src.distance(x, y)
-        for i, x in enumerate(pts)
-        for y in pts[i + 1:]
-    )
-    diffs = {
-        src.distance(x, y) - tgt.distance(pmap.apply(x), pmap.apply(y))
-        for i, x in enumerate(pts)
-        for y in pts[i + 1:]
-    }
-    epsilon = diffs.pop() if len(diffs) == 1 else None
-    if epsilon is not None and epsilon <= 0:
-        epsilon = None
-    ud = underline_d(src)
-    drift = all(
-        tgt.distance(pmap.apply(x), pmap.apply(y))
-        == src.distance(x, y) - ud[x] - ud[y]
-        for i, x in enumerate(pts)
-        for y in pts[i + 1:]
-    )
+    s, src_ints = src._scaled
+    t, tgt_ints = tgt._scaled
+    image = [tgt._index[pmap.mapping[x]] for x in pts]
+    half = src._half_deficits
+    iso = drift = True
+    diffs: set[int] = set()
+    # distances of both spaces in the common unit 1 / (s * t)
+    for i, (row, hi) in enumerate(zip(src_ints, half)):
+        trow = tgt_ints[image[i]]
+        for j in range(i + 1, len(pts)):
+            d, e = row[j] * t, trow[image[j]] * s
+            iso = iso and d == e
+            diffs.add(d - e)
+            drift = drift and e == (row[j] - hi - half[j]) * t
+    gap = diffs.pop() if len(diffs) == 1 else 0
+    epsilon = Fraction(gap, s * t) if gap > 0 else None
     return MapClassification(iso, epsilon, drift)
 
 
 def _collapse(
-    space: FiniteMetricSpace, reduced: dict[tuple[str, str], Fraction]
+    space: FiniteMetricSpace, reduced: Sequence[Sequence[int]]
 ) -> tuple[FiniteMetricSpace, PointMap]:
-    """Quotient by zero pairs of a reduced distance table; each class is
-    named after its minimal member."""
-    rep: dict[str, str] = {}
-    classes: list[list[str]] = []
-    for x in sorted(space.points):
+    """Quotient by the zero pairs of a reduced int matrix in the scale of
+    the space; each class is named after its minimal member."""
+    scale = space._scaled[0]
+    pts = space.points
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    rep: dict[int, int] = {}
+    heads: list[int] = []
+    for x in order:
         if x in rep:
             continue
-        cls = [y for y in sorted(space.points)
-               if y == x or reduced[(x, y)] == 0]
-        for y in cls:
-            rep[y] = x
-        classes.append(cls)
-    new_points = tuple(cls[0] for cls in classes)
+        for y in order:
+            if y == x or reduced[x][y] == 0:
+                rep[y] = x
+        heads.append(x)
     rows = tuple(
         tuple(
-            Fraction(0) if a == b else reduced[(a, b)]
-            for b in new_points
+            Fraction(0) if a == b else Fraction(reduced[a][b], scale)
+            for b in heads
         )
-        for a in new_points
+        for a in heads
     )
-    quotient = FiniteMetricSpace(new_points, rows)
-    return quotient, PointMap(space, quotient, {x: rep[x] for x in space.points})
+    quotient = FiniteMetricSpace(tuple(pts[a] for a in heads), rows)
+    return quotient, PointMap(
+        space, quotient, {x: pts[rep[i]] for i, x in enumerate(pts)}
+    )
 
 
 def quotient_u(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
@@ -297,72 +381,38 @@ def quotient_u(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
         raise InputError("quotient_u needs an ultrametric space")
     if len(space.points) < 2:
         raise InputError("quotient_u needs at least two points")
-    gap = min_gap(space)
-    reduced = {
-        (a, b): space.distance(a, b) - gap
-        for a in space.points
-        for b in space.points
-        if a != b
-    }
-    return _collapse(space, reduced)
+    ints = space._scaled[1]
+    gap = min(v for row in ints for v in row if v)
+    return _collapse(space, [[v - gap for v in row] for row in ints])
 
 
 def underline_d(space: FiniteMetricSpace) -> dict[str, Fraction]:
     """Per-point half-deficit of the triangle inequality: 0 on a single
     point, half the sole distance on a pair, and otherwise the least
     (d(x,y) + d(x,z) - d(y,z)) / 2 over distinct y, z avoiding x."""
-    pts = space.points
-    if len(pts) == 1:
-        return {pts[0]: Fraction(0)}
-    if len(pts) == 2:
-        half = space.rows[0][1] / 2
-        return {pts[0]: half, pts[1]: half}
-    out: dict[str, Fraction] = {}
-    for x in pts:
-        best: Fraction | None = None
-        rest = [y for y in pts if y != x]
-        for i, y in enumerate(rest):
-            for z in rest[i + 1:]:
-                value = (space.distance(x, y) + space.distance(x, z)
-                         - space.distance(y, z)) / 2
-                if best is None or value < best:
-                    best = value
-        assert best is not None
-        out[x] = best
-    return out
+    scale = space._scaled[0]
+    return {
+        p: Fraction(h, scale) for p, h in zip(space.points, space._half_deficits)
+    }
 
 
 def is_trim(space: FiniteMetricSpace) -> bool:
     """True when every point lies between two others (or the space is a
-    single point). Equivalent to underline_d vanishing everywhere."""
-    pts = space.points
-    if len(pts) == 1:
-        return True
-    for x in pts:
-        rest = [y for y in pts if y != x]
-        if not any(
-            space.distance(x, y) + space.distance(x, z) == space.distance(y, z)
-            for i, y in enumerate(rest)
-            for z in rest[i + 1:]
-        ):
-            return False
-    return True
+    single point). Equivalent to underline_d vanishing everywhere: the
+    deficits d(x,y) + d(x,z) - d(y,z) are never negative, so the least is
+    zero exactly when some y, z have x between them."""
+    return not any(space._half_deficits)
 
 
 def quotient_v(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
     """One drift step: subtract underline_d(x) + underline_d(y) from every
     distinct pair and collapse the zeros. On a trim space this is the
     identity up to labeling."""
-    ud = underline_d(space)
-    if len(space.points) == 1:
-        return _collapse(space, {})
-    reduced = {
-        (a, b): space.distance(a, b) - ud[a] - ud[b]
-        for a in space.points
-        for b in space.points
-        if a != b
-    }
-    return _collapse(space, reduced)
+    half = space._half_deficits
+    return _collapse(space, [
+        [v - ha - hb for v, hb in zip(row, half)]
+        for row, ha in zip(space._scaled[1], half)
+    ])
 
 
 @dataclass(frozen=True)

@@ -153,11 +153,20 @@ def esequence_to_obj(seq: ESequence) -> dict:
 def esequence_from_obj(obj, source: str = "<input>") -> ESequence:
     if not isinstance(obj, dict) or "levels" not in obj or "parent" not in obj:
         raise InputError(f"{source}: E-sequence JSON needs 'levels' and 'parent'")
-    order = [(str(x), str(y)) for x, y in obj.get("order", [])]
+    levels, parent, order = obj["levels"], obj["parent"], obj.get("order", [])
+    for key, value in (("levels", levels), ("order", order)):
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"{source}: '{key}' must be a list")
+    if not isinstance(parent, dict):
+        raise InputError(f"{source}: 'parent' must be an object")
+    if any(not isinstance(level, (list, tuple)) for level in levels):
+        raise InputError(f"{source}: each item of 'levels' must be a list of labels")
+    if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in order):
+        raise InputError(f"{source}: each item of 'order' must be an [x, y] pair")
     return ESequence.build(
-        [[str(x) for x in level] for level in obj["levels"]],
-        {str(k): str(v) for k, v in obj["parent"].items()},
-        order,
+        [[str(x) for x in level] for level in levels],
+        {str(k): str(v) for k, v in parent.items()},
+        [(str(x), str(y)) for x, y in order],
     )
 
 
@@ -281,12 +290,23 @@ def forest_to_newick(forest: Forest) -> str:
     if len(forest.roots) != 1:
         raise InputError("Newick export needs a single root")
 
-    def render(x: str) -> str:
-        kids = forest.children(x)
-        inner = "(" + ",".join(render(c) + ":1" for c in kids) + ")" if kids else ""
-        return inner + _newick_name(x)
-
-    return render(forest.roots[0]) + ";\n"
+    # Depth-first with an explicit stack, so a deep forest needs no
+    # recursion. An entry is a label to expand or text to write as is.
+    out: list[str] = []
+    stack: list[tuple[str, bool]] = [(forest.roots[0], True)]
+    while stack:
+        item, is_label = stack.pop()
+        kids = forest.children(item) if is_label else ()
+        if not kids:
+            out.append(_newick_name(item) if is_label else item)
+            continue
+        out.append("(")
+        stack.append((":1)" + _newick_name(item), False))
+        for i, child in enumerate(reversed(kids)):
+            if i:
+                stack.append((":1,", False))
+            stack.append((child, True))
+    return "".join(out) + ";\n"
 
 
 # -- reports -------------------------------------------------------------------

@@ -220,6 +220,19 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0 and json.loads(out)["kind"] == "esequence"
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"levels": [["a"]], "parent": {}, "order": [["a"]]}, "'order'"),
+        ({"levels": [["a"]], "parent": {}, "order": 3}, "'order'"),
+        ({"levels": ["a"], "parent": {}}, "'levels'"),
+        ({"levels": [["a"]], "parent": ["a"]}, "'parent'"),
+    ])
+    def test_malformed_esequence_json_exit_1(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert field in err and "Traceback" not in err
+
     def test_quiver_json(self, capsys, g3_file):
         code, out, _ = run(capsys, "validate", g3_file)
         assert code == 0 and json.loads(out)["kind"] == "quiver"

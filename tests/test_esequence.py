@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -403,3 +404,37 @@ class TestIsomorphism:
             e2 = gen_random_esequence(1 + (s + 1) % 3, 4, 0.5, seed=s + 100)
             assert esequence_isomorphic(e1, e2) == brute_iso(e1, e2)
             assert esequence_isomorphic(e1, e1)
+
+    def test_backtracks_past_color_refinement(self):
+        # Two crowns on one level, four minimal and four maximal labels with
+        # every label in two pairs: an 8-cycle and two 4-cycles. Every label
+        # gets the same color, so only the search can tell them apart.
+        def crown(pairs, tag, seed=None):
+            lows = [f"{tag}a{i}" for i in range(4)]
+            highs = [f"{tag}b{i}" for i in range(4)]
+            level = lows + highs
+            if seed is not None:
+                # the level's list order is the order candidates are tried in
+                random.Random(seed).shuffle(level)
+            return ESequence.build(
+                [level], {}, [(lows[i], highs[j]) for i, j in pairs]
+            )
+
+        cycle8 = [(i, j % 4) for i in range(4) for j in (i, i + 1)]
+        cycles4 = [(i, j) for i in range(4) for j in range(4) if i // 2 == j // 2]
+        assert not esequence_isomorphic(crown(cycle8, "x"), crown(cycles4, "y"))
+        for s in range(20):
+            assert esequence_isomorphic(crown(cycle8, "x"), crown(cycle8, "y", s))
+            assert esequence_isomorphic(crown(cycles4, "x"), crown(cycles4, "y", s))
+            assert not esequence_isomorphic(crown(cycles4, "x"), crown(cycle8, "y", s))
+
+    def test_deep_chain(self):
+        def chain(n, tag):
+            labels = [f"{tag}{i}" for i in range(n)]
+            return ESequence.build(
+                [[x] for x in labels],
+                {labels[i + 1]: labels[i] for i in range(n - 1)},
+            )
+
+        assert esequence_isomorphic(chain(3000, "a"), chain(3000, "b"))
+        assert not esequence_isomorphic(chain(3000, "a"), chain(2999, "b"))

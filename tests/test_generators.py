@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from phyloquiver import (
@@ -9,6 +11,7 @@ from phyloquiver import (
     heights,
     is_monotonous,
     is_phylogenetic_quiver,
+    norm_total,
     primitive_vertices,
     validate_esequence,
 )
@@ -91,6 +94,17 @@ class TestDeterminism:
 
     def test_random_metric_reproducible(self):
         assert gen_random_metric(6, seed=2) == gen_random_metric(6, seed=2)
+
+    def test_random_metric_draws_are_pinned(self):
+        totals = [str(norm_total(gen_random_metric(n, seed=s)))
+                  for n in (3, 7, 11) for s in range(3)]
+        assert totals == ["34", "116/3", "54", "377/2", "387", "379",
+                          "1032", "518", "2042"]
+        assert gen_random_metric(4, seed=3).rows == tuple(
+            tuple(Fraction(v) for v in row)
+            for row in [[0, 12, 15, 17], [12, 0, 24, 17],
+                        [15, 24, 0, 23], [17, 17, 23, 0]]
+        )
 
     def test_random_esequence_reproducible(self):
         a = gen_random_esequence(4, 5, 0.3, seed=9, single_root=True, surjective=True)

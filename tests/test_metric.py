@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -362,3 +363,233 @@ class TestBalls:
                     for block in previous:
                         assert any(set(block) <= set(big) for big in part)
                 previous = part
+
+
+# -- the integer kernel against plain Fraction definitions ---------------------
+
+MIXED_DENOMINATORS = (1, 3, 7, 1_000_003, 998_244_353, 2**31 - 1)
+
+
+def ref_check(labels, rows):
+    """(is_metric, is_ultrametric, problems) straight from the axioms."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    problems = [f"nonzero diagonal at {labels[i]!r}" for i in range(n) if m[i][i] != 0]
+    problems += [
+        f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
+        for i in range(n) for j in range(i + 1, n) if m[i][j] <= 0
+    ]
+    ok = not problems
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if m[i][j] > m[i][k] + m[j][k]:
+            problems.append(
+                f"triangle inequality fails on "
+                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+            )
+            ok = False
+    ultra = ok and all(
+        m[i][j] <= max(m[i][k], m[j][k])
+        for i, j, k in itertools.product(range(n), repeat=3)
+    )
+    return ok, ultra, tuple(problems)
+
+
+def ref_underline_d(space):
+    pts = space.points
+    if len(pts) == 1:
+        return {pts[0]: Fraction(0)}
+    if len(pts) == 2:
+        return dict.fromkeys(pts, space.rows[0][1] / 2)
+    d = space.distance
+    return {
+        x: min(
+            (d(x, y) + d(x, z) - d(y, z)) / 2
+            for y, z in itertools.combinations([p for p in pts if p != x], 2)
+        )
+        for x in pts
+    }
+
+
+def ref_is_trim(space):
+    pts = space.points
+    d = space.distance
+    return len(pts) == 1 or all(
+        any(
+            d(x, y) + d(x, z) == d(y, z)
+            for y, z in itertools.combinations([p for p in pts if p != x], 2)
+        )
+        for x in pts
+    )
+
+
+def ref_collapse(space, reduced):
+    rep = {}
+    for x in sorted(space.points):
+        if x not in rep:
+            for y in sorted(space.points):
+                if y == x or reduced[x, y] == 0:
+                    rep[y] = x
+    heads = sorted(set(rep.values()))
+    rows = [[reduced[a, b] if a != b else 0 for b in heads] for a in heads]
+    return FiniteMetricSpace.build(heads, rows), {x: rep[x] for x in space.points}
+
+
+def ref_tower(space, step):
+    spaces, maps = [space], []
+    while True:
+        reduced = step(spaces[-1])
+        if reduced is None:
+            return spaces, maps
+        nxt, mapping = ref_collapse(spaces[-1], reduced)
+        spaces.append(nxt)
+        maps.append(mapping)
+
+
+def ref_u_step(space):
+    if len(space.points) == 1:
+        return None
+    d = space.distance
+    gap = min(d(a, b) for a, b in itertools.combinations(space.points, 2))
+    return {(a, b): d(a, b) - gap
+            for a in space.points for b in space.points if a != b}
+
+
+def ref_v_step(space):
+    if ref_is_trim(space):
+        return None
+    ud = ref_underline_d(space)
+    d = space.distance
+    return {(a, b): d(a, b) - ud[a] - ud[b]
+            for a in space.points for b in space.points if a != b}
+
+
+def mixed_metric(n, seed):
+    """A metric with mixed denominators: shortest paths over random
+    positive rational edge weights."""
+    rng = random.Random(f"mixed-metric:{n}:{seed}")
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        den = rng.choice(MIXED_DENOMINATORS)
+        m[i][j] = m[j][i] = Fraction(rng.randint(den, 20 * den), den)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        m[i][j] = min(m[i][j], m[i][k] + m[k][j])
+    return FiniteMetricSpace.build([f"m{i}" for i in range(n)], m)
+
+
+def mixed_ultrametric(n, seed):
+    """An ultrametric with mixed denominators: merge random clusters at
+    increasing rational heights."""
+    rng = random.Random(f"mixed-ultrametric:{n}:{seed}")
+    clusters = [[i] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    height = Fraction(0)
+    while len(clusters) > 1:
+        den = rng.choice(MIXED_DENOMINATORS)
+        height += Fraction(rng.randint(1, 5 * den), den)
+        a, b = sorted(rng.sample(range(len(clusters)), 2))
+        for i in clusters[a]:
+            for j in clusters[b]:
+                m[i][j] = m[j][i] = height
+        clusters[a] += clusters.pop(b)
+    return FiniteMetricSpace.build([f"u{i}" for i in range(n)], m)
+
+
+def mixed_matrix(n, seed):
+    """A symmetric matrix that is often not a metric: negative, zero and
+    nonzero-diagonal entries over mixed denominators."""
+    rng = random.Random(f"mixed-matrix:{n}:{seed}")
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        den = rng.choice(MIXED_DENOMINATORS)
+        m[i][j] = m[j][i] = Fraction(rng.randint(-2 * den, 16 * den), den)
+    if rng.random() < 0.2:
+        i = rng.randrange(n)
+        m[i][i] = Fraction(rng.randint(-3, 3), rng.choice(MIXED_DENOMINATORS))
+    return [f"q{i}" for i in range(n)], m
+
+
+def assert_matches_reference(space):
+    check = validate_space(space.points, space.rows)
+    assert (check.is_metric, check.is_ultrametric, check.problems) == ref_check(
+        space.points, space.rows
+    )
+    assert space.is_ultrametric == check.is_ultrametric
+    assert underline_d(space) == ref_underline_d(space)
+    assert is_trim(space) == ref_is_trim(space)
+    tower = tower_v(space)
+    spaces, maps = ref_tower(space, ref_v_step)
+    assert tower.spaces == tuple(spaces)
+    assert [dict(m.mapping) for m in tower.maps] == maps
+    if space.is_ultrametric:
+        tower = tower_u(space)
+        spaces, maps = ref_tower(space, ref_u_step)
+        assert tower.spaces == tuple(spaces)
+        assert [dict(m.mapping) for m in tower.maps] == maps
+
+
+class TestIntKernel:
+    def test_mixed_denominator_metrics(self):
+        for s in range(40):
+            assert_matches_reference(mixed_metric(1 + s % 8, s))
+
+    def test_mixed_denominator_ultrametrics(self):
+        for s in range(40):
+            sp = mixed_ultrametric(1 + s % 8, s)
+            assert sp.is_ultrametric
+            assert_matches_reference(sp)
+
+    def test_generator_spaces(self):
+        for s in range(30):
+            assert_matches_reference(gen_random_metric(1 + s % 9, seed=s))
+            assert_matches_reference(gen_random_ultrametric(1 + s % 9, 1 + s % 3, seed=s))
+
+    def test_non_metric_matrices(self):
+        failing = 0
+        for s in range(150):
+            labels, rows = mixed_matrix(1 + s % 7, s)
+            check = validate_space(labels, rows)
+            want = ref_check(labels, rows)
+            assert (check.is_metric, check.is_ultrametric, check.problems) == want
+            failing += not check.is_metric
+            if not check.is_metric:
+                with pytest.raises(InputError) as exc:
+                    FiniteMetricSpace.build(labels, rows)
+                assert str(exc.value) == "not a metric: " + "; ".join(want[2])
+        assert failing > 50
+
+    def test_metric_but_not_ultrametric(self, tri345, cycle4):
+        for sp in (tri345, cycle4):
+            assert not sp.is_ultrametric
+            assert_matches_reference(sp)
+
+    def test_one_and_two_points(self):
+        assert_matches_reference(FiniteMetricSpace.single("x"))
+        for den in MIXED_DENOMINATORS:
+            sp = FiniteMetricSpace.build(["a", "b"], [[0, Fraction(7, den)], [Fraction(7, den), 0]])
+            assert_matches_reference(sp)
+            assert underline_d(sp) == {"a": Fraction(7, 2 * den), "b": Fraction(7, 2 * den)}
+
+    def test_multi_step_drift_towers(self):
+        # Rare among generator draws; a quotient whose half-deficits are
+        # not integers in its parent's scale must take a larger scale.
+        towers = [tower_v(gen_random_metric(1 + s % 11, seed=s)) for s in range(400)]
+        long = [t for t in towers if len(t) >= 2]
+        assert len(long) >= 2
+        assert any(
+            t.spaces[k + 1]._scaled[0] > t.spaces[k]._scaled[0]
+            for t in long for k in range(len(t))
+        )
+        for t in long:
+            assert_matches_reference(t.spaces[0])
+            assert all(classify_map(m).is_drift for m in t.maps)
+
+    def test_underline_d_returns_a_copy(self, tri345):
+        first = underline_d(tri345)
+        first["x"] = Fraction(99)
+        first.clear()
+        assert underline_d(tri345) == {"x": 1, "y": 2, "z": 3}
+
+    def test_space_check_compares_on_flags_and_problems(self, ultra3):
+        from phyloquiver.metric import SpaceCheck
+
+        assert validate_space(ultra3.points, ultra3.rows) == SpaceCheck(True, True, ())

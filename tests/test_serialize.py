@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from phyloquiver import InputError, build_forest, evolutionary_sequence
+from phyloquiver import ESequence, InputError, build_forest, evolutionary_sequence
 from phyloquiver.generators import (
     gen_g3,
     gen_random_esequence,
@@ -120,6 +120,25 @@ class TestESequenceJson:
             seq = gen_random_esequence(3, 4, 0.4, seed=s)
             assert esequence_from_obj(esequence_to_obj(seq)) == seq
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"levels": [["a"]], "parent": {}, "order": [["a"]]},
+         "each item of 'order' must be an \\[x, y\\] pair"),
+        ({"levels": [["a", "b"]], "parent": {}, "order": [["a", "b", "a"]]},
+         "each item of 'order' must be"),
+        ({"levels": [["a"]], "parent": {}, "order": ["ab"]},
+         "each item of 'order' must be"),
+        ({"levels": [["a"]], "parent": {}, "order": {"a": "b"}},
+         "'order' must be a list"),
+        ({"levels": [["a"]], "parent": {}, "order": None}, "'order' must be a list"),
+        ({"levels": "a", "parent": {}}, "'levels' must be a list"),
+        ({"levels": [["a"], "b"], "parent": {"b": "a"}},
+         "each item of 'levels' must be a list"),
+        ({"levels": [["a"]], "parent": [["b", "a"]]}, "'parent' must be an object"),
+    ])
+    def test_wrong_field_types_name_the_field(self, obj, message):
+        with pytest.raises(InputError, match=f"e.json: {message}"):
+            esequence_from_obj(obj, source="e.json")
+
 
 class TestMatrixCsv:
     def test_round_trip(self):
@@ -176,6 +195,33 @@ class TestForestExports:
         seq = ESequence.build([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
         with pytest.raises(InputError, match="single root"):
             forest_to_newick(build_forest(seq))
+
+    def test_newick_matches_recursive_definition(self):
+        def render(forest, x):
+            kids = forest.children(x)
+            inner = ",".join(render(forest, c) + ":1" for c in kids)
+            return (f"({inner})" if kids else "") + (f"'{x}'" if " " in x else x)
+
+        for s in range(40):
+            seq = gen_random_esequence(1 + s % 5, 1 + s % 4, 0.0, seed=s,
+                                       single_root=True)
+            seq = ESequence.build(
+                [[x.replace("0", " ") for x in level] for level in seq.levels],
+                {c.replace("0", " "): p.replace("0", " ") for c, p in seq.parent.items()},
+            )
+            forest = build_forest(seq)
+            assert forest_to_newick(forest) == render(forest, forest.roots[0]) + ";\n"
+
+    def test_newick_deep_chain(self):
+        n = 3000
+        seq = ESequence.build(
+            [[f"c{i}"] for i in range(n)],
+            {f"c{i + 1}": f"c{i}" for i in range(n - 1)},
+        )
+        text = forest_to_newick(build_forest(seq))
+        assert text == "(" * (n - 1) + "c2999" + "".join(
+            f":1)c{i}" for i in range(n - 2, -1, -1)
+        ) + ";\n"
 
     def test_dot_contains_parent_edges(self):
         forest = build_forest(evolutionary_sequence(gen_surjection_quiver(3)))
