@@ -22,7 +22,6 @@ polynomial layered dynamic program rather than a search over evolutions.
 
 from __future__ import annotations
 
-import graphlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -65,10 +64,9 @@ def primitive_vertices(quiver: Quiver) -> frozenset[str]:
     """Vertices whose ancestors all lie in their own isotypy class: exactly
     the members of sink classes of the condensation."""
     cond = condense(quiver)
-    non_sinks = {a for a, _ in cond.class_edges}
     out: set[str] = set()
-    for i, cls in enumerate(cond.classes):
-        if i not in non_sinks:
+    for cls, parents in zip(cond.classes, cond.parents):
+        if not parents:
             out.update(cls)
     return frozenset(out)
 
@@ -179,10 +177,10 @@ def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
 
     One pass over the condensation, ancestor classes first. Each class
     carries a map from height to the class of its critical ancestors at
-    that height: the union of its successors' maps and of its own critical
+    that height: the union of its parent classes' maps and of its own critical
     edges. A height claimed by two classes makes the class abnormal, and
     with it every class below, which then carries no map. The largest
-    successor map is copied (or taken over by its last consumer) and the
+    parent map is copied (or taken over by its last consumer) and the
     others are merged into it; a map is dropped once its last consumer has
     read it.
     """
@@ -190,18 +188,17 @@ def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
     ci = cond.class_index
     h = _height_table(quiver)
     k = len(cond.classes)
-    succ: dict[int, list[int]] = {c: [] for c in range(k)}
     consumers = [0] * k
-    for a, b in cond.class_edges:
-        succ[a].append(b)
-        consumers[b] += 1
+    for parents in cond.parents:
+        for b in parents:
+            consumers[b] += 1
     own: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for tail, head in _critical_edges(quiver):
         own[ci[tail]].append((h[head], ci[head]))
     maps: list[dict[int, int] | None] = [None] * k
     normal = [False] * k
-    for c in graphlib.TopologicalSorter(succ).static_order():
-        parents = succ[c]
+    for c in cond.order:
+        parents = cond.parents[c]
         table: dict[int, int] | None = None
         if all(normal[s] for s in parents):
             largest = max(parents, key=lambda s: len(maps[s]), default=None)

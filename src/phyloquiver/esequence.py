@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .errors import InputError
 from .metric import FiniteMetricSpace, balls
-from .quiver import Quiver, ancestor_of, condense, memo
+from .quiver import Quiver, condense, memo
 from . import analysis
 
 
@@ -186,56 +186,37 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     """Isotypy classes graded by height, with parental maps and the induced
     per-level order.
 
-    The parent of a height-m class is the class at height m-1 its members
-    point into; in a phylogenetic quiver all height-dropping edges out of a
-    class agree on it. The order restricted to a level is ancestry between
-    class representatives.
+    One walk over the class DAG, ancestors first. The parent of a height-m
+    class is its one parent class at height m-1; in a phylogenetic quiver
+    all height-dropping edges out of a class agree on it. The order on a
+    level is ancestry between classes. Heights never rise along an edge of
+    a monotonous quiver, so an ancestor class of equal height is reached
+    along class edges of that height alone.
     """
     if not analysis.is_phylogenetic_quiver(quiver):
         raise InputError("evolutionary sequence requires a phylogenetic quiver")
     cond = condense(quiver)
     h = analysis.heights(quiver)
-    class_height: list[int] = []
-    for cls in cond.classes:
-        hs = {h[v] for v in cls}
-        if len(hs) > 1:  # cannot happen in a monotonous quiver
-            raise AssertionError(f"isotypy class {cls} has mixed heights {hs}")
-        class_height.append(hs.pop())
-    top = max(class_height)
-    levels = tuple(
-        tuple(sorted(cond.classes[i][0] for i in range(len(cond.classes))
-                     if class_height[i] == m))
-        for m in range(top + 1)
-    )
-    if any(not level for level in levels):
-        raise AssertionError("height levels of a finite quiver are contiguous")
-
+    label = [cls[0] for cls in cond.classes]
+    class_height = [h[x] for x in label]
+    levels: list[list[str]] = [[] for _ in range(max(class_height) + 1)]
+    for x, m in zip(label, class_height):  # classes are sorted by label
+        levels[m].append(x)
     parent: dict[str, str] = {}
-    for i, cls in enumerate(cond.classes):
-        m = class_height[i]
-        if m == 0:
-            continue
-        targets = {
-            cond.class_of(head)
-            for tail, head in quiver.edges
-            if tail in cls and h[head] == m - 1
-        }
-        if len(targets) != 1:
-            raise InputError(
-                f"class {cls[0]!r} has ambiguous parents; "
-                "quiver is not phylogenetic"
-            )
-        parent[cls[0]] = cond.classes[targets.pop()][0]
-
     order: set[tuple[str, str]] = set()
-    for m, level in enumerate(levels):
-        if m == 0:
-            continue
-        for a in level:
-            for b in level:
-                if a != b and ancestor_of(quiver, a, b):
-                    order.add((a, b))
-    return ESequence(levels, parent, frozenset(order))
+    same: list[set[int]] = [set() for _ in label]  # equal-height ancestors
+    for i in cond.order:
+        m = class_height[i]
+        if m:  # exactly one: two would be conflicting critical ancestors
+            (p,) = (j for j in cond.parents[i] if class_height[j] == m - 1)
+            parent[label[i]] = label[p]
+        for j in cond.parents[i]:
+            if class_height[j] == m:
+                same[i].add(j)
+                same[i].update(same[j])
+        order.update((label[j], label[i]) for j in same[i])
+    parent = dict(sorted(parent.items()))  # label order, like the levels
+    return ESequence(tuple(map(tuple, levels)), parent, frozenset(order))
 
 
 def realize_esequence(seq: ESequence) -> Quiver:

@@ -10,13 +10,16 @@ An evolution is a directed path recorded ancestor-first: the sequence
 with tail Ak and head A(k-1). A is an ancestor of B exactly when some
 evolution runs from A to B, i.e. when A is reachable from B along edges.
 Isotypy (mutual ancestry) partitions the vertices into the strongly
-connected components.
+connected components. :func:`condense` records them once, with the class
+DAG as each class's ``parents`` (the other classes its edges reach) and an
+``order`` that lists every class after all of its parents; reachability,
+primitivity, normality and the evolutionary sequence are walks over that
+order.
 """
 
 from __future__ import annotations
 
 import functools
-import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -117,19 +120,23 @@ class Condensation:
     """Partition of a quiver into isotypy classes plus the class-level DAG.
 
     ``classes`` are the strongly connected components, each sorted, and the
-    classes themselves sorted by their first member. ``class_edges`` holds
-    deduplicated (tail class, head class) pairs between distinct classes;
-    ``has_internal_edge[i]`` records whether some quiver edge (loops
-    included) stays inside class ``i``.
+    classes themselves sorted by their first member. ``parents[i]`` holds
+    the sorted ids of the other classes that edges out of class ``i``
+    reach, and ``order`` lists every class id after all of its parents
+    (ancestors first). ``has_internal_edge[i]`` records whether some quiver
+    edge (loops included) stays inside class ``i``.
     """
 
     classes: tuple[tuple[str, ...], ...]
     class_index: Mapping[str, int]
-    class_edges: frozenset[tuple[int, int]]
+    parents: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
     has_internal_edge: tuple[bool, ...]
 
-    def members(self, i: int) -> tuple[str, ...]:
-        return self.classes[i]
+    @property
+    def class_edges(self) -> frozenset[tuple[int, int]]:
+        """The class DAG as (tail class, head class) pairs."""
+        return frozenset((a, b) for a, ps in enumerate(self.parents) for b in ps)
 
     def class_of(self, v: str) -> int:
         try:
@@ -274,17 +281,24 @@ def condense(quiver: Quiver) -> Condensation:
     """Strongly connected components and the acyclic class digraph."""
     out_adj, _ = _adjacency(quiver)
     comps = _tarjan(quiver.vertices, out_adj)
-    classes = tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
+    # Classes are disjoint, so sorting them compares first members only.
+    classes = tuple(sorted(map(tuple, map(sorted, comps))))
     class_index = {v: i for i, cls in enumerate(classes) for v in cls}
-    class_edges: set[tuple[int, int]] = set()
+    parents: list[set[int]] = [set() for _ in classes]
     internal = [False] * len(classes)
     for tail, head in quiver.edges:
         a, b = class_index[tail], class_index[head]
         if a == b:
             internal[a] = True
         else:
-            class_edges.add((a, b))
-    return Condensation(classes, class_index, frozenset(class_edges), tuple(internal))
+            parents[a].add(b)
+    return Condensation(
+        classes,
+        class_index,
+        tuple(tuple(sorted(p)) for p in parents),
+        tuple(class_index[c[0]] for c in comps),  # Tarjan emits ancestors first
+        tuple(internal),
+    )
 
 
 def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
@@ -331,50 +345,43 @@ def _adjacency(
 def _tarjan(
     vertices: tuple[str, ...], out: Mapping[str, tuple[str, ...]]
 ) -> list[list[str]]:
-    """Iterative Tarjan SCC; components come out ancestors-first."""
-    index: dict[str, int] = {}
+    """Iterative Tarjan SCC; components come out ancestors-first.
+
+    ``low`` doubles as the visited set and the index counter. A vertex
+    whose component is out gets a low-link above every index, so it never
+    lowers another; taking low-links rather than indices from vertices
+    still on the stack finds the same component roots.
+    """
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     comps: list[list[str]] = []
-    counter = 0
+    finished = len(vertices)
     for root in vertices:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        low[root] = len(low)
+        work = [(root, low[root], len(stack), iter(out[root]))]
         stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(out[root]))]
         while work:
-            v, it = work[-1]
-            advanced = False
+            v, index, pos, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                if w not in low:
+                    low[w] = len(low)
+                    work.append((w, low[w], len(stack), iter(out[w])))
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(out[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index:  # v is the root of its component
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for w in comp:
+                        low[w] = finished
+                    comps.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return comps
 
 
@@ -388,23 +395,15 @@ def _class_reach(
     edges (the ancestor direction); ``up[i]`` the co-reachable classes.
     """
     cond = condense(quiver)
-    k = len(cond.classes)
-    succ: dict[int, set[int]] = {i: set() for i in range(k)}
-    pred: dict[int, set[int]] = {i: set() for i in range(k)}
-    for a, b in cond.class_edges:
-        succ[a].add(b)
-        pred[b].add(a)
-    order = list(graphlib.TopologicalSorter(succ).static_order())
-    down: list[frozenset[int]] = [frozenset()] * k
-    for i in order:  # successors of i precede it in the order
+    down: list[frozenset[int]] = [frozenset()] * len(cond.classes)
+    for i in cond.order:  # the parents of i are done
         acc = {i}
-        for j in succ[i]:
+        for j in cond.parents[i]:
             acc.update(down[j])
         down[i] = frozenset(acc)
-    up: list[frozenset[int]] = [frozenset()] * k
-    for i in graphlib.TopologicalSorter(pred).static_order():
-        acc = {i}
-        for j in pred[i]:
-            acc.update(up[j])
-        up[i] = frozenset(acc)
+    up: list[set[int] | frozenset[int]] = [{i} for i in range(len(cond.classes))]
+    for i in reversed(cond.order):  # the children of i have pushed into it
+        for j in cond.parents[i]:
+            up[j].update(up[i])
+        up[i] = frozenset(up[i])
     return tuple(down), tuple(up)

@@ -12,6 +12,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .analysis import AnalysisReport
 from .errors import InputError
@@ -49,23 +50,33 @@ def quiver_to_obj(quiver: Quiver) -> dict:
     return obj
 
 
+def _all(items, kind) -> bool:
+    return all(map(isinstance, items, repeat(kind)))
+
+
+def _pairs_of_str(items) -> bool:
+    return (_all(items, (list, tuple)) and set(map(len, items)) <= {2}
+            and _all(chain.from_iterable(items), str))
+
+
 def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputError(f"{source}: quiver JSON needs 'vertices' and 'edges'")
-    for key in ("vertices", "edges"):
-        if not isinstance(obj[key], (list, tuple)):
-            raise InputError(f"{source}: '{key}' must be a list")
+    vertices, edges = obj["vertices"], obj["edges"]
+    if not isinstance(vertices, (list, tuple)) or not _all(vertices, str):
+        raise InputError(f"{source}: 'vertices' must be a list of string ids")
+    if not isinstance(edges, (list, tuple)):
+        raise InputError(f"{source}: 'edges' must be a list")
+    if not _pairs_of_str(edges):
+        raise InputError(
+            f"{source}: each item of 'edges' must be a [tail, head] pair of string ids"
+        )
     labels = obj.get("labels")
     if labels is None:
         labels = {}
-    elif not isinstance(labels, dict):
-        raise InputError(f"{source}: 'labels' must be an object")
-    edges = []
-    for e in obj["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise InputError(f"{source}: each edge must be a [tail, head] pair")
-        edges.append((str(e[0]), str(e[1])))
-    return Quiver.build([str(v) for v in obj["vertices"]], edges, labels)
+    elif not isinstance(labels, dict) or not _all(labels.values(), str):
+        raise InputError(f"{source}: 'labels' must be an object of strings")
+    return Quiver.build(vertices, edges, labels)
 
 
 _DOT_EDGE = re.compile(
@@ -157,17 +168,17 @@ def esequence_from_obj(obj, source: str = "<input>") -> ESequence:
     for key, value in (("levels", levels), ("order", order)):
         if not isinstance(value, (list, tuple)):
             raise InputError(f"{source}: '{key}' must be a list")
-    if not isinstance(parent, dict):
-        raise InputError(f"{source}: 'parent' must be an object")
-    if any(not isinstance(level, (list, tuple)) for level in levels):
-        raise InputError(f"{source}: each item of 'levels' must be a list of labels")
-    if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in order):
-        raise InputError(f"{source}: each item of 'order' must be an [x, y] pair")
-    return ESequence.build(
-        [[str(x) for x in level] for level in levels],
-        {str(k): str(v) for k, v in parent.items()},
-        [(str(x), str(y)) for x, y in order],
-    )
+    if not isinstance(parent, dict) or not _all(parent.values(), str):
+        raise InputError(f"{source}: 'parent' must be an object of string labels")
+    if not _all(levels, (list, tuple)) or not _all(chain.from_iterable(levels), str):
+        raise InputError(
+            f"{source}: each item of 'levels' must be a list of string labels"
+        )
+    if not _pairs_of_str(order):
+        raise InputError(
+            f"{source}: each item of 'order' must be an [x, y] pair of string labels"
+        )
+    return ESequence.build(levels, parent, order)
 
 
 def prec_from_text(text: str) -> PrecRelation:

@@ -58,6 +58,9 @@ class TestAnalyze:
         ({"vertices": ["a"], "edges": 5}, "edges"),
         ({"vertices": {"a": 1}, "edges": []}, "vertices"),
         ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "labels"),
+        ({"vertices": ["a", 2], "edges": []}, "vertices"),
+        ({"vertices": ["a"], "edges": [["a", 0]]}, "edges"),
+        ({"vertices": ["a"], "edges": [], "labels": {"a": 1}}, "labels"),
     ])
     def test_wrong_field_types_exit_1(self, capsys, tmp_path, obj, field):
         path = tmp_path / "q.json"
@@ -225,6 +228,9 @@ class TestValidate:
         ({"levels": [["a"]], "parent": {}, "order": 3}, "'order'"),
         ({"levels": ["a"], "parent": {}}, "'levels'"),
         ({"levels": [["a"]], "parent": ["a"]}, "'parent'"),
+        ({"levels": [[1]], "parent": {}}, "'levels'"),
+        ({"levels": [["a"], ["b"]], "parent": {"b": 0}}, "'parent'"),
+        ({"levels": [["a", "b"]], "parent": {}, "order": [["a", 2]]}, "'order'"),
     ])
     def test_malformed_esequence_json_exit_1(self, capsys, tmp_path, obj, field):
         path = tmp_path / "e.json"

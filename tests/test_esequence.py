@@ -12,10 +12,13 @@ from phyloquiver import (
     ESequence,
     InputError,
     PrecRelation,
+    ancestor_of,
     build_forest,
+    condense,
     esequence_isomorphic,
     evolutionary_sequence,
     forest_distance,
+    heights,
     induce_prec,
     realize_esequence,
     reconstruct,
@@ -113,6 +116,62 @@ class TestEvolutionarySequence:
         for s in range(40):
             q = gen_random_phylogenetic(3 + s % 7, 0.3, seed=s)
             assert validate_esequence(evolutionary_sequence(q)) == []
+
+
+def evolutionary_sequence_by_scan(q):
+    """The evolutionary sequence read off the definitions: parents by
+    scanning every height-dropping edge, the order by ancestry between
+    every pair of classes in a level."""
+    cond, h = condense(q), heights(q)
+    label = [cls[0] for cls in cond.classes]
+    by_height = {}
+    for x in label:
+        by_height.setdefault(h[x], []).append(x)
+    levels = tuple(tuple(sorted(by_height[m])) for m in range(len(by_height)))
+    targets = {i: set() for i in range(len(label))}
+    for tail, head in q.edges:
+        if h[head] == h[tail] - 1:
+            targets[cond.class_of(tail)].add(cond.class_of(head))
+    parent = {}
+    for i, x in enumerate(label):
+        if h[x]:
+            (p,) = targets[i]
+            parent[x] = label[p]
+    order = frozenset(
+        (a, b) for level in levels[1:] for a in level for b in level
+        if a != b and ancestor_of(q, a, b)
+    )
+    return ESequence(levels, parent, order)
+
+
+class TestEvolutionarySequenceByScan:
+    def assert_matches(self, q):
+        seq, expected = evolutionary_sequence(q), evolutionary_sequence_by_scan(q)
+        assert seq == expected
+        assert list(seq.parent.items()) == list(expected.parent.items())
+
+    def test_random_phylogenetic_quivers(self):
+        for s in range(60):
+            self.assert_matches(gen_random_phylogenetic(3 + s % 9, 0.3, seed=s))
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_realized_random_esequences(self, single_root):
+        for s in range(40):
+            seq = gen_random_esequence(1 + s % 6, 1 + s % 5, 0.5, seed=s,
+                                       single_root=single_root)
+            self.assert_matches(realize_esequence(seq))
+
+    def test_surjection_and_map_fixtures(self):
+        for n in range(1, 7):
+            self.assert_matches(gen_surjection_quiver(n))
+            self.assert_matches(gen_map_quiver(n))
+
+    def test_deep_chain(self):
+        labels = [f"c{i}" for i in range(3000)]
+        seq = ESequence.build(
+            [[x] for x in labels], {labels[i + 1]: labels[i] for i in range(2999)}
+        )
+        self.assert_matches(realize_esequence(seq))
 
 
 class TestRealization:

@@ -195,6 +195,11 @@ class TestCondensation:
             assert a != b
             succ[a].add(b)
         list(graphlib.TopologicalSorter(succ).static_order())  # raises on a cycle
+        assert sorted(cond.order) == list(range(len(cond.classes)))
+        position = {c: k for k, c in enumerate(cond.order)}
+        for i, parents in enumerate(cond.parents):
+            assert list(parents) == sorted(set(parents)) and i not in parents
+            assert all(position[j] < position[i] for j in parents)
 
 
 class TestEvolutions:

@@ -53,6 +53,13 @@ class TestQuiverJson:
         ({"vertices": "a", "edges": []}, "'vertices' must be a list"),
         ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "'labels' must be an object"),
         ({"vertices": ["a"], "edges": [], "labels": "x"}, "'labels' must be an object"),
+        ({"vertices": ["a", 1], "edges": []}, "'vertices' must be a list of string ids"),
+        ({"vertices": ["a"], "edges": [["a"]]}, "each item of 'edges' must be"),
+        ({"vertices": ["a"], "edges": [["a", 0]]},
+         "each item of 'edges' must be a \\[tail, head\\] pair of string ids"),
+        ({"vertices": ["a"], "edges": [[None, "a"]]}, "each item of 'edges' must be"),
+        ({"vertices": ["a"], "edges": [], "labels": {"a": 5}},
+         "'labels' must be an object of strings"),
     ])
     def test_wrong_field_types_name_the_field(self, obj, field):
         with pytest.raises(InputError, match=f"q.json: {field}"):
@@ -134,6 +141,12 @@ class TestESequenceJson:
         ({"levels": [["a"], "b"], "parent": {"b": "a"}},
          "each item of 'levels' must be a list"),
         ({"levels": [["a"]], "parent": [["b", "a"]]}, "'parent' must be an object"),
+        ({"levels": [["a", 1]], "parent": {}},
+         "each item of 'levels' must be a list of string labels"),
+        ({"levels": [["a"], ["b"]], "parent": {"b": 0}},
+         "'parent' must be an object of string labels"),
+        ({"levels": [["a", "b"]], "parent": {}, "order": [["a", 2]]},
+         "each item of 'order' must be an \\[x, y\\] pair of string labels"),
     ])
     def test_wrong_field_types_name_the_field(self, obj, message):
         with pytest.raises(InputError, match=f"e.json: {message}"):
