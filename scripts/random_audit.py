@@ -7,7 +7,8 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
 Reruns the heavy cross-checks (normality oracle agreement, universal
 evolutions against the least short full evolution, realization and
 reconstruction round trips, tower laws, underline_d and is_trim against
-their Fraction definitions, clade formulas) on as many fresh
+their Fraction definitions, clade reports against the built clade, clade
+formulas) on as many fresh
 seeds as asked and prints a one-line verdict per family.
 """
 
@@ -103,18 +104,23 @@ def audit_towers(count, base, max_n):
 
 
 def audit_clades(count, base, max_n):
-    pairs = 0
+    pairs = reports = 0
     for s in range(count):
         q = gen.gen_random_phylogenetic(3 + s % (max_n - 2), 0.3, seed=base + s)
         for a in q.vertices:
+            c = clades.clade(q, a)
+            direct = c.heights()
+            report = clades.clade_report(q, a)
+            assert report["clade_heights"] == direct, (s, a)
+            assert report["members"] == sorted(c.members), (s, a)
+            reports += 1
             if not clades.is_regular(q, a):
                 continue
-            c = clades.clade(q, a)
             assert pq.is_phylogenetic_quiver(c.quiver), (s, a)
-            direct = c.heights()
             for b in c.members:
                 assert clades.clade_height(q, a, b) == direct[b], (s, a, b)
                 pairs += 1
+    print(f"clade reports             ok on {reports} apexes")
     print(f"clade formulas            ok on {pairs} apex/descendant pairs")
 
 

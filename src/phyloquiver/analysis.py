@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InputError, SizeGuardError, UndecidedError
 from .quiver import (
@@ -32,7 +32,7 @@ from .quiver import (
     Evolution,
     Quiver,
     _adjacency,
-    _class_reach,
+    _reached_classes,
     condense,
     induced_subquiver,
     memo,
@@ -78,19 +78,24 @@ def is_primitive(quiver: Quiver, v: str) -> bool:
 
 @memo
 def _height_table(quiver: Quiver) -> dict[str, int]:
-    prim = primitive_vertices(quiver)
-    _, inn = _adjacency(quiver)
-    table = {v: 0 for v in sorted(prim)}
-    queue = deque(sorted(prim))
-    while queue:
-        u = queue.popleft()
-        for w in inn[u]:  # w has an edge into u, so h(w) <= h(u) + 1
-            if w not in table:
-                table[w] = table[u] + 1
-                queue.append(w)
+    table = _distances_to(quiver, sorted(primitive_vertices(quiver)))
     missing = set(quiver.vertices) - table.keys()
     if missing:  # impossible in a finite quiver; guards a broken invariant
         raise AssertionError(f"vertices without a primitive ancestor: {missing}")
+    return table
+
+
+def _distances_to(quiver: Quiver, sources: Sequence[str]) -> dict[str, int]:
+    """Distance to ``sources`` of each vertex reaching them; keys in BFS order."""
+    _, inn = _adjacency(quiver)
+    table = dict.fromkeys(sources, 0)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for w in inn[u]:  # w has an edge into u: one step further at most
+            if w not in table:
+                table[w] = table[u] + 1
+                queue.append(w)
     return table
 
 
@@ -146,29 +151,27 @@ def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     vertices of full evolutions on every monotonous quiver, where such
     cycles cannot occur.
     """
-    return _critical_ancestors(quiver, v, False)
+    return _critical_ancestors(quiver, v)
 
 
 @memo
-def _critical_ancestors(
-    quiver: Quiver, v: str, include_self: bool
-) -> frozenset[str]:
-    cond = condense(quiver)
-    reach = _class_reach(quiver)[0][cond.class_of(v)]
-    ci = cond.class_index
+def _critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
+    heads, reached = _critical_heads(quiver), _reached_classes(quiver, 0, v)
     # Copying a finished set sizes the frozenset's table to fit; building it
     # from a generator leaves it up to twice as large.
-    return frozenset({
-        head for tail, head in _critical_edges(quiver)
-        if ci[tail] in reach and (include_self or head != v)
-    })
+    return frozenset({x for j in reached for x in heads[j] if x != v})
 
 
 @memo
-def _critical_edges(quiver: Quiver) -> tuple[tuple[str, str], ...]:
-    """The distinct edges (tail, head) with h(tail) = h(head) + 1."""
-    h = _height_table(quiver)
-    return tuple(dict.fromkeys(e for e in quiver.edges if h[e[0]] == h[e[1]] + 1))
+def _critical_heads(quiver: Quiver) -> tuple[tuple[str, ...], ...]:
+    """Per class id, the distinct heads of the edges (tail, head) with the
+    tail in that class and h(tail) = h(head) + 1."""
+    h, ci = _height_table(quiver), condense(quiver).class_index
+    heads: list[dict[str, None]] = [{} for _ in condense(quiver).classes]
+    for tail, head in quiver.edges:
+        if h[tail] == h[head] + 1:
+            heads[ci[tail]][head] = None
+    return tuple(map(tuple, heads))
 
 
 @memo
@@ -192,9 +195,7 @@ def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
     for parents in cond.parents:
         for b in parents:
             consumers[b] += 1
-    own: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for tail, head in _critical_edges(quiver):
-        own[ci[tail]].append((h[head], ci[head]))
+    own = [[(h[x], ci[x]) for x in heads] for heads in _critical_heads(quiver)]
     maps: list[dict[int, int] | None] = [None] * k
     normal = [False] * k
     for c in cond.order:
@@ -232,7 +233,7 @@ def is_normal(quiver: Quiver, v: str) -> bool:
     # Off monotonous quivers ``v`` can be its own critical ancestor, and
     # leaving it out may clear the conflict that the table records.
     return _grouped_isotypic(cond, _height_table(quiver),
-                             _critical_ancestors(quiver, v, False))
+                             _critical_ancestors(quiver, v))
 
 
 def _grouped_isotypic(
@@ -334,13 +335,7 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
     lexicographically least vertex sequence is returned so the choice is
     deterministic.
     """
-    status = phylogenetic_status(quiver, v)
-    if status is None:
-        raise UndecidedError(
-            "undecided: exact universality check unsupported for "
-            "non-monotonous quivers"
-        )
-    if not status:
+    if not is_phylogenetic_vertex(quiver, v):
         return None
     return _least_short_evolution(quiver, v)
 

@@ -144,11 +144,15 @@ def validate_esequence(seq: ESequence) -> list[str]:
     """E-sequence axiom violations, empty when the sequence is lawful.
 
     Checked: trivial order on P0; comparable elements share a parent; each
-    level order is irreflexive, antisymmetric, and transitive.
+    level order is irreflexive, antisymmetric, and transitive, each
+    violation listed in sorted order (never in hash order).
     """
     violations: list[str] = []
     lv = seq.level_of
-    for x, y in sorted(seq.order):
+    pairs = sorted(seq.order)
+    above: dict[str, list[str]] = {}  # x -> every y with x < y, sorted
+    for x, y in pairs:
+        above.setdefault(x, []).append(y)
         if lv[x] == 0:
             violations.append(f"order on level 0 must be trivial: {x!r} < {y!r}")
         elif seq.parent[x] != seq.parent[y]:
@@ -156,15 +160,15 @@ def validate_esequence(seq: ESequence) -> list[str]:
                 f"{x!r} < {y!r} but their parents differ "
                 f"({seq.parent[x]!r} vs {seq.parent[y]!r})"
             )
-    for x, y in sorted(seq.order):
+    for x, y in pairs:
         if x == y:
             violations.append(f"order is not irreflexive: {x!r} < {x!r}")
         elif (y, x) in seq.order:
             if (x, y) < (y, x):  # report each bad pair once
                 violations.append(f"order is not antisymmetric: {x!r} <> {y!r}")
-    for x, y in sorted(seq.order):
-        for y2, z in seq.order:
-            if y2 == y and (x, z) not in seq.order and x != z:
+    for x, y in pairs:
+        for z in above.get(y, ()):
+            if (x, z) not in seq.order and x != z:
                 violations.append(
                     f"order is not transitive: {x!r} < {y!r} < {z!r} "
                     f"without {x!r} < {z!r}"

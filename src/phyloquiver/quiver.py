@@ -14,7 +14,8 @@ connected components. :func:`condense` records them once, with the class
 DAG as each class's ``parents`` (the other classes its edges reach) and an
 ``order`` that lists every class after all of its parents; reachability,
 primitivity, normality and the evolutionary sequence are walks over that
-order.
+order. Reach is stored as one Python int per class, a bitset over the
+class ids, so an ancestry test is one bit test.
 """
 
 from __future__ import annotations
@@ -237,42 +238,26 @@ def concat(alpha: Evolution, beta: Evolution) -> Evolution:
 
 def ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     """All vertices reachable from ``v`` along edges, ``v`` included."""
-    quiver.check_vertex(v)
-    cond = condense(quiver)
-    down, _ = _class_reach(quiver)
-    out: set[str] = set()
-    for c in down[cond.class_of(v)]:
-        out.update(cond.classes[c])
-    return frozenset(out)
+    return _reach(quiver, 0, v)
 
 
 def descendants(quiver: Quiver, v: str) -> frozenset[str]:
     """All vertices from which ``v`` is reachable, ``v`` included."""
-    quiver.check_vertex(v)
-    cond = condense(quiver)
-    _, up = _class_reach(quiver)
-    out: set[str] = set()
-    for c in up[cond.class_of(v)]:
-        out.update(cond.classes[c])
-    return frozenset(out)
+    return _reach(quiver, 1, v)
 
 
 def ancestor_of(quiver: Quiver, a: str, b: str) -> bool:
     """True when some evolution runs from ``a`` to ``b`` (a <= b); length 0
     counts, so every vertex is an ancestor of itself."""
-    quiver.check_vertex(a)
-    quiver.check_vertex(b)
-    cond = condense(quiver)
-    down, _ = _class_reach(quiver)
-    return cond.class_of(a) in down[cond.class_of(b)]
+    cond = condense(quiver)  # class_of rejects an unknown id
+    i, j = cond.class_of(a), cond.class_of(b)
+    return bool(_class_reach(quiver)[0][j] >> i & 1)
 
 
 def isotypic(quiver: Quiver, a: str, b: str) -> bool:
     """True when ``a`` and ``b`` are mutually ancestral, i.e. share a
     strongly connected component."""
-    quiver.check_vertex(a)
-    quiver.check_vertex(b)
-    cond = condense(quiver)
+    cond = condense(quiver)  # class_of rejects an unknown id
     return cond.class_of(a) == cond.class_of(b)
 
 
@@ -386,24 +371,35 @@ def _tarjan(
 
 
 @memo
-def _class_reach(
-    quiver: Quiver,
-) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """Reachability closures of the class DAG.
-
-    ``down[i]`` holds every class reachable from class ``i`` along class
-    edges (the ancestor direction); ``up[i]`` the co-reachable classes.
+def _class_reach(quiver: Quiver) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reachability closures of the class DAG as int bitsets: bit j of
+    ``down[i]`` is set when class j is reachable from class ``i`` along
+    class edges (the ancestor direction), and bit j of ``up[i]`` when class
+    ``i`` is reachable from class j. Each is one pass over the class order,
+    the closure over strongly connected components (Nuutila 1995).
     """
     cond = condense(quiver)
-    down: list[frozenset[int]] = [frozenset()] * len(cond.classes)
+    down = [0] * len(cond.classes)
     for i in cond.order:  # the parents of i are done
-        acc = {i}
+        bits = 1 << i
         for j in cond.parents[i]:
-            acc.update(down[j])
-        down[i] = frozenset(acc)
-    up: list[set[int] | frozenset[int]] = [{i} for i in range(len(cond.classes))]
+            bits |= down[j]
+        down[i] = bits
+    up = [1 << i for i in range(len(cond.classes))]
     for i in reversed(cond.order):  # the children of i have pushed into it
         for j in cond.parents[i]:
-            up[j].update(up[i])
-        up[i] = frozenset(up[i])
+            up[j] |= up[i]
     return tuple(down), tuple(up)
+
+
+def _reach(quiver: Quiver, side: int, v: str) -> frozenset[str]:
+    """The members of the classes in the ``side`` reach of ``v``'s class."""
+    classes = condense(quiver).classes
+    return frozenset({x for j in _reached_classes(quiver, side, v) for x in classes[j]})
+
+
+def _reached_classes(quiver: Quiver, side: int, v: str) -> list[int]:
+    """Ids of the classes in the ``side`` reach of ``v``'s class, from bin()."""
+    cond = condense(quiver)
+    digits = reversed(bin(_class_reach(quiver)[side][cond.class_of(v)]))
+    return [j for j, d in enumerate(digits) if d == "1"]

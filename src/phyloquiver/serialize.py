@@ -30,6 +30,8 @@ def loads(text: str, source: str = "<input>") -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{source}: JSON nested too deeply") from None
 
 
 def fraction_str(value: Fraction) -> str:
@@ -353,6 +355,8 @@ def read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def read_quiver_file(path: str) -> Quiver:

@@ -580,11 +580,12 @@ class TestOnePassNormality:
         for q in normality_sweep():
             cond, h = condense(q), heights(q)
             for v in q.vertices:
-                for include_self, got in ((False, is_normal(q, v)),
-                                          (True, _normal_self_inclusive(q, v))):
-                    crit = _critical_ancestors(q, v, include_self)
-                    assert crit == brute_critical_ancestors(q, v, include_self)
-                    assert got == _grouped_isotypic(cond, h, crit), (q, v)
+                crit = _critical_ancestors(q, v)
+                assert crit == brute_critical_ancestors(q, v, False)
+                assert is_normal(q, v) == _grouped_isotypic(cond, h, crit), (q, v)
+                inclusive = brute_critical_ancestors(q, v, True)
+                assert _normal_self_inclusive(q, v) == _grouped_isotypic(
+                    cond, h, inclusive), (q, v)
                 self_dependent += is_normal(q, v) != _normal_self_inclusive(q, v)
         assert self_dependent  # the sweep reaches the per-vertex fallback
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from phyloquiver import (
     InputError,
+    Quiver,
+    descendants,
     heights,
+    induced_subquiver,
     is_phylogenetic_quiver,
     isotypic,
     primitive_vertices,
@@ -15,9 +20,12 @@ from phyloquiver.clades import clade, clade_height, clade_report, is_regular
 from phyloquiver.generators import (
     gen_abnormal,
     gen_irregular,
+    gen_random_monotonous,
     gen_random_phylogenetic,
+    gen_random_quiver,
     gen_surjection_quiver,
 )
+from phyloquiver.serialize import dumps
 
 
 def phylogenetic_samples(count):
@@ -148,3 +156,51 @@ class TestCladeReport:
         assert rep["members"] == ["B", "C"]
         assert rep["regular"] is True
         assert rep["clade_heights"] == {"B": 0, "C": 0}
+
+    def test_unknown_apex(self, g3):
+        with pytest.raises(InputError, match="unknown vertex"):
+            clade_report(g3, "Z")
+
+    def test_matches_the_built_clade(self):
+        # The report reads the clade off the host; building the sub-quiver
+        # and taking its heights must give the same JSON, key order too.
+        def sweep():
+            for s in range(60):
+                yield gen_random_monotonous(2 + s % 12, 0.1 + 0.04 * (s % 8), seed=s)
+                yield gen_random_quiver(2 + s % 12, 0.1 + 0.05 * (s % 8), seed=s)
+                yield gen_random_quiver(8 + s % 10, 0.6 + 0.1 * (s % 4), seed=s)
+
+        checked = 0
+        for q in sweep():
+            h = heights(q)
+            for a in q.vertices:
+                sub = induced_subquiver(q, descendants(q, a))
+                want = {
+                    "apex": a,
+                    "members": sorted(sub.vertices),
+                    "regular": all(b == a or h[b] != h[a] or q.has_edge(b, a)
+                                   for b in sub.vertices),
+                    "clade_heights": heights(sub),
+                }
+                got = clade_report(q, a)
+                assert dumps(got) == dumps(want), (q, a)
+                assert list(got["clade_heights"]) == list(want["clade_heights"])
+                checked += 1
+        assert checked > 1000
+
+    def test_reports_keep_nothing_per_apex(self):
+        # A report per vertex of a chain computes ~n^2/2 heights in all;
+        # none of them may stay on the quiver once the reports are gone.
+        n = 600
+        vs = [f"v{i:03d}" for i in range(n)]
+        q = Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+        clade_report(q, vs[0])  # warms the whole-quiver tables
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sizes = [len(clade_report(q, v)["members"]) for v in vs]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sizes == list(range(n, 0, -1))
+        assert kept < 2**20

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,51 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.json")
         assert code == 1 and "cannot read" in err
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # Four transitivity violations, all through b: their order must not
+        # follow the hash order of the order pairs.
+        path = tmp_path / "e.json"
+        kids = list("abcdef")
+        path.write_text(json.dumps({
+            "levels": [["r"], kids],
+            "parent": dict.fromkeys(kids, "r"),
+            "order": [["a", "b"]] + [["b", k] for k in "cdef"],
+        }))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "phyloquiver", "validate", str(path)],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        problems = json.loads(outs[0])["problems"]
+        assert problems == [
+            f"order is not transitive: 'a' < 'b' < '{k}' without 'a' < '{k}'"
+            for k in "cdef"
+        ]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["analyze", "validate", "esequence"])
+    def test_not_utf8_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "q.json"
+        path.write_bytes(b'{"vertices": ["\xff\xfe"], "edges": []}')
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "validate", "esequence"])
+    def test_deeply_nested_json_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "q.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 class TestGen:

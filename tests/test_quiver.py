@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,8 +82,27 @@ class TestAncestorPreorder:
         reach = brute_reach(q)
         for a in q.vertices:
             assert ancestors(q, a) == frozenset(reach[a])
+            assert descendants(q, a) == {b for b in q.vertices if a in reach[b]}
             for b in q.vertices:
                 assert ancestor_of(q, a, b) == (a in reach[b])
+
+    def test_deep_chain_reach_stays_small(self):
+        # One bitset per class: a frozenset per class would hold ~n^2/2
+        # entries here (over 400 MiB at n = 3000).
+        n = 3000
+        vs = [f"v{i:04d}" for i in range(n)]
+        q = Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            top, root = ancestors(q, vs[-1]), descendants(q, vs[0])
+            middle = ancestors(q, vs[n // 2]), descendants(q, vs[n // 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top == root == frozenset(vs)
+        assert middle == (frozenset(vs[: n // 2 + 1]), frozenset(vs[n // 2:]))
+        assert ancestor_of(q, vs[0], vs[-1]) and not ancestor_of(q, vs[-1], vs[0])
+        assert peak < 20 * 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(quivers())
