@@ -6,9 +6,10 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
 
 Reruns the heavy cross-checks (normality oracle agreement, universal
 evolutions against the least short full evolution, realization and
-reconstruction round trips, tower laws, underline_d and is_trim against
-their Fraction definitions, clade reports against the built clade, clade
-formulas) on as many fresh
+reconstruction round trips, E-sequence isomorphism against relabelled
+copies and a brute-force search, tower laws, underline_d and is_trim
+against their Fraction definitions, clade reports against the built clade,
+clade formulas) on as many fresh
 seeds as asked and prints a one-line verdict per family.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import random
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen
@@ -63,6 +65,49 @@ def audit_round_trips(count, base):
         )
         assert pq.esequence_isomorphic(rebuilt, seq), s
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
+
+
+def relabeled(seq, rng):
+    """A copy of ``seq`` under fresh labels, every level shuffled."""
+    name = {x: f"z{x}" for x in seq.labels()}
+    return pq.ESequence.build(
+        [rng.sample([name[x] for x in level], len(level)) for level in seq.levels],
+        {name[x]: name[p] for x, p in seq.parent.items()},
+        [(name[x], name[y]) for x, y in seq.order],
+    )
+
+
+def brute_isomorphic(e1, e2):
+    """Isomorphism by trying every level-wise bijection (small levels only)."""
+    if [len(level) for level in e1.levels] != [len(level) for level in e2.levels]:
+        return False
+    o1, o2 = e1.closed_order(), e2.closed_order()
+    for choice in itertools.product(*map(itertools.permutations, e2.levels)):
+        f = {x: y for l1, l2 in zip(e1.levels, choice) for x, y in zip(l1, l2)}
+        if all(f[e1.parent[x]] == e2.parent[f[x]] for x in e1.parent) and all(
+            ((x, y) in o1) == ((f[x], f[y]) in o2)
+            for level in e1.levels for x in level for y in level
+        ):
+            return True
+    return False
+
+
+def audit_isomorphism(count, base):
+    rng = random.Random(base)
+    for s in range(count):
+        seq = gen.gen_random_esequence(1 + s % 5, 4 + s % 9, 0.35, seed=base + s)
+        assert pq.esequence_isomorphic(seq, relabeled(seq, rng)), s
+        seq = gen.gen_random_esequence(1 + s % 3, 4, 0.5, seed=base + s)
+        groups = {}
+        for x in seq.labels():
+            groups.setdefault(seq.parent.get(x), []).append(x)
+        order = seq.closed_order()
+        wide = [g for g in groups.values() if len(g) > 1]
+        if wide:  # toggle one pair inside a sibling group
+            order ^= {tuple(rng.sample(rng.choice(wide), 2))}
+        other = relabeled(pq.ESequence(seq.levels, seq.parent, order), rng)
+        assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
+    print(f"isomorphism               ok on {count} relabelled copies + {count} perturbations")
 
 
 def fraction_deficits(space):
@@ -135,6 +180,7 @@ def main() -> None:
     audit_oracle(args.quivers, args.seed_base, args.max_n)
     audit_universal(args.quivers, args.seed_base, args.max_n)
     audit_round_trips(args.seq, args.seed_base)
+    audit_isomorphism(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)
     audit_clades(args.quivers // 3, args.seed_base, args.max_n)
 

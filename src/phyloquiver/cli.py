@@ -27,7 +27,7 @@ def _write(args, text: str) -> None:
 def _load_space(args):
     text = serialize.read_text(args.input)
     space = serialize.space_from_csv(text, source=args.input)
-    if args.max_points and len(space.points) > args.max_points:
+    if args.max_points is not None and len(space.points) > args.max_points:
         raise SizeGuardError(
             f"{args.input}: {len(space.points)} points exceed --max-points "
             f"{args.max_points}"
@@ -284,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_points", None) is not None and args.max_points < 1:
+        parser.error("--max-points must be at least 1")
     try:
         return args.fn(args)
     except SizeGuardError as exc:

@@ -13,6 +13,11 @@ surjective parents, the levels are the balls of the terminal ultrametric
 rho (the split-depth metric on P_N) and the orders are recovered from the
 induced relation `prec` on P_N. Labels are globally unique across levels,
 which keeps parental maps flat in serialized form.
+
+Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
+the sorted codes of its connected parts, under a budget of adjacency entries
+per part; an order pair across sibling groups breaks the second axiom and is
+an InputError there.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, groupby, permutations, product
+from math import factorial, prod
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, SizeGuardError
 from .metric import FiniteMetricSpace, balls
 from .quiver import Quiver, condense, memo
 from . import analysis
@@ -149,10 +156,13 @@ def validate_esequence(seq: ESequence) -> list[str]:
     """
     violations: list[str] = []
     lv = seq.level_of
-    pairs = sorted(seq.order)
     above: dict[str, list[str]] = {}  # x -> every y with x < y, sorted
-    for x, y in pairs:
+    for x, y in seq.order:
         above.setdefault(x, []).append(y)
+    for ys in above.values():
+        ys.sort()
+    pairs = [(x, y) for x in sorted(above) for y in above[x]]
+    for x, y in pairs:
         if lv[x] == 0:
             violations.append(f"order on level 0 must be trivial: {x!r} < {y!r}")
         elif seq.parent[x] != seq.parent[y]:
@@ -163,11 +173,16 @@ def validate_esequence(seq: ESequence) -> list[str]:
     for x, y in pairs:
         if x == y:
             violations.append(f"order is not irreflexive: {x!r} < {x!r}")
-        elif (y, x) in seq.order:
-            if (x, y) < (y, x):  # report each bad pair once
-                violations.append(f"order is not antisymmetric: {x!r} <> {y!r}")
+        elif (y, x) in seq.order and x < y:  # report each bad pair once
+            violations.append(f"order is not antisymmetric: {x!r} <> {y!r}")
+    # Successor bitsets over positions in the level: x < y is transitive
+    # when every successor of y, x itself aside, is a successor of x.
+    bit = {x: 1 << i for level in seq.levels for i, x in enumerate(level)}
+    up = {x: sum(bit[y] for y in ys) for x, ys in above.items()}
     for x, y in pairs:
-        for z in above.get(y, ()):
+        if not up.get(y, 0) & ~(up[x] | bit[x]):
+            continue
+        for z in above[y]:
             if (x, z) not in seq.order and x != z:
                 violations.append(
                     f"order is not transitive: {x!r} < {y!r} < {z!r} "
@@ -230,12 +245,8 @@ def realize_esequence(seq: ESequence) -> Quiver:
     violations = validate_esequence(seq)
     if violations:
         raise InputError("not an E-sequence: " + "; ".join(violations))
-    edges: list[tuple[str, str]] = []
-    for level in seq.levels[1:]:
-        for a in level:
-            edges.append((a, seq.parent[a]))
-    for x, y in sorted(seq.order):  # x < y, so y descends from x
-        edges.append((y, x))
+    edges = [(a, seq.parent[a]) for level in seq.levels[1:] for a in level]
+    edges += [(y, x) for x, y in sorted(seq.order)]  # x < y: y descends from x
     return Quiver.build(seq.labels(), edges)
 
 
@@ -265,19 +276,12 @@ def build_forest(seq: ESequence) -> Forest:
 def forest_distance(forest: Forest, a: str, b: str) -> int | None:
     """Path metric of the forest: k + l for the minimal k, l with
     p^k(a) = p^l(b); None when a and b sit in different trees."""
-    lv = forest.level_of
-    if a not in lv:
-        raise InputError(f"unknown label {a!r}")
-    if b not in lv:
-        raise InputError(f"unknown label {b!r}")
-    ca, cb = forest.chain(a), forest.chain(b)
-    pos = {x: i for i, x in enumerate(cb)}
-    best: int | None = None
-    for k, x in enumerate(ca):
-        if x in pos:
-            best = k + pos[x]
-            break  # chains merge once and stay merged
-    return best
+    for x in (a, b):
+        if x not in forest.level_of:
+            raise InputError(f"unknown label {x!r}")
+    pos = {x: i for i, x in enumerate(forest.chain(b))}
+    # The chains merge once and stay merged: the first common label is it.
+    return next((k + pos[x] for k, x in enumerate(forest.chain(a)) if x in pos), None)
 
 
 # -- terminal data and reconstruction ---------------------------------------
@@ -440,10 +444,8 @@ def reconstruct(
     parent: dict[str, str] = {}
     for s in range(1, n + 1):
         for blk in blocks_by_level[s]:
-            containing = next(
-                up for up in blocks_by_level[s - 1] if blk[0] in up
-            )
-            parent[label(s, blk)] = label(s - 1, containing)
+            up = next(up for up in blocks_by_level[s - 1] if blk[0] in up)
+            parent[label(s, blk)] = label(s - 1, up)
 
     order: set[tuple[str, str]] = set()
     for s in range(1, n + 1):
@@ -463,95 +465,89 @@ def reconstruct(
 
 # -- isomorphism -------------------------------------------------------------
 
+# Adjacency entries one connected part of a sibling group may compare: each
+# ordering of its movable classes reads their number squared, so a crown of 4
+# minimal and 4 maximal siblings (4!^2 orderings of 64 entries) is answered
+# and a crown of 5 (5!^2 of 100) refused.
+_MAX_ENTRIES = 100_000
+
 
 def esequence_isomorphic(first: ESequence, second: ESequence) -> bool:
     """Existence of level-wise bijections commuting with the parental maps
     and preserving the (transitively closed) level orders.
 
-    Decided by backtracking over levels with color-refinement pruning;
-    levels are small in every intended use.
+    By the second axiom an E-sequence is a rooted forest whose every node
+    carries a relation on its children, so this compares bottom-up
+    canonical codes (as in AHU tree isomorphism) of the two root groups,
+    interned in one table. Raises SizeGuardError when a connected part of a
+    sibling group would compare more than ``_MAX_ENTRIES`` adjacency entries
+    over its orderings, and InputError when a closed order pair joins labels
+    with different parents.
     """
-    if len(first.levels) != len(second.levels):
+    if [len(a) for a in first.levels] != [len(b) for b in second.levels]:
         return False
-    if any(len(a) != len(b) for a, b in zip(first.levels, second.levels)):
-        return False
-    o1, o2 = first.closed_order(), second.closed_order()
-    c1 = _refined_colors(first, o1)
-    c2 = _refined_colors(second, o2)
-    for lev_a, lev_b in zip(first.levels, second.levels):
-        if sorted(c1[x] for x in lev_a) != sorted(c2[y] for y in lev_b):
-            return False
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def fits(level: int, i: int, y: str) -> bool:
-        xs = first.levels[level]
-        x = xs[i]
-        if y in used or c1[x] != c2[y]:
-            return False
-        if level > 0 and mapping[first.parent[x]] != second.parent[y]:
-            return False
-        for z in xs[:i]:
-            fz = mapping[z]
-            if ((x, z) in o1) != ((y, fz) in o2) or ((z, x) in o1) != ((fz, y) in o2):
-                return False
-        return True
-
-    # Backtracking over the labels of first, level by level, with an
-    # explicit stack: slot p holds the index of its next candidate in
-    # nexts[p], so deep sequences need no recursion.
-    slots = [(level, i) for level, xs in enumerate(first.levels)
-             for i in range(len(xs))]
-    nexts = [0] * len(slots)
-    p = 0
-    while p < len(slots):
-        if p < 0:
-            return False
-        level, i = slots[p]
-        x = first.levels[level][i]
-        if x in mapping:
-            used.discard(mapping.pop(x))
-        ys = second.levels[level]
-        k = nexts[p]
-        while k < len(ys) and not fits(level, i, ys[k]):
-            k += 1
-        if k == len(ys):
-            nexts[p] = 0
-            p -= 1
-            continue
-        mapping[x] = ys[k]
-        used.add(ys[k])
-        nexts[p] = k + 1
-        p += 1
-    return True
+    codes: dict[tuple[int, ...], int] = {}
+    return _root_code(first, codes) == _root_code(second, codes)
 
 
-def _refined_colors(
-    seq: ESequence, closed: frozenset[tuple[str, str]]
-) -> dict[str, int]:
-    lv = seq.level_of
-    succ: dict[str, list[str]] = {x: [] for x in lv}
-    pred: dict[str, list[str]] = {x: [] for x in lv}
-    for x, y in closed:
-        succ[x].append(y)
-        pred[y].append(x)
-    kids: dict[str, list[str]] = {x: [] for x in lv}
-    for x, p in seq.parent.items():
-        kids[p].append(x)
-    colors = {x: hash((lv[x], len(succ[x]), len(pred[x]), len(kids[x]))) for x in lv}
-    for _ in range(len(colors)):
-        nxt = {}
-        for x in colors:
-            nxt[x] = hash((
-                colors[x],
-                colors[seq.parent[x]] if x in seq.parent else None,
-                tuple(sorted(colors[c] for c in kids[x])),
-                tuple(sorted(colors[s] for s in succ[x])),
-                tuple(sorted(colors[p] for p in pred[x])),
-            ))
-        if len(set(nxt.values())) == len(set(colors.values())):
-            colors = nxt
-            break
-        colors = nxt
-    return colors
+def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
+    """From the top level down, each label gets the code of its children's
+    group, and the roots are one more group: a group's code interns the
+    sorted codes of its connected parts (x ~ y when x < y or y < x)."""
+    sides = {x: (set(), set()) for x in seq.level_of}  # (below x, above x)
+    for x, y in seq.closed_order():
+        if seq.parent.get(x) != seq.parent.get(y):
+            raise InputError(f"not an E-sequence: {x!r} < {y!r} across sibling groups")
+        sides[x][1].add(y)
+        sides[y][0].add(x)
+    code: dict[str, int] = {}
+
+    def group_code(group: Iterable[str]) -> int:
+        parts = []
+        left = set(group)
+        while left:
+            part = [left.pop()]
+            for y in part:
+                new = (sides[y][0] | sides[y][1]) & left
+                left -= new
+                part.extend(new)
+            parts.append(codes.setdefault(_part_form(part, code, sides), len(codes)))
+        return codes.setdefault(tuple(sorted(parts)), len(codes))
+
+    for x in reversed(seq.labels()):  # children before their parents
+        code[x] = group_code(seq.children(x))
+    return group_code(seq.levels[0])
+
+
+def _part_form(part: list[str], code: dict[str, int],
+               sides: dict[str, tuple[set[str], set[str]]]) -> tuple[int, ...]:
+    """Canonical form of one connected part's relation, coloured by codes.
+
+    Twins (same code and closed below- and above-set) are interchangeable,
+    so each twin class enters once, keyed (code, multiplicity, #below,
+    #above). A class of unique key is fixed; every class's key gains its
+    successors and predecessors among the fixed classes, as bitmasks. The
+    form is the number of classes, their sorted keys, and the least
+    adjacency tuple among the movable classes over the orderings that
+    permute classes of equal key.
+    """
+    if len(part) == 1:  # no orderings to try: its code and self-loop say all
+        return (code[part[0]], part[0] in sides[part[0]][1])
+    twins: dict[tuple, list[str]] = {}
+    for x in part:
+        twins.setdefault((code[x], *map(frozenset, sides[x])), []).append(x)
+    keys = sorted([((c, len(xs), len(lo), len(up)), xs[0])
+                   for (c, lo, up), xs in twins.items()])
+    runs = [[x for _, x in run] for _, run in groupby(keys, key=lambda kx: kx[0])]
+    bit = {run[0]: 1 << i for i, run in enumerate(runs) if len(run) == 1}
+    keys = sorted([((*key, *(sum(bit.get(y, 0) for y in side) for side in sides[x])), x)
+                   for key, x in keys])
+    blocks = [[x for _, x in run] for _, run in groupby(
+        [kx for kx in keys if kx[1] not in bit], key=lambda kx: kx[0])]
+    count = prod(map(factorial, map(len, blocks))) * sum(map(len, blocks)) ** 2
+    if count > _MAX_ENTRIES:
+        raise SizeGuardError(f"{count} adjacency entries to compare in a sibling "
+                             f"group exceed the budget of {_MAX_ENTRIES}")
+    orders = (list(chain.from_iterable(c)) for c in product(*map(permutations, blocks)))
+    least = min(tuple(b in sides[a][1] for a in order for b in order) for order in orders)
+    return (len(keys), *(k for key, _ in keys for k in key), *least)

@@ -172,6 +172,15 @@ class TestTowers:
         code, _, err = run(capsys, "ultra-tower", str(path), "--max-points", "2")
         assert code == 3 and "refused" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_points_below_one_is_a_usage_error(self, capsys, tmp_path, bound):
+        path = tmp_path / "ultra3.csv"
+        path.write_text(ULTRA3)
+        with pytest.raises(SystemExit) as exc:
+            main(["ultra-tower", str(path), "--max-points", bound])
+        assert exc.value.code == 2
+        assert "--max-points must be at least 1" in capsys.readouterr().err
+
 
 class TestReconstruct:
     def test_three_leaf_fixture_with_empty_prec(self, capsys, tmp_path):

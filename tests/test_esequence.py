@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from phyloquiver import (
     ESequence,
     InputError,
     PrecRelation,
+    SizeGuardError,
     ancestor_of,
     build_forest,
     condense,
@@ -392,6 +394,53 @@ class TestReconstruction:
             assert esequence_isomorphic(rebuilt, seq)
 
 
+def _relabeled(seq, rng):
+    """A copy of ``seq`` under fresh labels, every level shuffled."""
+    name = {x: f"z{x}" for x in seq.labels()}
+    return ESequence.build(
+        [rng.sample([name[x] for x in level], len(level)) for level in seq.levels],
+        {name[x]: name[p] for x, p in seq.parent.items()},
+        [(name[x], name[y]) for x, y in seq.order],
+    )
+
+
+def _sibling_groups(seq):
+    groups = {}
+    for x in seq.labels():
+        groups.setdefault(seq.parent.get(x), []).append(x)
+    return list(groups.values())
+
+
+def _toggle_pair(seq, rng):
+    """``seq`` with one pair inside a sibling group added to or removed
+    from its closed order."""
+    groups = [g for g in _sibling_groups(seq) if len(g) > 1]
+    if not groups:
+        return seq
+    x, y = rng.sample(rng.choice(groups), 2)
+    return ESequence(seq.levels, seq.parent, seq.closed_order() ^ {(x, y)})
+
+
+def _reparented(seq, rng):
+    """``seq`` with one non-root label moved under a random parent, its
+    order pairs dropped."""
+    if seq.top == 0:
+        return seq
+    m = rng.randint(1, seq.top)
+    x = rng.choice(seq.levels[m])
+    parent = {**seq.parent, x: rng.choice(seq.levels[m - 1])}
+    return ESequence.build(seq.levels, parent, [p for p in seq.order if x not in p])
+
+
+def _with_cycle(seq, rng):
+    """``seq`` with a reflexive pair, or a cycle of two or three labels,
+    added inside one sibling group."""
+    group = rng.choice(_sibling_groups(seq))
+    cycle = rng.sample(group, rng.randint(1, min(3, len(group))))
+    return ESequence(seq.levels, seq.parent,
+                     seq.order | set(zip(cycle, cycle[1:] + cycle[:1])))
+
+
 class TestIsomorphism:
     def test_identity_and_relabeling(self, two_fiber):
         assert esequence_isomorphic(two_fiber, two_fiber)
@@ -452,7 +501,6 @@ class TestIsomorphism:
                     for level in e1.levels
                     for x in level
                     for y in level
-                    if x != y
                 )
                 if ok:
                     return True
@@ -463,6 +511,22 @@ class TestIsomorphism:
             e2 = gen_random_esequence(1 + (s + 1) % 3, 4, 0.5, seed=s + 100)
             assert esequence_isomorphic(e1, e2) == brute_iso(e1, e2)
             assert esequence_isomorphic(e1, e1)
+
+        # Copies, one-pair and re-parent perturbations, and reflexive or
+        # cyclic orders inside one sibling group, each under fresh labels.
+        rng = random.Random(2017)
+        for s in range(200):
+            e1 = gen_random_esequence(1 + s % 3, 4, 0.5, seed=1000 + s)
+            cyclic = _with_cycle(e1, rng)
+            for a, b in [
+                (e1, e1),
+                (e1, _toggle_pair(e1, rng)),
+                (e1, _reparented(e1, rng)),
+                (e1, cyclic),
+                (cyclic, _with_cycle(e1, rng)),
+            ]:
+                b = _relabeled(b, rng)
+                assert esequence_isomorphic(a, b) == brute_iso(a, b), s
 
     def test_backtracks_past_color_refinement(self):
         # Two crowns on one level, four minimal and four maximal labels with
@@ -486,6 +550,90 @@ class TestIsomorphism:
             assert esequence_isomorphic(crown(cycle8, "x"), crown(cycle8, "y", s))
             assert esequence_isomorphic(crown(cycles4, "x"), crown(cycles4, "y", s))
             assert not esequence_isomorphic(crown(cycles4, "x"), crown(cycle8, "y", s))
+
+    def test_adjacency_tells_apart_equal_keys(self):
+        # Leaves a1 < b1 and parents a2 < b2, or a leaf below a parent and a
+        # parent below a leaf: same codes, counts and no twins either way.
+        def seq(order):
+            return ESequence.build(
+                [["r"], ["a1", "a2", "b1", "b2"], ["ca", "cb"]],
+                {"a1": "r", "a2": "r", "b1": "r", "b2": "r",
+                 "ca": "a2", "cb": "b2"},
+                order,
+            )
+
+        same = seq([("a1", "b1"), ("a2", "b2")])
+        crossed = seq([("a1", "b2"), ("a2", "b1")])
+        assert not esequence_isomorphic(same, crossed)
+        assert esequence_isomorphic(crossed, _relabeled(crossed, random.Random(0)))
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_crowns_beyond_the_budget_are_refused(self, n):
+        def crown(pairs, tag):
+            lows = [f"{tag}a{i}" for i in range(n)]
+            highs = [f"{tag}b{i}" for i in range(n)]
+            return ESequence.build(
+                [lows + highs], {}, [(lows[i], highs[j]) for i, j in pairs]
+            )
+
+        half = n // 2
+        cycle = [(i, j % n) for i in range(n) for j in (i, i + 1)]
+        two_cycles = [(i, i // half * half + j % half)
+                      for i in range(n) for j in (i, i + 1)]
+        with pytest.raises(SizeGuardError):
+            esequence_isomorphic(crown(cycle, "x"), crown(two_cycles, "y"))
+
+    @pytest.mark.parametrize("n, pairs", [
+        (10, [(2 * i, 2 * i + 1) for i in range(5)]),  # five disjoint pairs
+        (12, [(3 * i + j, 3 * i + j + 1) for i in range(4) for j in (0, 1)]),
+    ])
+    def test_disjoint_parts_are_answered(self, n, pairs):
+        # Each part is small, though the whole group has 5!^2 or 24^3
+        # orderings of labels with equal keys.
+        def group(pairs):
+            xs = [f"x{i}" for i in range(n)]
+            return ESequence.build([["r"], xs], dict.fromkeys(xs, "r"),
+                                   [(xs[i], xs[j]) for i, j in pairs])
+
+        rng = random.Random(n)
+        seq = group(pairs)
+        assert esequence_isomorphic(seq, _relabeled(seq, rng))
+        assert not esequence_isomorphic(seq, _relabeled(group(pairs + [(0, 3)]), rng))
+
+    def test_crown_above_a_long_chain(self):
+        # The 290 chain labels are fixed by their keys; only the crown's
+        # eight classes are ordered, so the call stays far from the budget.
+        def group(tag, split):
+            chain = [f"{tag}c{i}" for i in range(290)]
+            lows = [f"{tag}a{i}" for i in range(4)]
+            highs = [f"{tag}b{i}" for i in range(4)]
+            pairs = list(zip(chain, chain[1:])) + [(chain[-1], x) for x in lows]
+            pairs += [(lows[i], highs[i // 2 * 2 + (i + j) % 2 if split else (i + j) % 4])
+                      for i in range(4) for j in (0, 1)]
+            xs = chain + lows + highs
+            return ESequence.build([["r"], xs], dict.fromkeys(xs, "r"), pairs)
+
+        rng = random.Random(3)
+        for split, expected in [(False, True), (True, False)]:
+            other = _relabeled(group("y", split), rng)
+            start = time.perf_counter()
+            assert esequence_isomorphic(group("x", False), other) is expected
+            assert time.perf_counter() - start < 2.0
+
+    def test_twins_never_count_toward_the_budget(self):
+        rng = random.Random(5)
+        leaves = [f"x{i}" for i in range(12)]
+        fibre = ESequence.build([["r"], leaves], dict.fromkeys(leaves, "r"))
+        assert esequence_isomorphic(fibre, _relabeled(fibre, rng))
+        roots = ESequence.build([[f"r{i}" for i in range(50)]], {})
+        assert esequence_isomorphic(roots, _relabeled(roots, rng))
+
+    def test_order_across_sibling_groups_is_not_an_esequence(self):
+        seq = ESequence.build(
+            [["r", "s"], ["x", "y"]], {"x": "r", "y": "s"}, [("x", "y")]
+        )
+        with pytest.raises(InputError, match="across sibling groups"):
+            esequence_isomorphic(seq, seq)
 
     def test_deep_chain(self):
         def chain(n, tag):
