@@ -7,9 +7,9 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
 Reruns the heavy cross-checks (normality oracle agreement, universal
 evolutions against the least short full evolution, realization and
 reconstruction round trips, E-sequence isomorphism against relabelled
-copies and a brute-force search, tower laws, underline_d and is_trim
-against their Fraction definitions, clade reports against the built clade,
-clade formulas) on as many fresh
+copies and a brute-force search, tower laws, every tower quotient
+re-validated, underline_d and is_trim against their Fraction definitions,
+clade reports against the built clade, clade formulas) on as many fresh
 seeds as asked and prints a one-line verdict per family.
 """
 
@@ -121,8 +121,16 @@ def fraction_deficits(space):
     }
 
 
+def revalidated(space):
+    """``space`` checked afresh by validate_space, which must agree with
+    the flags and int rows it was built with."""
+    check = pq.validate_space(space.points, space.rows)
+    return (check.is_metric and check.is_ultrametric == space.is_ultrametric
+            and check._scaled == space._scaled)
+
+
 def audit_towers(count, base, max_n):
-    checked = 0
+    checked = quotients = 0
     for s in range(count):
         x = gen.gen_random_ultrametric(1 + s % max_n, depth=1 + s % 5, seed=base + s)
         t = pq.tower_u(x)
@@ -131,6 +139,9 @@ def audit_towers(count, base, max_n):
         tv = pq.tower_v(y)
         assert pq.is_trim(tv.terminal), s
         assert all(pq.classify_map(m).is_drift for m in tv.maps), s
+        for space in t.spaces[1:] + tv.spaces[1:]:
+            assert revalidated(space), s
+            quotients += 1
         for space in t.spaces + tv.spaces:
             ud = pq.underline_d(space)
             deficits = fraction_deficits(space)
@@ -146,6 +157,7 @@ def audit_towers(count, base, max_n):
             checked += 1
     print(f"towers                    ok on {count} ultrametric + {count} metric spaces")
     print(f"underline_d and is_trim   ok on {checked} tower spaces")
+    print(f"trusted tower quotients   ok on {quotients} re-validated")
 
 
 def audit_clades(count, base, max_n):

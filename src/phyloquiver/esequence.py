@@ -312,13 +312,14 @@ def _split_depth(seq: ESequence, a: str, b: str) -> int:
 
 def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     """The ultrametric rho on level ``n``: rho(a, b) = minimal k with
-    p^k(a) = p^k(b). Equals half the forest path distance."""
+    p^k(a) = p^k(b). Equals half the forest path distance. It is an
+    ultrametric by construction and is not checked again: with one root
+    every pair meets, and at k = max(rho(a, c), rho(b, c)) both a and b
+    meet c, so p^k(a) = p^k(b)."""
     _check_reconstruction_premises(seq, n)
     points = seq.levels[n]
-    rows = tuple(
-        tuple(Fraction(_split_depth(seq, a, b)) for b in points) for a in points
-    )
-    return FiniteMetricSpace(points, rows)
+    depths = [[_split_depth(seq, a, b) for b in points] for a in points]
+    return FiniteMetricSpace._from_ints(points, 1, depths, True)
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,8 @@ def validate_prec(
         if a not in points or b not in points:
             raise InputError(f"prec pair ({a!r}, {b!r}) references unknown points")
     violations: list[str] = []
-    values = sorted({space.distance(a, b) for a in space.points for b in space.points})
+    scale, ints = space._scaled
+    values = sorted(Fraction(v, scale) for v in set(chain.from_iterable(ints)))
     bound = max(values) if n is None else Fraction(n)
     for v in values:
         if v.denominator != 1 or v < 0 or v > bound:
@@ -374,26 +376,29 @@ def validate_prec(
     for a, b in sorted(prec.pairs):
         if (b, a) in prec.pairs and (a, b) <= (b, a):
             violations.append(f"prec is not asymmetric on ({a!r}, {b!r})")
-    rho = space.distance
+    # distances compared on the int rows, whose order is that of rho
+    index = space._index
     for a, b in sorted(prec.pairs):
         if a == b:
             continue
-        for c in space.points:
+        row_a, row_b = ints[index[a]], ints[index[b]]
+        dab = row_a[index[b]]
+        for c, dac, dbc in zip(space.points, row_a, row_b):
             if c == a or c == b:
                 continue
-            if rho(a, c) < rho(a, b) and (c, b) not in prec.pairs:
+            if dac < dab and (c, b) not in prec.pairs:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({a!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {c!r} prec {b!r}"
                 )
-            if rho(b, c) < rho(a, b) and (a, c) not in prec.pairs:
+            if dbc < dab and (a, c) not in prec.pairs:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({b!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {a!r} prec {c!r}"
                 )
             if (
                 (b, c) in prec.pairs
-                and rho(a, b) == rho(a, c) == rho(b, c)
+                and dab == dac == dbc
                 and (a, c) not in prec.pairs
             ):
                 violations.append(
@@ -418,12 +423,13 @@ def reconstruct(
         raise InputError("reconstruction needs an ultrametric space")
     if n < 0:
         raise InputError("n must be nonnegative")
-    for a in space.points:
-        for b in space.points:
-            d = space.distance(a, b)
-            if d.denominator != 1 or d > n:
+    scale, ints = space._scaled
+    for a, row in zip(space.points, ints):
+        for b, v in zip(space.points, row):
+            if v % scale or v > n * scale:
                 raise InputError(
-                    f"distance rho({a!r},{b!r}) = {d} is not an integer in 0..{n}"
+                    f"distance rho({a!r},{b!r}) = {Fraction(v, scale)} "
+                    f"is not an integer in 0..{n}"
                 )
     violations = validate_prec(space, prec, n)
     if violations:
@@ -448,14 +454,15 @@ def reconstruct(
             parent[label(s, blk)] = label(s - 1, up)
 
     order: set[tuple[str, str]] = set()
+    index = space._index
     for s in range(1, n + 1):
-        r = n - s
+        unit = (n - s + 1) * scale  # distance r + 1 for r = n - s
         for blk in blocks_by_level[s]:
             for other in blocks_by_level[s]:
                 if blk == other:
                     continue
                 if any(
-                    (a, b) in prec.pairs and space.distance(a, b) == r + 1
+                    (a, b) in prec.pairs and ints[index[a]][index[b]] == unit
                     for a in blk
                     for b in other
                 ):

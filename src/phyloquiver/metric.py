@@ -16,8 +16,14 @@ integer rows scaled by 2 * lcm of its denominators, and the cubic checks
 (the metric and ultrametric axioms, underline_d, trimness) and the
 quotient steps run on those rows. Scaling by a positive integer keeps
 order, sums and zeros, so results stay exact; the factor 2 makes every
-half-deficit an integer. Each quotient is validated afresh and takes its
-own scale.
+half-deficit an integer.
+
+Only input is validated. A space the library derives is built straight
+from its int rows, each taking its own reduced scale, and rests on a law
+instead of a fresh cubic check: the contraction quotient of an ultrametric
+is an ultrametric, the drift quotient of a metric is a metric (its strong
+triangle inequality is read off its rows), and the split depths of an
+E-sequence with one root form an ultrametric.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -79,6 +86,10 @@ class SpaceCheck:
     is_ultrametric: bool
     problems: tuple[str, ...]
     _scaled: _Scaled | None = field(default=None, compare=False, repr=False)
+    # the matrix coerced to Fractions, handed to FiniteMetricSpace
+    _rows: tuple[tuple[Fraction, ...], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
@@ -90,7 +101,7 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
         raise InputError("a metric space needs at least one point")
     if len(set(labels)) != len(labels):
         raise InputError("duplicate point labels")
-    matrix = [[to_fraction(v) for v in row] for row in rows]
+    matrix = tuple(tuple(map(to_fraction, row)) for row in rows)
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError(f"distance matrix must be {n}x{n}")
@@ -102,19 +113,28 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
                 raise InputError(
                     f"matrix is not symmetric at ({labels[i]!r}, {labels[j]!r})"
                 )
-    if not _is_metric(ints):
-        return SpaceCheck(False, False, _problems(labels, matrix), view)
-    return SpaceCheck(True, _is_ultrametric(ints), (), view)
+    # The strong triangle inequality implies the plain one, so the cubic
+    # triangle check runs only on matrices that are not ultrametrics.
+    positive = _is_positive(ints)
+    ultra = positive and _is_ultrametric(ints)
+    if not (ultra or positive and _triangles_hold(ints)):
+        return SpaceCheck(False, False, _problems(labels, matrix), view, matrix)
+    return SpaceCheck(True, ultra, (), view, matrix)
 
 
-def _is_metric(ints: tuple[tuple[int, ...], ...]) -> bool:
-    """Zero diagonal, positive off-diagonal, triangle inequality on a
-    symmetric int matrix. d(i, k) <= d(i, j) + d(j, k) for every j is
-    d(i, k) <= min over j of row i + row k, and j = i attains d(i, k)."""
-    for i, row in enumerate(ints):
-        # the diagonal entry is the only zero of its row, and none is negative
-        if row[i] != 0 or row.count(0) != 1 or min(row) < 0:
-            return False
+def _is_positive(ints: tuple[tuple[int, ...], ...]) -> bool:
+    """Zero diagonal and positive off-diagonal: the diagonal entry is the
+    only zero of its row, and none is negative."""
+    return all(
+        row[i] == 0 and row.count(0) == 1 and min(row) >= 0
+        for i, row in enumerate(ints)
+    )
+
+
+def _triangles_hold(ints: tuple[tuple[int, ...], ...]) -> bool:
+    """The triangle inequality on a symmetric int matrix. d(i, k) <=
+    d(i, j) + d(j, k) for every j is d(i, k) <= min over j of row i +
+    row k, and j = i attains d(i, k)."""
     return all(
         min(map(add, row, other)) >= dik
         for i, row in enumerate(ints)
@@ -123,9 +143,10 @@ def _is_metric(ints: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
-    """The strong triangle inequality on a metric int matrix: no point is
-    strictly closer than d(i, k) to both i and k. For each row and each of
-    its values, the points strictly closer form one bitmask."""
+    """The strong triangle inequality on a symmetric int matrix with zero
+    diagonal and positive entries elsewhere: no point is strictly closer
+    than d(i, k) to both i and k. For each row and each of its values, the
+    points strictly closer form one bitmask."""
     closer: list[dict[int, int]] = []
     for row in ints:
         masks: dict[int, int] = {}
@@ -177,20 +198,44 @@ class FiniteMetricSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(
-            self,
-            "rows",
-            tuple(tuple(to_fraction(v) for v in row) for row in self.rows),
-        )
         check = validate_space(self.points, self.rows)
         if not check.is_metric:
             raise InputError("not a metric: " + "; ".join(check.problems))
-        object.__setattr__(self, "is_ultrametric", check.is_ultrametric)
-        object.__setattr__(self, "_scaled", check._scaled)
+        self._set(check._rows, check.is_ultrametric, check._scaled)
+
+    def _set(self, rows, is_ultrametric: bool, scaled: _Scaled) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "is_ultrametric", is_ultrametric)
+        object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
     def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
-        return cls(tuple(points), tuple(tuple(row) for row in rows))
+        return cls(tuple(points), rows)
+
+    @classmethod
+    def _from_ints(
+        cls,
+        points: Sequence[str],
+        scale: int,
+        ints: Sequence[Sequence[int]],
+        is_ultrametric: bool,
+    ) -> "FiniteMetricSpace":
+        """A space the caller knows to be a metric, from int rows in units
+        of 1/scale; nothing is checked. Reducing by the gcd of the scale and
+        the entries gives the scale and rows validate_space would compute,
+        and the Fraction rows share one object per distinct value."""
+        g = gcd(scale, *chain.from_iterable(ints))
+        scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
+        unit = 2 * scale // g
+        value = {v: Fraction(v, unit) for v in set(chain.from_iterable(scaled))}
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", tuple(points))
+        space._set(
+            tuple(tuple(map(value.__getitem__, row)) for row in scaled),
+            is_ultrametric,
+            (unit, scaled),
+        )
+        return space
 
     @classmethod
     def single(cls, label: str) -> "FiniteMetricSpace":
@@ -236,34 +281,28 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({len(self.points)} points)"
 
 
+def _values(space: FiniteMetricSpace) -> set[int]:
+    """The distinct entries of the int rows: 0 and, scaled, every distance
+    between distinct points (the only zeros lie on the diagonal)."""
+    return set(chain.from_iterable(space._scaled[1]))
+
+
 def norm_total(space: FiniteMetricSpace) -> Fraction:
     """Sum of d(x, y) over all ordered pairs."""
-    return 2 * sum(
-        (space.rows[i][j]
-         for i in range(len(space.points))
-         for j in range(i + 1, len(space.points))),
-        Fraction(0),
-    )
+    scale, ints = space._scaled
+    return Fraction(sum(map(sum, ints)), scale)
 
 
 def min_gap(space: FiniteMetricSpace) -> Fraction:
     """Least distance between distinct points."""
     if len(space.points) < 2:
         raise InputError("min_gap needs at least two points")
-    return min(
-        space.rows[i][j]
-        for i in range(len(space.points))
-        for j in range(i + 1, len(space.points))
-    )
+    return Fraction(min(_values(space) - {0}), space._scaled[0])
 
 
 def n_nonzero(space: FiniteMetricSpace) -> int:
     """Number of distinct nonzero distance values."""
-    return len({
-        space.rows[i][j]
-        for i in range(len(space.points))
-        for j in range(i + 1, len(space.points))
-    })
+    return len(_values(space) - {0})
 
 
 @dataclass(frozen=True)
@@ -344,10 +383,12 @@ def classify_map(pmap: PointMap) -> MapClassification:
 
 
 def _collapse(
-    space: FiniteMetricSpace, reduced: Sequence[Sequence[int]]
+    space: FiniteMetricSpace, reduced: Sequence[Sequence[int]], ultrametric: bool
 ) -> tuple[FiniteMetricSpace, PointMap]:
     """Quotient by the zero pairs of a reduced int matrix in the scale of
-    the space; each class is named after its minimal member."""
+    the space; each class is named after its minimal member. The caller's
+    law makes the quotient a metric; ``ultrametric`` says whether it is
+    known to be an ultrametric too, else its rows are checked for it."""
     scale = space._scaled[0]
     pts = space.points
     order = sorted(range(len(pts)), key=pts.__getitem__)
@@ -360,14 +401,12 @@ def _collapse(
             if y == x or reduced[x][y] == 0:
                 rep[y] = x
         heads.append(x)
-    rows = tuple(
-        tuple(
-            Fraction(0) if a == b else Fraction(reduced[a][b], scale)
-            for b in heads
-        )
-        for a in heads
+    ints = tuple(
+        tuple(0 if a == b else reduced[a][b] for b in heads) for a in heads
     )
-    quotient = FiniteMetricSpace(tuple(pts[a] for a in heads), rows)
+    quotient = FiniteMetricSpace._from_ints(
+        [pts[a] for a in heads], scale, ints, ultrametric or _is_ultrametric(ints)
+    )
     return quotient, PointMap(
         space, quotient, {x: pts[rep[i]] for i, x in enumerate(pts)}
     )
@@ -383,7 +422,7 @@ def quotient_u(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
         raise InputError("quotient_u needs at least two points")
     ints = space._scaled[1]
     gap = min(v for row in ints for v in row if v)
-    return _collapse(space, [[v - gap for v in row] for row in ints])
+    return _collapse(space, [[v - gap for v in row] for row in ints], True)
 
 
 def underline_d(space: FiniteMetricSpace) -> dict[str, Fraction]:
@@ -412,7 +451,7 @@ def quotient_v(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
     return _collapse(space, [
         [v - ha - hb for v, hb in zip(row, half)]
         for row, ha in zip(space._scaled[1], half)
-    ])
+    ], False)
 
 
 @dataclass(frozen=True)
@@ -528,14 +567,17 @@ def balls(space: FiniteMetricSpace, radius) -> tuple[tuple[str, ...], ...]:
     if not space.is_ultrametric:
         raise InputError("balls of a fixed radius partition only ultrametric spaces")
     r = to_fraction(radius)
+    scale, ints = space._scaled
+    # an int entry d stands for d / scale, and d / scale <= r iff d <= floor(r * scale)
+    limit = r.numerator * scale // r.denominator
+    pts = space.points
+    order = sorted(range(len(pts)), key=pts.__getitem__)
     blocks: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
-    for x in sorted(space.points):
+    assigned: set[int] = set()
+    for x in order:
         if x in assigned:
             continue
-        block = tuple(sorted(
-            y for y in space.points if space.distance(x, y) <= r
-        ))
-        blocks.append(block)
-        assigned.update(block)
+        members = [y for y in order if ints[x][y] <= limit]
+        blocks.append(tuple(pts[y] for y in members))
+        assigned.update(members)
     return tuple(sorted(blocks))

@@ -35,8 +35,7 @@ def loads(text: str, source: str = "<input>") -> object:
 
 
 def fraction_str(value: Fraction) -> str:
-    value = to_fraction(value)
-    return str(value.numerator) if value.denominator == 1 else str(value)
+    return str(to_fraction(value))
 
 
 # -- quivers -----------------------------------------------------------------
@@ -205,24 +204,33 @@ def prec_from_text(text: str) -> PrecRelation:
 # -- metric spaces ------------------------------------------------------------
 
 
+def _matrix_strs(space: FiniteMetricSpace) -> list[list[str]]:
+    """The distance matrix as exact strings, read off the int rows; each
+    distinct entry is rendered once."""
+    scale, ints = space._scaled
+    text = {v: str(Fraction(v, scale)) for v in set(chain.from_iterable(ints))}
+    return [[text[v] for v in row] for row in ints]
+
+
 def space_to_csv(space: FiniteMetricSpace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(space.points)
-    for row in space.rows:
-        writer.writerow([fraction_str(v) for v in row])
+    writer.writerows(_matrix_strs(space))
     return buf.getvalue()
 
 
 def matrix_from_csv(text: str, source: str = "<input>"):
     """Parse a labeled distance matrix: a header row of point labels, then
-    one row of entries per point. Returns (labels, rows of Fractions)."""
+    one row of entries per point. Returns (labels, rows of Fractions).
+    Each distinct cell text is parsed once."""
     reader = list(csv.reader(io.StringIO(text)))
     reader = [row for row in reader if any(cell.strip() for cell in row)]
     if not reader:
         raise InputError(f"{source}: empty matrix file")
     labels = [cell.strip() for cell in reader[0]]
     rows: list[list[Fraction]] = []
+    parsed: dict[str, Fraction] = {}
     if len(reader) != len(labels) + 1:
         raise InputError(
             f"{source}: expected {len(labels)} data rows after the header, "
@@ -233,13 +241,13 @@ def matrix_from_csv(text: str, source: str = "<input>"):
             raise InputError(
                 f"{source}:{r}: expected {len(labels)} entries, got {len(row)}"
             )
-        parsed = []
         for c, cell in enumerate(row, start=1):
-            try:
-                parsed.append(to_fraction(cell))
-            except InputError as exc:
-                raise InputError(f"{source}:{r}:{c}: {exc}") from None
-        rows.append(parsed)
+            if cell not in parsed:
+                try:
+                    parsed[cell] = to_fraction(cell)
+                except InputError as exc:
+                    raise InputError(f"{source}:{r}:{c}: {exc}") from None
+        rows.append([parsed[cell] for cell in row])
     return labels, rows
 
 
@@ -251,7 +259,7 @@ def space_from_csv(text: str, source: str = "<input>") -> FiniteMetricSpace:
 def space_to_obj(space: FiniteMetricSpace) -> dict:
     return {
         "points": list(space.points),
-        "matrix": [[fraction_str(v) for v in row] for row in space.rows],
+        "matrix": _matrix_strs(space),
     }
 
 

@@ -35,6 +35,7 @@ from phyloquiver.generators import (
     gen_map_quiver,
     gen_random_esequence,
     gen_random_phylogenetic,
+    gen_random_ultrametric,
     gen_rooted_tree_quiver,
     gen_surjection_quiver,
 )
@@ -343,6 +344,51 @@ class TestPrec:
         # is below rho(a1, b1) = 2
         partial = PrecRelation.build([("a1", "b1")])
         assert any("prec" in v for v in validate_prec(sp, partial, 2))
+
+    def test_validate_prec_matches_fraction_definition(self):
+        # validate_prec compares the int rows; the reference compares rho
+        def ref_validate_prec(sp, prec, n):
+            rho, pairs = sp.distance, prec.pairs
+            values = sorted({rho(a, b) for a in sp.points for b in sp.points})
+            bound = max(values) if n is None else Fraction(n)
+            out = [f"distance value {v} outside 0..{bound}" for v in values
+                   if v.denominator != 1 or v < 0 or v > bound]
+            out += [f"prec is not asymmetric on ({a!r}, {b!r})"
+                    for a, b in sorted(pairs) if (b, a) in pairs and (a, b) <= (b, a)]
+            for a, b in sorted(pairs):
+                for c in sp.points:
+                    if a == b or c in (a, b):
+                        continue
+                    if rho(a, c) < rho(a, b) and (c, b) not in pairs:
+                        out.append(f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
+                                   f"rho({a!r},{b!r}) but not {c!r} prec {b!r}")
+                    if rho(b, c) < rho(a, b) and (a, c) not in pairs:
+                        out.append(f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
+                                   f"rho({a!r},{b!r}) but not {a!r} prec {c!r}")
+                    if ((b, c) in pairs and rho(a, b) == rho(a, c) == rho(b, c)
+                            and (a, c) not in pairs):
+                        out.append(f"{a!r} prec {b!r} prec {c!r} on an equilateral "
+                                   f"triple but not {a!r} prec {c!r}")
+            return out
+
+        found = 0
+        for s in range(120):
+            rng = random.Random(s)
+            seq = gen_random_esequence(2 + s % 4, 3 + s % 5, 0.4, seed=s,
+                                       single_root=True, surjective=True)
+            sp = terminal_ultrametric(seq, seq.top)
+            if s % 3 == 0:  # rational distances too
+                sp = gen_random_ultrametric(len(sp), 1 + s % 4, seed=s)
+            pairs = set(induce_prec(seq, seq.top).pairs)
+            for _ in range(1 + s % 4):
+                pairs ^= {(rng.choice(sp.points), rng.choice(sp.points))}
+            prec = PrecRelation(frozenset(pairs) & frozenset(
+                itertools.product(sp.points, repeat=2)))
+            for n in (seq.top, seq.top - 1, None):
+                want = ref_validate_prec(sp, prec, n)
+                assert validate_prec(sp, prec, n) == want, (s, n)
+                found += len(want)
+        assert found > 300
 
 
 class TestReconstruction:

@@ -22,13 +22,18 @@ from phyloquiver import (
     norm_total,
     quotient_u,
     quotient_v,
+    terminal_ultrametric,
     to_fraction,
     tower_u,
     tower_v,
     underline_d,
     validate_space,
 )
-from phyloquiver.generators import gen_random_metric, gen_random_ultrametric
+from phyloquiver.generators import (
+    gen_random_esequence,
+    gen_random_metric,
+    gen_random_ultrametric,
+)
 
 
 @pytest.fixture
@@ -364,6 +369,25 @@ class TestBalls:
                         assert any(set(block) <= set(big) for big in part)
                 previous = part
 
+    def test_matches_fraction_definition(self):
+        # balls read the int rows; the reference compares Fractions
+        def ref_balls(sp, r):
+            blocks, assigned = [], set()
+            for x in sorted(sp.points):
+                if x not in assigned:
+                    block = tuple(sorted(y for y in sp.points if sp.distance(x, y) <= r))
+                    blocks.append(block)
+                    assigned.update(block)
+            return tuple(sorted(blocks))
+
+        for s in range(60):
+            sp = gen_random_ultrametric(1 + s % 9, depth=1 + s % 4, seed=s)
+            values = sorted({v for row in sp.rows for v in row})
+            radii = values + [v + Fraction(1, 7) for v in values] + [Fraction(-1, 3)]
+            for r in radii + [v - Fraction(1, 10**9) for v in values]:
+                assert balls(sp, r) == ref_balls(sp, r), (s, r)
+            assert balls(sp, "1/2") == ref_balls(sp, Fraction(1, 2))
+
 
 # -- the integer kernel against plain Fraction definitions ---------------------
 
@@ -582,6 +606,37 @@ class TestIntKernel:
         for t in long:
             assert_matches_reference(t.spaces[0])
             assert all(classify_map(m).is_drift for m in t.maps)
+
+    def test_trusted_spaces_revalidate(self):
+        # Tower quotients and terminal ultrametrics are built from int rows
+        # without a check; validating them afresh must agree on everything.
+        def caterpillar(n):
+            return FiniteMetricSpace.build(
+                [f"c{i}" for i in range(n)],
+                [[Fraction(max(i, j), 3) if i != j else 0 for j in range(n)]
+                 for i in range(n)],
+            )
+
+        inputs = [gen_random_metric(1 + s % 11, seed=s) for s in range(400)]
+        inputs += [gen_random_ultrametric(1 + s % 12, 1 + s % 5, seed=s) for s in range(120)]
+        inputs += [caterpillar(n) for n in (1, 2, 3, 5, 8, 13, 21, 40)]
+        drifts, contractions, terminals = [], [], []
+        for sp in inputs:
+            drifts += tower_v(sp).spaces[1:]
+            if sp.is_ultrametric:
+                contractions += tower_u(sp).spaces[1:]
+        for s in range(60):
+            seq = gen_random_esequence(2 + s % 5, 3 + s % 6, 0.4, seed=s,
+                                       single_root=True, surjective=True)
+            terminals += [terminal_ultrametric(seq, n) for n in range(seq.top + 1)]
+        assert {q.is_ultrametric for q in drifts} == {True, False}
+        assert len(contractions) > 300 and len(terminals) > 200
+        for q in drifts + contractions + terminals:
+            check = validate_space(q.points, q.rows)
+            assert check.is_metric
+            assert q.is_ultrametric == check.is_ultrametric
+            assert q._scaled == check._scaled
+            assert q.rows == check._rows
 
     def test_underline_d_returns_a_copy(self, tri345):
         first = underline_d(tri345)

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import csv
+import io
 
-from phyloquiver import ESequence, InputError, build_forest, evolutionary_sequence
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phyloquiver import (
+    ESequence,
+    InputError,
+    build_forest,
+    evolutionary_sequence,
+    to_fraction,
+    tower_v,
+)
 from phyloquiver.generators import (
     gen_g3,
     gen_random_esequence,
+    gen_random_metric,
     gen_random_ultrametric,
     gen_rooted_tree_quiver,
     gen_surjection_quiver,
@@ -29,6 +42,7 @@ from phyloquiver.serialize import (
     read_quiver_file,
     space_from_csv,
     space_to_csv,
+    space_to_obj,
 )
 
 
@@ -168,9 +182,70 @@ class TestMatrixCsv:
         with pytest.raises(InputError, match=r"m\.csv:2:2"):
             matrix_from_csv("a,b\n0,1e-3\n1e-3,0\n", source="m.csv")
 
+    def test_writers_render_each_exact_value(self):
+        # the writers read the int rows; each cell is the distance's exact text
+        spaces = [gen_random_ultrametric(1 + s % 8, 1 + s % 4, seed=s) for s in range(30)]
+        for s in range(60):
+            spaces += tower_v(gen_random_metric(1 + s % 9, seed=s)).spaces
+        for sp in spaces:
+            want = [[fraction_str(v) for v in row] for row in sp.rows]
+            assert space_to_obj(sp)["matrix"] == want
+            assert space_to_csv(sp).splitlines()[1:] == [",".join(r) for r in want]
+
     def test_row_count_checked(self):
         with pytest.raises(InputError, match="data rows"):
             matrix_from_csv("a,b\n0,1\n")
+
+
+# Cell texts, good and bad: whitespace, signs, decimals, a zero
+# denominator, scientific notation, digit separators, non-ASCII digits.
+_CELL_BODIES = ("0", "1", "3/4", "0.25", ".5", "7.", "12/8", "1/0", "1e3", "1E3",
+                "1_000", "1__0", "\u0663", "\u0661\u0662/\u0664", "\uff17", "x",
+                "", "--1", "1/-2", "inf", "nan", "0x10", "3 /4")
+_cells = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "-", "+"]),
+              st.sampled_from(_CELL_BODIES), st.sampled_from(["", " ", "\t"])),
+)
+
+
+@st.composite
+def cell_matrices(draw):
+    """A square grid of cell texts drawn from a small pool, so cells, and
+    bad cells in particular, repeat across the grid; no row is blank."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(_cells, min_size=1, max_size=4))
+    grid = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    for row in grid:
+        if not any(cell.strip() for cell in row):
+            row[0] = "0"
+    return grid
+
+
+class TestMatrixCsvCells:
+    @settings(max_examples=300, deadline=None)
+    @given(cell_matrices())
+    def test_each_cell_is_its_exact_value(self, grid):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"p{i}" for i in range(len(grid))])
+        writer.writerows(grid)
+        # the first bad cell, in reading order, is the one reported
+        want = []
+        for r, row in enumerate(grid, start=2):
+            values = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    values.append(to_fraction(cell))
+                except InputError as exc:
+                    with pytest.raises(InputError) as got:
+                        matrix_from_csv(buf.getvalue(), source="m.csv")
+                    assert str(got.value) == f"m.csv:{r}:{c}: {exc}"
+                    return
+            want.append(values)
+        labels, rows = matrix_from_csv(buf.getvalue(), source="m.csv")
+        assert labels == [f"p{i}" for i in range(len(grid))]
+        assert rows == want
 
 
 class TestPrecFile:
