@@ -122,11 +122,10 @@ def fraction_deficits(space):
 
 
 def revalidated(space):
-    """``space`` checked afresh by validate_space, which must agree with
-    the flags and int rows it was built with."""
-    check = pq.validate_space(space.points, space.rows)
-    return (check.is_metric and check.is_ultrametric == space.is_ultrametric
-            and check._scaled == space._scaled)
+    """``space`` rebuilt from its rows by the validating constructor, which
+    must give back the same int rows and ultrametric flag."""
+    again = pq.FiniteMetricSpace.build(space.points, space.rows)
+    return again == space and again.is_ultrametric == space.is_ultrametric
 
 
 def audit_towers(count, base, max_n):

@@ -100,10 +100,7 @@ def cmd_reconstruct(args) -> int:
     else:
         prec = serialize.prec_from_text(serialize.read_text(args.prec))
     if args.levels is None:
-        values = [
-            space.distance(a, b) for a in space.points for b in space.points
-        ]
-        top = max(values)
+        top = max(map(max, space.rows))
         if top.denominator != 1:
             raise InputError(
                 "matrix has non-integer distances; pass --levels explicitly "

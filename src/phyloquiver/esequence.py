@@ -318,7 +318,10 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     meet c, so p^k(a) = p^k(b)."""
     _check_reconstruction_premises(seq, n)
     points = seq.levels[n]
-    depths = [[_split_depth(seq, a, b) for b in points] for a in points]
+    depths = [[0] * len(points) for _ in points]
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):
+            depths[i][j] = depths[j][i] = _split_depth(seq, a, points[j])
     return FiniteMetricSpace._from_ints(points, 1, depths, True)
 
 
@@ -341,14 +344,16 @@ def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     when a != b and p^(k-1)(a) < p^(k-1)(b) at the split depth k."""
     _check_reconstruction_premises(seq, n)
     order = seq.closed_order()
+    points = seq.levels[n]
     pairs: set[tuple[str, str]] = set()
-    for a in seq.levels[n]:
-        for b in seq.levels[n]:
-            if a == b:
-                continue
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
             k = _split_depth(seq, a, b)
-            if (seq.parent_iter(a, k - 1), seq.parent_iter(b, k - 1)) in order:
+            x, y = seq.parent_iter(a, k - 1), seq.parent_iter(b, k - 1)
+            if (x, y) in order:
                 pairs.add((a, b))
+            if (y, x) in order:
+                pairs.add((b, a))
     return PrecRelation(frozenset(pairs))
 
 

@@ -11,12 +11,14 @@ general metric space, one step subtracts the per-point slack underline_d
 and collapses; iterating lands on a trim space, one in which every point
 lies metrically between two others.
 
-Fractions appear only at the API edge. Each space also keeps its matrix as
-integer rows scaled by 2 * lcm of its denominators, and the cubic checks
-(the metric and ultrametric axioms, underline_d, trimness) and the
-quotient steps run on those rows. Scaling by a positive integer keeps
-order, sums and zeros, so results stay exact; the factor 2 makes every
-half-deficit an integer.
+Fractions appear only at the API edge. A space stores one matrix: its
+integer rows scaled by 2 * lcm of its denominators, the reduced pair
+(scale, rows). The Fraction rows are a view built from them on first use.
+The cubic checks (the metric and ultrametric axioms, underline_d,
+trimness), the quotient steps, balls and isometry run on the int rows.
+Scaling by a positive integer keeps order, sums and zeros, so results stay
+exact; the factor 2 makes every half-deficit an integer. The reduced pair
+is a function of the rational matrix, so spaces compare and hash on it.
 
 Only input is validated. A space the library derives is built straight
 from its int rows, each taking its own reduced scale, and rests on a law
@@ -85,18 +87,19 @@ class SpaceCheck:
     is_metric: bool
     is_ultrametric: bool
     problems: tuple[str, ...]
-    _scaled: _Scaled | None = field(default=None, compare=False, repr=False)
-    # the matrix coerced to Fractions, handed to FiniteMetricSpace
-    _rows: tuple[tuple[Fraction, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
 
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
     """Check a labeled distance matrix against the metric and ultrametric
     axioms. Shape and symmetry defects raise; axiom failures are returned
     as flags with a problem list."""
-    labels = tuple(points)
+    return _check(tuple(points), rows)[0]
+
+
+def _check(
+    labels: tuple[str, ...], rows: Sequence[Sequence]
+) -> tuple[SpaceCheck, _Scaled]:
+    """validate_space, also handing back the scaled int rows."""
     if not labels:
         raise InputError("a metric space needs at least one point")
     if len(set(labels)) != len(labels):
@@ -105,8 +108,8 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
     n = len(labels)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InputError(f"distance matrix must be {n}x{n}")
-    view = _scaled(matrix)
-    ints = view[1]
+    scaled = _scaled(matrix)
+    ints = scaled[1]
     for i in range(n):
         for j in range(i + 1, n):
             if ints[i][j] != ints[j][i]:
@@ -118,8 +121,8 @@ def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceChec
     positive = _is_positive(ints)
     ultra = positive and _is_ultrametric(ints)
     if not (ultra or positive and _triangles_hold(ints)):
-        return SpaceCheck(False, False, _problems(labels, matrix), view, matrix)
-    return SpaceCheck(True, ultra, (), view, matrix)
+        return SpaceCheck(False, False, _problems(labels, ints)), scaled
+    return SpaceCheck(True, ultra, ()), scaled
 
 
 def _is_positive(ints: tuple[tuple[int, ...], ...]) -> bool:
@@ -162,23 +165,25 @@ def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
     )
 
 
-def _problems(labels: tuple[str, ...], matrix: Sequence[Sequence]) -> tuple[str, ...]:
-    """Every metric-axiom failure of a symmetric matrix, in a fixed order."""
+def _problems(
+    labels: tuple[str, ...], ints: tuple[tuple[int, ...], ...]
+) -> tuple[str, ...]:
+    """Every metric-axiom failure of a symmetric int matrix, in a fixed order."""
     n = len(labels)
     problems: list[str] = []
     for i in range(n):
-        if matrix[i][i] != 0:
+        if ints[i][i] != 0:
             problems.append(f"nonzero diagonal at {labels[i]!r}")
     for i in range(n):
         for j in range(i + 1, n):
-            if matrix[i][j] <= 0:
+            if ints[i][j] <= 0:
                 problems.append(
                     f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
                 )
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if matrix[i][j] > matrix[i][k] + matrix[j][k]:
+                if ints[i][j] > ints[i][k] + ints[j][k]:
                     problems.append(
                         f"triangle inequality fails on "
                         f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
@@ -188,29 +193,21 @@ def _problems(labels: tuple[str, ...], matrix: Sequence[Sequence]) -> tuple[str,
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Labeled points with an exact rational distance matrix; the metric
-    axioms are enforced at construction."""
+    """Labeled points with an exact rational distance matrix, stored as its
+    reduced int rows. ``build`` enforces the metric axioms; the plain
+    constructor trusts its caller."""
 
     points: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    is_ultrametric: bool = field(init=False, compare=False, repr=False)
-    _scaled: _Scaled = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        check = validate_space(self.points, self.rows)
-        if not check.is_metric:
-            raise InputError("not a metric: " + "; ".join(check.problems))
-        self._set(check._rows, check.is_ultrametric, check._scaled)
-
-    def _set(self, rows, is_ultrametric: bool, scaled: _Scaled) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "is_ultrametric", is_ultrametric)
-        object.__setattr__(self, "_scaled", scaled)
+    _scaled: _Scaled = field(repr=False)
+    is_ultrametric: bool = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
-        return cls(tuple(points), rows)
+        labels = tuple(points)
+        check, scaled = _check(labels, rows)
+        if not check.is_metric:
+            raise InputError("not a metric: " + "; ".join(check.problems))
+        return cls(labels, scaled, check.is_ultrametric)
 
     @classmethod
     def _from_ints(
@@ -222,24 +219,22 @@ class FiniteMetricSpace:
     ) -> "FiniteMetricSpace":
         """A space the caller knows to be a metric, from int rows in units
         of 1/scale; nothing is checked. Reducing by the gcd of the scale and
-        the entries gives the scale and rows validate_space would compute,
-        and the Fraction rows share one object per distinct value."""
+        the entries gives the scale and rows validate_space would compute."""
         g = gcd(scale, *chain.from_iterable(ints))
         scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
-        unit = 2 * scale // g
-        value = {v: Fraction(v, unit) for v in set(chain.from_iterable(scaled))}
-        space = object.__new__(cls)
-        object.__setattr__(space, "points", tuple(points))
-        space._set(
-            tuple(tuple(map(value.__getitem__, row)) for row in scaled),
-            is_ultrametric,
-            (unit, scaled),
-        )
-        return space
+        return cls(tuple(points), (2 * scale // g, scaled), is_ultrametric)
 
     @classmethod
     def single(cls, label: str) -> "FiniteMetricSpace":
-        return cls((label,), ((Fraction(0),),))
+        return cls.build((label,), ((0,),))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix as Fractions: a view of the int rows, built
+        once, with one Fraction per distinct value."""
+        scale, ints = self._scaled
+        value = {v: Fraction(v, scale) for v in set(chain.from_iterable(ints))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in ints)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -270,9 +265,11 @@ class FiniteMetricSpace:
 
     def distance(self, a: str, b: str) -> Fraction:
         try:
-            return self.rows[self._index[a]][self._index[b]]
+            i, j = self._index[a], self._index[b]
         except KeyError as exc:
             raise InputError(f"unknown point {exc.args[0]!r}") from None
+        scale, ints = self._scaled
+        return Fraction(ints[i][j], scale)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -510,45 +507,38 @@ def is_isometric(
 ) -> dict[str, str] | None:
     """A distance-preserving bijection between the spaces, or None.
 
-    Exact arithmetic, no tolerance. Backtracking with multiset pruning: the
-    total norm, the global distance multiset, and per-point row multisets
-    must all agree before any assignment is tried.
+    Exact, on the int rows. Isometric spaces share their distance values and
+    so their reduced scale, and then equal ints are equal distances.
+    Backtracking with multiset pruning: per-point row multisets must agree
+    before any assignment is tried.
     """
     if max(len(first.points), len(second.points)) > max_points:
         raise SizeGuardError(
             f"isometry search limited to {max_points} points; "
             f"raise max_points to override"
         )
-    if len(first.points) != len(second.points):
+    (s, a), (t, b) = first._scaled, second._scaled
+    if len(a) != len(b) or s != t:
         return None
-    if norm_total(first) != norm_total(second):
+    sig1 = [sorted(row) for row in a]
+    sig2 = [sorted(row) for row in b]
+    if sorted(sig1) != sorted(sig2):
         return None
-
-    def row_sig(space: FiniteMetricSpace, x: str) -> tuple[Fraction, ...]:
-        return tuple(sorted(space.distance(x, y) for y in space.points))
-
-    sig1 = {x: row_sig(first, x) for x in first.points}
-    sig2 = {y: row_sig(second, y) for y in second.points}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    candidates = {
-        x: [y for y in second.points if sig2[y] == sig1[x]] for x in first.points
-    }
-    order = sorted(first.points, key=lambda x: (len(candidates[x]), x))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    candidates = [[y for y, sig in enumerate(sig2) if sig == sx] for sx in sig1]
+    order = sorted(range(len(a)), key=lambda x: (len(candidates[x]), first.points[x]))
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         x = order[i]
+        row_x = a[x]
         for y in candidates[x]:
             if y in used:
                 continue
-            if any(
-                first.distance(x, z) != second.distance(y, w)
-                for z, w in assignment.items()
-            ):
+            row_y = b[y]
+            if any(row_x[z] != row_y[w] for z, w in assignment.items()):
                 continue
             assignment[x] = y
             used.add(y)
@@ -558,7 +548,9 @@ def is_isometric(
             used.discard(y)
         return False
 
-    return dict(assignment) if extend(0) else None
+    if not extend(0):
+        return None
+    return {first.points[x]: second.points[y] for x, y in assignment.items()}
 
 
 def balls(space: FiniteMetricSpace, radius) -> tuple[tuple[str, ...], ...]:

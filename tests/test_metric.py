@@ -320,24 +320,119 @@ class TestIsometry:
         assert is_isometric(big, big, max_points=13) is not None
 
     def test_matches_brute_force(self):
-        def brute(a, b):
-            if len(a.points) != len(b.points):
-                return False
-            for perm in itertools.permutations(b.points):
-                f = dict(zip(a.points, perm))
-                if all(
-                    a.distance(x, y) == b.distance(f[x], f[y])
-                    for x in a.points
-                    for y in a.points
-                ):
-                    return True
-            return False
-
         for s in range(25):
             a = gen_random_metric(2 + s % 4, seed=s)
             b = gen_random_metric(2 + (s + 1) % 4, seed=s + 50)
-            assert (is_isometric(a, b) is not None) == brute(a, b)
+            assert (is_isometric(a, b) is not None) == brute_isometric(a, b)
             assert is_isometric(a, a) is not None
+
+    def test_isometric_inputs_match_brute_force(self):
+        # Relabelled, row-permuted copies run the backtracking to a full
+        # assignment; a copy with one entry moved, or with every distance
+        # divided by a prime that keeps its int rows, must be refused.
+        def shuffled(space, rng):
+            n = len(space)
+            perm = rng.sample(range(n), n)
+            return FiniteMetricSpace.build(
+                [f"r{i}" for i in range(n)],
+                [[space.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
+            )
+
+        def perturbed(space, rng):
+            i, j = rng.sample(range(len(space)), 2)
+            for eps in (Fraction(1, 97), Fraction(-1, 97)):
+                rows = [list(row) for row in space.rows]
+                rows[i][j] = rows[j][i] = rows[i][j] + eps
+                if validate_space(space.points, rows).is_metric:
+                    return FiniteMetricSpace.build(space.points, rows)
+            raise AssertionError("no perturbation keeps the metric axioms")
+
+        counts = {"isometric": 0, "perturbed": 0, "rescaled": 0}
+        for s in range(60):
+            rng = random.Random(f"isometry:{s}")
+            n = 1 + s % 6
+            if s % 2:
+                base = gen_random_ultrametric(n, 1 + s % 3, seed=s)
+            else:
+                base = gen_random_metric(n, seed=s)
+            copy = shuffled(base, rng)
+            pairs = [("isometric", base, copy), ("isometric", copy, base)]
+            if n >= 2:
+                rescaled = FiniteMetricSpace.build(
+                    copy.points, [[v / 10007 for v in row] for row in copy.rows]
+                )
+                assert rescaled._scaled[1] == copy._scaled[1]
+                assert rescaled._scaled[0] != copy._scaled[0]
+                pairs += [("perturbed", base, perturbed(copy, rng)),
+                          ("rescaled", base, rescaled)]
+            for kind, a, b in pairs:
+                found = is_isometric(a, b)
+                assert (found is not None) == brute_isometric(a, b)
+                assert (found is not None) == (kind == "isometric")
+                if found is not None:
+                    assert sorted(found) == sorted(a.points)
+                    assert sorted(found.values()) == sorted(b.points)
+                    assert all(
+                        a.distance(x, y) == b.distance(found[x], found[y])
+                        for x in a.points for y in a.points
+                    )
+                counts[kind] += 1
+        assert counts == {"isometric": 120, "perturbed": 50, "rescaled": 50}
+
+
+def brute_isometric(a, b):
+    if len(a.points) != len(b.points):
+        return False
+    for perm in itertools.permutations(b.points):
+        f = dict(zip(a.points, perm))
+        if all(
+            a.distance(x, y) == b.distance(f[x], f[y])
+            for x in a.points
+            for y in a.points
+        ):
+            return True
+    return False
+
+
+class TestStoredMatrix:
+    def test_exact_spellings_build_one_space(self):
+        # The same rational matrices as ints, decimal strings, "a/b"
+        # strings, Fractions and a mix of them.
+        whole = [[0, 2, 6], [2, 0, 6], [6, 6, 0]]
+        quarters = [["0", "0.25", "1.5"], ["0.25", "0", "1.5"], ["1.5", "1.5", "0"]]
+        for values, spellings in (
+            (whole, [
+                whole,
+                [[f"{v}.0" for v in row] for row in whole],
+                [[f"{3 * v}/3" for v in row] for row in whole],
+                [[Fraction(v) for v in row] for row in whole],
+            ]),
+            (quarters, [
+                quarters,
+                [[str(Fraction(v)) for v in row] for row in quarters],
+                [[f"{4 * Fraction(v)}/4" for v in row] for row in quarters],
+                [[Fraction(v) for v in row] for row in quarters],
+                [[0, "1/4", Fraction(3, 2)],
+                 ["0.25", 0, "6/4"],
+                 ["1.50", "3/2", "0/7"]],
+            ]),
+        ):
+            want = tuple(tuple(map(Fraction, row)) for row in values)
+            spaces = [FiniteMetricSpace.build("xyz", rows) for rows in spellings]
+            for sp in spaces:
+                assert sp == spaces[0] and hash(sp) == hash(spaces[0])
+                assert sp.rows == want
+                assert all(type(v) is Fraction for row in sp.rows for v in row)
+                assert sp.rows is sp.rows
+                assert sp.distance("x", "z") == want[0][2]
+
+    def test_equality_needs_points_and_matrix(self, ultra3):
+        relabelled = FiniteMetricSpace.build("xzy", ultra3.rows)
+        halved = FiniteMetricSpace.build(
+            ultra3.points, [[v / 2 for v in row] for row in ultra3.rows]
+        )
+        assert ultra3 == FiniteMetricSpace.build(ultra3.points, ultra3.rows)
+        assert ultra3 != relabelled and ultra3 != halved
 
 
 class TestBalls:
@@ -635,8 +730,7 @@ class TestIntKernel:
             check = validate_space(q.points, q.rows)
             assert check.is_metric
             assert q.is_ultrametric == check.is_ultrametric
-            assert q._scaled == check._scaled
-            assert q.rows == check._rows
+            assert FiniteMetricSpace.build(q.points, q.rows) == q
 
     def test_underline_d_returns_a_copy(self, tri345):
         first = underline_d(tri345)
