@@ -5,7 +5,8 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
                                       [--seed-base S] [--max-n N]
 
 Reruns the heavy cross-checks (normality oracle agreement, universal
-evolutions against the least short full evolution, realization and
+evolutions against the least short full evolution, self-exclusive
+normality against each vertex's critical ancestors, realization and
 reconstruction round trips, E-sequence isomorphism against relabelled
 copies and a brute-force search, tower laws, every tower quotient
 re-validated, underline_d and is_trim against their Fraction definitions,
@@ -21,6 +22,7 @@ import random
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen
+from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
 
 
 def audit_oracle(count, base, max_n):
@@ -49,6 +51,30 @@ def audit_universal(count, base, max_n):
                 assert pq.universal_evolution(q, v) == least, (s, v)
                 checked += 1
     print(f"universal evolutions      ok on {checked} vertices")
+
+
+def grouped_isotypic(q, vertices):
+    """``vertices`` grouped by height fall in one isotypy class per height."""
+    cond, h = pq.condense(q), pq.heights(q)
+    seen = {}
+    return all(seen.setdefault(h[a], cond.class_index[a]) == cond.class_index[a]
+               for a in vertices)
+
+
+def audit_self_exclusive(count, base, max_n):
+    checked = rescued = 0
+    for s in range(count):
+        q = gen.gen_random_quiver(3 + s % (max_n - 2), 0.2 + 0.05 * (s % 6),
+                                  seed=base + s)
+        if pq.is_monotonous(q):
+            continue
+        rows = pq.analyze(q).vertices
+        for v, row in zip(q.vertices, rows):
+            want = grouped_isotypic(q, _critical_ancestors(q, v))
+            assert pq.is_normal(q, v) == row.normal == want, (s, v)
+            rescued += want and not _normal_self_inclusive(q, v)
+            checked += 1
+    print(f"self-exclusive normality  ok on {checked} vertices ({rescued} rescued)")
 
 
 def audit_round_trips(count, base):
@@ -190,6 +216,7 @@ def main() -> None:
     args = parser.parse_args()
     audit_oracle(args.quivers, args.seed_base, args.max_n)
     audit_universal(args.quivers, args.seed_base, args.max_n)
+    audit_self_exclusive(args.quivers, args.seed_base, args.max_n)
     audit_round_trips(args.seq, args.seed_base)
     audit_isomorphism(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)

@@ -18,6 +18,17 @@ check against all full evolutions up to a length bound.
 Normality is decided for every vertex at once, in one pass over the
 condensation (:func:`_normal_tables`), and :func:`universal_evolution` is a
 polynomial layered dynamic program rather than a search over evolutions.
+
+That pass judges, per isotypy class C, the set S_C of critical heads over
+C's ancestor reach. A vertex ``v`` of C has critical ancestors S_C minus
+``v``, which differ from S_C only when ``v`` is a critical head itself.
+That takes an edge inside C whose tail lies one height above ``v``, which
+a monotonous quiver cannot hold: its cycles stay at one height. Leaving
+``v`` out touches only C's part of the group at height h(v), so ``v`` of
+an abnormal class C is normal exactly when h(v) is the one height at which
+S_C holds two classes, they are C and one other, and ``v`` is C's only
+member in S_C there. :func:`_rescued` applies that rule once per class,
+so no vertex needs its own critical-ancestor set.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, SizeGuardError, UndecidedError
 from .quiver import (
-    Condensation,
     Evolution,
     Quiver,
     _adjacency,
@@ -223,28 +233,48 @@ def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
     return tuple(normal)
 
 
+@memo
+def _rescued(quiver: Quiver) -> tuple[str | None, ...]:
+    """Per class id, the one member of an abnormal class that is normal
+    once it is left out of its own critical ancestors, or None; the rule
+    and why it is exact are in the module docstring.
+
+    Two kinds of class cannot qualify and are skipped before S_C is built:
+    a class with an abnormal parent keeps that parent's conflict, whose
+    classes lie in the parent's reach and so are never C; and a class with
+    no critical head inside itself has no member in S_C.
+    """
+    cond = condense(quiver)
+    normal, heads = _normal_tables(quiver), _critical_heads(quiver)
+    h, ci = _height_table(quiver), cond.class_index
+    out: list[str | None] = [None] * len(cond.classes)
+    for c, members in enumerate(cond.classes):
+        if (normal[c] or not all(normal[p] for p in cond.parents[c])
+                or all(ci[x] != c for x in heads[c])):
+            continue
+        groups: dict[int, set[int]] = {}
+        for j in _reached_classes(quiver, 0, members[0]):
+            for x in heads[j]:
+                groups.setdefault(h[x], set()).add(ci[x])
+        clashes = [y for y, classes in groups.items() if len(classes) > 1]
+        if len(clashes) != 1 or len(groups[clashes[0]]) != 2:
+            continue
+        mine = [x for x in heads[c] if ci[x] == c and h[x] == clashes[0]]
+        if len(mine) == 1:
+            out[c] = mine[0]
+    return tuple(out)
+
+
 def is_normal(quiver: Quiver, v: str) -> bool:
     """True when the critical ancestors of ``v``, grouped by height, are
-    pairwise isotypic within each group."""
-    cond = condense(quiver)
-    normal = _normal_tables(quiver)[cond.class_of(v)]
-    if normal or is_monotonous(quiver):
-        return normal
-    # Off monotonous quivers ``v`` can be its own critical ancestor, and
-    # leaving it out may clear the conflict that the table records.
-    return _grouped_isotypic(cond, _height_table(quiver),
-                             _critical_ancestors(quiver, v))
+    pairwise isotypic within each group.
 
-
-def _grouped_isotypic(
-    cond: Condensation, h: dict[str, int], vertices: frozenset[str]
-) -> bool:
-    seen: dict[int, int] = {}
-    for a in vertices:
-        c = cond.class_index[a]
-        if seen.setdefault(h[a], c) != c:
-            return False
-    return True
+    Decided per isotypy class: the class's self-inclusive verdict, or, off
+    monotonous quivers, the one member :func:`_rescued` finds normal once
+    it no longer counts as its own critical ancestor.
+    """
+    c = condense(quiver).class_of(v)
+    return _normal_tables(quiver)[c] or _rescued(quiver)[c] == v
 
 
 def _normal_self_inclusive(quiver: Quiver, v: str) -> bool:
@@ -456,16 +486,17 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     h = _height_table(quiver)
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
-    normal = _normal_tables(quiver)
+    normal, rescued = _normal_tables(quiver), _rescued(quiver)
     monotonous = is_monotonous(quiver)
     rows = []
     for v in quiver.vertices:
-        inclusive = normal[cond.class_index[v]]
+        c = cond.class_index[v]
+        inclusive = normal[c]
         rows.append(VertexAnalysis(
             vertex=v,
             height=h[v],
             primitive=v in prim,
-            normal=inclusive or (not monotonous and is_normal(quiver, v)),
+            normal=inclusive or rescued[c] == v,
             phylogenetic=inclusive if monotonous else (inclusive or None),
         ))
     return AnalysisReport(

@@ -22,7 +22,58 @@ from .quiver import Evolution, Quiver
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+
+    With an indent, :mod:`json` writes through its pure-Python encoder, so
+    the shapes this library writes (dicts with str keys, lists, tuples,
+    str, int, bool, None) are rendered here instead, escaping strings with
+    the C function :mod:`json` itself uses. Any other type, a float or an
+    int key say, hands the whole object to :func:`json.dumps`, and so does
+    a cycle or a nesting too deep to recurse, so its output and errors are
+    exactly as before.
+    """
+    try:
+        return _render(obj, "\n") + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value :func:`_render` leaves to :func:`json.dumps`."""
+
+
+_escape = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _render(obj, newline: str) -> str:
+    """JSON text of ``obj`` in the layout of ``json.dumps(indent=2,
+    sort_keys=True)``; ``newline`` is the line break and indent of the
+    line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _CONSTANTS[obj]
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Unsupported
+        items = [_escape(k) + ": " + _render(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {str}:
+            items = map(_escape, obj)
+        else:
+            items = [_render(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise _Unsupported
 
 
 def loads(text: str, source: str = "<input>") -> object:

@@ -41,7 +41,6 @@ from phyloquiver import (
 )
 from phyloquiver.analysis import (
     _critical_ancestors,
-    _grouped_isotypic,
     _least_short_evolution,
     _normal_self_inclusive,
 )
@@ -574,6 +573,42 @@ def brute_critical_ancestors(q, v, include_self):
     )
 
 
+def _grouped_isotypic(cond, h, vertices):
+    """Normality by its definition: ``vertices`` grouped by height ``h``
+    are pairwise isotypic (one class of ``cond`` per height)."""
+    seen = {}
+    for a in vertices:
+        c = cond.class_index[a]
+        if seen.setdefault(h[a], c) != c:
+            return False
+    return True
+
+
+def dense_draw(rng, n, edges):
+    """``edges`` distinct non-loop edges drawn uniformly over n vertices:
+    large isotypy classes, rarely monotonous."""
+    vs = [f"d{i}" for i in range(n)]
+    chosen = set()
+    while len(chosen) < edges:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            chosen.add((vs[a], vs[b]))
+    return Quiver.build(vs, sorted(chosen))
+
+
+def nonmonotonous_sweep():
+    rng = random.Random(5)
+    for s in range(320):
+        q = gen_random_quiver(4 + s % 9, (0.15, 0.2, 0.3, 0.45)[s % 4], seed=s)
+        if not is_monotonous(q):
+            yield q
+    for _ in range(80):
+        n = rng.randrange(6, 22)
+        q = dense_draw(rng, n, rng.randrange(n, 3 * n))
+        if not is_monotonous(q):
+            yield q
+
+
 class TestOnePassNormality:
     def test_matches_per_vertex_definition(self):
         self_dependent = 0
@@ -587,7 +622,7 @@ class TestOnePassNormality:
                 assert _normal_self_inclusive(q, v) == _grouped_isotypic(
                     cond, h, inclusive), (q, v)
                 self_dependent += is_normal(q, v) != _normal_self_inclusive(q, v)
-        assert self_dependent  # the sweep reaches the per-vertex fallback
+        assert self_dependent  # the sweep reaches rescued vertices
 
     def test_analyze_reads_the_same_answers(self):
         for q in normality_sweep():
@@ -599,6 +634,51 @@ class TestOnePassNormality:
             if report.monotonous:
                 core = phylogenetic_core(q).vertices
                 assert core == tuple(v for v in q.vertices if is_normal(q, v))
+
+
+class TestSelfExclusiveNormality:
+    """A vertex of an abnormal class can be normal once it stops counting
+    as its own critical ancestor; the per-class table must find exactly
+    those vertices."""
+
+    def test_matches_definition_on_nonmonotonous_quivers(self):
+        vertices = rescued = 0
+        for q in nonmonotonous_sweep():
+            cond, h = condense(q), brute_heights(q)
+            rows = analyze(q).vertices
+            for row in rows:
+                v = row.vertex
+                want = _grouped_isotypic(cond, h, brute_critical_ancestors(q, v, False))
+                assert is_normal(q, v) == want, (q.edges, v)
+                assert row.normal == want, (q.edges, v)
+                assert row.height == h[v]
+                assert row.phylogenetic == phylogenetic_status(q, v)
+                rescued += want and not _normal_self_inclusive(q, v)
+            vertices += len(rows)
+        assert vertices >= 1500
+        assert rescued
+
+    def test_pinned_rescue(self):
+        q = gen_random_quiver(6, 0.3, seed=43)
+        assert q.edges == (("v0", "v1"), ("v0", "v5"), ("v1", "v0"), ("v1", "v3"),
+                           ("v2", "v5"), ("v3", "v5"), ("v4", "v3"))
+        assert isotypic(q, "v0", "v1") and not _normal_self_inclusive(q, "v0")
+        # v0 is its own critical ancestor (the edge v1 -> v0 runs from
+        # height 2 to 1); without v0 the height-1 group is {v3} alone, while
+        # v1 keeps v0 and v3 there.
+        assert critical_ancestors(q, "v0") == {"v3", "v5"}
+        assert critical_ancestors(q, "v1") == {"v0", "v3", "v5"}
+        assert is_normal(q, "v0") and not is_normal(q, "v1")
+        rows = {row.vertex: row for row in analyze(q).vertices}
+        assert rows["v0"].normal and not rows["v1"].normal
+
+    def test_analyze_keeps_no_per_vertex_sets(self):
+        q = gen_random_quiver(6, 0.3, seed=43)
+        assert not is_monotonous(q)
+        analyze(q)
+        assert not any(
+            isinstance(key, tuple) and key[0] == "_critical_ancestors" for key in q._memo
+        )
 
 
 def recursive_short_evolutions(q, v):

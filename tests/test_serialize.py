@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -317,14 +320,80 @@ class TestForestExports:
         assert "2 -> 1;" in dot and "3 -> 1;" in dot
 
 
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())  # surrogates included
+    | st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfff\U0001f600'),
+    max_size=8,
+)
+JSON_SCALARS = (
+    JSON_TEXT
+    | st.integers()
+    | st.sampled_from([2**100, -2**100, True, False, None])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+JSON_KEYS = JSON_TEXT | st.integers() | st.booleans()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)
+        | st.dictionaries(JSON_KEYS, inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def outcome(render, obj):
+    """The text ``render`` writes for ``obj``, or its error type and text."""
+    try:
+        return render(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 class TestDeterminism:
     def test_dumps_is_stable(self):
         obj = {"b": [3, 1], "a": {"y": 2, "x": 1}}
         assert dumps(obj) == dumps(obj)
         assert dumps(obj).endswith("\n")
 
-    def test_fraction_strings(self):
-        from fractions import Fraction
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES)
+    def test_dumps_matches_json_dumps(self, obj):
+        assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
 
+    @pytest.mark.parametrize("obj", [
+        {1, 2},
+        Fraction(1, 3),
+        {"a": [1, {"b": {"c"}}]},
+        [None, Fraction(7, 2)],
+    ])
+    def test_dumps_raises_the_type_error_of_json(self, obj):
+        with pytest.raises(TypeError) as got:
+            dumps(obj)
+        with pytest.raises(TypeError) as want:
+            stdlib_dumps(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": 1, 2: "b"},
+        {2: "b", 10: [True]},
+        OrderedDict([("b", 1), ("a", 2)]),
+        [0.5, float("nan"), float("-inf")],
+    ])
+    def test_dumps_leaves_other_types_to_json(self, obj):
+        assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
+
+    def test_dumps_of_a_cycle_raises_as_json_does(self):
+        obj = {"a": []}
+        obj["a"].append(obj)
+        assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
+
+    def test_fraction_strings(self):
         assert fraction_str(Fraction(3, 2)) == "3/2"
         assert fraction_str(Fraction(4, 2)) == "2"
