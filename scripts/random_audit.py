@@ -86,10 +86,15 @@ def audit_round_trips(count, base):
         seq = gen.gen_random_esequence(2 + s % 5, 3 + s % 6, 0.4, seed=base + s,
                                        single_root=True, surjective=True)
         n = seq.top
-        rebuilt = pq.reconstruct(
-            pq.terminal_ultrametric(seq, n), pq.induce_prec(seq, n), n
-        )
+        space, prec = pq.terminal_ultrametric(seq, n), pq.induce_prec(seq, n)
+        rebuilt = pq.reconstruct(space, prec, n)
         assert pq.esequence_isomorphic(rebuilt, seq), s
+        # the terminal data come back exactly: points, rho pair by pair, prec
+        again = pq.terminal_ultrametric(rebuilt, n)
+        assert sorted(again.points) == sorted(space.points), s
+        assert all(again.distance(a, b) == space.distance(a, b)
+                   for a in space.points for b in space.points), s
+        assert pq.induce_prec(rebuilt, n).pairs == prec.pairs, s
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
 
 

@@ -8,7 +8,7 @@ some sink class, so heights are always finite.
 A full evolution for X starts at a primitive vertex and terminates at X; a
 short one has length h(X). X is phylogenetic when one of its full
 evolutions embeds, as an isotypy-subsequence, in every full evolution for
-X. On monotonous quivers (no edge drops height from tail to head) the
+X. On monotonous quivers (no edge climbs in height from tail to head) the
 exact criterion is: phylogenetic iff every pair of equal-height critical
 ancestors is isotypic. On non-monotonous quivers normality remains a
 sufficient condition, and anything beyond it is reported as undecided
@@ -121,7 +121,7 @@ def height(quiver: Quiver, v: str) -> int:
 
 @memo
 def is_monotonous(quiver: Quiver) -> bool:
-    """True when no edge decreases height from tail to head."""
+    """True when no edge climbs in height from tail to head: h(tail) >= h(head)."""
     h = _height_table(quiver)
     return all(h[tail] >= h[head] for tail, head in quiver.edges)
 

@@ -8,11 +8,14 @@ classes graded by height, parents read off universal evolutions, order
 induced by ancestry) is one, and every E-sequence is realized by a
 phylogenetic quiver.
 
-Reconstruction inverts the terminal data: with a single root and
-surjective parents, the levels are the balls of the terminal ultrametric
-rho (the split-depth metric on P_N) and the orders are recovered from the
-induced relation `prec` on P_N. Labels are globally unique across levels,
-which keeps parental maps flat in serialized form.
+Terminal data rest on one correspondence (hierarchies are ultrametrics,
+Johnson 1967): with one root and surjective parents, a label of level m
+names the ball of radius n - m of the split-depth ultrametric rho on P_n,
+the labels of P_n below it. `terminal_ultrametric` writes n + 1 - m below
+each pair of distinct siblings of level m and `induce_prec` relates the
+points below each ordered pair; `reconstruct` names every point's ball at
+every radius and reads parents and orders back off those names. Labels are
+globally unique across levels, which keeps parental maps flat in serialized form.
 
 Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
 the sorted codes of its connected parts, under a budget of adjacency entries
@@ -301,27 +304,33 @@ def _check_reconstruction_premises(seq: ESequence, n: int) -> None:
             raise InputError(f"parental map into level {m - 1} is not surjective")
 
 
-def _split_depth(seq: ESequence, a: str, b: str) -> int:
-    """Minimal k >= 0 with p^k(a) = p^k(b); both arguments share a level."""
-    k = 0
-    while a != b:
-        a, b = seq.parent[a], seq.parent[b]
-        k += 1
-    return k
+def _below(seq: ESequence, n: int) -> dict[str, list[int]]:
+    """Positions in level ``n`` below each label of levels 0..n, in one pass
+    up the parent map; surjective parents leave no label without one."""
+    below = {x: [i] for i, x in enumerate(seq.levels[n])}
+    for level in reversed(seq.levels[1:n + 1]):
+        for x in level:
+            below.setdefault(seq.parent[x], []).extend(below[x])
+    return below
 
 
 def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     """The ultrametric rho on level ``n``: rho(a, b) = minimal k with
-    p^k(a) = p^k(b). Equals half the forest path distance. It is an
-    ultrametric by construction and is not checked again: with one root
-    every pair meets, and at k = max(rho(a, c), rho(b, c)) both a and b
-    meet c, so p^k(a) = p^k(b)."""
+    p^k(a) = p^k(b). Equals half the forest path distance. Distinct
+    siblings x, y of level m split the pairs below them at k = n + 1 - m,
+    and each pair lies below exactly one such x, y, so each entry is
+    written once. It is an ultrametric by construction and is not checked
+    again: with one root every pair meets, and at k = max(rho(a, c),
+    rho(b, c)) both a and b meet c, so p^k(a) = p^k(b)."""
     _check_reconstruction_premises(seq, n)
+    below = _below(seq, n)
     points = seq.levels[n]
     depths = [[0] * len(points) for _ in points]
-    for i, a in enumerate(points):
-        for j in range(i + 1, len(points)):
-            depths[i][j] = depths[j][i] = _split_depth(seq, a, points[j])
+    for m in range(1, n + 1):
+        for p in seq.levels[m - 1]:
+            for x, y in permutations(seq.children(p), 2):
+                for i, j in product(below[x], below[y]):
+                    depths[i][j] = n + 1 - m
     return FiniteMetricSpace._from_ints(points, 1, depths, True)
 
 
@@ -341,20 +350,16 @@ class PrecRelation:
 
 def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     """The relation on level ``n`` induced by the level orders: a prec b
-    when a != b and p^(k-1)(a) < p^(k-1)(b) at the split depth k."""
+    when a != b and p^(k-1)(a) < p^(k-1)(b) at the split depth k. Comparable
+    labels share a parent, so that is: a below x and b below y for some
+    x < y of the closed order at a level up to ``n``."""
     _check_reconstruction_premises(seq, n)
-    order = seq.closed_order()
-    points = seq.levels[n]
-    pairs: set[tuple[str, str]] = set()
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            k = _split_depth(seq, a, b)
-            x, y = seq.parent_iter(a, k - 1), seq.parent_iter(b, k - 1)
-            if (x, y) in order:
-                pairs.add((a, b))
-            if (y, x) in order:
-                pairs.add((b, a))
-    return PrecRelation(frozenset(pairs))
+    below, points, lv = _below(seq, n), seq.levels[n], seq.level_of
+    return PrecRelation(frozenset(
+        (points[i], points[j])
+        for x, y in seq.closed_order() if lv[x] <= n
+        for i in below[x] for j in below[y]
+    ))
 
 
 def validate_prec(
@@ -440,38 +445,23 @@ def reconstruct(
     if violations:
         raise InputError("prec relation is not lawful: " + "; ".join(violations))
 
-    blocks_by_level = [balls(space, Fraction(n - s)) for s in range(n + 1)]
-
-    def label(s: int, block: tuple[str, ...]) -> str:
-        return block[0] if s == n else f"{s}:{block[0]}"
-
+    blocks = [balls(space, Fraction(n - s)) for s in range(n + 1)]
     levels = tuple(
-        tuple(label(s, blk) for blk in blocks_by_level[s]) for s in range(n + 1)
+        tuple(blk[0] if s == n else f"{s}:{blk[0]}" for blk in blocks[s])
+        for s in range(n + 1)
     )
     flat = [x for level in levels for x in level]
     if len(set(flat)) != len(flat):
         raise InputError("point labels collide with generated ball labels")
-
-    parent: dict[str, str] = {}
-    for s in range(1, n + 1):
-        for blk in blocks_by_level[s]:
-            up = next(up for up in blocks_by_level[s - 1] if blk[0] in up)
-            parent[label(s, blk)] = label(s - 1, up)
-
-    order: set[tuple[str, str]] = set()
+    owner = [{a: x for x, blk in zip(level, blks) for a in blk}  # owner[s][a]: a's ball
+             for level, blks in zip(levels, blocks)]
+    parent = {x: owner[s - 1][blk[0]]
+              for s in range(1, n + 1) for x, blk in zip(levels[s], blocks[s])}
     index = space._index
-    for s in range(1, n + 1):
-        unit = (n - s + 1) * scale  # distance r + 1 for r = n - s
-        for blk in blocks_by_level[s]:
-            for other in blocks_by_level[s]:
-                if blk == other:
-                    continue
-                if any(
-                    (a, b) in prec.pairs and ints[index[a]][index[b]] == unit
-                    for a in blk
-                    for b in other
-                ):
-                    order.add((label(s, blk), label(s, other)))
+    order: set[tuple[str, str]] = set()
+    for a, b in prec.pairs:  # rho(a, b) = k: distinct balls at level n + 1 - k
+        s = n + 1 - ints[index[a]][index[b]] // scale
+        order.add((owner[s][a], owner[s][b]))
     return ESequence(levels, parent, frozenset(order))
 
 

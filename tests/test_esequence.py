@@ -298,6 +298,59 @@ class TestTerminalUltrametric:
             terminal_ultrametric(seq, 2)
 
 
+def _deep_shapes(levels=300, width=40):
+    """Two single-root sequences ``levels`` deep: ``width`` chains fanning
+    out of the root, and ``width`` leaves fanning out under one chain, each
+    fan with disjoint ordered pairs."""
+    fan = [[f"c{j}x{m}" for j in range(width)] for m in range(1, levels)]
+    root_fan = ESequence.build(
+        [["r"]] + fan,
+        {x: fan[m - 1][j] if m else "r"
+         for m, level in enumerate(fan) for j, x in enumerate(level)},
+        [(fan[0][j], fan[0][j + 1]) for j in range(0, width - 1, 2)],
+    )
+    stem = [f"k{m}" for m in range(levels - 1)]
+    leaves = [f"leaf{j}" for j in range(width)]
+    leaf_fan = ESequence.build(
+        [[x] for x in stem] + [leaves],
+        {**dict(zip(stem[1:], stem)), **dict.fromkeys(leaves, stem[-1])},
+        [(leaves[j], leaves[j + 1]) for j in range(0, width - 1, 2)],
+    )
+    return root_fan, leaf_fan
+
+
+def _terminal_cases():
+    """(seq, n) for every level n of 240 random single-root surjective
+    sequences, order pairs above n included, then the deep shapes at half
+    depth and at the top."""
+    params = [(1 + s % 5, 5, 0.4, s) for s in range(40)]
+    params += [(1 + s % 6, 1 + s % 7, 0.1 * (s % 6), s) for s in range(40, 240)]
+    for levels, width, density, s in params:
+        seq = gen_random_esequence(levels, width, density, seed=s,
+                                   single_root=True, surjective=True)
+        for n in range(seq.top + 1):
+            yield seq, n
+    for seq in _deep_shapes():
+        yield seq, seq.top // 2
+        yield seq, seq.top
+
+
+def terminal_data_by_walks(seq, n):
+    """rho and prec on level n read off their definitions: the split depth
+    k of a and b by walking both parent chains, and a prec b when a != b
+    and p^(k-1)(a) < p^(k-1)(b) in the closed order."""
+    order = seq.closed_order()
+    rho, prec = {}, set()
+    for a, b in itertools.product(seq.levels[n], repeat=2):
+        x, y, k = a, b, 0
+        while x != y:
+            x, y, k = seq.parent[x], seq.parent[y], k + 1
+        rho[a, b] = k
+        if k and (seq.parent_iter(a, k - 1), seq.parent_iter(b, k - 1)) in order:
+            prec.add((a, b))
+    return rho, frozenset(prec)
+
+
 class TestPrec:
     def test_empty_orders_give_empty_prec(self):
         seq = ESequence.build(
@@ -320,6 +373,16 @@ class TestPrec:
             for a, b in prec.pairs:
                 assert (b, a) not in prec.pairs
             assert validate_prec(terminal_ultrametric(seq, n), prec, n) == []
+
+    def test_matches_parent_walk_reference(self):
+        above = 0  # cases with order pairs above the terminal level
+        for seq, n in _terminal_cases():
+            rho, prec = terminal_data_by_walks(seq, n)
+            space = terminal_ultrametric(seq, n)
+            assert {ab: space.distance(*ab) for ab in rho} == rho, n
+            assert induce_prec(seq, n).pairs == prec, n
+            above += any(seq.level_of[x] > n for x, _ in seq.order)
+        assert above > 100
 
     def test_validate_prec_counterexamples(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
@@ -429,15 +492,18 @@ class TestReconstruction:
             reconstruct(sp, PrecRelation.build([("a1", "b1")]), 2)
 
     def test_random_round_trips(self):
-        for s in range(40):
-            seq = gen_random_esequence(
-                1 + s % 5, 5, 0.4, seed=s, single_root=True, surjective=True
-            )
-            n = seq.top
-            rebuilt = reconstruct(
-                terminal_ultrametric(seq, n), induce_prec(seq, n), n
-            )
-            assert esequence_isomorphic(rebuilt, seq)
+        # the level-n terminal data come back exactly, and at the top level
+        # the sequence itself up to isomorphism
+        for seq, n in _terminal_cases():
+            space, prec = terminal_ultrametric(seq, n), induce_prec(seq, n)
+            rebuilt = reconstruct(space, prec, n)
+            again = terminal_ultrametric(rebuilt, n)
+            assert sorted(again.points) == sorted(space.points)
+            assert all(again.distance(a, b) == space.distance(a, b)
+                       for a in space.points for b in space.points)
+            assert induce_prec(rebuilt, n).pairs == prec.pairs
+            if n == seq.top:
+                assert esequence_isomorphic(rebuilt, seq)
 
 
 def _relabeled(seq, rng):
