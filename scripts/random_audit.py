@@ -4,14 +4,15 @@
 Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
                                       [--seed-base S] [--max-n N]
 
-Reruns the heavy cross-checks (normality oracle agreement, universal
-evolutions against the least short full evolution, self-exclusive
-normality against each vertex's critical ancestors, realization and
-reconstruction round trips, E-sequence isomorphism against relabelled
-copies and a brute-force search, tower laws, every tower quotient
-re-validated, underline_d and is_trim against their Fraction definitions,
-clade reports against the built clade, clade formulas) on as many fresh
-seeds as asked and prints a one-line verdict per family.
+Reruns the heavy cross-checks (normality oracle agreement, short full
+evolutions in strictly increasing order, universal evolutions against the
+first of them, self-exclusive normality against each vertex's critical
+ancestors, realization and reconstruction round trips, E-sequence
+isomorphism against relabelled copies and a brute-force search, tower
+laws, every tower quotient re-validated, underline_d and is_trim against
+their Fraction definitions, clade reports against the built clade, clade
+formulas) on as many fresh seeds as asked and prints a one-line verdict
+per family.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ def audit_universal(count, base, max_n):
         make = gen.gen_random_monotonous if s % 2 else gen.gen_random_quiver
         q = make(2 + s % (max_n - 1), 0.15 + 0.05 * (s % 8), seed=base + s)
         for v in q.vertices:
+            evos = list(pq.short_full_evolutions(q, v))
+            assert all(a.vertices < b.vertices for a, b in zip(evos, evos[1:])), (s, v)
             if pq.phylogenetic_status(q, v):
-                least = min(pq.short_full_evolutions(q, v), key=lambda e: e.vertices)
-                assert pq.universal_evolution(q, v) == least, (s, v)
+                assert pq.universal_evolution(q, v) == evos[0], (s, v)
                 checked += 1
     print(f"universal evolutions      ok on {checked} vertices")
 

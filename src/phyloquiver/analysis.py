@@ -16,8 +16,9 @@ rather than guessed; :func:`verify_universal_bounded` offers an exact
 check against all full evolutions up to a length bound.
 
 Normality is decided for every vertex at once, in one pass over the
-condensation (:func:`_normal_tables`), and :func:`universal_evolution` is a
-polynomial layered dynamic program rather than a search over evolutions.
+condensation (:func:`_normal_tables`), and :func:`universal_evolution` takes
+the first item of a least-first walk over the short full evolutions, which
+never backtracks, rather than searching all of them.
 
 That pass judges, per isotypy class C, the set S_C of critical heads over
 C's ancestor reach. A vertex ``v`` of C has critical ancestors S_C minus
@@ -300,36 +301,38 @@ def embeds_in(quiver: Quiver, alpha: Evolution, beta: Evolution) -> bool:
 
 
 def short_full_evolutions(quiver: Quiver, v: str) -> Iterator[Evolution]:
-    """All full evolutions for ``v`` of minimal length h(v).
+    """All full evolutions for ``v`` of minimal length h(v), least first.
 
     These are exactly the reversed shortest paths from ``v`` to the
-    primitive vertices; along each, heights descend by one per step.
-    Parallel edges do not multiply the stream: one evolution is produced
-    per vertex sequence. The paths come depth first, each vertex trying
-    its parents in sorted order, with an explicit stack.
+    primitive vertices; along each, heights descend by one per step. The
+    cone of ``v``, the vertices it reaches that way grouped by height, is
+    built first. A depth-first walk then climbs from the cone's primitives,
+    each step trying the children one height up in the cone. Every cone
+    vertex lies on a descending path from ``v``, so the walk never enters a
+    dead end. Candidates are tried in sorted order, so the ancestor-first
+    vertex sequences come out in lexicographic order. Parallel edges do not
+    multiply the stream: one evolution is produced per vertex sequence.
     """
     quiver.check_vertex(v)
     h = _height_table(quiver)
-    out, _ = _adjacency(quiver)
-    if h[v] == 0:
-        yield validate_evolution(quiver, (v,))
-        return
-    path = [v]
-    stack = [iter(out[v])]  # stack[i] walks the parents of path[i]
+    out, inn = _adjacency(quiver)
+    cone = [{v}]
+    for k in range(h[v], 0, -1):
+        cone.append({w for u in cone[-1] for w in out[u] if h[w] == k - 1})
+    cone.reverse()  # cone[k] holds the reached vertices of height k
+    path: list[str] = []
+    stack = [iter(sorted(cone[0]))]  # stack[k] walks the candidates for path[k]
     while stack:
-        for w in stack[-1]:
-            if h[w] == h[path[-1]] - 1:
-                break
-        else:
+        u = next(stack[-1], None)
+        if u is None:
             stack.pop()
-            path.pop()
-            continue
-        path.append(w)
-        if h[w] == 0:
-            yield validate_evolution(quiver, reversed(path))
-            path.pop()
+            if path:
+                path.pop()
+        elif u == v:
+            yield validate_evolution(quiver, [*path, v])
         else:
-            stack.append(iter(out[w]))
+            stack.append(filter(cone[len(path) + 1].__contains__, inn[u]))
+            path.append(u)
 
 
 def phylogenetic_status(quiver: Quiver, v: str) -> bool | None:
@@ -362,43 +365,13 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
     phylogenetic.
 
     Every short full evolution of a phylogenetic vertex is universal; the
-    lexicographically least vertex sequence is returned so the choice is
+    lexicographically least vertex sequence, the first one
+    :func:`short_full_evolutions` yields, is returned so the choice is
     deterministic.
     """
     if not is_phylogenetic_vertex(quiver, v):
         return None
-    return _least_short_evolution(quiver, v)
-
-
-def _least_short_evolution(quiver: Quiver, v: str) -> Evolution:
-    """The short full evolution for ``v`` with the least vertex sequence.
-
-    The short evolutions live on the vertices reached from ``v`` along
-    height-decreasing edges, and all have length h(v). So the least one
-    ending at u is the least one ending at some lower parent of u, followed
-    by u. Each height layer, from 0 up, is ranked by (rank of the best
-    parent, vertex id); the answer follows the best parents down from ``v``.
-    """
-    h = _height_table(quiver)
-    out, _ = _adjacency(quiver)
-    lower: dict[str, list[str]] = {}
-    layers = [[v]]  # layers[k] holds the reached vertices of height h(v) - k
-    for _ in range(h[v]):
-        for u in layers[-1]:
-            lower[u] = [w for w in out[u] if h[w] == h[u] - 1]
-        layers.append(list({w for u in layers[-1] for w in lower[u]}))
-    rank: dict[str, int] = {}
-    best: dict[str, str] = {}
-    for layer in reversed(layers):
-        for u in layer:
-            if u in lower:
-                best[u] = min(lower[u], key=rank.__getitem__)
-        layer.sort(key=lambda u: (rank[best[u]], u) if u in best else (0, u))
-        rank.update((u, i) for i, u in enumerate(layer))
-    path = [v]
-    while path[-1] in best:
-        path.append(best[path[-1]])
-    return validate_evolution(quiver, reversed(path))
+    return next(short_full_evolutions(quiver, v))
 
 
 def verify_universal_bounded(

@@ -352,12 +352,13 @@ def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     """The relation on level ``n`` induced by the level orders: a prec b
     when a != b and p^(k-1)(a) < p^(k-1)(b) at the split depth k. Comparable
     labels share a parent, so that is: a below x and b below y for some
-    x < y of the closed order at a level up to ``n``."""
+    x < y of the order at a level up to ``n``. The premises check has
+    found that order transitive, so it is its own closure."""
     _check_reconstruction_premises(seq, n)
     below, points, lv = _below(seq, n), seq.levels[n], seq.level_of
     return PrecRelation(frozenset(
         (points[i], points[j])
-        for x, y in seq.closed_order() if lv[x] <= n
+        for x, y in seq.order if lv[x] <= n
         for i in below[x] for j in below[y]
     ))
 

@@ -131,65 +131,87 @@ def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
     return Quiver.build(vertices, edges, labels)
 
 
-_DOT_EDGE = re.compile(
-    r'("(?:[^"\\]|\\.)*"|[\w.]+)\s*->\s*("(?:[^"\\]|\\.)*"|[\w.]+)'
+# A blank or comment, a quoted id, a bare id, or one other character.
+_DOT_TOKEN = re.compile(
+    r'\s+|//[^\n]*|#[^\n]*|/\*.*?\*/|"((?:[^"\\]|\\.)*)"|([\w.]+)|(->|.)', re.S
 )
-_DOT_NODE = re.compile(r'^\s*("(?:[^"\\]|\\.)*"|[\w.]+)\s*(\[[^\]]*\])?\s*;?\s*$')
-
-
-def _dot_name(token: str) -> str:
-    if token.startswith('"'):
-        return token[1:-1].replace('\\"', '"')
-    return token
+# Quoted ids escape " and \ with a backslash; a backslash-newline joins lines.
+_DOT_UNESCAPE = re.compile(r'\\(?:(["\\])|\n)')
+_DOT_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
+_DOT_KEYWORDS = frozenset(("digraph", "edge", "graph", "node", "strict", "subgraph"))
 
 
 def quiver_from_dot(text: str, source: str = "<input>") -> Quiver:
     """Read a DOT digraph; every ``a -> b`` is an edge with tail a, head b.
-    Attributes are ignored. Chains ``a -> b -> c`` contribute each hop."""
-    if "digraph" not in text:
+
+    Chains ``a -> b -> c`` contribute each hop, and subgraph bodies are
+    read like the top level. Attribute lists and ``id = id`` assignments
+    are skipped; ``--``, ports ``a:p`` and edges to ``{...}`` groups are
+    refused.
+    """
+    toks = []  # (kind, text): kind "id", a lower-cased keyword or punctuation
+    for quoted, bare, punct in (m.groups() for m in _DOT_TOKEN.finditer(text)):
+        if quoted is not None:
+            toks.append(("id", _DOT_UNESCAPE.sub(r"\1", quoted)))
+        elif bare is not None:
+            toks.append((bare.lower() if bare.lower() in _DOT_KEYWORDS else "id", bare))
+        elif punct is not None:
+            toks.append((punct, punct))
+    toks.append(("", ""))  # the end of the text
+    i = 1 if toks[0][0] == "strict" else 0
+    if toks[i][0] != "digraph":
         raise InputError(f"{source}: expected a DOT digraph")
-    body_match = re.search(r"\{(.*)\}", text, re.S)
-    if not body_match:
-        raise InputError(f"{source}: no digraph body found")
-    vertices: list[str] = []
-    seen: set[str] = set()
+    i += 2 if toks[i + 1][0] == "id" else 1
+
+    def take(kind: str) -> str:
+        nonlocal i
+        if toks[i][0] != kind:
+            what = repr(toks[i][1]) if toks[i][0] else "end of input"
+            raise InputError(f"{source}: unexpected {what} in DOT digraph")
+        i += 1
+        return toks[i - 1][1]
+
+    vertices: dict[str, None] = {}
     edges: list[tuple[str, str]] = []
-
-    def note(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
-    for raw_line in body_match.group(1).splitlines():
-        line = raw_line.split("//")[0].strip()
-        if not line or line.startswith(("graph", "node", "edge", "#")):
-            continue
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            if "->" in stmt:
-                tokens = re.split(r"->", re.sub(r"\[[^\]]*\]", "", stmt))
-                names = [_dot_name(t.strip()) for t in tokens]
-                if any(not name for name in names):
-                    raise InputError(f"{source}: malformed edge statement {stmt!r}")
-                for a, b in zip(names, names[1:]):
-                    note(a)
-                    note(b)
-                    edges.append((a, b))
-            else:
-                m = _DOT_NODE.match(stmt)
-                if m:
-                    note(_dot_name(m.group(1)))
+    take("{")
+    depth = 1
+    while depth:
+        kind = toks[i][0]
+        if kind in (";", "{", "}"):
+            i += 1
+            depth += {";": 0, "{": 1, "}": -1}[kind]
+        elif kind == "[":  # an attribute list
+            while toks[i][0] not in ("]", ""):
+                i += 1
+            take("]")
+        elif kind in ("graph", "node", "edge") and toks[i + 1][0] == "[":
+            i += 1
+        elif kind == "subgraph":
+            i += 2 if toks[i + 1][0] == "id" else 1
+            take("{")
+            depth += 1
+        elif kind == "id" and toks[i + 1][0] == "=":
+            i += 2
+            take("id")
+        else:
+            tail = take("id")
+            vertices[tail] = None
+            while toks[i][0] == "->":
+                i += 1
+                head = take("id")
+                vertices[head] = None
+                edges.append((tail, head))
+                tail = head
+    take("")
     if not vertices:
         raise InputError(f"{source}: digraph declares no vertices")
     return Quiver.build(vertices, edges)
 
 
 def _dot_quote(name: str) -> str:
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|\d+", name):
+    if _DOT_BARE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
         return name
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def quiver_to_dot(quiver: Quiver) -> str:

@@ -47,6 +47,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["quiver"]["isotypy_class_count"] == 2
 
+    def test_unreadable_dot_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "q.dot"
+        path.write_text("digraph { a:p -> b; }")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: unexpected ':' in DOT digraph\n"
+
     def test_byte_identical_reruns(self, capsys, g3_file):
         _, first, _ = run(capsys, "analyze", g3_file)
         _, second, _ = run(capsys, "analyze", g3_file)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from phyloquiver import (
     ESequence,
     InputError,
+    Quiver,
     build_forest,
     evolutionary_sequence,
     to_fraction,
@@ -126,6 +127,55 @@ class TestQuiverDot:
     def test_rejects_non_digraph(self):
         with pytest.raises(InputError, match="digraph"):
             quiver_from_dot("graph { a -- b; }")
+
+    @pytest.mark.parametrize("body, vertices, edges", [
+        ('a -> b [label="x;y"]', ("a", "b"), (("a", "b"),)),
+        ('a -> b [URL="http://x"]', ("a", "b"), (("a", "b"),)),
+        ('a [label="u;v"]; b;', ("a", "b"), ()),
+        ("/* a -> b */ c;", ("c",), ()),
+        ("a -> b c -> d", ("a", "b", "c", "d"), (("a", "b"), ("c", "d"))),
+        ("subgraph s { a -> b; }", ("a", "b"), (("a", "b"),)),
+        ("{ a b } c", ("a", "b", "c"), ()),
+        ("rankdir = LR; edge [color=red]\n# note\na -> b // c\n", ("a", "b"), (("a", "b"),)),
+        (r'"a \"q\" \\" -> "x;y"', ('a "q" \\', "x;y"), (('a "q" \\', "x;y"),)),
+        ('"long\\\nname"', ("longname",), ()),
+    ])
+    def test_quotes_comments_and_subgraphs(self, body, vertices, edges):
+        q = quiver_from_dot(f"strict digraph G {{ {body} }}")
+        assert (q.vertices, q.edges) == (vertices, edges)
+
+    @pytest.mark.parametrize("text", [
+        "digraph { a -- b; }",
+        "digraph { a:p -> b; }",
+        "digraph { a -> { b c }; }",
+        "digraph { { a b } -> c; }",
+        "digraph { a -> subgraph s { b }; }",
+        "digraph { node; a; }",
+        "digraph { a -> b; ",
+        "digraph { a [label=x; }",
+        'digraph { "a; }',
+        "digraph { /* a; }",
+        "digraph { a; } b",
+        "digraph { }",
+    ])
+    def test_refuses_what_it_cannot_read(self, text):
+        with pytest.raises(InputError):
+            quiver_from_dot(text)
+
+    @pytest.mark.parametrize("ids", [
+        ["x;y", "b"], ["a->b", "c"], ["p//q"], ["x;y"], ["s\\"], ['say "hi"'],
+        ["{", "}", "a b", "/* c */", "#d", "\u00fcber", "\u0663", "a.b", "007", ""],
+        ["node"], ["graph"], ["Node", "EDGE", "diGraph", "SubGraph", "STRICT"],
+    ])
+    def test_awkward_ids_round_trip(self, ids):
+        q = Quiver.build(ids, [(ids[0], ids[-1])])
+        assert quiver_from_dot(quiver_to_dot(q)) == q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+    def test_any_ids_round_trip(self, ids):
+        q = Quiver.build(ids, list(zip(ids, ids[1:])))
+        assert quiver_from_dot(quiver_to_dot(q)) == q
 
 
 class TestESequenceJson:
