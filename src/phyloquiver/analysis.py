@@ -16,20 +16,24 @@ rather than guessed; :func:`verify_universal_bounded` offers an exact
 check against all full evolutions up to a length bound.
 
 Normality is decided for every vertex at once, in one pass over the
-condensation (:func:`_normal_tables`), and :func:`universal_evolution` takes
+condensation (:func:`_normality`), and :func:`universal_evolution` takes
 the first item of a least-first walk over the short full evolutions, which
 never backtracks, rather than searching all of them.
 
 That pass judges, per isotypy class C, the set S_C of critical heads over
-C's ancestor reach. A vertex ``v`` of C has critical ancestors S_C minus
+C's ancestor reach: C's own critical heads united with its parent classes'
+sets, the closure :func:`~phyloquiver.quiver._class_reach` takes over the
+class DAG. S_C is kept as two int bitsets, one bit per (height, class)
+slot of its heads and one per height, and C is normal exactly when both
+hold as many bits. A vertex ``v`` of C has critical ancestors S_C minus
 ``v``, which differ from S_C only when ``v`` is a critical head itself.
 That takes an edge inside C whose tail lies one height above ``v``, which
 a monotonous quiver cannot hold: its cycles stay at one height. Leaving
-``v`` out touches only C's part of the group at height h(v), so ``v`` of
-an abnormal class C is normal exactly when h(v) is the one height at which
-S_C holds two classes, they are C and one other, and ``v`` is C's only
-member in S_C there. :func:`_rescued` applies that rule once per class,
-so no vertex needs its own critical-ancestor set.
+``v`` out touches only C's slot at height h(v), so ``v`` of an abnormal
+class C is normal exactly when S_C holds one slot more than heights, the
+height holding two slots is h(v), and ``v`` is C's only member in S_C
+there. A class with an abnormal parent inherits that parent's clash, which
+involves no slot of C, and so rescues no member by the same rule.
 """
 
 from __future__ import annotations
@@ -186,96 +190,62 @@ def _critical_heads(quiver: Quiver) -> tuple[tuple[str, ...], ...]:
 
 
 @memo
-def _normal_tables(quiver: Quiver) -> tuple[bool, ...]:
-    """Self-inclusive normality of every isotypy class, indexed by class id.
-
-    One pass over the condensation, ancestor classes first. Each class
-    carries a map from height to the class of its critical ancestors at
-    that height: the union of its parent classes' maps and of its own critical
-    edges. A height claimed by two classes makes the class abnormal, and
-    with it every class below, which then carries no map. The largest
-    parent map is copied (or taken over by its last consumer) and the
-    others are merged into it; a map is dropped once its last consumer has
-    read it.
+def _normality(quiver: Quiver) -> tuple[tuple[bool, ...], tuple[str | None, ...]]:
+    """Per class id, self-inclusive normality and the rescued member or
+    None, by the slot rule of the module docstring in one pass over the
+    class order, parents first. A class's pair of bitsets is dropped once
+    its last child class has read it, so a k-chain keeps O(k) bits live.
     """
     cond = condense(quiver)
-    ci = cond.class_index
-    h = _height_table(quiver)
-    k = len(cond.classes)
-    consumers = [0] * k
+    ci, h, heads = cond.class_index, _height_table(quiver), _critical_heads(quiver)
+    slot_ids: dict[tuple[int, int], int] = {}
+    at_height: dict[int, list[int]] = {}
+    readers = [0] * len(cond.classes)
     for parents in cond.parents:
-        for b in parents:
-            consumers[b] += 1
-    own = [[(h[x], ci[x]) for x in heads] for heads in _critical_heads(quiver)]
-    maps: list[dict[int, int] | None] = [None] * k
-    normal = [False] * k
+        for p in parents:
+            readers[p] += 1
+    pairs: list[tuple[int, int] | None] = [None] * len(cond.classes)
+    normal = [False] * len(cond.classes)
+    rescued: list[str | None] = [None] * len(cond.classes)
     for c in cond.order:
-        parents = cond.parents[c]
-        table: dict[int, int] | None = None
-        if all(normal[s] for s in parents):
-            largest = max(parents, key=lambda s: len(maps[s]), default=None)
-            if largest is None:
-                table = {}
-            elif consumers[largest] == 1:
-                table = maps[largest]
-            else:
-                table = dict(maps[largest])
-            merged = [p for s in parents if s != largest for p in maps[s].items()]
-            for height_, cls in merged + own[c]:
-                if table.setdefault(height_, cls) != cls:
-                    table = None
-                    break
-        for s in parents:
-            consumers[s] -= 1
-            if not consumers[s]:
-                maps[s] = None
-        maps[c] = table
-        normal[c] = table is not None
-    return tuple(normal)
-
-
-@memo
-def _rescued(quiver: Quiver) -> tuple[str | None, ...]:
-    """Per class id, the one member of an abnormal class that is normal
-    once it is left out of its own critical ancestors, or None; the rule
-    and why it is exact are in the module docstring.
-
-    Two kinds of class cannot qualify and are skipped before S_C is built:
-    a class with an abnormal parent keeps that parent's conflict, whose
-    classes lie in the parent's reach and so are never C; and a class with
-    no critical head inside itself has no member in S_C.
-    """
-    cond = condense(quiver)
-    normal, heads = _normal_tables(quiver), _critical_heads(quiver)
-    h, ci = _height_table(quiver), cond.class_index
-    out: list[str | None] = [None] * len(cond.classes)
-    for c, members in enumerate(cond.classes):
-        if (normal[c] or not all(normal[p] for p in cond.parents[c])
-                or all(ci[x] != c for x in heads[c])):
-            continue
-        groups: dict[int, set[int]] = {}
-        for j in _reached_classes(quiver, 0, members[0]):
-            for x in heads[j]:
-                groups.setdefault(h[x], set()).add(ci[x])
-        clashes = [y for y, classes in groups.items() if len(classes) > 1]
-        if len(clashes) != 1 or len(groups[clashes[0]]) != 2:
-            continue
-        mine = [x for x in heads[c] if ci[x] == c and h[x] == clashes[0]]
-        if len(mine) == 1:
-            out[c] = mine[0]
-    return tuple(out)
+        slots = levels = 0
+        for p in cond.parents[c]:
+            slots |= pairs[p][0]
+            levels |= pairs[p][1]
+            readers[p] -= 1
+            if not readers[p]:
+                pairs[p] = None
+        for x in heads[c]:
+            slot = (h[x], ci[x])
+            if slot not in slot_ids:
+                slot_ids[slot] = len(slot_ids)
+                at_height.setdefault(h[x], []).append(slot_ids[slot])
+            slots |= 1 << slot_ids[slot]
+            levels |= 1 << h[x]
+        pairs[c] = slots, levels
+        extra = slots.bit_count() - levels.bit_count()
+        normal[c] = not extra
+        if extra == 1:
+            mine = [x for x in heads[c] if ci[x] == c and sum(
+                slots >> i & 1 for i in at_height[h[x]]) == 2]
+            if len(mine) == 1:
+                rescued[c] = mine[0]
+    return tuple(normal), tuple(rescued)
 
 
 def is_normal(quiver: Quiver, v: str) -> bool:
     """True when the critical ancestors of ``v``, grouped by height, are
     pairwise isotypic within each group.
 
-    Decided per isotypy class: the class's self-inclusive verdict, or, off
-    monotonous quivers, the one member :func:`_rescued` finds normal once
-    it no longer counts as its own critical ancestor.
+    Decided per isotypy class C from S_C, the critical heads over C's
+    ancestor reach: C is normal when S_C holds as many (height, class)
+    slots as heights. Otherwise ``v`` is normal only off monotonous
+    quivers, as the one member of C that S_C holds at the single height
+    with two slots, so that leaving ``v`` out ends the clash.
     """
+    normal, rescued = _normality(quiver)
     c = condense(quiver).class_of(v)
-    return _normal_tables(quiver)[c] or _rescued(quiver)[c] == v
+    return normal[c] or rescued[c] == v
 
 
 def _normal_self_inclusive(quiver: Quiver, v: str) -> bool:
@@ -283,7 +253,7 @@ def _normal_self_inclusive(quiver: Quiver, v: str) -> bool:
     # count as its own critical ancestor through a cycle). This is the
     # hypothesis the normal-implies-phylogenetic argument actually needs on
     # non-monotonous quivers; on monotonous ones the two notions coincide.
-    return _normal_tables(quiver)[condense(quiver).class_of(v)]
+    return _normality(quiver)[0][condense(quiver).class_of(v)]
 
 
 def embeds_in(quiver: Quiver, alpha: Evolution, beta: Evolution) -> bool:
@@ -444,14 +414,14 @@ def phylogenetic_core(quiver: Quiver) -> Quiver:
     ancestor-closed and itself a phylogenetic quiver."""
     if not is_monotonous(quiver):
         raise InputError("phylogenetic core requires a monotonous quiver")
-    normal, ci = _normal_tables(quiver), condense(quiver).class_index
+    normal, ci = _normality(quiver)[0], condense(quiver).class_index
     keep = [v for v in quiver.vertices if normal[ci[v]]]
     return induced_subquiver(quiver, keep)
 
 
 def is_phylogenetic_quiver(quiver: Quiver) -> bool:
     """Monotonous and every vertex normal (heights are finite for free)."""
-    return is_monotonous(quiver) and all(_normal_tables(quiver))
+    return is_monotonous(quiver) and all(_normality(quiver)[0])
 
 
 def analyze(quiver: Quiver) -> AnalysisReport:
@@ -459,7 +429,7 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     h = _height_table(quiver)
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
-    normal, rescued = _normal_tables(quiver), _rescued(quiver)
+    normal, rescued = _normality(quiver)
     monotonous = is_monotonous(quiver)
     rows = []
     for v in quiver.vertices:

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -39,7 +40,7 @@ from phyloquiver import (
     validate_evolution,
     verify_universal_bounded,
 )
-from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
+from phyloquiver.analysis import _critical_ancestors, _critical_heads, _normal_self_inclusive
 from phyloquiver.generators import (
     gen_abnormal,
     gen_g3,
@@ -561,12 +562,14 @@ def normality_sweep():
     yield from (gen_g3(), gen_abnormal(), gen_nonmonotonous())
 
 
-def brute_critical_ancestors(q, v, include_self):
-    reach, h = brute_reach(q)[v], brute_heights(q)
-    return frozenset(
+def brute_critical_ancestors(q, include_self):
+    """Per vertex, its critical ancestors by definition, from brute reach
+    and heights; ``include_self`` keeps a vertex that is its own."""
+    reach, h = brute_reach(q), brute_heights(q)
+    return {v: frozenset(
         head for tail, head in q.edges
-        if tail in reach and h[tail] == h[head] + 1 and (include_self or head != v)
-    )
+        if tail in reach[v] and h[tail] == h[head] + 1 and (include_self or head != v)
+    ) for v in q.vertices}
 
 
 def _grouped_isotypic(cond, h, vertices):
@@ -603,6 +606,11 @@ def nonmonotonous_sweep():
         q = dense_draw(rng, n, rng.randrange(n, 3 * n))
         if not is_monotonous(q):
             yield q
+    for _ in range(20):  # shaped like the benchmark's dense draws: E = 2.5 V
+        n = rng.randrange(40, 61)
+        q = dense_draw(rng, n, 5 * n // 2)
+        if not is_monotonous(q):
+            yield q
 
 
 class TestOnePassNormality:
@@ -610,13 +618,14 @@ class TestOnePassNormality:
         self_dependent = 0
         for q in normality_sweep():
             cond, h = condense(q), heights(q)
+            exclusive, inclusive = (brute_critical_ancestors(q, False),
+                                    brute_critical_ancestors(q, True))
             for v in q.vertices:
                 crit = _critical_ancestors(q, v)
-                assert crit == brute_critical_ancestors(q, v, False)
+                assert crit == exclusive[v]
                 assert is_normal(q, v) == _grouped_isotypic(cond, h, crit), (q, v)
-                inclusive = brute_critical_ancestors(q, v, True)
                 assert _normal_self_inclusive(q, v) == _grouped_isotypic(
-                    cond, h, inclusive), (q, v)
+                    cond, h, inclusive[v]), (q, v)
                 self_dependent += is_normal(q, v) != _normal_self_inclusive(q, v)
         assert self_dependent  # the sweep reaches rescued vertices
 
@@ -638,21 +647,34 @@ class TestSelfExclusiveNormality:
     those vertices."""
 
     def test_matches_definition_on_nonmonotonous_quivers(self):
-        vertices = rescued = 0
+        vertices = rescued = many_clashes = foreign_clash = 0
         for q in nonmonotonous_sweep():
             cond, h = condense(q), brute_heights(q)
+            exclusive, inclusive = (brute_critical_ancestors(q, False),
+                                    brute_critical_ancestors(q, True))
             rows = analyze(q).vertices
             for row in rows:
                 v = row.vertex
-                want = _grouped_isotypic(cond, h, brute_critical_ancestors(q, v, False))
+                want = _grouped_isotypic(cond, h, exclusive[v])
                 assert is_normal(q, v) == want, (q.edges, v)
                 assert row.normal == want, (q.edges, v)
                 assert row.height == h[v]
                 assert row.phylogenetic == phylogenetic_status(q, v)
+                assert _normal_self_inclusive(q, v) == _grouped_isotypic(
+                    cond, h, inclusive[v]), (q.edges, v)
                 rescued += want and not _normal_self_inclusive(q, v)
+                groups = {}
+                for x in inclusive[v]:
+                    groups.setdefault(h[x], set()).add(cond.class_index[x])
+                clashes = [y for y, classes in groups.items() if len(classes) > 1]
+                many_clashes += len(clashes) >= 2
+                foreign_clash += (len(clashes) == 1
+                                  and cond.class_index[v] not in groups[clashes[0]])
             vertices += len(rows)
         assert vertices >= 1500
-        assert rescued
+        # Every branch of the slot rule is reached: two or more clashing
+        # heights, one clash the class takes no part in, and rescues.
+        assert many_clashes and foreign_clash and rescued
 
     def test_pinned_rescue(self):
         q = gen_random_quiver(6, 0.3, seed=43)
@@ -675,6 +697,7 @@ class TestSelfExclusiveNormality:
         assert not any(
             isinstance(key, tuple) and key[0] == "_critical_ancestors" for key in q._memo
         )
+        assert "_class_reach" not in q._memo
 
 
 def recursive_short_evolutions(q, v):
@@ -734,6 +757,22 @@ class TestDeepQuivers:
         want = tuple(f"c{i}" for i in range(3000))
         assert universal_evolution(q, top).vertices == want
         assert next(short_full_evolutions(q, top)).vertices == want
+
+    def test_chain_normality_frees_its_bitsets(self):
+        # A class's bitsets are dropped once its last child has read them:
+        # kept for every class, a k-chain would hold O(k^2) bits.
+        q = chain_quiver(10_000)
+        top = "c9999"
+        _critical_heads(q)
+        assert is_monotonous(q)
+        tracemalloc.start()
+        try:
+            answers = is_normal(q, top), _normal_self_inclusive(q, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answers == (True, True)
+        assert peak < 8 * 2**20
 
     def test_18_rung_diamond_ladder(self):
         q = diamond_ladder(18)

@@ -65,6 +65,14 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot read {path}")
 
+    @pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, g3_file, target):
+        path = tmp_path / target  # a missing directory, then a directory
+        code, out, err = run(capsys, "analyze", g3_file, "-o", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("obj, field", [
         ({"vertices": ["a"], "edges": 5}, "edges"),
         ({"vertices": {"a": 1}, "edges": []}, "vertices"),
