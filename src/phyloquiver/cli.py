@@ -14,6 +14,7 @@ from . import analysis, clades, esequence, generators, metric, serialize
 from .errors import InputError, SizeGuardError, UndecidedError
 from .esequence import ESequence, PrecRelation
 from .metric import FiniteMetricSpace
+from .quiver import Quiver
 
 
 def _write(args, text: str) -> None:
@@ -28,14 +29,27 @@ def _write(args, text: str) -> None:
 
 
 def _load_space(args):
+    """The CSV's space; ``--max-points`` refuses before the cubic metric check."""
     text = serialize.read_text(args.input)
-    space = serialize.space_from_csv(text, source=args.input)
-    if args.max_points is not None and len(space.points) > args.max_points:
+    labels, rows = serialize.matrix_from_csv(text, source=args.input)
+    if args.max_points is not None and len(labels) > args.max_points:
         raise SizeGuardError(
-            f"{args.input}: {len(space.points)} points exceed --max-points "
+            f"{args.input}: {len(labels)} points exceed --max-points "
             f"{args.max_points}"
         )
-    return space
+    return FiniteMetricSpace.build(labels, rows)
+
+
+def _read_quiver_or_esequence(path: str) -> Quiver | ESequence:
+    """A ``.dot``/``.gv`` file is a DOT quiver, a JSON object with
+    ``levels`` an E-sequence, and any other JSON a quiver."""
+    text = serialize.read_text(path)
+    if path.endswith(".dot") or path.endswith(".gv"):
+        return serialize.quiver_from_dot(text, source=path)
+    obj = serialize.loads(text, source=path)
+    if isinstance(obj, dict) and "levels" in obj:
+        return serialize.esequence_from_obj(obj, source=path)
+    return serialize.quiver_from_obj(obj, source=path)
 
 
 def cmd_analyze(args) -> int:
@@ -80,12 +94,9 @@ def cmd_esequence(args) -> int:
 
 
 def cmd_forest(args) -> int:
-    if args.input.endswith(".esq.json"):
-        obj = serialize.loads(serialize.read_text(args.input), source=args.input)
-        seq = serialize.esequence_from_obj(obj, source=args.input)
-    else:
-        quiver = serialize.read_quiver_file(args.input)
-        seq = esequence.evolutionary_sequence(quiver)
+    seq = _read_quiver_or_esequence(args.input)
+    if not isinstance(seq, ESequence):
+        seq = esequence.evolutionary_sequence(seq)
     forest = esequence.build_forest(seq)
     if args.format == "dot":
         _write(args, serialize.forest_to_dot(forest))
@@ -131,9 +142,8 @@ def cmd_metric_tower(args) -> int:
 
 def cmd_validate(args) -> int:
     path = args.input
-    text = serialize.read_text(path)
     if path.endswith(".csv"):
-        labels, rows = serialize.matrix_from_csv(text, source=path)
+        labels, rows = serialize.matrix_from_csv(serialize.read_text(path), source=path)
         check = metric.validate_space(labels, rows)
         obj = {
             "kind": "metric-space",
@@ -143,17 +153,11 @@ def cmd_validate(args) -> int:
         }
         _write(args, serialize.dumps(obj))
         return 0 if check.is_metric else 1
-    if path.endswith(".dot") or path.endswith(".gv"):
-        serialize.quiver_from_dot(text, source=path)
-        _write(args, serialize.dumps({"kind": "quiver", "problems": []}))
-        return 0
-    obj = serialize.loads(text, source=path)
-    if isinstance(obj, dict) and "levels" in obj:
-        seq = serialize.esequence_from_obj(obj, source=path)
+    seq = _read_quiver_or_esequence(path)
+    if isinstance(seq, ESequence):
         problems = esequence.validate_esequence(seq)
         _write(args, serialize.dumps({"kind": "esequence", "problems": problems}))
         return 0 if not problems else 1
-    serialize.quiver_from_obj(obj, source=path)
     _write(args, serialize.dumps({"kind": "quiver", "problems": []}))
     return 0
 
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
 
     p = add("forest", cmd_forest, "evolutionary forest (dot, newick, or json)")
-    p.add_argument("input", help="quiver file, or an E-sequence saved as *.esq.json")
+    p.add_argument("input", help="quiver file (.json or .dot), or E-sequence JSON")
     p.add_argument("--format", choices=["dot", "newick", "json"], default="dot",
                    help="newick needs a single root; every edge gets length 1")
 

@@ -344,9 +344,6 @@ class PrecRelation:
     def build(cls, pairs: Iterable[tuple[str, str]]) -> "PrecRelation":
         return cls(frozenset((a, b) for a, b in pairs))
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
-
 
 def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     """The relation on level ``n`` induced by the level orders: a prec b
@@ -497,10 +494,13 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
     """From the top level down, each label gets the code of its children's
     group, and the roots are one more group: a group's code interns the
     sorted codes of its connected parts (x ~ y when x < y or y < x)."""
+    closed = seq.closed_order()
+    crossing = [(x, y) for x, y in closed if seq.parent.get(x) != seq.parent.get(y)]
+    if crossing:  # name the least pair, not the first in hash order
+        x, y = min(crossing)
+        raise InputError(f"not an E-sequence: {x!r} < {y!r} across sibling groups")
     sides = {x: (set(), set()) for x in seq.level_of}  # (below x, above x)
-    for x, y in seq.closed_order():
-        if seq.parent.get(x) != seq.parent.get(y):
-            raise InputError(f"not an E-sequence: {x!r} < {y!r} across sibling groups")
+    for x, y in closed:
         sides[x][1].add(y)
         sides[y][0].add(x)
     code: dict[str, int] = {}

@@ -30,13 +30,14 @@ E-sequence with one root form an ultrametric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, SizeGuardError
 
@@ -317,9 +318,6 @@ class PointMap:
             if v not in self.target._index:
                 raise InputError(f"map hits unknown target point {v!r}")
 
-    def apply(self, x: str) -> str:
-        return self.mapping[x]
-
     @property
     def is_surjective(self) -> bool:
         return set(self.mapping.values()) == set(self.target.points)
@@ -508,9 +506,9 @@ def is_isometric(
     """A distance-preserving bijection between the spaces, or None.
 
     Exact, on the int rows. Isometric spaces share their distance values and
-    so their reduced scale, and then equal ints are equal distances.
-    Backtracking with multiset pruning: per-point row multisets must agree
-    before any assignment is tried.
+    so their reduced scale, and then equal ints are equal distances. A point
+    is matched only to points of its row multiset, depth-first with one
+    iterator of untried candidates per placed point, so no size recurses.
     """
     if max(len(first.points), len(second.points)) > max_points:
         raise SizeGuardError(
@@ -520,36 +518,33 @@ def is_isometric(
     (s, a), (t, b) = first._scaled, second._scaled
     if len(a) != len(b) or s != t:
         return None
-    sig1 = [sorted(row) for row in a]
-    sig2 = [sorted(row) for row in b]
-    if sorted(sig1) != sorted(sig2):
+    groups: dict[tuple[int, ...], list[int]] = {}  # row multiset -> points of second
+    for y, row in enumerate(b):
+        groups.setdefault(tuple(sorted(row)), []).append(y)
+    sig1 = [tuple(sorted(row)) for row in a]
+    if Counter(sig1) != Counter({sig: len(ys) for sig, ys in groups.items()}):
         return None
-    candidates = [[y for y, sig in enumerate(sig2) if sig == sx] for sx in sig1]
+    candidates = [groups[sig] for sig in sig1]
     order = sorted(range(len(a)), key=lambda x: (len(candidates[x]), first.points[x]))
-    assignment: dict[int, int] = {}
+    assignment: dict[int, int] = {}  # insertion order is the search depth
     used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
+    tries: list[Iterator[int]] = []
+    while len(assignment) < len(order):
+        x = order[len(assignment)]
+        if len(tries) == len(assignment):
+            tries.append(iter(candidates[x]))
         row_x = a[x]
-        for y in candidates[x]:
-            if y in used:
-                continue
+        for y in tries[-1]:
             row_y = b[y]
-            if any(row_x[z] != row_y[w] for z, w in assignment.items()):
-                continue
-            assignment[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del assignment[x]
-            used.discard(y)
-        return False
-
-    if not extend(0):
-        return None
+            if y not in used and all(row_x[z] == row_y[w] for z, w in assignment.items()):
+                assignment[x] = y
+                used.add(y)
+                break
+        else:
+            tries.pop()
+            if not tries:
+                return None
+            used.discard(assignment.popitem()[1])
     return {first.points[x]: second.points[y] for x, y in assignment.items()}
 
 

@@ -90,24 +90,9 @@ class Quiver:
         lab = tuple(sorted((labels or {}).items()))
         return cls(tuple(vertices), tuple((t, h) for t, h in edges), lab)
 
-    @property
-    @memo
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
     def check_vertex(self, v: str) -> None:
-        if v not in self.vertex_set:
+        if v not in _adjacency(self)[0]:
             raise InputError(f"unknown vertex id {v!r}")
-
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        """Distinct heads of edges with tail ``v`` (direct parents), sorted."""
-        self.check_vertex(v)
-        return _adjacency(self)[0][v]
-
-    def in_neighbors(self, v: str) -> tuple[str, ...]:
-        """Distinct tails of edges with head ``v`` (direct children), sorted."""
-        self.check_vertex(v)
-        return _adjacency(self)[1][v]
 
     def has_edge(self, tail: str, head: str) -> bool:
         return (tail, head) in _edge_lookup(self)
@@ -124,20 +109,13 @@ class Condensation:
     classes themselves sorted by their first member. ``parents[i]`` holds
     the sorted ids of the other classes that edges out of class ``i``
     reach, and ``order`` lists every class id after all of its parents
-    (ancestors first). ``has_internal_edge[i]`` records whether some quiver
-    edge (loops included) stays inside class ``i``.
+    (ancestors first).
     """
 
     classes: tuple[tuple[str, ...], ...]
     class_index: Mapping[str, int]
     parents: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
-    has_internal_edge: tuple[bool, ...]
-
-    @property
-    def class_edges(self) -> frozenset[tuple[int, int]]:
-        """The class DAG as (tail class, head class) pairs."""
-        return frozenset((a, b) for a, ps in enumerate(self.parents) for b in ps)
 
     def class_of(self, v: str) -> int:
         try:
@@ -270,19 +248,15 @@ def condense(quiver: Quiver) -> Condensation:
     classes = tuple(sorted(map(tuple, map(sorted, comps))))
     class_index = {v: i for i, cls in enumerate(classes) for v in cls}
     parents: list[set[int]] = [set() for _ in classes]
-    internal = [False] * len(classes)
     for tail, head in quiver.edges:
         a, b = class_index[tail], class_index[head]
-        if a == b:
-            internal[a] = True
-        else:
+        if a != b:
             parents[a].add(b)
     return Condensation(
         classes,
         class_index,
         tuple(tuple(sorted(p)) for p in parents),
         tuple(class_index[c[0]] for c in comps),  # Tarjan emits ancestors first
-        tuple(internal),
     )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from phyloquiver.cli import main
+from phyloquiver.metric import FiniteMetricSpace
 
 ULTRA3 = "x,y,z\n0,1,3\n1,0,3\n3,3,0\n"
 TRI345 = "x,y,z\n0,3,4\n3,0,5\n4,5,0\n"
@@ -155,6 +156,16 @@ class TestESequenceAndForest:
         code, out, _ = run(capsys, "forest", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["roots"] == ["1"]
 
+    def test_forest_reads_any_esequence_json(self, capsys, tmp_path):
+        # E-sequence JSON is recognised by its 'levels', as validate does;
+        # the .esq.json suffix is not needed.
+        quiver, seq, esq = (tmp_path / n for n in ("s4.json", "s4seq.json", "s4.esq.json"))
+        main(["gen", "surjection-quiver", "--n", "4", "-o", str(quiver)])
+        for path in (seq, esq):
+            assert main(["esequence", str(quiver), "-o", str(path)]) == 0
+        runs = [run(capsys, "forest", str(p), "--format", "newick") for p in (seq, esq, quiver)]
+        assert runs == [(0, "(2:1,3:1,4:1)1;\n", "")] * 3
+
 
 class TestTowers:
     def test_ultra_tower(self, capsys, tmp_path):
@@ -186,6 +197,19 @@ class TestTowers:
         path.write_text(ULTRA3)
         code, _, err = run(capsys, "ultra-tower", str(path), "--max-points", "2")
         assert code == 3 and "refused" in err
+
+    def test_max_points_refuses_before_the_metric_check(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def build(*args):
+            raise AssertionError("the metric check ran before the refusal")
+
+        monkeypatch.setattr(FiniteMetricSpace, "build", build)
+        path = tmp_path / "ultra3.csv"
+        path.write_text(ULTRA3)
+        code, out, err = run(capsys, "ultra-tower", str(path), "--max-points", "2")
+        assert code == 3 and out == ""
+        assert err == f"refused: {path}: 3 points exceed --max-points 2\n"
 
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_max_points_below_one_is_a_usage_error(self, capsys, tmp_path, bound):

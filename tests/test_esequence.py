@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -746,6 +750,28 @@ class TestIsomorphism:
         )
         with pytest.raises(InputError, match="across sibling groups"):
             esequence_isomorphic(seq, seq)
+
+    def test_crossing_pair_named_independent_of_hash_seed(self):
+        # Every order pair crosses; the message names the least one.
+        script = (
+            "from phyloquiver import ESequence, InputError, esequence_isomorphic\n"
+            "seq = ESequence.build([['r', 's'], ['x', 'y', 'z', 'w']],\n"
+            "                      {'x': 'r', 'z': 'r', 'y': 's', 'w': 's'},\n"
+            "                      [('x', 'y'), ('z', 'w'), ('x', 'w')])\n"
+            "try:\n"
+            "    esequence_isomorphic(seq, seq)\n"
+            "except InputError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {"not an E-sequence: 'x' < 'w' across sibling groups\n"}
 
     def test_deep_chain(self):
         def chain(n, tag):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,23 @@ class TestIsometry:
                     )
                 counts[kind] += 1
         assert counts == {"isometric": 120, "perturbed": 50, "rescaled": 50}
+
+    def test_large_spaces_need_no_recursion(self):
+        # One search step per point: 1,100 points exceed the default
+        # recursion limit, and row multisets are grouped in one dict, not
+        # compared pairwise.
+        n = 1100
+        points = [f"p{i}" for i in range(n)]
+        equilateral = [[int(i != j) for j in range(n)] for i in range(n)]
+        path = [[abs(i - j) for j in range(n)] for i in range(n)]
+        for ints in (equilateral, path):
+            space = FiniteMetricSpace._from_ints(points, 1, ints, ints is equilateral)
+            start = time.perf_counter()
+            found = is_isometric(space, space, max_points=2000)
+            assert time.perf_counter() - start < 3.0
+            assert found is not None and sorted(found.values()) == sorted(points)
+            assert all(ints[i][j] == ints[int(found[f"p{i}"][1:])][int(found[f"p{j}"][1:])]
+                       for i in range(0, n, 37) for j in range(n))
 
 
 def brute_isometric(a, b):
