@@ -44,7 +44,6 @@ from .analysis import (
 from .clades import Clade, clade, clade_height, clade_report, is_regular
 from .esequence import (
     ESequence,
-    Forest,
     PrecRelation,
     build_forest,
     esequence_isomorphic,

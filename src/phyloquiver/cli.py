@@ -52,62 +52,49 @@ def _read_quiver_or_esequence(path: str) -> Quiver | ESequence:
     return serialize.quiver_from_obj(obj, source=path)
 
 
-def cmd_analyze(args) -> int:
-    quiver = serialize.read_quiver_file(args.input)
-    report = analysis.analyze(quiver)
-    _write(args, serialize.dumps(serialize.report_to_obj(report)))
-    return 0
+def cmd_analyze(args) -> dict:
+    return serialize.report_to_obj(analysis.analyze(serialize.read_quiver_file(args.input)))
 
 
-def cmd_universal(args) -> int:
+def cmd_universal(args) -> dict:
     quiver = serialize.read_quiver_file(args.input)
     quiver.check_vertex(args.vertex)
     try:
         evo = analysis.universal_evolution(quiver, args.vertex)
     except UndecidedError as exc:
-        _write(args, serialize.dumps({"status": "undecided", "reason": str(exc)}))
-        return 0
+        return {"status": "undecided", "reason": str(exc)}
     if evo is None:
-        _write(args, serialize.dumps({"status": "none"}))
-        return 0
+        return {"status": "none"}
     obj = {"status": "universal", **serialize.evolution_to_obj(evo)}
     if args.bound is not None:
         obj["verified_up_to_length"] = args.bound
         obj["bounded_check"] = analysis.verify_universal_bounded(
             quiver, evo, args.bound
         )
-    _write(args, serialize.dumps(obj))
-    return 0
+    return obj
 
 
-def cmd_clade(args) -> int:
+def cmd_clade(args) -> dict:
+    return clades.clade_report(serialize.read_quiver_file(args.input), args.apex)
+
+
+def cmd_esequence(args) -> dict:
     quiver = serialize.read_quiver_file(args.input)
-    _write(args, serialize.dumps(clades.clade_report(quiver, args.apex)))
-    return 0
+    return serialize.esequence_to_obj(esequence.evolutionary_sequence(quiver))
 
 
-def cmd_esequence(args) -> int:
-    quiver = serialize.read_quiver_file(args.input)
-    seq = esequence.evolutionary_sequence(quiver)
-    _write(args, serialize.dumps(serialize.esequence_to_obj(seq)))
-    return 0
+_FOREST_FORMATS = {"dot": serialize.forest_to_dot, "newick": serialize.forest_to_newick,
+                   "json": serialize.forest_to_obj}
 
 
-def cmd_forest(args) -> int:
+def cmd_forest(args) -> dict | str:
     seq = _read_quiver_or_esequence(args.input)
     if not isinstance(seq, ESequence):
         seq = esequence.evolutionary_sequence(seq)
-    forest = esequence.build_forest(seq)
-    if args.format == "dot":
-        _write(args, serialize.forest_to_dot(forest))
-    elif args.format == "newick":
-        _write(args, serialize.forest_to_newick(forest))
-    else:
-        _write(args, serialize.dumps(serialize.forest_to_obj(forest)))
-    return 0
+    return _FOREST_FORMATS[args.format](esequence.build_forest(seq))
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> dict:
     space = _load_space(args)
     if args.prec is None or args.prec == "empty":
         prec = PrecRelation.build(())
@@ -123,24 +110,18 @@ def cmd_reconstruct(args) -> int:
         n = int(top)
     else:
         n = args.levels
-    seq = esequence.reconstruct(space, prec, n)
-    _write(args, serialize.dumps(serialize.esequence_to_obj(seq)))
-    return 0
+    return serialize.esequence_to_obj(esequence.reconstruct(space, prec, n))
 
 
-def cmd_ultra_tower(args) -> int:
-    tower = metric.tower_u(_load_space(args))
-    _write(args, serialize.dumps(serialize.tower_to_obj(tower, "ultrametric")))
-    return 0
+def cmd_ultra_tower(args) -> dict:
+    return serialize.tower_to_obj(metric.tower_u(_load_space(args)), "ultrametric")
 
 
-def cmd_metric_tower(args) -> int:
-    tower = metric.tower_v(_load_space(args))
-    _write(args, serialize.dumps(serialize.tower_to_obj(tower, "metric")))
-    return 0
+def cmd_metric_tower(args) -> dict:
+    return serialize.tower_to_obj(metric.tower_v(_load_space(args)), "metric")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     path = args.input
     if path.endswith(".csv"):
         labels, rows = serialize.matrix_from_csv(serialize.read_text(path), source=path)
@@ -151,23 +132,20 @@ def cmd_validate(args) -> int:
             "is_ultrametric": check.is_ultrametric,
             "problems": list(check.problems),
         }
-        _write(args, serialize.dumps(obj))
-        return 0 if check.is_metric else 1
+        return obj, 0 if check.is_metric else 1
     seq = _read_quiver_or_esequence(path)
     if isinstance(seq, ESequence):
         problems = esequence.validate_esequence(seq)
-        _write(args, serialize.dumps({"kind": "esequence", "problems": problems}))
-        return 0 if not problems else 1
-    _write(args, serialize.dumps({"kind": "quiver", "problems": []}))
-    return 0
+        return {"kind": "esequence", "problems": problems}, 0 if not problems else 1
+    return {"kind": "quiver", "problems": []}, 0
 
 
 def _parse_tree_edges(text: str) -> list[tuple[str, str]]:
     edges = []
     for token in text.replace(",", " ").split():
-        if "-" not in token:
-            raise InputError(f"tree edge {token!r} must look like a-b")
         a, _, b = token.partition("-")
+        if not a or not b:
+            raise InputError(f"tree edge {token!r} must look like a-b")
         edges.append((a, b))
     return edges
 
@@ -203,16 +181,13 @@ _GENERATORS = {
 }
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> dict | str:
     result = _GENERATORS[args.kind](args)
     if isinstance(result, FiniteMetricSpace):
-        out = serialize.space_to_csv(result)
-    elif isinstance(result, ESequence):
-        out = serialize.dumps(serialize.esequence_to_obj(result))
-    else:
-        out = serialize.dumps(serialize.quiver_to_obj(result))
-    _write(args, out)
-    return 0
+        return serialize.space_to_csv(result)
+    if isinstance(result, ESequence):
+        return serialize.esequence_to_obj(result)
+    return serialize.quiver_to_obj(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("forest", cmd_forest, "evolutionary forest (dot, newick, or json)")
     p.add_argument("input", help="quiver file (.json or .dot), or E-sequence JSON")
-    p.add_argument("--format", choices=["dot", "newick", "json"], default="dot",
+    p.add_argument("--format", choices=list(_FOREST_FORMATS), default="dot",
                    help="newick needs a single root; every edge gets length 1")
 
     p = add("reconstruct", cmd_reconstruct,
@@ -290,8 +265,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_points", None) is not None and args.max_points < 1:
         parser.error("--max-points must be at least 1")
-    try:
-        return args.fn(args)
+    try:  # a command returns its JSON-ready object or text, or that and a status
+        result = args.fn(args)
+        out, status = result if isinstance(result, tuple) else (result, 0)
+        _write(args, out if isinstance(out, str) else serialize.dumps(out))
+        return status
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

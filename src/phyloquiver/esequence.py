@@ -6,7 +6,9 @@ two axioms: the order on P0 is trivial, and comparable elements share a
 parent. The evolutionary sequence of a phylogenetic quiver (isotypy
 classes graded by height, parents read off universal evolutions, order
 induced by ancestry) is one, and every E-sequence is realized by a
-phylogenetic quiver.
+phylogenetic quiver. Its parental graph is the evolutionary forest, one
+tree per root in P0, so an ESequence is its own forest: it answers
+``roots``, ``children`` and ``chain``, and `build_forest` returns it.
 
 Terminal data rest on one correspondence (hierarchies are ultrametrics,
 Johnson 1967): with one root and surjective parents, a label of level m
@@ -38,33 +40,8 @@ from .quiver import Quiver, condense, memo
 from . import analysis
 
 
-class _Leveled:
-    """Level and children indexes over ``levels`` and ``parent``, shared by
-    :class:`ESequence` and :class:`Forest` and built once per instance."""
-
-    levels: tuple[tuple[str, ...], ...]
-    parent: Mapping[str, str]
-
-    @cached_property
-    def level_of(self) -> dict[str, int]:
-        return {x: m for m, level in enumerate(self.levels) for x in level}
-
-    def labels(self) -> list[str]:
-        return [x for level in self.levels for x in level]
-
-    @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
-        kids: dict[str, list[str]] = {}
-        for c, p in self.parent.items():
-            kids.setdefault(p, []).append(c)
-        return {p: tuple(sorted(cs)) for p, cs in kids.items()}
-
-    def children(self, x: str) -> tuple[str, ...]:
-        return self._children.get(x, ())
-
-
 @dataclass(frozen=True)
-class ESequence(_Leveled):
+class ESequence:
     """Graded labeled sets with parental maps and per-level strict orders.
 
     ``order`` holds pairs (x, y) meaning x < y; pairs must stay inside one
@@ -119,6 +96,34 @@ class ESequence(_Leveled):
     def top(self) -> int:
         return len(self.levels) - 1
 
+    @property
+    def roots(self) -> tuple[str, ...]:
+        return self.levels[0]
+
+    @cached_property
+    def level_of(self) -> dict[str, int]:
+        return {x: m for m, level in enumerate(self.levels) for x in level}
+
+    def labels(self) -> list[str]:
+        return [x for level in self.levels for x in level]
+
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        kids: dict[str, list[str]] = {}
+        for c, p in self.parent.items():
+            kids.setdefault(p, []).append(c)
+        return {p: tuple(sorted(cs)) for p, cs in kids.items()}
+
+    def children(self, x: str) -> tuple[str, ...]:
+        return self._children.get(x, ())
+
+    def chain(self, x: str) -> list[str]:
+        """x, p(x), ..., up to a root."""
+        out = [x]
+        while out[-1] in self.parent:
+            out.append(self.parent[out[-1]])
+        return out
+
     def parent_iter(self, x: str, k: int) -> str:
         """k-fold parent of x."""
         for _ in range(k):
@@ -159,12 +164,7 @@ def validate_esequence(seq: ESequence) -> list[str]:
     """
     violations: list[str] = []
     lv = seq.level_of
-    above: dict[str, list[str]] = {}  # x -> every y with x < y, sorted
-    for x, y in seq.order:
-        above.setdefault(x, []).append(y)
-    for ys in above.values():
-        ys.sort()
-    pairs = [(x, y) for x in sorted(above) for y in above[x]]
+    pairs = sorted(seq.order)
     for x, y in pairs:
         if lv[x] == 0:
             violations.append(f"order on level 0 must be trivial: {x!r} < {y!r}")
@@ -181,16 +181,18 @@ def validate_esequence(seq: ESequence) -> list[str]:
     # Successor bitsets over positions in the level: x < y is transitive
     # when every successor of y, x itself aside, is a successor of x.
     bit = {x: 1 << i for level in seq.levels for i, x in enumerate(level)}
-    up = {x: sum(bit[y] for y in ys) for x, ys in above.items()}
+    up: dict[str, int] = {}
     for x, y in pairs:
-        if not up.get(y, 0) & ~(up[x] | bit[x]):
+        up[x] = up.get(x, 0) | bit[y]
+    for x, y in pairs:
+        missing = up.get(y, 0) & ~(up[x] | bit[x])
+        if not missing:
             continue
-        for z in above[y]:
-            if (x, z) not in seq.order and x != z:
-                violations.append(
-                    f"order is not transitive: {x!r} < {y!r} < {z!r} "
-                    f"without {x!r} < {z!r}"
-                )
+        for z in sorted(z for z in seq.levels[lv[x]] if bit[z] & missing):
+            violations.append(
+                f"order is not transitive: {x!r} < {y!r} < {z!r} "
+                f"without {x!r} < {z!r}"
+            )
     return violations
 
 
@@ -256,27 +258,14 @@ def realize_esequence(seq: ESequence) -> Quiver:
 # -- forests -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Forest(_Leveled):
-    """Parental graph of an E-sequence: one tree per root in P0."""
-
-    levels: tuple[tuple[str, ...], ...]
-    parent: Mapping[str, str]
-    roots: tuple[str, ...]
-
-    def chain(self, x: str) -> list[str]:
-        """x, p(x), ..., up to a root."""
-        out = [x]
-        while out[-1] in self.parent:
-            out.append(self.parent[out[-1]])
-        return out
+def build_forest(seq: ESequence) -> ESequence:
+    """The evolutionary forest of ``seq``: its parental graph, one tree per
+    root in P0. That is ``seq`` itself, since the forest readers use only
+    its levels, parents, roots and children."""
+    return seq
 
 
-def build_forest(seq: ESequence) -> Forest:
-    return Forest(seq.levels, dict(seq.parent), seq.levels[0])
-
-
-def forest_distance(forest: Forest, a: str, b: str) -> int | None:
+def forest_distance(forest: ESequence, a: str, b: str) -> int | None:
     """Path metric of the forest: k + l for the minimal k, l with
     p^k(a) = p^l(b); None when a and b sit in different trees."""
     for x in (a, b):

@@ -224,6 +224,8 @@ def gen_random_esequence(
         raise InputError("levels must be at least 1")
     if width < 1:
         raise InputError("width must be at least 1")
+    if not 0 <= order_density <= 1:
+        raise InputError("order_density must lie in [0, 1]")
     rng = _rng("esequence", levels, width, order_density, seed,
                single_root, surjective)
     sizes = [1 if single_root else rng.randint(1, width)]

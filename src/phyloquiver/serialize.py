@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 from .analysis import AnalysisReport
 from .errors import InputError
-from .esequence import ESequence, Forest, PrecRelation
+from .esequence import ESequence, PrecRelation
 from .metric import FiniteMetricSpace, Tower, to_fraction
 from .quiver import Evolution, Quiver
 
@@ -348,7 +348,7 @@ def tower_to_obj(tower: Tower, kind: str) -> dict:
 # -- forests -------------------------------------------------------------------
 
 
-def forest_to_obj(forest: Forest) -> dict:
+def forest_to_obj(forest: ESequence) -> dict:
     return {
         "levels": [list(level) for level in forest.levels],
         "parent": dict(forest.parent),
@@ -356,7 +356,7 @@ def forest_to_obj(forest: Forest) -> dict:
     }
 
 
-def forest_to_dot(forest: Forest) -> str:
+def forest_to_dot(forest: ESequence) -> str:
     lines = ["digraph {"]
     for x in forest.labels():
         lines.append(f"  {_dot_quote(x)};")
@@ -378,7 +378,7 @@ def _newick_name(label: str) -> str:
     return label
 
 
-def forest_to_newick(forest: Forest) -> str:
+def forest_to_newick(forest: ESequence) -> str:
     """Newick form of a single-rooted forest; every parent edge carries
     branch length 1 (heights are hop counts)."""
     if len(forest.roots) != 1:

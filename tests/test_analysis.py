@@ -435,6 +435,16 @@ class TestBoundedOracle:
         alpha = validate_evolution(g3, ["A", "B", "C", "B", "C"])
         assert not verify_universal_bounded(g3, alpha, 6)
 
+    def test_length_bound(self):
+        # v has parents P and a4; the full evolution P2, a1, ..., a4, v of
+        # length 5 avoids P, so (P, v) passes exactly below length 5.
+        edges = [("v", "P"), ("a1", "P2"), ("v", "a4")]
+        edges += [(f"a{i}", f"a{i - 1}") for i in range(2, 5)]
+        q = Quiver.build(["P", "P2", "a1", "a2", "a3", "a4", "v"], edges)
+        alpha = validate_evolution(q, ["P", "v"])
+        results = [verify_universal_bounded(q, alpha, m) for m in range(8)]
+        assert results == [True] * 5 + [False] * 3
+
 
 class TestPhylogeneticQuivers:
     def test_set_and_surjection_quivers(self):

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from phyloquiver import serialize
 from phyloquiver.cli import main
+from phyloquiver.esequence import PrecRelation, reconstruct
 from phyloquiver.metric import FiniteMetricSpace
 
 ULTRA3 = "x,y,z\n0,1,3\n1,0,3\n3,3,0\n"
@@ -166,6 +168,11 @@ class TestESequenceAndForest:
         runs = [run(capsys, "forest", str(p), "--format", "newick") for p in (seq, esq, quiver)]
         assert runs == [(0, "(2:1,3:1,4:1)1;\n", "")] * 3
 
+    def test_forest_reads_a_dot_quiver(self, capsys, tmp_path):
+        path = tmp_path / "tree.dot"
+        path.write_text("digraph { x -> r; y -> x; }")
+        assert run(capsys, "forest", str(path), "--format", "newick") == (0, "((y:1)x:1)r;\n", "")
+
 
 class TestTowers:
     def test_ultra_tower(self, capsys, tmp_path):
@@ -248,6 +255,28 @@ class TestReconstruct:
         assert code == 1
         assert "bad.csv:2:2" in err and "scientific" in err
 
+    def test_levels_flag_sets_the_reconstructed_steps(self, capsys, tmp_path):
+        path = tmp_path / "leaves.csv"
+        path.write_text("a1,a2,b1\n0,1,2\n1,0,2\n2,2,0\n")
+        code, out, _ = run(capsys, "reconstruct", str(path), "--levels", "3")
+        space = FiniteMetricSpace.build(["a1", "a2", "b1"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        want = reconstruct(space, PrecRelation.build(()), 3)
+        assert code == 0 and out == serialize.dumps(serialize.esequence_to_obj(want))
+
+    def test_default_levels_refuse_non_integer_distances(self, capsys, tmp_path):
+        path = tmp_path / "half.csv"
+        path.write_text("a,b\n0,1/2\n1/2,0\n")
+        code, out, err = run(capsys, "reconstruct", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix has non-integer distances")
+
+    def test_point_labels_colliding_with_ball_labels(self, capsys, tmp_path):
+        path = tmp_path / "collide.csv"
+        path.write_text("a,b,1:a\n0,1,2\n1,0,2\n2,2,0\n")
+        code, out, err = run(capsys, "reconstruct", str(path), "--levels", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: point labels collide with generated ball labels\n"
+
 
 class TestValidate:
     def test_metric_csv(self, capsys, tmp_path):
@@ -294,6 +323,12 @@ class TestValidate:
     def test_quiver_json(self, capsys, g3_file):
         code, out, _ = run(capsys, "validate", g3_file)
         assert code == 0 and json.loads(out)["kind"] == "quiver"
+
+    def test_dot_quiver(self, capsys, tmp_path):
+        path = tmp_path / "q.dot"
+        path.write_text("digraph { B -> A; B -> C; C -> B; }")
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0 and json.loads(out) == {"kind": "quiver", "problems": []}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.json")
@@ -371,6 +406,14 @@ class TestGen:
         )
         assert code == 0
         assert len(json.loads(out)["levels"][0]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["random-esequence", "--order-density", "7"], "order_density must lie in [0, 1]"),
+        (["rooted-tree", "--edges", "a-", "--root", "a"], "tree edge 'a-' must look like a-b"),
+        (["rooted-tree", "--edges", "r-a -a", "--root", "r"], "tree edge '-a' must look like a-b"),
+    ])
+    def test_bad_generator_arguments_exit_1(self, capsys, argv, message):
+        assert run(capsys, "gen", *argv) == (1, "", f"error: {message}\n")
 
     def test_random_metric_csv(self, capsys):
         code, out, _ = run(capsys, "gen", "random-metric", "--n", "4", "--seed", "2")

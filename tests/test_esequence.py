@@ -490,6 +490,16 @@ class TestReconstruction:
         with pytest.raises(InputError, match="integer"):
             reconstruct(sp, PrecRelation.build(()), 1)
 
+    def test_rejects_point_labels_that_collide_with_ball_labels(self):
+        from phyloquiver import FiniteMetricSpace
+
+        # the radius-1 ball {a, b} of level 1 is named "1:a", a point's label
+        sp = FiniteMetricSpace.build(
+            ["a", "b", "1:a"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+        )
+        with pytest.raises(InputError, match="^point labels collide with generated ball labels$"):
+            reconstruct(sp, PrecRelation.build(()), 2)
+
     def test_rejects_unlawful_prec(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
         with pytest.raises(InputError, match="lawful"):

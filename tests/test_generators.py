@@ -83,6 +83,11 @@ class TestFixedFixtures:
         with pytest.raises(InputError):
             gen_random_quiver(0)
 
+    @pytest.mark.parametrize("density", [-0.1, 1.5, 7])
+    def test_order_density_outside_unit_interval(self, density):
+        with pytest.raises(InputError, match=r"order_density must lie in \[0, 1\]"):
+            gen_random_esequence(3, 3, density)
+
 
 class TestDeterminism:
     def test_random_quiver_reproducible(self):

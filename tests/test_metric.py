@@ -380,6 +380,29 @@ class TestIsometry:
                 counts[kind] += 1
         assert counts == {"isometric": 120, "perturbed": 50, "rescaled": 50}
 
+    def test_graph_metric_copies_need_backtracking(self):
+        # d = 1 on the edges of a random graph and 2 elsewhere: many points
+        # share a row multiset, so the first consistent candidate is often
+        # wrong and the search must undo placed points (7 of these 40 pairs).
+        for s in range(40):
+            rng = random.Random(f"graph-isometry:{s}")
+            n = 5 + s % 7
+            rows = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                rows[i][j] = rows[j][i] = rng.choice((1, 2))
+            perm = rng.sample(range(n), n)
+            a = FiniteMetricSpace.build([f"g{i}" for i in range(n)], rows)
+            b = FiniteMetricSpace.build(
+                [f"h{i}" for i in range(n)],
+                [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
+            )
+            found = is_isometric(a, b)
+            assert found is not None and sorted(found.values()) == sorted(b.points)
+            assert all(
+                a.distance(x, y) == b.distance(found[x], found[y])
+                for x in a.points for y in a.points
+            )
+
     def test_large_spaces_need_no_recursion(self):
         # One search step per point: 1,100 points exceed the default
         # recursion limit, and row multisets are grouped in one dict, not
