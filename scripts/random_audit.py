@@ -7,7 +7,8 @@ Usage: python scripts/random_audit.py [--quivers N] [--spaces N] [--seq N]
 Reruns the heavy cross-checks (normality oracle agreement, short full
 evolutions in strictly increasing order, universal evolutions against the
 first of them, self-exclusive normality against each vertex's critical
-ancestors, realization and reconstruction round trips, E-sequence
+ancestors, realization and reconstruction round trips, validate_prec on
+one-pair mutations of each reconstructed relation, E-sequence
 isomorphism against relabelled copies and a brute-force search, tower
 laws, every tower quotient re-validated, underline_d and is_trim against
 their Fraction definitions, clade reports against the built clade, clade
@@ -79,7 +80,29 @@ def audit_self_exclusive(count, base, max_n):
     print(f"self-exclusive normality  ok on {checked} vertices ({rescued} rescued)")
 
 
+def brute_prec_lawful(space, pairs):
+    """Asymmetry and the three ball rules of validate_prec, checked on every
+    ordered pair and every third point with Fraction distances."""
+    rho = space.distance
+    for a, b in pairs:
+        if (b, a) in pairs:
+            return False
+        d = rho(a, b)
+        for c in space.points:
+            if c in (a, b):
+                continue
+            if rho(a, c) < d and (c, b) not in pairs:
+                return False
+            if rho(b, c) < d and (a, c) not in pairs:
+                return False
+            if (b, c) in pairs and rho(a, c) == rho(b, c) == d and (a, c) not in pairs:
+                return False
+    return True
+
+
 def audit_round_trips(count, base):
+    rng = random.Random(base)
+    mutated = 0
     for s in range(count):
         seq = gen.gen_random_esequence(1 + s % 5, 4 + s % 9, 0.35, seed=base + s)
         assert pq.esequence_isomorphic(
@@ -97,7 +120,16 @@ def audit_round_trips(count, base):
         assert all(again.distance(a, b) == space.distance(a, b)
                    for a in space.points for b in space.points), s
         assert pq.induce_prec(rebuilt, n).pairs == prec.pairs, s
+        # one pair dropped, one pair added: the block test against the brute one
+        pairs = sorted(prec.pairs)
+        absent = sorted(set(itertools.product(space.points, repeat=2)) - prec.pairs)
+        mutations = [prec.pairs - {rng.choice(pairs)}] if pairs else []
+        for rel in mutations + [prec.pairs | {rng.choice(absent)}]:
+            got = pq.validate_prec(space, pq.PrecRelation(rel), n) == []
+            assert got == brute_prec_lawful(space, rel), s
+            mutated += 1
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
+    print(f"prec blocks               ok on {mutated} mutated relations")
 
 
 def relabeled(seq, rng):

@@ -144,7 +144,7 @@ def _parse_tree_edges(text: str) -> list[tuple[str, str]]:
     edges = []
     for token in text.replace(",", " ").split():
         a, _, b = token.partition("-")
-        if not a or not b:
+        if not a or not b or "-" in b:
             raise InputError(f"tree edge {token!r} must look like a-b")
         edges.append((a, b))
     return edges

@@ -27,6 +27,7 @@ an InputError there.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +36,7 @@ from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .errors import InputError, SizeGuardError
-from .metric import FiniteMetricSpace, balls
+from .metric import FiniteMetricSpace, _values
 from .quiver import Quiver, condense, memo
 from . import analysis
 
@@ -355,27 +356,74 @@ def validate_prec(
     n: int | None = None,
 ) -> list[str]:
     """Violations of the axioms characterizing induced relations on an
-    ultrametric space: integer distances up to ``n``, asymmetry, and the
-    three compatibility rules tying ``prec`` to the ball structure."""
+    ultrametric space: integer distances up to ``n``, asymmetry, and three
+    rules tying ``prec`` to the balls, for a prec b and every third point c:
+    (1) rho(a, c) < rho(a, b) gives c prec b; (2) rho(b, c) < rho(a, b)
+    gives a prec c; (3) b prec c on an equilateral triple gives a prec c.
+
+    The rules are decided on blocks of the ball table (`_blocks_lawful`),
+    in one pass over ``prec`` and one cut of the table per distance value.
+    Only when they fail does the per-pair scan over every third point run,
+    to word each violation in sorted pair order.
+    """
     if not space.is_ultrametric:
         raise InputError("validate_prec needs an ultrametric space")
-    points = set(space.points)
-    for a, b in sorted(prec.pairs):
-        if a not in points or b not in points:
-            raise InputError(f"prec pair ({a!r}, {b!r}) references unknown points")
+    pairs, index = prec.pairs, space._index
+    if not set(chain.from_iterable(pairs)) <= index.keys():
+        a, b = min((a, b) for a, b in pairs if a not in index or b not in index)
+        raise InputError(f"prec pair ({a!r}, {b!r}) references unknown points")
     violations: list[str] = []
-    scale, ints = space._scaled
-    values = sorted(Fraction(v, scale) for v in set(chain.from_iterable(ints)))
-    bound = max(values) if n is None else Fraction(n)
+    scale = space._scaled[0]
+    values = sorted(_values(space))  # in units of 1/scale
+    top = values[-1] if n is None else n * scale
     for v in values:
-        if v.denominator != 1 or v < 0 or v > bound:
-            violations.append(f"distance value {v} outside 0..{bound}")
-    for a, b in sorted(prec.pairs):
-        if (b, a) in prec.pairs and (a, b) <= (b, a):
-            violations.append(f"prec is not asymmetric on ({a!r}, {b!r})")
-    # distances compared on the int rows, whose order is that of rho
-    index = space._index
-    for a, b in sorted(prec.pairs):
+        if v % scale or v < 0 or v > top:
+            violations.append(f"distance value {Fraction(v, scale)} "
+                              f"outside 0..{Fraction(top, scale)}")
+    for a, b in sorted((a, b) for a, b in pairs if a <= b and (b, a) in pairs):
+        violations.append(f"prec is not asymmetric on ({a!r}, {b!r})")
+    if not _blocks_lawful(space, pairs):
+        violations += _rule_violations(space, pairs)
+    return violations
+
+
+def _blocks_lawful(
+    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
+) -> bool:
+    """The three rules of `validate_prec`, decided on blocks. For a != b at
+    distance d, their balls A and B of the largest radius below d (the cut
+    at d - 1 in int units) are distinct children of the ball of radius d,
+    and every pair of A x B lies at distance d. Rules 1 and 2 hold iff
+    every block that prec meets lies wholly in prec; then rule 3 holds iff
+    the block relation is transitive among distinct sibling balls."""
+    ints, index = space._scaled[1], space._index
+    cuts: dict[int, list[int]] = {}
+    count: dict[tuple[int, int, int], int] = {}  # (d, A, B) -> pairs in prec
+    for a, b in pairs:
+        if a != b:
+            i, j = index[a], index[b]
+            d = ints[i][j]
+            ball = cuts.get(d) or cuts.setdefault(d, space._cut(d - 1))
+            block = d, ball[i], ball[j]
+            count[block] = count.get(block, 0) + 1
+    size = {d: Counter(ball) for d, ball in cuts.items()}
+    if any(k != size[d][A] * size[d][B] for (d, A, B), k in count.items()):
+        return False
+    above: dict[tuple[int, int], int] = {}  # (d, A) -> bitset of the B above A
+    for d, A, B in count:
+        above[d, A] = above.get((d, A), 0) | 1 << B
+    return not any(above.get((d, B), 0) & ~(above[d, A] | 1 << A)
+                   for d, A, B in count)
+
+
+def _rule_violations(
+    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
+) -> list[str]:
+    """Each breach of the three rules, pair by pair and point by point:
+    distances are compared on the int rows, whose order is that of rho."""
+    violations: list[str] = []
+    ints, index = space._scaled[1], space._index
+    for a, b in sorted(pairs):
         if a == b:
             continue
         row_a, row_b = ints[index[a]], ints[index[b]]
@@ -383,20 +431,20 @@ def validate_prec(
         for c, dac, dbc in zip(space.points, row_a, row_b):
             if c == a or c == b:
                 continue
-            if dac < dab and (c, b) not in prec.pairs:
+            if dac < dab and (c, b) not in pairs:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({a!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {c!r} prec {b!r}"
                 )
-            if dbc < dab and (a, c) not in prec.pairs:
+            if dbc < dab and (a, c) not in pairs:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({b!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {a!r} prec {c!r}"
                 )
             if (
-                (b, c) in prec.pairs
+                (b, c) in pairs
                 and dab == dac == dbc
-                and (a, c) not in prec.pairs
+                and (a, c) not in pairs
             ):
                 violations.append(
                     f"{a!r} prec {b!r} prec {c!r} on an equilateral triple "
@@ -411,45 +459,54 @@ def reconstruct(
     """Rebuild levels 0..n of an E-sequence from its terminal ultrametric
     and induced relation.
 
-    Level s is the set of balls of radius n - s; parents are the containing
-    balls one radius up; balls B < B' of radius r exactly when some a in B,
-    b in B' satisfy a prec b at distance r + 1. Points keep their labels at
-    level n; an internal ball is labeled "<level>:<minimal member>".
+    Level s is the set of balls of radius n - s, each a cut of the ball
+    table; parents are the containing balls one radius up; balls B < B' of
+    radius r exactly when some a in B, b in B' satisfy a prec b at distance
+    r + 1. Points keep their labels at level n; an internal ball is labeled
+    "<level>:<minimal member>".
     """
     if not space.is_ultrametric:
         raise InputError("reconstruction needs an ultrametric space")
     if n < 0:
         raise InputError("n must be nonnegative")
     scale, ints = space._scaled
-    for a, row in zip(space.points, ints):
-        for b, v in zip(space.points, row):
-            if v % scale or v > n * scale:
-                raise InputError(
-                    f"distance rho({a!r},{b!r}) = {Fraction(v, scale)} "
-                    f"is not an integer in 0..{n}"
-                )
+    pts = space.points
+    bad = {v for v in _values(space) if v % scale or v > n * scale}
+    if bad:  # name the first offending pair in row order
+        a, b, v = next((a, b, v) for a, row in zip(pts, ints)
+                       for b, v in zip(pts, row) if v in bad)
+        raise InputError(
+            f"distance rho({a!r},{b!r}) = {Fraction(v, scale)} "
+            f"is not an integer in 0..{n}"
+        )
     violations = validate_prec(space, prec, n)
     if violations:
         raise InputError("prec relation is not lawful: " + "; ".join(violations))
 
-    blocks = [balls(space, Fraction(n - s)) for s in range(n + 1)]
-    levels = tuple(
-        tuple(blk[0] if s == n else f"{s}:{blk[0]}" for blk in blocks[s])
-        for s in range(n + 1)
-    )
+    by_label = sorted(range(len(pts)), key=pts.__getitem__)
+    levels: list[tuple[str, ...]] = []
+    parent: dict[str, str] = {}
+    owner = []  # owner[s][x]: the label of point x's ball at level s
+    for s in range(n + 1):
+        ball = space._cut((n - s) * scale)
+        head: dict[int, int] = {}  # each ball's least point, in label order
+        for x in by_label:
+            head.setdefault(ball[x], x)
+        name = {b: pts[x] if s == n else f"{s}:{pts[x]}" for b, x in head.items()}
+        levels.append(tuple(name.values()))
+        if s:  # a ball's parent is the next larger ball of its least point
+            parent.update((name[b], owner[-1][x]) for b, x in head.items())
+        owner.append([name[b] for b in ball])
     flat = [x for level in levels for x in level]
     if len(set(flat)) != len(flat):
         raise InputError("point labels collide with generated ball labels")
-    owner = [{a: x for x, blk in zip(level, blks) for a in blk}  # owner[s][a]: a's ball
-             for level, blks in zip(levels, blocks)]
-    parent = {x: owner[s - 1][blk[0]]
-              for s in range(1, n + 1) for x, blk in zip(levels[s], blocks[s])}
     index = space._index
     order: set[tuple[str, str]] = set()
     for a, b in prec.pairs:  # rho(a, b) = k: distinct balls at level n + 1 - k
-        s = n + 1 - ints[index[a]][index[b]] // scale
-        order.add((owner[s][a], owner[s][b]))
-    return ESequence(levels, parent, frozenset(order))
+        i, j = index[a], index[b]
+        s = n + 1 - ints[i][j] // scale
+        order.add((owner[s][i], owner[s][j]))
+    return ESequence(tuple(levels), parent, frozenset(order))
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -20,6 +20,12 @@ Scaling by a positive integer keeps order, sums and zeros, so results stay
 exact; the factor 2 makes every half-deficit an integer. The reduced pair
 is a function of the rational matrix, so spaces compare and hash on it.
 
+An ultrametric also keeps one ball table, built on first use by sorting
+its int rows: every closed ball is a run of that order, so `balls` at any
+radius is a linear cut of the table, not a quadratic scan, and the
+reconstruction of an E-sequence reads its levels and its prec blocks off
+cuts of the same table.
+
 Only input is validated. A space the library derives is built straight
 from its int rows, each taking its own reduced scale, and rests on a law
 instead of a fresh cubic check: the contraction quotient of an ultrametric
@@ -263,6 +269,34 @@ class FiniteMetricSpace:
             )
             out.append(best // 2)
         return tuple(out)
+
+    @cached_property
+    def _balls(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ball table of an ultrametric: its points in lexicographic
+        order of their int rows, and each one's distance to the point before
+        it (0 for the first). Every closed ball B of radius r is a run of
+        that order. Two points of B have equal rows off B, where they lie
+        farther than r, and a point c outside B lies at one distance above r
+        from all of B. So c's row first differs from theirs at one place off
+        B, or else at the first point of B, where its entry is the larger;
+        either way c sorts before or after both. A ball of radius r thus ends where a step
+        exceeds r: the steps are the edges of a minimum spanning path, and
+        the balls its single-linkage clusters (Gower & Ross 1969)."""
+        ints = self._scaled[1]
+        order = sorted(range(len(ints)), key=ints.__getitem__)
+        return tuple(order), (0, *(ints[x][y] for x, y in zip(order, order[1:])))
+
+    def _cut(self, limit: int) -> list[int]:
+        """The closed ball of radius limit / scale around each point of an
+        ultrametric, named by its first position in the ball table."""
+        order, join = self._balls
+        owner = [0] * len(order)
+        ball = 0
+        for i, (x, d) in enumerate(zip(order, join)):
+            if d > limit:
+                ball = i
+            owner[x] = ball
+        return owner
 
     def distance(self, a: str, b: str) -> Fraction:
         try:
@@ -554,17 +588,13 @@ def balls(space: FiniteMetricSpace, radius) -> tuple[tuple[str, ...], ...]:
     if not space.is_ultrametric:
         raise InputError("balls of a fixed radius partition only ultrametric spaces")
     r = to_fraction(radius)
-    scale, ints = space._scaled
-    # an int entry d stands for d / scale, and d / scale <= r iff d <= floor(r * scale)
-    limit = r.numerator * scale // r.denominator
     pts = space.points
-    order = sorted(range(len(pts)), key=pts.__getitem__)
-    blocks: list[tuple[str, ...]] = []
-    assigned: set[int] = set()
-    for x in order:
-        if x in assigned:
-            continue
-        members = [y for y in order if ints[x][y] <= limit]
-        blocks.append(tuple(pts[y] for y in members))
-        assigned.update(members)
-    return tuple(sorted(blocks))
+    if r < 0:  # every closed ball of negative radius is empty
+        return ((),) * len(pts)
+    # an int entry d stands for d / scale, and d / scale <= r iff d <= floor(r * scale)
+    scale = space._scaled[0]
+    owner = space._cut(r.numerator * scale // r.denominator)
+    blocks: dict[int, list[str]] = {}
+    for x in sorted(range(len(pts)), key=pts.__getitem__):
+        blocks.setdefault(owner[x], []).append(pts[x])
+    return tuple(map(tuple, blocks.values()))

@@ -411,6 +411,7 @@ class TestGen:
         (["random-esequence", "--order-density", "7"], "order_density must lie in [0, 1]"),
         (["rooted-tree", "--edges", "a-", "--root", "a"], "tree edge 'a-' must look like a-b"),
         (["rooted-tree", "--edges", "r-a -a", "--root", "r"], "tree edge '-a' must look like a-b"),
+        (["rooted-tree", "--edges", "r-a-b", "--root", "r"], "tree edge 'r-a-b' must look like a-b"),
     ])
     def test_bad_generator_arguments_exit_1(self, capsys, argv, message):
         assert run(capsys, "gen", *argv) == (1, "", f"error: {message}\n")

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from phyloquiver import esequence as esequence_module
 from phyloquiver import (
     ESequence,
+    FiniteMetricSpace,
     InputError,
     PrecRelation,
     SizeGuardError,
@@ -355,6 +357,52 @@ def terminal_data_by_walks(seq, n):
     return rho, frozenset(prec)
 
 
+def ref_validate_prec(sp, prec, n):
+    """validate_prec read off its definition: rho as Fractions, every rule
+    checked on every third point of every pair."""
+    rho, pairs = sp.distance, prec.pairs
+    values = sorted({rho(a, b) for a in sp.points for b in sp.points})
+    bound = max(values) if n is None else Fraction(n)
+    out = [f"distance value {v} outside 0..{bound}" for v in values
+           if v.denominator != 1 or v < 0 or v > bound]
+    out += [f"prec is not asymmetric on ({a!r}, {b!r})"
+            for a, b in sorted(pairs) if (b, a) in pairs and (a, b) <= (b, a)]
+    for a, b in sorted(pairs):
+        for c in sp.points:
+            if a == b or c in (a, b):
+                continue
+            if rho(a, c) < rho(a, b) and (c, b) not in pairs:
+                out.append(f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
+                           f"rho({a!r},{b!r}) but not {c!r} prec {b!r}")
+            if rho(b, c) < rho(a, b) and (a, c) not in pairs:
+                out.append(f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
+                           f"rho({a!r},{b!r}) but not {a!r} prec {c!r}")
+            if ((b, c) in pairs and rho(a, b) == rho(a, c) == rho(b, c)
+                    and (a, c) not in pairs):
+                out.append(f"{a!r} prec {b!r} prec {c!r} on an equilateral "
+                           f"triple but not {a!r} prec {c!r}")
+    return out
+
+
+def _one_pair_mutations(space, prec, rng):
+    """``prec`` with one random pair dropped, if it has one, and with one
+    pair of points it lacks added (reflexive and reversed pairs included)."""
+    pairs = sorted(prec.pairs)
+    absent = sorted(set(itertools.product(space.points, repeat=2)) - prec.pairs)
+    out = [prec.pairs - {rng.choice(pairs)}] if pairs else []
+    return [PrecRelation(p) for p in out + [prec.pairs | {rng.choice(absent)}]]
+
+
+@pytest.fixture
+def words_forbidden(monkeypatch):
+    """validate_prec may decide lawful relations on blocks alone: the
+    per-pair wording scan fails the test if it runs."""
+    def forbidden(*args):
+        raise AssertionError("the per-pair scan ran on a lawful relation")
+
+    monkeypatch.setattr(esequence_module, "_rule_violations", forbidden)
+
+
 class TestPrec:
     def test_empty_orders_give_empty_prec(self):
         seq = ESequence.build(
@@ -414,30 +462,6 @@ class TestPrec:
 
     def test_validate_prec_matches_fraction_definition(self):
         # validate_prec compares the int rows; the reference compares rho
-        def ref_validate_prec(sp, prec, n):
-            rho, pairs = sp.distance, prec.pairs
-            values = sorted({rho(a, b) for a in sp.points for b in sp.points})
-            bound = max(values) if n is None else Fraction(n)
-            out = [f"distance value {v} outside 0..{bound}" for v in values
-                   if v.denominator != 1 or v < 0 or v > bound]
-            out += [f"prec is not asymmetric on ({a!r}, {b!r})"
-                    for a, b in sorted(pairs) if (b, a) in pairs and (a, b) <= (b, a)]
-            for a, b in sorted(pairs):
-                for c in sp.points:
-                    if a == b or c in (a, b):
-                        continue
-                    if rho(a, c) < rho(a, b) and (c, b) not in pairs:
-                        out.append(f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
-                                   f"rho({a!r},{b!r}) but not {c!r} prec {b!r}")
-                    if rho(b, c) < rho(a, b) and (a, c) not in pairs:
-                        out.append(f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
-                                   f"rho({a!r},{b!r}) but not {a!r} prec {c!r}")
-                    if ((b, c) in pairs and rho(a, b) == rho(a, c) == rho(b, c)
-                            and (a, c) not in pairs):
-                        out.append(f"{a!r} prec {b!r} prec {c!r} on an equilateral "
-                                   f"triple but not {a!r} prec {c!r}")
-            return out
-
         found = 0
         for s in range(120):
             rng = random.Random(s)
@@ -456,6 +480,47 @@ class TestPrec:
                 assert validate_prec(sp, prec, n) == want, (s, n)
                 found += len(want)
         assert found > 300
+
+    def test_validate_prec_matches_reference_on_one_pair_mutations(self):
+        # lawful, one-pair-dropped and one-pair-added relations, on integer
+        # and on rationally rescaled terminal ultrametrics
+        kinds = {"lawful": 0, "broken": 0}
+        for s in range(150):
+            rng = random.Random(s)
+            seq = gen_random_esequence(2 + s % 4, 3 + s % 6, 0.6, seed=s,
+                                       single_root=True, surjective=True)
+            n = seq.top
+            sp, prec = terminal_ultrametric(seq, n), induce_prec(seq, n)
+            if s % 3 == 0:
+                factor = Fraction(1 + s % 5, 2 + s % 3)
+                sp = FiniteMetricSpace.build(
+                    sp.points, [[v * factor for v in row] for row in sp.rows])
+            for rel in [prec, *_one_pair_mutations(sp, prec, rng)]:
+                want = ref_validate_prec(sp, rel, n)
+                assert validate_prec(sp, rel, n) == want, s
+                kinds["broken" if any(" prec " in v for v in want) else "lawful"] += 1
+        assert sum(kinds.values()) >= 300
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_lawful_relations_never_reach_the_per_pair_scan(self, words_forbidden):
+        for s in range(60):
+            seq = gen_random_esequence(2 + s % 4, 3 + s % 6, 0.6, seed=s,
+                                       single_root=True, surjective=True)
+            for n in range(seq.top + 1):
+                sp = terminal_ultrametric(seq, n)
+                assert validate_prec(sp, induce_prec(seq, n), n) == [], s
+
+    def test_two_hundred_points(self, words_forbidden):
+        seq = gen_random_esequence(10, 200, 0.3, seed=1, single_root=True,
+                                   surjective=True)
+        n = seq.top
+        sp, prec = terminal_ultrametric(seq, n), induce_prec(seq, n)
+        assert len(sp) == 200 and len(prec.pairs) > 10_000
+        assert validate_prec(sp, prec, n) == []
+        assert esequence_isomorphic(reconstruct(sp, prec, n), seq)
+        rng = random.Random(1)
+        for rel in _one_pair_mutations(sp, prec, rng):
+            assert not esequence_module._blocks_lawful(sp, rel.pairs)
 
 
 class TestReconstruction:

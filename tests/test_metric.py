@@ -524,6 +524,30 @@ class TestBalls:
                 assert balls(sp, r) == ref_balls(sp, r), (s, r)
             assert balls(sp, "1/2") == ref_balls(sp, Fraction(1, 2))
 
+    def test_tower_u_fibres_are_balls(self):
+        # step k of the contraction tower collapses exactly the balls of the
+        # k-th distinct nonzero distance
+        spaces = [gen_random_ultrametric(1 + s % 13, depth=1 + s % 5, seed=s)
+                  for s in range(160)]
+        spaces += [terminal_ultrametric(seq, seq.top) for seq in (
+            gen_random_esequence(2 + s % 4, 3 + s % 6, 0.3, seed=s,
+                                 single_root=True, surjective=True)
+            for s in range(80))]
+        steps = 0
+        for sp in spaces:
+            tower = tower_u(sp)
+            radii = sorted({v for row in sp.rows for v in row} - {0})
+            assert len(radii) == len(tower)
+            image = {x: x for x in sp.points}
+            for pmap, r in zip(tower.maps, radii):
+                image = {x: pmap.mapping[y] for x, y in image.items()}
+                fibres = {}
+                for x in sorted(sp.points):
+                    fibres.setdefault(image[x], []).append(x)
+                assert tuple(sorted(map(tuple, fibres.values()))) == balls(sp, r)
+                steps += 1
+        assert steps > 400
+
 
 # -- the integer kernel against plain Fraction definitions ---------------------
 
