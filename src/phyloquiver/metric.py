@@ -31,7 +31,12 @@ from its int rows, each taking its own reduced scale, and rests on a law
 instead of a fresh cubic check: the contraction quotient of an ultrametric
 is an ultrametric, the drift quotient of a metric is a metric (its strong
 triangle inequality is read off its rows), and the split depths of an
-E-sequence with one root form an ultrametric.
+E-sequence with one root form an ultrametric. Two more laws spare the cubic
+half-deficits: on an ultrametric, the least deficit at x is its distance m
+to its nearest point, or 2m minus the widest distance among the others
+when all of them lie at m, read off one sort of each row; and a
+drift step that collapses no pair has a trim image, so it ends the drift
+tower with no check of its own.
 """
 
 from __future__ import annotations
@@ -82,10 +87,17 @@ _Scaled = tuple[int, tuple[tuple[int, ...], ...]]
 def _scaled(matrix: Sequence[Sequence[Fraction]]) -> _Scaled:
     """Scale a Fraction matrix by 2 * lcm of its denominators. Every entry
     becomes an even integer, so each half-deficit of underline_d is an
-    integer too; order, sums and zero tests are those of the rationals."""
-    scale = 2 * lcm(*{v.denominator for row in matrix for v in row})
+    integer too; order, sums and zero tests are those of the rationals.
+    Each distinct Fraction object is scaled once: a parsed matrix shares
+    one object per cell text. They are keyed by identity, since hashing a
+    Fraction by value costs more than scaling it."""
+    distinct = {id(v): v for row in matrix for v in row}
+    scale = 2 * lcm(*{v.denominator for v in distinct.values()})
+    value = {
+        key: v.numerator * (scale // v.denominator) for key, v in distinct.items()
+    }
     return scale, tuple(
-        tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix
+        tuple(map(value.__getitem__, map(id, row))) for row in matrix
     )
 
 
@@ -156,20 +168,42 @@ def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
     """The strong triangle inequality on a symmetric int matrix with zero
     diagonal and positive entries elsewhere: no point is strictly closer
     than d(i, k) to both i and k. For each row and each of its values, the
-    points strictly closer form one bitmask."""
+    points strictly closer form one bitmask. Each row is tested against the
+    rows before it as soon as its masks are built, so a matrix that is not
+    an ultrametric is mostly refused after a few rows."""
     closer: list[dict[int, int]] = []
-    for row in ints:
+    for k, row in enumerate(ints):
         masks: dict[int, int] = {}
         bits = 0
         for j in sorted(range(len(row)), key=row.__getitem__):
             masks.setdefault(row[j], bits)
             bits |= 1 << j
+        if any(closer[i][dik] & masks[dik] for i, dik in enumerate(row[:k])):
+            return False
         closer.append(masks)
-    return not any(
-        closer[i][dik] & closer[k][dik]
-        for i, row in enumerate(ints)
-        for k, dik in enumerate(row[i + 1:], i + 1)
-    )
+    return True
+
+
+def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """underline_d of each point of an ultrametric with three points or
+    more, from its sorted rows. Of d(x,y), d(x,z) and d(y,z) the two largest
+    are equal, so a deficit at x is d(x,y) when d(x,y) < d(x,z), and
+    2 d(x,y) - d(y,z) >= d(x,y) when they are equal. Let m be the distance
+    from x to its nearest point y. If some z lies farther, d(y,z) = d(x,z)
+    and the least deficit is m. Otherwise every other point lies at m, and
+    it is 2m - W, W the widest distance between two other points. Every
+    other row y then tops out at d(y,x) = m, so its widest distance off x
+    is its second-largest entry, counted with multiplicity."""
+    rows = [sorted(row) for row in ints]
+    out = []
+    for x, row in enumerate(rows):
+        m = row[1]  # the diagonal 0 is the only zero of the row
+        if row[-1] > m:
+            out.append(m // 2)
+        else:
+            widest = max(other[-2] for y, other in enumerate(rows) if y != x)
+            out.append(m - widest // 2)
+    return tuple(out)
 
 
 def _problems(
@@ -254,17 +288,18 @@ class FiniteMetricSpace:
         if len(ints) < 3:
             # 0 on a single point, half the sole distance on a pair
             return tuple(max(row) // 2 for row in ints)
+        if self.is_ultrametric:
+            return _ultrametric_half_deficits(ints)
         out = []
         for x, row in enumerate(ints):
-            # The deficit d(x,y) + d(x,z) - d(y,z) over z != x, y is
-            # d(x,y) + min over z of (row x - row y). z = y gives 2 d(x,y),
-            # never below a real deficit (triangle inequality); z = x must
-            # be kept out, so its entry is raised past every real term.
+            # The deficit d(x,y) + d(x,z) - d(y,z) over y < z, both != x, is
+            # d(x,y) + min over z > y of (row x - row y). z = x must be kept
+            # out, so its entry is raised past every real term.
             probe = list(row)
             probe[x] = 2 * max(row)
             best = min(
-                dxy + min(map(sub, probe, other))
-                for y, (dxy, other) in enumerate(zip(row, ints))
+                dxy + min(map(sub, probe[y + 1:], other[y + 1:]))
+                for y, (dxy, other) in enumerate(zip(row[:-1], ints))
                 if y != x
             )
             out.append(best // 2)
@@ -517,18 +552,19 @@ def tower_u(space: FiniteMetricSpace) -> Tower:
 
 def tower_v(space: FiniteMetricSpace) -> Tower:
     """Iterate quotient_v until the space is trim (the trim core). Each
-    non-terminal step collapses at least one pair, so the loop ends."""
+    step but the last collapses at least one pair, so the loop ends."""
     spaces = [space]
     maps: list[PointMap] = []
-    # Each non-terminal step collapses a pair or is bijective, and the image
-    # of a bijective drift is trim, so this bound is never reached.
-    for _ in range(len(space.points) + 2):
-        if is_trim(spaces[-1]):
-            return Tower(tuple(spaces), tuple(maps))
+    while not is_trim(spaces[-1]):
         nxt, pmap = quotient_v(spaces[-1])
         spaces.append(nxt)
         maps.append(pmap)
-    raise AssertionError("drift tower failed to reach a trim space")
+        # A step that collapses no pair is the last: d' = d - h(x) - h(y)
+        # lowers every deficit at x by exactly 2 h(x), and keeps every
+        # triple, so its image is trim without a second cubic pass.
+        if len(nxt) == len(pmap.source):
+            break
+    return Tower(tuple(spaces), tuple(maps))
 
 
 def is_isometric(

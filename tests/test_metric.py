@@ -259,6 +259,35 @@ class TestUnderlineD:
                         assert ud[a] + ud[b] <= sp.distance(a, b)
             assert is_trim(sp) == all(v == 0 for v in ud.values())
 
+    def test_ultrametric_point_seeing_all_at_one_distance(self):
+        # x lies at 4 from a cluster of diameter 2: its least deficit is
+        # 4 + 4 - 2, not its distance to the nearest point.
+        sp = FiniteMetricSpace.build(
+            ["a", "b", "c", "x"],
+            [[0, 1, 2, 4], [1, 0, 2, 4], [2, 2, 0, 4], [4, 4, 4, 0]],
+        )
+        assert sp.is_ultrametric
+        assert underline_d(sp) == ref_underline_d(sp)
+        assert underline_d(sp)["x"] == 3
+        # the last point at n/3 from a caterpillar of diameter (n - 2)/3
+        for n in range(3, 9):
+            labels = [f"s{i}" for i in range(n)]
+            rows = [[Fraction(0 if i == j else n if n - 1 in (i, j) else max(i, j), 3)
+                     for j in range(n)] for i in range(n)]
+            sp = FiniteMetricSpace.build(labels, rows)
+            assert sp.is_ultrametric
+            assert underline_d(sp) == ref_underline_d(sp)
+
+    def test_mixed_ultrametrics_and_their_towers(self):
+        # The Fraction reference is slow at these sizes; at every size the
+        # cubic kernel of a general metric stands in for it.
+        for n in range(20, 41):
+            for space in tower_u(mixed_ultrametric(n, n)).spaces:
+                general = FiniteMetricSpace(space.points, space._scaled, False)
+                assert space._half_deficits == general._half_deficits
+                if n in (20, 30):
+                    assert underline_d(space) == ref_underline_d(space)
+
 
 class TestTrim:
     def test_single_point(self):
@@ -298,6 +327,16 @@ class TestDriftTower:
             assert is_trim(t.terminal)
             for pm in t.maps:
                 assert classify_map(pm).is_drift
+
+    def test_bijective_step_ends_without_a_trim_pass(self):
+        ended = 0
+        for s in range(30):
+            t = tower_v(gen_random_metric(4 + s % 6, seed=s))
+            if t.maps and t.maps[-1].is_bijective:
+                assert "_half_deficits" not in t.terminal.__dict__
+                assert ref_is_trim(t.terminal) and is_trim(t.terminal)
+                ended += 1
+        assert ended > 20
 
 
 class TestIsometry:
