@@ -11,7 +11,8 @@ ancestors, realization and reconstruction round trips, validate_prec on
 one-pair mutations of each reconstructed relation, E-sequence
 isomorphism against relabelled copies and a brute-force search, tower
 laws, every tower quotient re-validated, underline_d and is_trim against
-their Fraction definitions, clade reports against the built clade, clade
+their Fraction definitions, validate_space problems on non-metric matrices
+against every triple, clade reports against the built clade, clade
 formulas) on as many fresh seeds as asked and prints a one-line verdict
 per family.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+from fractions import Fraction
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen
@@ -224,6 +226,41 @@ def audit_towers(count, base, max_n):
     print(f"trusted tower quotients   ok on {quotients} re-validated")
 
 
+def brute_problems(labels, m):
+    """The metric-axiom failures of a symmetric Fraction matrix, straight
+    from the axioms: diagonal, then pairs, then every triple (i, j, k)."""
+    n = len(labels)
+    out = [f"nonzero diagonal at {labels[i]!r}" for i in range(n) if m[i][i]]
+    out += [f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
+            for i, j in itertools.combinations(range(n), 2) if m[i][j] <= 0]
+    out += [f"triangle inequality fails on ({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+            for i, j, k in itertools.product(range(n), repeat=3)
+            if m[i][j] > m[i][k] + m[j][k]]
+    return tuple(out)
+
+
+def audit_metric_problems(count, base):
+    checked = 0
+    for s in range(count):
+        rng = random.Random(base + s)
+        n = 1 + s % 12
+        den = rng.choice((1, 2, 3))
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-1, 12), den)
+        if rng.random() < 0.2:
+            i = rng.randrange(n)
+            m[i][i] = Fraction(rng.choice((-1, 1)), den)
+        labels = [f"p{i}" for i in range(n)]
+        want = brute_problems(labels, m)
+        if not want:
+            continue
+        check = pq.validate_space(labels, m)
+        assert not check.is_metric and check.problems == want, s
+        checked += 1
+    print(f"metric problems           ok on {checked} matrices")
+
+
 def audit_clades(count, base, max_n):
     pairs = reports = 0
     for s in range(count):
@@ -259,6 +296,7 @@ def main() -> None:
     audit_round_trips(args.seq, args.seed_base)
     audit_isomorphism(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)
+    audit_metric_problems(args.spaces, args.seed_base)
     audit_clades(args.quivers // 3, args.seed_base, args.max_n)
 
 

@@ -16,7 +16,9 @@ names the ball of radius n - m of the split-depth ultrametric rho on P_n,
 the labels of P_n below it. `terminal_ultrametric` writes n + 1 - m below
 each pair of distinct siblings of level m and `induce_prec` relates the
 points below each ordered pair; `reconstruct` names every point's ball at
-every radius and reads parents and orders back off those names. Labels are
+every radius and reads parents and orders back off those names; and
+`validate_prec` tests its three ball rules on those balls as bitsets, in
+one pass over the relation whether it is lawful or not. Labels are
 globally unique across levels, which keeps parental maps flat in serialized form.
 
 Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
@@ -27,7 +29,6 @@ an InputError there.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -361,10 +362,10 @@ def validate_prec(
     (1) rho(a, c) < rho(a, b) gives c prec b; (2) rho(b, c) < rho(a, b)
     gives a prec c; (3) b prec c on an equilateral triple gives a prec c.
 
-    The rules are decided on blocks of the ball table (`_blocks_lawful`),
-    in one pass over ``prec`` and one cut of the table per distance value.
-    Only when they fail does the per-pair scan over every third point run,
-    to word each violation in sorted pair order.
+    The relation is lawful exactly when the list is empty. The rules are
+    read off bitsets (`_rule_violations`): one pass over ``prec`` and cuts
+    of the ball table, with no scan over every third point; each violation
+    is worded in sorted pair order, then in point order.
     """
     if not space.is_ultrametric:
         raise InputError("validate_prec needs an ultrametric space")
@@ -382,75 +383,73 @@ def validate_prec(
                               f"outside 0..{Fraction(top, scale)}")
     for a, b in sorted((a, b) for a, b in pairs if a <= b and (b, a) in pairs):
         violations.append(f"prec is not asymmetric on ({a!r}, {b!r})")
-    if not _blocks_lawful(space, pairs):
-        violations += _rule_violations(space, pairs)
-    return violations
-
-
-def _blocks_lawful(
-    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
-) -> bool:
-    """The three rules of `validate_prec`, decided on blocks. For a != b at
-    distance d, their balls A and B of the largest radius below d (the cut
-    at d - 1 in int units) are distinct children of the ball of radius d,
-    and every pair of A x B lies at distance d. Rules 1 and 2 hold iff
-    every block that prec meets lies wholly in prec; then rule 3 holds iff
-    the block relation is transitive among distinct sibling balls."""
-    ints, index = space._scaled[1], space._index
-    cuts: dict[int, list[int]] = {}
-    count: dict[tuple[int, int, int], int] = {}  # (d, A, B) -> pairs in prec
-    for a, b in pairs:
-        if a != b:
-            i, j = index[a], index[b]
-            d = ints[i][j]
-            ball = cuts.get(d) or cuts.setdefault(d, space._cut(d - 1))
-            block = d, ball[i], ball[j]
-            count[block] = count.get(block, 0) + 1
-    size = {d: Counter(ball) for d, ball in cuts.items()}
-    if any(k != size[d][A] * size[d][B] for (d, A, B), k in count.items()):
-        return False
-    above: dict[tuple[int, int], int] = {}  # (d, A) -> bitset of the B above A
-    for d, A, B in count:
-        above[d, A] = above.get((d, A), 0) | 1 << B
-    return not any(above.get((d, B), 0) & ~(above[d, A] | 1 << A)
-                   for d, A, B in count)
+    return violations + _rule_violations(space, pairs, values)
 
 
 def _rule_violations(
-    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
+    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]], values: list[int]
 ) -> list[str]:
-    """Each breach of the three rules, pair by pair and point by point:
-    distances are compared on the int rows, whose order is that of rho."""
+    """Each breach of the three rules of `validate_prec`, on bitsets over
+    point positions. For a != b at distance d, let A and B be their balls
+    of the next smaller value and D their common ball of radius d. A third
+    point c breaks rule 1 in A outside pred(b), rule 2 in B outside
+    succ(a), and rule 3 in D outside A, B and succ(a) but in succ(b): the
+    points of D outside A and B lie at d from both. The three sets are
+    disjoint, so each breaking pair, in sorted order, words its points in
+    position order. Pairs are taken by distance, one cut of the ball table
+    per value, so two cuts are held at a time."""
+    index, pts, ints = space._index, space.points, space._scaled[1]
+    succ, pred = [0] * len(pts), [0] * len(pts)
+    at: dict[int, list[tuple[str, str, int, int]]] = {}  # pairs by distance
+    for a, b in pairs:
+        if a != b:
+            i, j = index[a], index[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+            at.setdefault(ints[i][j], []).append((a, b, i, j))
+    broken = []
+    outer = _ball_bits(space, values[0])
+    for d in values[1:]:
+        inner, outer = outer, _ball_bits(space, d)
+        for a, b, i, j in at.get(d, ()):
+            A, B, after_a = inner[i], inner[j], succ[i]
+            one, two = A & ~pred[j], B & ~after_a
+            three = outer[i] & succ[j] & ~(A | B | after_a)
+            if one or two or three:
+                broken.append((a, b, one, two, three))
     violations: list[str] = []
-    ints, index = space._scaled[1], space._index
-    for a, b in sorted(pairs):
-        if a == b:
-            continue
-        row_a, row_b = ints[index[a]], ints[index[b]]
-        dab = row_a[index[b]]
-        for c, dac, dbc in zip(space.points, row_a, row_b):
-            if c == a or c == b:
-                continue
-            if dac < dab and (c, b) not in pairs:
+    for a, b, one, two, three in sorted(broken):
+        rest = one | two | three
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            c = pts[bit.bit_length() - 1]
+            if one & bit:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({a!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {c!r} prec {b!r}"
                 )
-            if dbc < dab and (a, c) not in pairs:
+            elif two & bit:
                 violations.append(
                     f"{a!r} prec {b!r} and rho({b!r},{c!r}) < rho({a!r},{b!r}) "
                     f"but not {a!r} prec {c!r}"
                 )
-            if (
-                (b, c) in pairs
-                and dab == dac == dbc
-                and (a, c) not in pairs
-            ):
+            else:
                 violations.append(
                     f"{a!r} prec {b!r} prec {c!r} on an equilateral triple "
                     f"but not {a!r} prec {c!r}"
                 )
     return violations
+
+
+def _ball_bits(space: FiniteMetricSpace, limit: int) -> list[int]:
+    """The closed ball of radius limit / scale around each point of an
+    ultrametric, as a bitset over point positions: one cut of the table."""
+    owner = space._cut(limit)
+    bits = dict.fromkeys(owner, 0)
+    for x, ball in enumerate(owner):
+        bits[ball] |= 1 << x
+    return [bits[ball] for ball in owner]
 
 
 def reconstruct(

@@ -23,8 +23,8 @@ is a function of the rational matrix, so spaces compare and hash on it.
 An ultrametric also keeps one ball table, built on first use by sorting
 its int rows: every closed ball is a run of that order, so `balls` at any
 radius is a linear cut of the table, not a quadratic scan, and the
-reconstruction of an E-sequence reads its levels and its prec blocks off
-cuts of the same table.
+reconstruction of an E-sequence reads its levels and checks its prec
+rules on cuts of the same table.
 
 Only input is validated. A space the library derives is built straight
 from its int rows, each taking its own reduced scale, and rests on a law
@@ -111,7 +111,8 @@ class SpaceCheck:
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
     """Check a labeled distance matrix against the metric and ultrametric
     axioms. Shape and symmetry defects raise; axiom failures are returned
-    as flags with a problem list."""
+    as flags with a problem list, and the matrix is a metric exactly when
+    that list is empty."""
     return _check(tuple(points), rows)[0]
 
 
@@ -137,31 +138,53 @@ def _check(
                 )
     # The strong triangle inequality implies the plain one, so the cubic
     # triangle check runs only on matrices that are not ultrametrics.
-    positive = _is_positive(ints)
-    ultra = positive and _is_ultrametric(ints)
-    if not (ultra or positive and _triangles_hold(ints)):
-        return SpaceCheck(False, False, _problems(labels, ints)), scaled
-    return SpaceCheck(True, ultra, ()), scaled
+    problems = _positivity(labels, ints)
+    ultra = not problems and _is_ultrametric(ints)
+    if not ultra:
+        problems += _triangles(labels, ints)
+    return SpaceCheck(not problems, ultra, tuple(problems)), scaled
 
 
-def _is_positive(ints: tuple[tuple[int, ...], ...]) -> bool:
-    """Zero diagonal and positive off-diagonal: the diagonal entry is the
-    only zero of its row, and none is negative."""
-    return all(
-        row[i] == 0 and row.count(0) == 1 and min(row) >= 0
+def _positivity(
+    labels: tuple[str, ...], ints: tuple[tuple[int, ...], ...]
+) -> list[str]:
+    """Each nonzero diagonal entry, then each non-positive distance of a
+    symmetric int matrix. A row is scanned only when its least entry past
+    the diagonal is not positive."""
+    problems = [f"nonzero diagonal at {labels[i]!r}"
+                for i, row in enumerate(ints) if row[i]]
+    for i, row in enumerate(ints):
+        if min(row[i + 1:], default=1) <= 0:
+            problems += [
+                f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
+                for j in range(i + 1, len(row)) if row[j] <= 0
+            ]
+    return problems
+
+
+def _triangles(
+    labels: tuple[str, ...], ints: tuple[tuple[int, ...], ...]
+) -> list[str]:
+    """Each triple (i, j, k) of a symmetric int matrix with d(i, j) >
+    d(i, k) + d(j, k), in lexicographic order. The failure is symmetric in
+    i and j, and a pair fails for some k exactly when the least entry of
+    row i + row j is below d(i, j); for i = j that sum is twice row i. So
+    each pair is tested once, and k is scanned only on failing pairs."""
+    failing: list[list[int]] = [[] for _ in ints]
+    for i, row in enumerate(ints):
+        if 2 * min(row) < row[i]:
+            failing[i].append(i)
+        for j, (dij, other) in enumerate(zip(row[i + 1:], ints[i + 1:]), i + 1):
+            if min(map(add, row, other)) < dij:
+                failing[i].append(j)
+                failing[j].append(i)
+    return [
+        f"triangle inequality fails on "
+        f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
         for i, row in enumerate(ints)
-    )
-
-
-def _triangles_hold(ints: tuple[tuple[int, ...], ...]) -> bool:
-    """The triangle inequality on a symmetric int matrix. d(i, k) <=
-    d(i, j) + d(j, k) for every j is d(i, k) <= min over j of row i +
-    row k, and j = i attains d(i, k)."""
-    return all(
-        min(map(add, row, other)) >= dik
-        for i, row in enumerate(ints)
-        for dik, other in zip(row[i + 1:], ints[i + 1:])
-    )
+        for j in failing[i]  # filled in increasing j
+        for k, via in enumerate(map(add, row, ints[j])) if via < row[j]
+    ]
 
 
 def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
@@ -206,32 +229,6 @@ def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, 
     return tuple(out)
 
 
-def _problems(
-    labels: tuple[str, ...], ints: tuple[tuple[int, ...], ...]
-) -> tuple[str, ...]:
-    """Every metric-axiom failure of a symmetric int matrix, in a fixed order."""
-    n = len(labels)
-    problems: list[str] = []
-    for i in range(n):
-        if ints[i][i] != 0:
-            problems.append(f"nonzero diagonal at {labels[i]!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ints[i][j] <= 0:
-                problems.append(
-                    f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if ints[i][j] > ints[i][k] + ints[j][k]:
-                    problems.append(
-                        f"triangle inequality fails on "
-                        f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-                    )
-    return tuple(problems)
-
-
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Labeled points with an exact rational distance matrix, stored as its
@@ -264,10 +261,6 @@ class FiniteMetricSpace:
         g = gcd(scale, *chain.from_iterable(ints))
         scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
         return cls(tuple(points), (2 * scale // g, scaled), is_ultrametric)
-
-    @classmethod
-    def single(cls, label: str) -> "FiniteMetricSpace":
-        return cls.build((label,), ((0,),))
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -390,10 +383,6 @@ class PointMap:
     @property
     def is_surjective(self) -> bool:
         return set(self.mapping.values()) == set(self.target.points)
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.is_surjective and len(set(self.mapping.values())) == len(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -620,13 +609,14 @@ def is_isometric(
 
 def balls(space: FiniteMetricSpace, radius) -> tuple[tuple[str, ...], ...]:
     """Partition of an ultrametric space into closed balls of the given
-    radius, each ball sorted, balls sorted by first member."""
+    radius, each ball sorted, balls sorted by first member. A negative
+    radius has no partition and is refused."""
     if not space.is_ultrametric:
         raise InputError("balls of a fixed radius partition only ultrametric spaces")
     r = to_fraction(radius)
+    if r < 0:
+        raise InputError(f"a ball radius must not be negative: {r}")
     pts = space.points
-    if r < 0:  # every closed ball of negative radius is empty
-        return ((),) * len(pts)
     # an int entry d stands for d / scale, and d / scale <= r iff d <= floor(r * scale)
     scale = space._scaled[0]
     owner = space._cut(r.numerator * scale // r.denominator)

