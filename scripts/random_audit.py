@@ -12,9 +12,10 @@ one-pair mutations of each reconstructed relation, E-sequence
 isomorphism against relabelled copies and a brute-force search, tower
 laws, every tower quotient re-validated, underline_d and is_trim against
 their Fraction definitions, validate_space problems on non-metric matrices
-against every triple, clade reports against the built clade, clade
-formulas) on as many fresh seeds as asked and prints a one-line verdict
-per family.
+against every triple, its ultrametric flag on perturbed ultrametrics and
+on matrices of many ties against every triple, clade reports against the
+built clade, clade formulas) on as many fresh seeds as asked and prints a
+one-line verdict per family.
 """
 
 from __future__ import annotations
@@ -261,6 +262,42 @@ def audit_metric_problems(count, base):
     print(f"metric problems           ok on {checked} matrices")
 
 
+def brute_ultrametric(m):
+    """The strong triangle inequality and positivity of a symmetric
+    Fraction matrix, straight from the axioms, over every (i, j, k)."""
+    n = len(m)
+    return (all(m[i][i] == 0 for i in range(n))
+            and all(m[i][j] > 0 for i, j in itertools.combinations(range(n), 2))
+            and all(m[i][j] <= max(m[i][k], m[j][k])
+                    for i, j, k in itertools.product(range(n), repeat=3)))
+
+
+def audit_ultrametric_test(count, base):
+    checked = 0
+    for s in range(count):
+        rng = random.Random(base + s)
+        n = 1 + s % 12
+        # an ultrametric with one pair moved a small step up or down
+        space = gen.gen_random_ultrametric(n, depth=1 + s % 4, seed=base + s)
+        near = [list(row) for row in space.rows]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            step = pq.min_gap(space) / rng.choice((1, 2, 3)) * rng.choice((-1, 1))
+            if near[i][j] + step > 0:
+                near[i][j] = near[j][i] = near[i][j] + step
+        # a matrix of many ties: two or three values on a common denominator
+        den = rng.choice((1, 2, 3))
+        top = rng.choice((2, 2, 3))
+        ties = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            ties[i][j] = ties[j][i] = Fraction(rng.randint(1, top), den)
+        for m in (near, ties):
+            labels = [f"p{i}" for i in range(n)]
+            assert pq.validate_space(labels, m).is_ultrametric == brute_ultrametric(m), s
+            checked += 1
+    print(f"ultrametric test          ok on {checked} matrices")
+
+
 def audit_clades(count, base, max_n):
     pairs = reports = 0
     for s in range(count):
@@ -297,6 +334,7 @@ def main() -> None:
     audit_isomorphism(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)
     audit_metric_problems(args.spaces, args.seed_base)
+    audit_ultrametric_test(args.spaces, args.seed_base)
     audit_clades(args.quivers // 3, args.seed_base, args.max_n)
 
 

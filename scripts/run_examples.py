@@ -37,7 +37,7 @@ def main() -> None:
     show_quiver("surjections quiver (n=5)", s5)
     seq = pq.evolutionary_sequence(s5)
     print("   evolutionary sequence:", serialize.esequence_to_obj(seq))
-    print("   newick:", serialize.forest_to_newick(pq.build_forest(seq)).strip())
+    print("   newick:", serialize.forest_to_newick(seq).strip())
     print("   clade of [2]:", clades.clade_report(s5, "2"))
 
     tree = gen.gen_rooted_tree_quiver([("r", "x"), ("x", "y"), ("r", "z")], "r")
@@ -71,9 +71,8 @@ def main() -> None:
         {"a": "r", "b": "r", "a1": "a", "a2": "a", "b1": "b"},
         [("a", "b")],
     )
-    forest = pq.build_forest(two_fiber)
-    print("== two-fiber E-sequence: d(a1,a2) =", pq.forest_distance(forest, "a1", "a2"),
-          " d(a1,b1) =", pq.forest_distance(forest, "a1", "b1"))
+    print("== two-fiber E-sequence: d(a1,a2) =", pq.forest_distance(two_fiber, "a1", "a2"),
+          " d(a1,b1) =", pq.forest_distance(two_fiber, "a1", "b1"))
     rho = pq.terminal_ultrametric(two_fiber, 2)
     prec = pq.induce_prec(two_fiber, 2)
     print("   rho(a1,a2) =", rho.distance("a1", "a2"),

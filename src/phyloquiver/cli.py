@@ -91,7 +91,7 @@ def cmd_forest(args) -> dict | str:
     seq = _read_quiver_or_esequence(args.input)
     if not isinstance(seq, ESequence):
         seq = esequence.evolutionary_sequence(seq)
-    return _FOREST_FORMATS[args.format](esequence.build_forest(seq))
+    return _FOREST_FORMATS[args.format](seq)
 
 
 def cmd_reconstruct(args) -> dict:

@@ -37,7 +37,7 @@ from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .errors import InputError, SizeGuardError
-from .metric import FiniteMetricSpace, _values
+from .metric import FiniteMetricSpace
 from .quiver import Quiver, condense, memo
 from . import analysis
 
@@ -375,7 +375,7 @@ def validate_prec(
         raise InputError(f"prec pair ({a!r}, {b!r}) references unknown points")
     violations: list[str] = []
     scale = space._scaled[0]
-    values = sorted(_values(space))  # in units of 1/scale
+    values = space._values  # in units of 1/scale
     top = values[-1] if n is None else n * scale
     for v in values:
         if v % scale or v < 0 or v > top:
@@ -383,11 +383,11 @@ def validate_prec(
                               f"outside 0..{Fraction(top, scale)}")
     for a, b in sorted((a, b) for a, b in pairs if a <= b and (b, a) in pairs):
         violations.append(f"prec is not asymmetric on ({a!r}, {b!r})")
-    return violations + _rule_violations(space, pairs, values)
+    return violations + _rule_violations(space, pairs)
 
 
 def _rule_violations(
-    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]], values: list[int]
+    space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
 ) -> list[str]:
     """Each breach of the three rules of `validate_prec`, on bitsets over
     point positions. For a != b at distance d, let A and B be their balls
@@ -408,8 +408,8 @@ def _rule_violations(
             pred[j] |= 1 << i
             at.setdefault(ints[i][j], []).append((a, b, i, j))
     broken = []
-    outer = _ball_bits(space, values[0])
-    for d in values[1:]:
+    outer = _ball_bits(space, space._values[0])
+    for d in space._values[1:]:
         inner, outer = outer, _ball_bits(space, d)
         for a, b, i, j in at.get(d, ()):
             A, B, after_a = inner[i], inner[j], succ[i]
@@ -470,7 +470,7 @@ def reconstruct(
         raise InputError("n must be nonnegative")
     scale, ints = space._scaled
     pts = space.points
-    bad = {v for v in _values(space) if v % scale or v > n * scale}
+    bad = {v for v in space._values if v % scale or v > n * scale}
     if bad:  # name the first offending pair in row order
         a, b, v = next((a, b, v) for a, row in zip(pts, ints)
                        for b, v in zip(pts, row) if v in bad)

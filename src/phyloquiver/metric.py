@@ -13,18 +13,19 @@ lies metrically between two others.
 
 Fractions appear only at the API edge. A space stores one matrix: its
 integer rows scaled by 2 * lcm of its denominators, the reduced pair
-(scale, rows). The Fraction rows are a view built from them on first use.
-The cubic checks (the metric and ultrametric axioms, underline_d,
-trimness), the quotient steps, balls and isometry run on the int rows.
-Scaling by a positive integer keeps order, sums and zeros, so results stay
-exact; the factor 2 makes every half-deficit an integer. The reduced pair
-is a function of the rational matrix, so spaces compare and hash on it.
+(scale, rows), with each distinct input entry coerced to a Fraction once.
+The Fraction rows and the sorted distinct entries are views built on
+first use. The axiom checks, underline_d, trimness, the quotient steps,
+balls and isometry run on the int rows. Scaling by a positive integer
+keeps order, sums and zeros, so results stay exact; the factor 2 makes
+every half-deficit an integer. The reduced pair is a function of the
+rational matrix, so spaces compare and hash on it.
 
-An ultrametric also keeps one ball table, built on first use by sorting
-its int rows: every closed ball is a run of that order, so `balls` at any
-radius is a linear cut of the table, not a quadratic scan, and the
-reconstruction of an E-sequence reads its levels and checks its prec
-rules on cuts of the same table.
+One ball table, sorted from the int rows, serves every ultrametric job:
+on an ultrametric each closed ball is a run of its order and each
+distance the largest step between its points. The ultrametric test checks
+that; `balls` at any radius, and the levels and prec rules of a
+reconstructed E-sequence, are linear cuts of the table an ultrametric keeps.
 
 Only input is validated. A space the library derives is built straight
 from its int rows, each taking its own reduced scale, and rests on a law
@@ -45,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -84,18 +85,19 @@ def to_fraction(value) -> Fraction:
 _Scaled = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def _scaled(matrix: Sequence[Sequence[Fraction]]) -> _Scaled:
-    """Scale a Fraction matrix by 2 * lcm of its denominators. Every entry
-    becomes an even integer, so each half-deficit of underline_d is an
-    integer too; order, sums and zero tests are those of the rationals.
-    Each distinct Fraction object is scaled once: a parsed matrix shares
-    one object per cell text. They are keyed by identity, since hashing a
-    Fraction by value costs more than scaling it."""
+def _scaled(matrix: Iterable[Iterable]) -> _Scaled:
+    """Coerce a matrix to Fractions and scale it by 2 * lcm of their
+    denominators. Every entry becomes an even integer, so each half-deficit
+    of underline_d is an integer too; order, sums and zero tests are those
+    of the rationals. Each distinct entry object, one per cell text in a
+    parsed matrix, is coerced and scaled once, in row-major order, so the
+    first bad cell is named. Objects are keyed by identity: hashing a
+    Fraction costs more than scaling it."""
+    matrix = tuple(map(tuple, matrix))  # read twice, and held so no id is reused
     distinct = {id(v): v for row in matrix for v in row}
-    scale = 2 * lcm(*{v.denominator for v in distinct.values()})
-    value = {
-        key: v.numerator * (scale // v.denominator) for key, v in distinct.items()
-    }
+    exact = {key: to_fraction(v) for key, v in distinct.items()}
+    scale = 2 * lcm(*{v.denominator for v in exact.values()})
+    value = {k: v.numerator * (scale // v.denominator) for k, v in exact.items()}
     return scale, tuple(
         tuple(map(value.__getitem__, map(id, row))) for row in matrix
     )
@@ -124,12 +126,11 @@ def _check(
         raise InputError("a metric space needs at least one point")
     if len(set(labels)) != len(labels):
         raise InputError("duplicate point labels")
-    matrix = tuple(tuple(map(to_fraction, row)) for row in rows)
     n = len(labels)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise InputError(f"distance matrix must be {n}x{n}")
-    scaled = _scaled(matrix)
+    scaled = _scaled(rows)
     ints = scaled[1]
+    if len(ints) != n or any(len(row) != n for row in ints):
+        raise InputError(f"distance matrix must be {n}x{n}")
     for i in range(n):
         for j in range(i + 1, n):
             if ints[i][j] != ints[j][i]:
@@ -187,24 +188,36 @@ def _triangles(
     ]
 
 
+def _ball_table(ints: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ball table of an int matrix: its points in lexicographic order
+    of their rows, and each one's distance to the point before it (0 for
+    the first). On an ultrametric every closed ball B of radius r is a run
+    of that order. Two points of B have equal rows off B, where they lie
+    farther than r, and a point c outside B lies at one distance above r
+    from all of B. So c's row first differs from theirs at one place off
+    B, or else at the first point of B, where its entry is the larger;
+    either way c sorts before or after both. A ball of radius r thus ends
+    where a step exceeds r: the steps are the edges of a minimum spanning
+    path, and the balls its single-linkage clusters (Gower & Ross 1969)."""
+    order = tuple(sorted(range(len(ints)), key=ints.__getitem__))
+    return order, (0, *(ints[x][y] for x, y in zip(order, order[1:])))
+
+
 def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
     """The strong triangle inequality on a symmetric int matrix with zero
-    diagonal and positive entries elsewhere: no point is strictly closer
-    than d(i, k) to both i and k. For each row and each of its values, the
-    points strictly closer form one bitmask. Each row is tested against the
-    rows before it as soon as its masks are built, so a matrix that is not
-    an ultrametric is mostly refused after a few rows."""
-    closer: list[dict[int, int]] = []
-    for k, row in enumerate(ints):
-        masks: dict[int, int] = {}
-        bits = 0
-        for j in sorted(range(len(row)), key=row.__getitem__):
-            masks.setdefault(row[j], bits)
-            bits |= 1 << j
-        if any(closer[i][dik] & masks[dik] for i, dik in enumerate(row[:k])):
-            return False
-        closer.append(masks)
-    return True
+    diagonal and positive entries elsewhere, read off its ball table: the
+    points at positions i < j must lie at the largest step between them. An
+    ultrametric passes, as the ball of radius d(i, j) around i is a run (no
+    step between them is longer) and no path of shorter steps reaches j.
+    Conversely such running maxima give d(p, r) = max(d(p, q), d(q, r)) at
+    p < q < r, which is that inequality. A non-ultrametric is mostly refused
+    after a few rows."""
+    order, join = _ball_table(ints)
+    return all(
+        list(map(ints[x].__getitem__, order[i + 1:]))
+        == list(accumulate(join[i + 1:], max))
+        for i, x in enumerate(order)
+    )
 
 
 def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -267,8 +280,14 @@ class FiniteMetricSpace:
         """The distance matrix as Fractions: a view of the int rows, built
         once, with one Fraction per distinct value."""
         scale, ints = self._scaled
-        value = {v: Fraction(v, scale) for v in set(chain.from_iterable(ints))}
+        value = {v: Fraction(v, scale) for v in self._values}
         return tuple(tuple(map(value.__getitem__, row)) for row in ints)
+
+    @cached_property
+    def _values(self) -> tuple[int, ...]:
+        """The distinct entries of the int rows, ascending: 0, the diagonal's,
+        then every distance between distinct points."""
+        return tuple(sorted(set(chain.from_iterable(self._scaled[1]))))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -300,19 +319,8 @@ class FiniteMetricSpace:
 
     @cached_property
     def _balls(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The ball table of an ultrametric: its points in lexicographic
-        order of their int rows, and each one's distance to the point before
-        it (0 for the first). Every closed ball B of radius r is a run of
-        that order. Two points of B have equal rows off B, where they lie
-        farther than r, and a point c outside B lies at one distance above r
-        from all of B. So c's row first differs from theirs at one place off
-        B, or else at the first point of B, where its entry is the larger;
-        either way c sorts before or after both. A ball of radius r thus ends where a step
-        exceeds r: the steps are the edges of a minimum spanning path, and
-        the balls its single-linkage clusters (Gower & Ross 1969)."""
-        ints = self._scaled[1]
-        order = sorted(range(len(ints)), key=ints.__getitem__)
-        return tuple(order), (0, *(ints[x][y] for x, y in zip(order, order[1:])))
+        """The ball table (`_ball_table`) of an ultrametric."""
+        return _ball_table(self._scaled[1])
 
     def _cut(self, limit: int) -> list[int]:
         """The closed ball of radius limit / scale around each point of an
@@ -341,12 +349,6 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({len(self.points)} points)"
 
 
-def _values(space: FiniteMetricSpace) -> set[int]:
-    """The distinct entries of the int rows: 0 and, scaled, every distance
-    between distinct points (the only zeros lie on the diagonal)."""
-    return set(chain.from_iterable(space._scaled[1]))
-
-
 def norm_total(space: FiniteMetricSpace) -> Fraction:
     """Sum of d(x, y) over all ordered pairs."""
     scale, ints = space._scaled
@@ -357,12 +359,12 @@ def min_gap(space: FiniteMetricSpace) -> Fraction:
     """Least distance between distinct points."""
     if len(space.points) < 2:
         raise InputError("min_gap needs at least two points")
-    return Fraction(min(_values(space) - {0}), space._scaled[0])
+    return Fraction(space._values[1], space._scaled[0])
 
 
 def n_nonzero(space: FiniteMetricSpace) -> int:
     """Number of distinct nonzero distance values."""
-    return len(_values(space) - {0})
+    return len(space._values) - 1
 
 
 @dataclass(frozen=True)
@@ -473,8 +475,7 @@ def quotient_u(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
         raise InputError("quotient_u needs an ultrametric space")
     if len(space.points) < 2:
         raise InputError("quotient_u needs at least two points")
-    ints = space._scaled[1]
-    gap = min(v for row in ints for v in row if v)
+    ints, gap = space._scaled[1], space._values[1]
     return _collapse(space, [[v - gap for v in row] for row in ints], True)
 
 
@@ -568,12 +569,8 @@ def is_isometric(
     so their reduced scale, and then equal ints are equal distances. A point
     is matched only to points of its row multiset, depth-first with one
     iterator of untried candidates per placed point, so no size recurses.
+    ``max_points`` refuses only a pair that reaches the search.
     """
-    if max(len(first.points), len(second.points)) > max_points:
-        raise SizeGuardError(
-            f"isometry search limited to {max_points} points; "
-            f"raise max_points to override"
-        )
     (s, a), (t, b) = first._scaled, second._scaled
     if len(a) != len(b) or s != t:
         return None
@@ -583,6 +580,11 @@ def is_isometric(
     sig1 = [tuple(sorted(row)) for row in a]
     if Counter(sig1) != Counter({sig: len(ys) for sig, ys in groups.items()}):
         return None
+    if len(a) > max_points:
+        raise SizeGuardError(
+            f"isometry search limited to {max_points} points; "
+            f"raise max_points to override"
+        )
     candidates = [groups[sig] for sig in sig1]
     order = sorted(range(len(a)), key=lambda x: (len(candidates[x]), first.points[x]))
     assignment: dict[int, int] = {}  # insertion order is the search depth

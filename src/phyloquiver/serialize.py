@@ -214,14 +214,17 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot(vertices, edges) -> str:
+    """A DOT digraph: one statement per vertex, then one per edge. Both
+    ends of an edge are vertices, so each id is quoted once."""
+    name = {v: _dot_quote(v) for v in vertices}
+    lines = [f"  {name[v]};\n" for v in vertices]
+    lines += [f"  {name[t]} -> {name[h]};\n" for t, h in edges]
+    return "digraph {\n" + "".join(lines) + "}\n"
+
+
 def quiver_to_dot(quiver: Quiver) -> str:
-    lines = ["digraph {"]
-    for v in quiver.vertices:
-        lines.append(f"  {_dot_quote(v)};")
-    for t, h in quiver.edges:
-        lines.append(f"  {_dot_quote(t)} -> {_dot_quote(h)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(quiver.vertices, quiver.edges)
 
 
 # -- E-sequences --------------------------------------------------------------
@@ -281,7 +284,7 @@ def _matrix_strs(space: FiniteMetricSpace) -> list[list[str]]:
     """The distance matrix as exact strings, read off the int rows; each
     distinct entry is rendered once."""
     scale, ints = space._scaled
-    text = {v: str(Fraction(v, scale)) for v in set(chain.from_iterable(ints))}
+    text = {v: str(Fraction(v, scale)) for v in space._values}
     return [[text[v] for v in row] for row in ints]
 
 
@@ -357,16 +360,8 @@ def forest_to_obj(forest: ESequence) -> dict:
 
 
 def forest_to_dot(forest: ESequence) -> str:
-    lines = ["digraph {"]
-    for x in forest.labels():
-        lines.append(f"  {_dot_quote(x)};")
-    for child in forest.labels():
-        if child in forest.parent:
-            lines.append(
-                f"  {_dot_quote(child)} -> {_dot_quote(forest.parent[child])};"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels, parent = forest.labels(), forest.parent
+    return _dot(labels, [(x, parent[x]) for x in labels if x in parent])
 
 
 _NEWICK_UNSAFE = re.compile(r"[\s(),:;\[\]']")

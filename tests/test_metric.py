@@ -93,6 +93,40 @@ class TestValidation:
         with pytest.raises(InputError, match="not a metric"):
             FiniteMetricSpace.build(["a", "b"], [[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("cell, message", [
+        (0.5, "float 0.5 rejected: pass an exact rational or a decimal string"),
+        ("1e3", "scientific notation rejected: '1e3'"),
+        ("x", "not a rational number: 'x'"),
+    ], ids=["float", "scientific", "word"])
+    def test_bad_cell_reported_before_short_row(self, cell, message):
+        # the short row comes first, but coercion names the bad cell
+        with pytest.raises(InputError) as exc:
+            FiniteMetricSpace.build(
+                ["a", "b", "c"], [[0, 1], [1, 0, 1], [1, 1, cell]]
+            )
+        assert str(exc.value) == message
+
+    def test_short_row_of_good_cells(self):
+        with pytest.raises(InputError) as exc:
+            FiniteMetricSpace.build(["a", "b"], [[0, 1], [1]])
+        assert str(exc.value) == "distance matrix must be 2x2"
+
+    def test_one_fraction_shared_by_many_cells(self):
+        d = Fraction(3, 7)
+        sp = FiniteMetricSpace.build(
+            "abcde", [[0 if i == j else d for j in range(5)] for i in range(5)]
+        )
+        assert sp.is_ultrametric and n_nonzero(sp) == 1 and min_gap(sp) == d
+        assert sp.rows == tuple(
+            tuple(0 if i == j else d for j in range(5)) for i in range(5)
+        )
+
+    def test_rows_of_fresh_objects_from_generators(self):
+        # every entry a new object, dropped by the caller once read
+        want = gen_random_metric(9, seed=3)
+        rows = ((Fraction(v) for v in row) for row in want.rows)
+        assert FiniteMetricSpace.build(want.points, rows) == want
+
 
 class TestInvariants:
     def test_ultra3_numbers(self, ultra3):
@@ -359,6 +393,16 @@ class TestIsometry:
         with pytest.raises(SizeGuardError):
             is_isometric(big, big)
         assert is_isometric(big, big, max_points=13) is not None
+
+    def test_size_guard_spares_pairs_refused_before_the_search(self):
+        # different sizes, and equal sizes with different row multisets
+        big = gen_random_ultrametric(13, depth=2, seed=0)
+        assert is_isometric(big, gen_random_ultrametric(5, depth=2, seed=0)) is None
+        ultra = gen_random_ultrametric(20, depth=3, seed=1)
+        metric = gen_random_metric(20, seed=1)
+        assert not metric.is_ultrametric
+        assert is_isometric(ultra, metric) is None
+        assert is_isometric(metric, ultra) is None
 
     def test_matches_brute_force(self):
         for s in range(25):
@@ -824,6 +868,37 @@ class TestIntKernel:
             assert not check.is_metric
             triangles += sum(p.startswith("triangle") for p in check.problems)
         assert triangles > 500, triangles
+
+    def test_near_ultrametrics(self):
+        # One pair of an ultrametric, a nearest pair in half the inputs,
+        # moved a small step up or down: the result sits on either side of
+        # the boundary, and the flag and the problems must match the axioms.
+        verdicts = []
+        for s in range(300):
+            n = 2 + s % 15
+            if s % 2:
+                sp = gen_random_ultrametric(n, 1 + s % 4, seed=s)
+            else:
+                sp = mixed_ultrametric(n, s)
+            rng = random.Random(f"near-ultrametric:{s}")
+            m = [list(row) for row in sp.rows]
+            gap = min_gap(sp)
+            i, j = rng.choice([
+                pair for pair in itertools.combinations(range(n), 2)
+                if s % 4 > 1 or m[pair[0]][pair[1]] == gap  # a nearest pair
+            ])
+            step = gap / rng.choice((1, 2, 3))
+            if rng.random() < 0.5 and m[i][j] > step:
+                step = -step
+            m[i][j] = m[j][i] = m[i][j] + step
+            check = validate_space(sp.points, m)
+            want = ref_check(sp.points, m)
+            assert (check.is_metric, check.is_ultrametric, check.problems) == want
+            verdicts.append(check.is_ultrametric)
+            if check.is_metric:
+                built = FiniteMetricSpace.build(sp.points, m)
+                assert built.is_ultrametric == check.is_ultrametric
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
     def test_metric_but_not_ultrametric(self, tri345, cycle4):
         for sp in (tri345, cycle4):
