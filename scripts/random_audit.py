@@ -13,9 +13,9 @@ isomorphism against relabelled copies and a brute-force search, tower
 laws, every tower quotient re-validated, underline_d and is_trim against
 their Fraction definitions, validate_space problems on non-metric matrices
 against every triple, its ultrametric flag on perturbed ultrametrics and
-on matrices of many ties against every triple, clade reports against the
-built clade, clade formulas) on as many fresh seeds as asked and prints a
-one-line verdict per family.
+on matrices of many ties against every triple, isometry against every
+permutation, clade reports against the built clade, clade formulas) on as
+many fresh seeds as asked and prints a one-line verdict per family.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen
 from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
+from phyloquiver.metric import _MAX_COMPARED, _isometry
 
 
 def audit_oracle(count, base, max_n):
@@ -298,6 +299,79 @@ def audit_ultrametric_test(count, base):
     print(f"ultrametric test          ok on {checked} matrices")
 
 
+def brute_isometric(a, b):
+    """A distance-preserving bijection exists, by trying every permutation
+    of the second space's points; each Fraction distance is first coded by
+    its rank among the values of both spaces."""
+    rank = {v: k for k, v in enumerate(set(itertools.chain(*a.rows, *b.rows)))}
+    rows, other = ([[rank[v] for v in row] for row in m.rows] for m in (a, b))
+    n = len(rows)
+    return len(other) == n and any(
+        all(rows[i][j] == other[p[i]][p[j]] for i in range(n) for j in range(i))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def shuffled(rows, rng, tag):
+    """The space of ``rows`` under labels ``tag0``, ``tag1``, ... in a random order."""
+    n = len(rows)
+    perm = rng.sample(range(n), n)
+    return pq.FiniteMetricSpace.build(
+        [f"{tag}{i}" for i in range(n)],
+        [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
+    )
+
+
+def cycle_union(lengths, rng, tag):
+    """Disjoint cycles as a graph metric (d = 1 on an edge, 2 elsewhere),
+    shuffled: every row holds two 1s, so only the search tells them apart."""
+    n = sum(lengths)
+    rows = [[2 * (i != j) for j in range(n)] for i in range(n)]
+    start = 0
+    for k in lengths:
+        for i in range(k):
+            a, b = start + i, start + (i + 1) % k
+            rows[a][b] = rows[b][a] = 1
+        start += k
+    return shuffled(rows, rng, tag)
+
+
+def cycle_lengths(n, least=3):
+    """Every multiset of cycle lengths of at least ``least`` summing to n."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1):
+        for rest in cycle_lengths(n - k, k):
+            yield (k, *rest)
+
+
+def audit_isometry(count, base):
+    rng = random.Random(base)
+    checked = 0
+    for s in range(count // 4):  # relabelled copies answer with a true isometry
+        make = gen.gen_random_ultrametric if s % 2 else gen.gen_random_metric
+        space = make(1 + s % 8, seed=base + s)
+        copy = shuffled(space.rows, rng, "c")
+        found = pq.is_isometric(space, copy)
+        assert found is not None and brute_isometric(space, copy), s
+        assert all(space.distance(x, y) == copy.distance(found[x], found[y])
+                   for x in space.points for y in space.points), s
+        checked += 1
+    for n in range(3, 9):  # unions of cycles share every row multiset
+        for p, q in itertools.combinations_with_replacement(cycle_lengths(n), 2):
+            a, b = cycle_union(p, rng, "a"), cycle_union(q, rng, "b")
+            want = brute_isometric(a, b)
+            assert want == (p == q), (p, q)
+            assert (pq.is_isometric(a, b) is not None) == want, (p, q)
+            assert (pq.is_isometric(b, a) is not None) == want, (p, q)
+            checked += 2
+    worst = max(_isometry(cycle_union(p, rng, "a"), cycle_union((3, 3, 3, 3), rng, "b"))[1]
+                for p in cycle_lengths(12))
+    assert worst < _MAX_COMPARED, worst
+    print(f"isometry                  ok on {checked} pairs; "
+          f"12-point cycle unions compared at most {worst} of {_MAX_COMPARED}")
+
+
 def audit_clades(count, base, max_n):
     pairs = reports = 0
     for s in range(count):
@@ -335,6 +409,7 @@ def main() -> None:
     audit_towers(args.spaces, args.seed_base, args.max_n)
     audit_metric_problems(args.spaces, args.seed_base)
     audit_ultrametric_test(args.spaces, args.seed_base)
+    audit_isometry(args.spaces, args.seed_base)
     audit_clades(args.quivers // 3, args.seed_base, args.max_n)
 
 

@@ -54,7 +54,8 @@ from .quiver import (
     validate_evolution,
 )
 
-DEFAULT_NODE_BUDGET = 2_000_000
+# States the bounded universality check may visit.
+_MAX_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -348,8 +349,6 @@ def verify_universal_bounded(
     quiver: Quiver,
     alpha: Evolution,
     max_length: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """Does ``alpha`` embed in every full evolution for its terminal vertex
     of length at most ``max_length``?
@@ -358,7 +357,7 @@ def verify_universal_bounded(
     quiver with the greedy matching state, which decides exactly the same
     predicate as listing every bounded evolution (greedy matching is
     deterministic per prefix) without writing the walks out. States visited
-    are counted against ``node_budget``; exceeding it raises
+    are counted against ``_MAX_STATES``; exceeding it raises
     :class:`SizeGuardError`. A pass certifies universality only up to the
     bound.
     """
@@ -398,10 +397,10 @@ def verify_universal_bounded(
             j2 = j + 1 if j < need and ci[w] == pattern[j] else j
             state = (w, j2)
             if state not in dist:
-                if len(dist) >= node_budget:
+                if len(dist) >= _MAX_STATES:
                     raise SizeGuardError(
                         f"bounded universality check exceeded the node budget "
-                        f"of {node_budget}"
+                        f"of {_MAX_STATES}"
                     )
                 dist[state] = d + 1
                 queue.append(state)

@@ -9,7 +9,8 @@ after exactly as many steps as there are distinct nonzero distances. For a
 general metric space, one step subtracts the per-point slack underline_d
 (half the worst triangle deficit at each point) from every pair distance
 and collapses; iterating lands on a trim space, one in which every point
-lies metrically between two others.
+lies metrically between two others. A contraction step is the drift step
+of a constant half-deficit, so one collapse serves both towers.
 
 Fractions appear only at the API edge. A space stores one matrix: its
 integer rows scaled by 2 * lcm of its denominators, the reduced pair
@@ -19,7 +20,9 @@ first use. The axiom checks, underline_d, trimness, the quotient steps,
 balls and isometry run on the int rows. Scaling by a positive integer
 keeps order, sums and zeros, so results stay exact; the factor 2 makes
 every half-deficit an integer. The reduced pair is a function of the
-rational matrix, so spaces compare and hash on it.
+rational matrix, so spaces compare and hash on it. The isometry search
+counts the row entries it compares and raises SizeGuardError past a fixed
+budget of them, whatever the number of points.
 
 One ball table, sorted from the int rows, serves every ultrametric job:
 on an ultrametric each closed ball is a run of its order and each
@@ -46,14 +49,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, SizeGuardError
-
-DEFAULT_ISOMETRY_GUARD = 12
 
 
 def to_fraction(value) -> Fraction:
@@ -438,13 +439,15 @@ def classify_map(pmap: PointMap) -> MapClassification:
 
 
 def _collapse(
-    space: FiniteMetricSpace, reduced: Sequence[Sequence[int]], ultrametric: bool
+    space: FiniteMetricSpace, half: Sequence[int], ultrametric: bool
 ) -> tuple[FiniteMetricSpace, PointMap]:
-    """Quotient by the zero pairs of a reduced int matrix in the scale of
-    the space; each class is named after its minimal member. The caller's
-    law makes the quotient a metric; ``ultrametric`` says whether it is
-    known to be an ultrametric too, else its rows are checked for it."""
-    scale = space._scaled[0]
+    """Lower each distance d(x, y) of the space by half[x] + half[y], in its
+    int units, and collapse the pairs that reach zero; each class is named
+    after its minimal member, and only the rows of those members are built.
+    The caller's law makes the quotient a metric; ``ultrametric`` says
+    whether it is known to be an ultrametric too, else its rows are checked
+    for it."""
+    scale, ints = space._scaled
     pts = space.points
     order = sorted(range(len(pts)), key=pts.__getitem__)
     rep: dict[int, int] = {}
@@ -452,15 +455,19 @@ def _collapse(
     for x in order:
         if x in rep:
             continue
-        for y in order:
-            if y == x or reduced[x][y] == 0:
+        hx = half[x]
+        rep[x] = x
+        # y joins x when d(x, y) - half[y] - half[x] is zero
+        for y, v in enumerate(map(sub, ints[x], half)):
+            if v == hx and y != x:
                 rep[y] = x
         heads.append(x)
-    ints = tuple(
-        tuple(0 if a == b else reduced[a][b] for b in heads) for a in heads
+    rows = tuple(
+        tuple(0 if a == b else ints[a][b] - half[a] - half[b] for b in heads)
+        for a in heads
     )
     quotient = FiniteMetricSpace._from_ints(
-        [pts[a] for a in heads], scale, ints, ultrametric or _is_ultrametric(ints)
+        [pts[a] for a in heads], scale, rows, ultrametric or _is_ultrametric(rows)
     )
     return quotient, PointMap(
         space, quotient, {x: pts[rep[i]] for i, x in enumerate(pts)}
@@ -470,13 +477,13 @@ def _collapse(
 def quotient_u(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
     """One contraction step of an ultrametric space: subtract the minimal
     positive distance from every distinct pair and collapse the zeros. The
-    projection is a non-injective contraction by exactly that minimum."""
+    projection is a non-injective contraction by exactly that minimum, the
+    drift step of a constant half-deficit: every stored entry is even."""
     if not space.is_ultrametric:
         raise InputError("quotient_u needs an ultrametric space")
     if len(space.points) < 2:
         raise InputError("quotient_u needs at least two points")
-    ints, gap = space._scaled[1], space._values[1]
-    return _collapse(space, [[v - gap for v in row] for row in ints], True)
+    return _collapse(space, [space._values[1] // 2] * len(space), True)
 
 
 def underline_d(space: FiniteMetricSpace) -> dict[str, Fraction]:
@@ -501,11 +508,7 @@ def quotient_v(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
     """One drift step: subtract underline_d(x) + underline_d(y) from every
     distinct pair and collapse the zeros. On a trim space this is the
     identity up to labeling."""
-    half = space._half_deficits
-    return _collapse(space, [
-        [v - ha - hb for v, hb in zip(row, half)]
-        for row, ha in zip(space._scaled[1], half)
-    ], False)
+    return _collapse(space, space._half_deficits, False)
 
 
 @dataclass(frozen=True)
@@ -557,11 +560,15 @@ def tower_v(space: FiniteMetricSpace) -> Tower:
     return Tower(tuple(spaces), tuple(maps))
 
 
+# Row entries the isometry search may compare: a candidate for the next
+# point costs 1 plus the number of points already placed. Shuffled unions
+# of cycles as graph metrics, whose rows all agree, are the hardest pairs
+# measured: on 12 points or fewer their searches compare under 4M.
+_MAX_COMPARED = 10_000_000
+
+
 def is_isometric(
-    first: FiniteMetricSpace,
-    second: FiniteMetricSpace,
-    *,
-    max_points: int = DEFAULT_ISOMETRY_GUARD,
+    first: FiniteMetricSpace, second: FiniteMetricSpace
 ) -> dict[str, str] | None:
     """A distance-preserving bijection between the spaces, or None.
 
@@ -569,44 +576,54 @@ def is_isometric(
     so their reduced scale, and then equal ints are equal distances. A point
     is matched only to points of its row multiset, depth-first with one
     iterator of untried candidates per placed point, so no size recurses.
-    ``max_points`` refuses only a pair that reaches the search.
+    A search that would compare more than ``_MAX_COMPARED`` row entries
+    raises SizeGuardError.
     """
+    return _isometry(first, second)[0]
+
+
+def _isometry(
+    first: FiniteMetricSpace, second: FiniteMetricSpace
+) -> tuple[dict[str, str] | None, int]:
+    """is_isometric, also handing back the row entries its search compared."""
     (s, a), (t, b) = first._scaled, second._scaled
     if len(a) != len(b) or s != t:
-        return None
+        return None, 0
     groups: dict[tuple[int, ...], list[int]] = {}  # row multiset -> points of second
     for y, row in enumerate(b):
         groups.setdefault(tuple(sorted(row)), []).append(y)
     sig1 = [tuple(sorted(row)) for row in a]
     if Counter(sig1) != Counter({sig: len(ys) for sig, ys in groups.items()}):
-        return None
-    if len(a) > max_points:
-        raise SizeGuardError(
-            f"isometry search limited to {max_points} points; "
-            f"raise max_points to override"
-        )
+        return None, 0
     candidates = [groups[sig] for sig in sig1]
     order = sorted(range(len(a)), key=lambda x: (len(candidates[x]), first.points[x]))
     assignment: dict[int, int] = {}  # insertion order is the search depth
     used: set[int] = set()
     tries: list[Iterator[int]] = []
+    compared = 0
     while len(assignment) < len(order):
         x = order[len(assignment)]
         if len(tries) == len(assignment):
             tries.append(iter(candidates[x]))
         row_x = a[x]
-        for y in tries[-1]:
+        for y in filterfalse(used.__contains__, tries[-1]):
+            compared += 1 + len(assignment)
+            if compared > _MAX_COMPARED:
+                raise SizeGuardError(
+                    f"isometry search of {len(a)} points compared {compared} row "
+                    f"entries, past the budget of {_MAX_COMPARED}"
+                )
             row_y = b[y]
-            if y not in used and all(row_x[z] == row_y[w] for z, w in assignment.items()):
+            if all(row_x[z] == row_y[w] for z, w in assignment.items()):
                 assignment[x] = y
                 used.add(y)
                 break
         else:
             tries.pop()
             if not tries:
-                return None
+                return None, compared
             used.discard(assignment.popitem()[1])
-    return {first.points[x]: second.points[y] for x, y in assignment.items()}
+    return {first.points[x]: second.points[y] for x, y in assignment.items()}, compared
 
 
 def balls(space: FiniteMetricSpace, radius) -> tuple[tuple[str, ...], ...]:

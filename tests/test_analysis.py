@@ -424,11 +424,12 @@ class TestBoundedOracle:
         with pytest.raises(InputError, match="primitive"):
             verify_universal_bounded(g3, beta, 5)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         q = gen_surjection_quiver(6)
         alpha = validate_evolution(q, ["1", "6"])
-        with pytest.raises(SizeGuardError):
-            verify_universal_bounded(q, alpha, 12, node_budget=3)
+        monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 3)
+        with pytest.raises(SizeGuardError, match="node budget of 3$"):
+            verify_universal_bounded(q, alpha, 12)
 
     def test_non_short_full_evolution_fails(self, g3):
         # a longer full evolution cannot embed in the short one
@@ -791,3 +792,25 @@ class TestDeepQuivers:
         assert evo.vertices == ("j0",) + tuple(
             x for k in range(1, 19) for x in (f"a{k}", f"j{k}")
         )
+
+
+def _other_evolution():
+    """A one-vertex evolution of a quiver no other case uses."""
+    return validate_evolution(gen_surjection_quiver(2), ["1"])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: critical_vertices(gen_g3(), _other_evolution()),
+                 "evolution belongs to a different quiver", id="critical-vertices"),
+    pytest.param(lambda: embeds_in(gen_g3(), _other_evolution(), _other_evolution()),
+                 "evolutions belong to a different quiver", id="embeds-in"),
+    pytest.param(lambda: verify_universal_bounded(gen_g3(), _other_evolution(), 3),
+                 "evolution belongs to a different quiver", id="bounded-quiver"),
+    pytest.param(lambda: verify_universal_bounded(
+        gen_g3(), validate_evolution(gen_g3(), ["A"]), -1),
+                 "max_length must be nonnegative", id="bounded-length"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

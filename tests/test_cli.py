@@ -420,3 +420,12 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "random-metric", "--n", "4", "--seed", "2")
         assert code == 0
         assert out.splitlines()[0] == "p0,p1,p2,p3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "rooted-tree", "--root", "r"],
+    ["gen", "rooted-tree", "--edges", "r-a"],
+    ["gen", "rooted-tree"],
+])
+def test_rooted_tree_needs_edges_and_root(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: rooted-tree needs --edges and --root\n")

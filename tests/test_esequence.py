@@ -871,3 +871,35 @@ class TestIsomorphism:
 
         assert esequence_isomorphic(chain(3000, "a"), chain(3000, "b"))
         assert not esequence_isomorphic(chain(3000, "a"), chain(2999, "b"))
+
+
+def _chain_space():
+    # a metric that is not an ultrametric: the path on three points
+    return FiniteMetricSpace.build(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ESequence.build([], {}),
+                 "an E-sequence needs at least one level", id="no-levels"),
+    pytest.param(lambda: ESequence.build([["r"], []], {}),
+                 "level 1 is empty", id="empty-level"),
+    pytest.param(lambda: ESequence.build([["r"]], {}, [("r", "x")]),
+                 "order pair ('r', 'x') references unknown labels", id="unknown-order"),
+    pytest.param(lambda: terminal_ultrametric(
+        ESequence.build([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "a")]), 1),
+                 "not an E-sequence: order is not irreflexive: 'a' < 'a'", id="unlawful"),
+    pytest.param(lambda: induce_prec(ESequence.build([["r"]], {}), 1),
+                 "level 1 out of range 0..0", id="level-range"),
+    pytest.param(lambda: validate_prec(
+        gen_random_ultrametric(3, seed=0), PrecRelation(frozenset({("p0", "q")})), 1),
+                 "prec pair ('p0', 'q') references unknown points", id="prec-unknown"),
+    pytest.param(lambda: reconstruct(_chain_space(), PrecRelation(frozenset()), 1),
+                 "reconstruction needs an ultrametric space", id="not-ultrametric"),
+    pytest.param(lambda: reconstruct(
+        gen_random_ultrametric(3, seed=0), PrecRelation(frozenset()), -1),
+                 "n must be nonnegative", id="negative-n"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

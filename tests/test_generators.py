@@ -147,3 +147,25 @@ class TestValidatorCompliance:
                 assert {seq.parent[x] for x in seq.levels[m]} == set(
                     seq.levels[m - 1]
                 )
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gen_rooted_tree_quiver([("r", "a"), ("a", "a")], "r"),
+                 "self-loop 'a' is not a tree edge", id="tree-self-loop"),
+    pytest.param(lambda: gen_rooted_tree_quiver([("a", "b"), ("b", "c"), ("c", "a")], "r"),
+                 "input is not a tree: not connected", id="tree-disconnected"),
+    pytest.param(lambda: gen_random_quiver(3, density=2), "density must lie in [0, 1]",
+                 id="quiver-density"),
+    pytest.param(lambda: gen_random_ultrametric(0), "n must be at least 1", id="ultra-n"),
+    pytest.param(lambda: gen_random_ultrametric(3, depth=0),
+                 "depth must be at least 1", id="ultra-depth"),
+    pytest.param(lambda: gen_random_metric(0), "n must be at least 1", id="metric-n"),
+    pytest.param(lambda: gen_random_esequence(0), "levels must be at least 1",
+                 id="esequence-levels"),
+    pytest.param(lambda: gen_random_esequence(2, 0), "width must be at least 1",
+                 id="esequence-width"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -176,6 +176,24 @@ class TestClassifyMap:
         pm = PointMap(tri345, target, {"x": "u", "y": "v", "z": "v"})
         assert classify_map(pm).kind == "none"
 
+    def test_tower_map_kinds(self):
+        # A contraction step lowers every distance by one constant; a drift
+        # step is a contraction only when every half-deficit is equal.
+        u_kinds, v_kinds = set(), []
+        for s in range(30):
+            ultra = gen_random_ultrametric(1 + s % 10, depth=1 + s % 4, seed=s)
+            u_kinds |= {classify_map(m).kind for m in tower_u(ultra).maps}
+            metric = gen_random_metric(2 + s % 8, seed=s)
+            v_kinds += [classify_map(m).kind for m in tower_v(metric).maps]
+        assert u_kinds == {"contraction"}
+        assert set(v_kinds) <= {"contraction", "drift"} and "drift" in v_kinds
+
+    def test_one_point_map_is_an_isometry(self):
+        one = FiniteMetricSpace.build(["x"], [[0]])
+        other = FiniteMetricSpace.build(["y"], [[0]])
+        cl = classify_map(PointMap(one, other, {"x": "y"}))
+        assert cl.kind == "isometry" and cl.is_drift
+
 
 class TestUltrametricQuotients:
     def test_ultra3_collapses_closest_pair(self, ultra3):
@@ -388,11 +406,14 @@ class TestIsometry:
     def test_norm_fast_reject(self, ultra3, tri345):
         assert is_isometric(ultra3, tri345) is None
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        # the budget counts compared row entries, not points
         big = gen_random_ultrametric(13, depth=2, seed=0)
-        with pytest.raises(SizeGuardError):
+        assert is_isometric(big, big) is not None
+        monkeypatch.setattr("phyloquiver.metric._MAX_COMPARED", 20)
+        with pytest.raises(SizeGuardError, match="of 13 points compared 2[1-9] row "
+                                                 "entries, past the budget of 20$"):
             is_isometric(big, big)
-        assert is_isometric(big, big, max_points=13) is not None
 
     def test_size_guard_spares_pairs_refused_before_the_search(self):
         # different sizes, and equal sizes with different row multisets
@@ -487,6 +508,21 @@ class TestIsometry:
                 for x in a.points for y in a.points
             )
 
+    def test_cycle_unions_backtrack_to_none(self, monkeypatch):
+        # A 2k-cycle and two k-cycles as graph metrics: every row holds two
+        # 1s and the rest 2s, so the search places points until a cycle
+        # closes too early, then undoes every candidate and returns None.
+        for k in range(3, 7):
+            rng = random.Random(f"cycles:{k}")
+            one, two = cycle_union([2 * k], rng, "a"), cycle_union([k, k], rng, "b")
+            assert is_isometric(one, two) is None and is_isometric(two, one) is None
+            if 2 * k <= 8:
+                assert not brute_isometric(one, two)
+            assert is_isometric(one, cycle_union([2 * k], rng, "c")) is not None
+        monkeypatch.setattr("phyloquiver.metric._MAX_COMPARED", 1000)
+        with pytest.raises(SizeGuardError, match="^isometry search of 12 points "):
+            is_isometric(one, two)
+
     def test_large_spaces_need_no_recursion(self):
         # One search step per point: 1,100 points exceed the default
         # recursion limit, and row multisets are grouped in one dict, not
@@ -498,11 +534,29 @@ class TestIsometry:
         for ints in (equilateral, path):
             space = FiniteMetricSpace._from_ints(points, 1, ints, ints is equilateral)
             start = time.perf_counter()
-            found = is_isometric(space, space, max_points=2000)
+            found = is_isometric(space, space)
             assert time.perf_counter() - start < 3.0
             assert found is not None and sorted(found.values()) == sorted(points)
             assert all(ints[i][j] == ints[int(found[f"p{i}"][1:])][int(found[f"p{j}"][1:])]
                        for i in range(0, n, 37) for j in range(n))
+
+
+def cycle_union(lengths, rng, tag):
+    """Disjoint cycles of the given lengths as a graph metric, d = 1 on an
+    edge and 2 elsewhere, with shuffled labels."""
+    n = sum(lengths)
+    rows = [[2 * (i != j) for j in range(n)] for i in range(n)]
+    start = 0
+    for k in lengths:
+        for i in range(k):
+            a, b = start + i, start + (i + 1) % k
+            rows[a][b] = rows[b][a] = 1
+        start += k
+    perm = rng.sample(range(n), n)
+    return FiniteMetricSpace.build(
+        [f"{tag}{i}" for i in range(n)],
+        [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
+    )
 
 
 def brute_isometric(a, b):
@@ -966,3 +1020,23 @@ class TestIntKernel:
         from phyloquiver.metric import SpaceCheck
 
         assert validate_space(ultra3.points, ultra3.rows) == SpaceCheck(True, True, ())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: to_fraction(object()), "cannot interpret <object",
+                 id="to-fraction"),
+    pytest.param(lambda: validate_space([], []),
+                 "a metric space needs at least one point", id="no-points"),
+    pytest.param(lambda: validate_space(["x", "x"], [[0, 1], [1, 0]]),
+                 "duplicate point labels", id="duplicate-labels"),
+    pytest.param(lambda: gen_random_metric(2, seed=0).distance("p0", "zz"),
+                 "unknown point 'zz'", id="distance"),
+    pytest.param(lambda: PointMap(gen_random_metric(2), gen_random_metric(1), {"p0": "p0"}),
+                 "map must be defined on every source point", id="partial-map"),
+    pytest.param(lambda: PointMap(gen_random_metric(1), gen_random_metric(1), {"p0": "zz"}),
+                 "map hits unknown target point 'zz'", id="unknown-target"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value).startswith(message)

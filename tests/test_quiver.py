@@ -278,3 +278,31 @@ class TestInducedSubquiver:
     def test_rejects_unknown(self, g3):
         with pytest.raises(InputError):
             induced_subquiver(g3, {"Z"})
+
+
+def _other_evolution():
+    """A one-vertex evolution of a quiver no other case uses."""
+    return validate_evolution(gen_surjection_quiver(2), ["1"])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Quiver.build(["a"], [("z", "a")]),
+                 "edge ('z', 'a'): unknown tail vertex", id="edge-tail"),
+    pytest.param(lambda: Quiver.build(["a"], [], {"z": "label"}),
+                 "label attached to unknown vertex 'z'", id="label"),
+    pytest.param(lambda: validate_evolution(gen_map_quiver(2), []),
+                 "an evolution contains at least one vertex", id="empty-evolution"),
+    pytest.param(lambda: validate_evolution(gen_map_quiver(2), ["1", "2"], []),
+                 "expected 1 edge choices for 2 vertices, got 0", id="edge-count"),
+    pytest.param(lambda: validate_evolution(gen_map_quiver(2), ["1", "2"], [9]),
+                 "step 1: edge index 9 out of range", id="edge-index"),
+    pytest.param(lambda: concat(validate_evolution(gen_map_quiver(2), ["1"]),
+                                _other_evolution()),
+                 "cannot concatenate evolutions from different quivers", id="concat"),
+    pytest.param(lambda: induced_subquiver(gen_map_quiver(2), []),
+                 "induced sub-quiver needs at least one vertex", id="induced-empty"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

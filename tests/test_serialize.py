@@ -447,3 +447,17 @@ class TestDeterminism:
     def test_fraction_strings(self):
         assert fraction_str(Fraction(3, 2)) == "3/2"
         assert fraction_str(Fraction(4, 2)) == "2"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: esequence_from_obj([], "e.json"),
+                 "e.json: E-sequence JSON needs 'levels' and 'parent'", id="esequence-obj"),
+    pytest.param(lambda: matrix_from_csv(" , \n\n", "m.csv"),
+                 "m.csv: empty matrix file", id="empty-csv"),
+    pytest.param(lambda: matrix_from_csv("x,y\n0,1\n1\n", "m.csv"),
+                 "m.csv:3: expected 2 entries, got 1", id="short-row"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
