@@ -8,14 +8,16 @@ Reruns the heavy cross-checks (normality oracle agreement, short full
 evolutions in strictly increasing order, universal evolutions against the
 first of them, self-exclusive normality against each vertex's critical
 ancestors, realization and reconstruction round trips, validate_prec on
-one-pair mutations of each reconstructed relation, E-sequence
-isomorphism against relabelled copies and a brute-force search, tower
-laws, every tower quotient re-validated, underline_d and is_trim against
-their Fraction definitions, validate_space problems on non-metric matrices
-against every triple, its ultrametric flag on perturbed ultrametrics and
-on matrices of many ties against every triple, isometry against every
-permutation, clade reports against the built clade, clade formulas) on as
-many fresh seeds as asked and prints a one-line verdict per family.
+one-pair mutations of each reconstructed relation and validate_esequence
+on mutated orders against every third point, worded once per failing pair,
+E-sequence isomorphism against relabelled copies and a brute-force search,
+tower laws, every tower quotient re-validated, underline_d and is_trim
+against their Fraction definitions, validate_space problems on non-metric
+matrices against every triple, its ultrametric flag on perturbed
+ultrametrics and on matrices of many ties against every triple, isometry
+against every permutation, clade reports against the built clade, clade
+formulas) on as many fresh seeds as asked and prints a one-line verdict
+per family.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import phyloquiver as pq
@@ -84,24 +87,28 @@ def audit_self_exclusive(count, base, max_n):
     print(f"self-exclusive normality  ok on {checked} vertices ({rescued} rescued)")
 
 
-def brute_prec_lawful(space, pairs):
+def brute_prec_problems(space, pairs):
     """Asymmetry and the three ball rules of validate_prec, checked on every
-    ordered pair and every third point with Fraction distances."""
+    ordered pair and every third point with Fraction distances, worded once
+    per pair and rule."""
     rho = space.distance
-    for a, b in pairs:
-        if (b, a) in pairs:
-            return False
+    out = [(None, f"prec is not asymmetric on ({a!r}, {b!r})")
+           for a, b in sorted(pairs) if a <= b and (b, a) in pairs]
+    for a, b in sorted(pairs):
         d = rho(a, b)
         for c in space.points:
             if c in (a, b):
                 continue
             if rho(a, c) < d and (c, b) not in pairs:
-                return False
+                out.append(((a, b, 1), f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
+                                       f"rho({a!r},{b!r}) but not {c!r} prec {b!r}"))
             if rho(b, c) < d and (a, c) not in pairs:
-                return False
+                out.append(((a, b, 2), f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
+                                       f"rho({a!r},{b!r}) but not {a!r} prec {c!r}"))
             if (b, c) in pairs and rho(a, c) == rho(b, c) == d and (a, c) not in pairs:
-                return False
-    return True
+                out.append(((a, b, 3), f"{a!r} prec {b!r} prec {c!r} on an equilateral "
+                                       f"triple but not {a!r} prec {c!r}"))
+    return one_per_pair(out)
 
 
 def audit_round_trips(count, base):
@@ -129,11 +136,56 @@ def audit_round_trips(count, base):
         absent = sorted(set(itertools.product(space.points, repeat=2)) - prec.pairs)
         mutations = [prec.pairs - {rng.choice(pairs)}] if pairs else []
         for rel in mutations + [prec.pairs | {rng.choice(absent)}]:
-            got = pq.validate_prec(space, pq.PrecRelation(rel), n) == []
-            assert got == brute_prec_lawful(space, rel), s
+            got = pq.validate_prec(space, pq.PrecRelation(rel), n)
+            assert got == brute_prec_problems(space, rel), s
             mutated += 1
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
     print(f"prec blocks               ok on {mutated} mutated relations")
+
+
+def brute_esequence_problems(seq):
+    """The E-sequence axioms straight from their definitions: each order
+    pair against level 0, its parents and its reverse, then against every
+    third label for transitivity, worded once per failing pair."""
+    order, lv = seq.order, seq.level_of
+    out = []
+    for x, y in sorted(order):
+        if lv[x] == 0:
+            out.append((None, f"order on level 0 must be trivial: {x!r} < {y!r}"))
+        elif seq.parent[x] != seq.parent[y]:
+            out.append((None, f"{x!r} < {y!r} but their parents differ "
+                              f"({seq.parent[x]!r} vs {seq.parent[y]!r})"))
+    for x, y in sorted(order):
+        if x == y:
+            out.append((None, f"order is not irreflexive: {x!r} < {x!r}"))
+        elif (y, x) in order and x < y:
+            out.append((None, f"order is not antisymmetric: {x!r} <> {y!r}"))
+    for x, y in sorted(order):
+        for z in sorted(seq.labels()):
+            if z != x and (y, z) in order and (x, z) not in order:
+                out.append(((x, y), f"order is not transitive: {x!r} < {y!r} < {z!r} "
+                                    f"without {x!r} < {z!r}"))
+    return one_per_pair(out)
+
+
+def audit_esequence_axioms(count, base):
+    rng = random.Random(base)
+    unclosed = reversed_pairs = 0
+    for s in range(count):
+        seq = gen.gen_random_esequence(1 + s % 4, 4 + s % 6, 0.6, seed=base + s)
+        # pairs of the widest level toggled: dropped from the closure,
+        # reversed, reflexive, or across parents
+        order = set(seq.order)
+        level = max(seq.levels, key=len)
+        for _ in range(2 + s % 4):
+            order ^= {(rng.choice(level), rng.choice(level))}
+        mutated = pq.ESequence(seq.levels, seq.parent, frozenset(order))
+        got = pq.validate_esequence(mutated)
+        assert got == brute_esequence_problems(mutated), s
+        unclosed += any("transitive" in p for p in got)
+        reversed_pairs += any("antisymmetric" in p for p in got)
+    print(f"E-sequence axioms         ok on {count} mutated orders "
+          f"({unclosed} unclosed, {reversed_pairs} not antisymmetric)")
 
 
 def relabeled(seq, rng):
@@ -228,17 +280,37 @@ def audit_towers(count, base, max_n):
     print(f"trusted tower quotients   ok on {quotients} re-validated")
 
 
+def one_per_pair(witnessed):
+    """Brute-force messages, one per witness, in the wording of the
+    validators: of each key (a failing pair, and rule) the first message
+    stays, in place, with the number of that key's messages appended.
+    ``witnessed`` holds (key, message) items, key None for a message that
+    names no witness."""
+    count = Counter(key for key, _ in witnessed)
+    seen = set()
+    out = []
+    for key, message in witnessed:
+        if key is None:
+            out.append(message)
+        elif key not in seen:
+            seen.add(key)
+            out.append(f"{message} (witness 1 of {count[key]})")
+    return out
+
+
 def brute_problems(labels, m):
     """The metric-axiom failures of a symmetric Fraction matrix, straight
-    from the axioms: diagonal, then pairs, then every triple (i, j, k)."""
+    from the axioms: diagonal, then pairs, then every triple (i, j, k),
+    worded once per pair i <= j (the failure is symmetric in i and j)."""
     n = len(labels)
-    out = [f"nonzero diagonal at {labels[i]!r}" for i in range(n) if m[i][i]]
-    out += [f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
+    out = [(None, f"nonzero diagonal at {labels[i]!r}") for i in range(n) if m[i][i]]
+    out += [(None, f"non-positive distance between {labels[i]!r} and {labels[j]!r}")
             for i, j in itertools.combinations(range(n), 2) if m[i][j] <= 0]
-    out += [f"triangle inequality fails on ({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+    out += [((i, j), f"triangle inequality fails on "
+                     f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
             for i, j, k in itertools.product(range(n), repeat=3)
-            if m[i][j] > m[i][k] + m[j][k]]
-    return tuple(out)
+            if m[i][j] > m[i][k] + m[j][k] and i <= j]
+    return tuple(one_per_pair(out))
 
 
 def audit_metric_problems(count, base):
@@ -405,6 +477,7 @@ def main() -> None:
     audit_universal(args.quivers, args.seed_base, args.max_n)
     audit_self_exclusive(args.quivers, args.seed_base, args.max_n)
     audit_round_trips(args.seq, args.seed_base)
+    audit_esequence_axioms(args.seq, args.seed_base)
     audit_isomorphism(args.seq, args.seed_base)
     audit_towers(args.spaces, args.seed_base, args.max_n)
     audit_metric_problems(args.spaces, args.seed_base)

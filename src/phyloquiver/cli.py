@@ -101,13 +101,13 @@ def cmd_reconstruct(args) -> dict:
     else:
         prec = serialize.prec_from_text(serialize.read_text(args.prec))
     if args.levels is None:
-        top = max(map(max, space.rows))
-        if top.denominator != 1:
+        top, scale = space._values[-1], space._scaled[0]
+        if top % scale:
             raise InputError(
                 "matrix has non-integer distances; pass --levels explicitly "
                 "only for integer ultrametrics"
             )
-        n = int(top)
+        n = top // scale
     else:
         n = args.levels
     return serialize.esequence_to_obj(esequence.reconstruct(space, prec, n))

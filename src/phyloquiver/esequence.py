@@ -18,8 +18,11 @@ each pair of distinct siblings of level m and `induce_prec` relates the
 points below each ordered pair; `reconstruct` names every point's ball at
 every radius and reads parents and orders back off those names; and
 `validate_prec` tests its three ball rules on those balls as bitsets, in
-one pass over the relation whether it is lawful or not. Labels are
-globally unique across levels, which keeps parental maps flat in serialized form.
+one pass over the relation whether it is lawful or not. Both validators
+word each failing pair once per rule or axiom, naming its least witness
+and counting the rest, so a refusal grows with the relation, not with its
+triples. Labels are globally unique across levels, which keeps parental
+maps flat in serialized form.
 
 Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
 the sorted codes of its connected parts, under a budget of adjacency entries
@@ -161,8 +164,10 @@ def validate_esequence(seq: ESequence) -> list[str]:
     """E-sequence axiom violations, empty when the sequence is lawful.
 
     Checked: trivial order on P0; comparable elements share a parent; each
-    level order is irreflexive, antisymmetric, and transitive, each
-    violation listed in sorted order (never in hash order).
+    level order is irreflexive, antisymmetric, and transitive. Each order
+    pair is worded at most once per check, in sorted order (never in hash
+    order), so there are at most 3 * |order| messages. A pair that breaks
+    transitivity names its least missing successor and counts them all.
     """
     violations: list[str] = []
     lv = seq.level_of
@@ -180,20 +185,26 @@ def validate_esequence(seq: ESequence) -> list[str]:
             violations.append(f"order is not irreflexive: {x!r} < {x!r}")
         elif (y, x) in seq.order and x < y:  # report each bad pair once
             violations.append(f"order is not antisymmetric: {x!r} <> {y!r}")
-    # Successor bitsets over positions in the level: x < y is transitive
-    # when every successor of y, x itself aside, is a successor of x.
-    bit = {x: 1 << i for level in seq.levels for i, x in enumerate(level)}
+    # Successor bitsets, a successor's bit its rank in label order among the
+    # successors on its level: x < y is transitive when every successor of
+    # y, x itself aside, is a successor of x, and the lowest bit missing is
+    # the least label missing.
+    ranked: dict[int, list[str]] = {}
+    bit: dict[str, int] = {}
+    for y in sorted({y for _, y in pairs}):
+        rank = ranked.setdefault(lv[y], [])
+        bit[y] = 1 << len(rank)
+        rank.append(y)
     up: dict[str, int] = {}
     for x, y in pairs:
         up[x] = up.get(x, 0) | bit[y]
     for x, y in pairs:
-        missing = up.get(y, 0) & ~(up[x] | bit[x])
-        if not missing:
-            continue
-        for z in sorted(z for z in seq.levels[lv[x]] if bit[z] & missing):
+        missing = up.get(y, 0) & ~(up[x] | bit.get(x, 0))
+        if missing:
+            z = ranked[lv[x]][(missing & -missing).bit_length() - 1]
             violations.append(
-                f"order is not transitive: {x!r} < {y!r} < {z!r} "
-                f"without {x!r} < {z!r}"
+                f"order is not transitive: {x!r} < {y!r} < {z!r} without "
+                f"{x!r} < {z!r} (witness 1 of {missing.bit_count()})"
             )
     return violations
 
@@ -245,13 +256,18 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     return ESequence(tuple(map(tuple, levels)), parent, frozenset(order))
 
 
+def _require_esequence(seq: ESequence) -> None:
+    """Raise one InputError listing the axiom violations of ``seq``, if any."""
+    violations = validate_esequence(seq)
+    if violations:
+        raise InputError("not an E-sequence: " + "; ".join(violations))
+
+
 def realize_esequence(seq: ESequence) -> Quiver:
     """The phylogenetic quiver whose evolutionary sequence is ``seq``:
     one vertex per label, an edge a -> b for each in-level pair b < a, and
     an edge a -> p(a) for every non-root label."""
-    violations = validate_esequence(seq)
-    if violations:
-        raise InputError("not an E-sequence: " + "; ".join(violations))
+    _require_esequence(seq)
     edges = [(a, seq.parent[a]) for level in seq.levels[1:] for a in level]
     edges += [(y, x) for x, y in sorted(seq.order)]  # x < y: y descends from x
     return Quiver.build(seq.labels(), edges)
@@ -282,9 +298,7 @@ def forest_distance(forest: ESequence, a: str, b: str) -> int | None:
 
 
 def _check_reconstruction_premises(seq: ESequence, n: int) -> None:
-    violations = validate_esequence(seq)
-    if violations:
-        raise InputError("not an E-sequence: " + "; ".join(violations))
+    _require_esequence(seq)
     if not 0 <= n <= seq.top:
         raise InputError(f"level {n} out of range 0..{seq.top}")
     if len(seq.levels[0]) != 1:
@@ -364,8 +378,10 @@ def validate_prec(
 
     The relation is lawful exactly when the list is empty. The rules are
     read off bitsets (`_rule_violations`): one pass over ``prec`` and cuts
-    of the ball table, with no scan over every third point; each violation
-    is worded in sorted pair order, then in point order.
+    of the ball table, with no scan over every third point. Each bad
+    distance value and each symmetric pair is worded once, and each pair of
+    ``prec`` once per rule it breaks, with its least third point and the
+    number of them, in sorted pair order.
     """
     if not space.is_ultrametric:
         raise InputError("validate_prec needs an ultrametric space")
@@ -386,18 +402,32 @@ def validate_prec(
     return violations + _rule_violations(space, pairs)
 
 
+# The wording of each ball rule of `validate_prec`, for a prec b and a
+# third point c that breaks it.
+_RULES = (
+    "{a!r} prec {b!r} and rho({a!r},{c!r}) < rho({a!r},{b!r}) "
+    "but not {c!r} prec {b!r}",
+    "{a!r} prec {b!r} and rho({b!r},{c!r}) < rho({a!r},{b!r}) "
+    "but not {a!r} prec {c!r}",
+    "{a!r} prec {b!r} prec {c!r} on an equilateral triple "
+    "but not {a!r} prec {c!r}",
+)
+
+
 def _rule_violations(
     space: FiniteMetricSpace, pairs: frozenset[tuple[str, str]]
 ) -> list[str]:
-    """Each breach of the three rules of `validate_prec`, on bitsets over
+    """The breaches of the three rules of `validate_prec`, on bitsets over
     point positions. For a != b at distance d, let A and B be their balls
     of the next smaller value and D their common ball of radius d. A third
     point c breaks rule 1 in A outside pred(b), rule 2 in B outside
     succ(a), and rule 3 in D outside A, B and succ(a) but in succ(b): the
-    points of D outside A and B lie at d from both. The three sets are
-    disjoint, so each breaking pair, in sorted order, words its points in
-    position order. Pairs are taken by distance, one cut of the ball table
-    per value, so two cuts are held at a time."""
+    points of D outside A and B lie at d from both. Each breaking pair, in
+    sorted order, words each rule it breaks once, naming the rule's least
+    point c and counting its points; the three sets are disjoint, and the
+    rules follow their least points. So there are at most 3 * |prec|
+    messages. Pairs are taken by distance, one cut of the ball table per
+    value, so two cuts are held at a time."""
     index, pts, ints = space._index, space.points, space._scaled[1]
     succ, pred = [0] * len(pts), [0] * len(pts)
     at: dict[int, list[tuple[str, str, int, int]]] = {}  # pairs by distance
@@ -416,29 +446,15 @@ def _rule_violations(
             one, two = A & ~pred[j], B & ~after_a
             three = outer[i] & succ[j] & ~(A | B | after_a)
             if one or two or three:
-                broken.append((a, b, one, two, three))
+                broken.append((a, b, (one, two, three)))
     violations: list[str] = []
-    for a, b, one, two, three in sorted(broken):
-        rest = one | two | three
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            c = pts[bit.bit_length() - 1]
-            if one & bit:
-                violations.append(
-                    f"{a!r} prec {b!r} and rho({a!r},{c!r}) < rho({a!r},{b!r}) "
-                    f"but not {c!r} prec {b!r}"
-                )
-            elif two & bit:
-                violations.append(
-                    f"{a!r} prec {b!r} and rho({b!r},{c!r}) < rho({a!r},{b!r}) "
-                    f"but not {a!r} prec {c!r}"
-                )
-            else:
-                violations.append(
-                    f"{a!r} prec {b!r} prec {c!r} on an equilateral triple "
-                    f"but not {a!r} prec {c!r}"
-                )
+    for a, b, rules in sorted(broken):
+        for least, rule, count in sorted(
+            (s & -s, rule, s.bit_count()) for rule, s in enumerate(rules) if s
+        ):
+            c = pts[least.bit_length() - 1]
+            violations.append(_RULES[rule].format(a=a, b=b, c=c)
+                              + f" (witness 1 of {count})")
     return violations
 
 

@@ -167,26 +167,23 @@ def _positivity(
 def _triangles(
     labels: tuple[str, ...], ints: tuple[tuple[int, ...], ...]
 ) -> list[str]:
-    """Each triple (i, j, k) of a symmetric int matrix with d(i, j) >
-    d(i, k) + d(j, k), in lexicographic order. The failure is symmetric in
-    i and j, and a pair fails for some k exactly when the least entry of
-    row i + row j is below d(i, j); for i = j that sum is twice row i. So
-    each pair is tested once, and k is scanned only on failing pairs."""
-    failing: list[list[int]] = [[] for _ in ints]
+    """One message per pair i <= j of a symmetric int matrix with d(i, j) >
+    d(i, k) + d(j, k) for some k, in lexicographic order: it names the
+    least such k and counts them all, so there are at most n(n + 1)/2
+    messages. The failure is symmetric in i and j, and a pair fails for
+    some k exactly when the least entry of row i + row j is below d(i, j).
+    So each unordered pair is tested once, and k is scanned only on
+    failing pairs."""
+    problems = []
     for i, row in enumerate(ints):
-        if 2 * min(row) < row[i]:
-            failing[i].append(i)
-        for j, (dij, other) in enumerate(zip(row[i + 1:], ints[i + 1:]), i + 1):
+        for j, (dij, other) in enumerate(zip(row[i:], ints[i:]), i):
             if min(map(add, row, other)) < dij:
-                failing[i].append(j)
-                failing[j].append(i)
-    return [
-        f"triangle inequality fails on "
-        f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-        for i, row in enumerate(ints)
-        for j in failing[i]  # filled in increasing j
-        for k, via in enumerate(map(add, row, ints[j])) if via < row[j]
-    ]
+                via = [k for k, s in enumerate(map(add, row, other)) if s < dij]
+                problems.append(
+                    f"triangle inequality fails on ({labels[i]!r}, "
+                    f"{labels[j]!r}, {labels[via[0]]!r}) (witness 1 of {len(via)})"
+                )
+    return problems
 
 
 def _ball_table(ints: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,6 +8,7 @@ walk enumeration, embeddings by trying every index subsequence.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -95,6 +96,24 @@ def brute_embedding_exists(classes, alpha, beta) -> bool:
         if all(classes[alpha[k]] == classes[beta[r]] for k, r in zip(range(m), idx)):
             return True
     return False
+
+
+def one_per_pair(witnessed):
+    """A brute-force message list, one message per witness, in the wording
+    of the validators: one message per failing pair (and rule). Each item
+    is (key, message), key None for a message that names no witness. Of
+    each key the first message stays, in place, with the number of that
+    key's messages appended; the later ones go."""
+    count = Counter(key for key, _ in witnessed)
+    seen = set()
+    out = []
+    for key, message in witnessed:
+        if key is None:
+            out.append(message)
+        elif key not in seen:
+            seen.add(key)
+            out.append(f"{message} (witness 1 of {count[key]})")
+    return out
 
 
 @pytest.fixture

@@ -47,6 +47,8 @@ from phyloquiver.generators import (
     gen_surjection_quiver,
 )
 
+from conftest import one_per_pair
+
 
 @pytest.fixture
 def two_fiber():
@@ -96,6 +98,34 @@ class TestESequenceType:
         for s in range(30):
             seq = gen_random_esequence(1 + s % 5, 5, 0.4, seed=s)
             assert validate_esequence(seq) == []
+
+    def test_unclosed_order_words_each_pair_once(self):
+        # A x B and B x C among siblings, without A x C: every pair of A x B
+        # lacks all of C, and names the least label of it
+        k = 20
+        a, b, c = ([f"{t}{i:02}" for i in range(k)] for t in "abc")
+        kids = c + b + a  # positions in the level do not follow the labels
+        seq = ESequence.build([["r"], kids], dict.fromkeys(kids, "r"),
+                              [*itertools.product(a, b), *itertools.product(b, c)])
+        assert validate_esequence(seq) == [
+            f"order is not transitive: {x!r} < {y!r} < 'c00' without "
+            f"{x!r} < 'c00' (witness 1 of {k})"
+            for x, y in itertools.product(a, b)
+        ]
+
+    def test_at_most_three_messages_per_order_pair(self):
+        # random relations inside levels: on level 0, across parents,
+        # reflexive, reversed and unclosed pairs all occur
+        worded = 0
+        for s in range(60):
+            seq = gen_random_esequence(1 + s % 4, 6 + s % 10, 0.5, seed=s)
+            rng = random.Random(s)
+            order = frozenset((x, y) for level in seq.levels for x in level
+                              for y in level if rng.random() < 0.3)
+            got = validate_esequence(ESequence(seq.levels, seq.parent, order))
+            assert len(got) <= 3 * len(order), s
+            worded += len(got)
+        assert worded > 1000, worded
 
 
 class TestEvolutionarySequence:
@@ -360,7 +390,8 @@ def terminal_data_by_walks(seq, n):
 
 def ref_validate_prec(sp, prec, n):
     """validate_prec read off its definition: rho as Fractions, every rule
-    checked on every third point of every pair."""
+    checked on every third point of every pair, then worded once per pair
+    and rule."""
     rho, pairs = sp.distance, prec.pairs
     values = sorted({rho(a, b) for a in sp.points for b in sp.points})
     bound = max(values) if n is None else Fraction(n)
@@ -368,21 +399,25 @@ def ref_validate_prec(sp, prec, n):
            if v.denominator != 1 or v < 0 or v > bound]
     out += [f"prec is not asymmetric on ({a!r}, {b!r})"
             for a, b in sorted(pairs) if (b, a) in pairs and (a, b) <= (b, a)]
+    witnessed = [(None, v) for v in out]
     for a, b in sorted(pairs):
         for c in sp.points:
             if a == b or c in (a, b):
                 continue
             if rho(a, c) < rho(a, b) and (c, b) not in pairs:
-                out.append(f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
-                           f"rho({a!r},{b!r}) but not {c!r} prec {b!r}")
+                witnessed.append(((a, b, 1),
+                                  f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
+                                  f"rho({a!r},{b!r}) but not {c!r} prec {b!r}"))
             if rho(b, c) < rho(a, b) and (a, c) not in pairs:
-                out.append(f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
-                           f"rho({a!r},{b!r}) but not {a!r} prec {c!r}")
+                witnessed.append(((a, b, 2),
+                                  f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
+                                  f"rho({a!r},{b!r}) but not {a!r} prec {c!r}"))
             if ((b, c) in pairs and rho(a, b) == rho(a, c) == rho(b, c)
                     and (a, c) not in pairs):
-                out.append(f"{a!r} prec {b!r} prec {c!r} on an equilateral "
-                           f"triple but not {a!r} prec {c!r}")
-    return out
+                witnessed.append(((a, b, 3),
+                                  f"{a!r} prec {b!r} prec {c!r} on an equilateral "
+                                  f"triple but not {a!r} prec {c!r}"))
+    return one_per_pair(witnessed)
 
 
 def _one_pair_mutations(space, prec, rng):
@@ -514,6 +549,45 @@ class TestPrec:
             assert want
             worded += len(want)
         assert worded > 50, worded
+
+    def test_rule_messages_at_most_three_per_pair(self):
+        # each ordered pair of distinct points kept with probability 1/2
+        seq = gen_random_esequence(6, 40, 0.3, seed=1, single_root=True,
+                                   surjective=True)
+        sp = terminal_ultrametric(seq, seq.top)
+        rng = random.Random(1)
+        prec = PrecRelation(frozenset(
+            p for p in itertools.permutations(sp.points, 2) if rng.random() < 0.5))
+        got = validate_prec(sp, prec)
+        rules = [v for v in got if v.endswith(")") and "(witness 1 of " in v]
+        couples = [v for v in got if v.startswith("prec is not asymmetric")]
+        assert len(rules) + len(couples) == len(got)
+        assert len(sp) >= 30 and len(rules) > len(sp)
+        assert len(got) <= 3 * len(prec.pairs)
+
+    def test_symmetric_cycle_breaks_every_rule_of_every_pair(self):
+        # p0..p4 pairwise at 2, each p_i at 1 from its own q_i; prec relates
+        # neighbours on the cycle both ways: each ordered pair breaks rule 1
+        # at q_i, rule 2 at q_(i+1) and rule 3 at p_(i+2), so the three rule
+        # messages per pair are reached, and the asymmetry ones come on top
+        m = 5
+        pts = [f"p{i}" for i in range(m)] + [f"q{i}" for i in range(m)]
+        rows = [[0 if x == y else 1 if x[1:] == y[1:] else 2 for y in pts]
+                for x in pts]
+        sp = FiniteMetricSpace.build(pts, rows)
+        prec = PrecRelation.build(
+            (f"p{i}", f"p{(i + d) % m}") for i in range(m) for d in (1, -1))
+        got = validate_prec(sp, prec)
+        assert len(got) == 3 * len(prec.pairs) + m
+        assert got[m:m + 3] == [  # in the order of their points
+            "'p0' prec 'p1' prec 'p2' on an equilateral triple "
+            "but not 'p0' prec 'p2' (witness 1 of 1)",
+            "'p0' prec 'p1' and rho('p0','q0') < rho('p0','p1') "
+            "but not 'q0' prec 'p1' (witness 1 of 1)",
+            "'p0' prec 'p1' and rho('p1','q1') < rho('p0','p1') "
+            "but not 'p0' prec 'q1' (witness 1 of 1)",
+        ]
+        assert got == ref_validate_prec(sp, prec, None)
 
     def test_lawful_relations_have_no_violations(self):
         for s in range(60):

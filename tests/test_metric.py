@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ from phyloquiver.generators import (
     gen_random_metric,
     gen_random_ultrametric,
 )
+
+from conftest import one_per_pair
 
 
 @pytest.fixture
@@ -718,18 +721,20 @@ def ref_check(labels, rows):
         for i in range(n) for j in range(i + 1, n) if m[i][j] <= 0
     ]
     ok = not problems
+    witnessed = [(None, p) for p in problems]
     for i, j, k in itertools.product(range(n), repeat=3):
         if m[i][j] > m[i][k] + m[j][k]:
-            problems.append(
-                f"triangle inequality fails on "
-                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-            )
+            if i <= j:  # the failure is symmetric in i and j: word it once
+                witnessed.append(((i, j), (
+                    f"triangle inequality fails on "
+                    f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+                )))
             ok = False
     ultra = ok and all(
         m[i][j] <= max(m[i][k], m[j][k])
         for i, j, k in itertools.product(range(n), repeat=3)
     )
-    return ok, ultra, tuple(problems)
+    return ok, ultra, tuple(one_per_pair(witnessed))
 
 
 def ref_underline_d(space):
@@ -920,8 +925,21 @@ class TestIntKernel:
             want = ref_check(labels, m)
             assert (check.is_metric, check.is_ultrametric, check.problems) == want
             assert not check.is_metric
-            triangles += sum(p.startswith("triangle") for p in check.problems)
+            triangles += sum(int(re.search(r"of (\d+)\)$", p)[1])
+                             for p in check.problems if p.startswith("triangle"))
         assert triangles > 500, triangles
+
+    def test_one_message_per_failing_pair(self):
+        # random integers 1-60 break many triangles: at most one message per
+        # unordered pair, and far fewer than the failing triples they count
+        for n in (20, 35, 50):
+            rng = random.Random(f"one-per-pair:{n}")
+            m = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                m[i][j] = m[j][i] = rng.randint(1, 60)
+            problems = validate_space([f"p{i}" for i in range(n)], m).problems
+            witnesses = sum(int(re.search(r"of (\d+)\)$", p)[1]) for p in problems)
+            assert 0 < len(problems) <= n * (n + 1) // 2 < witnesses, n
 
     def test_near_ultrametrics(self):
         # One pair of an ultrametric, a nearest pair in half the inputs,
