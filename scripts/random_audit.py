@@ -16,20 +16,23 @@ against their Fraction definitions, validate_space problems on non-metric
 matrices against every triple, its ultrametric flag on perturbed
 ultrametrics and on matrices of many ties against every triple, isometry
 against every permutation, clade reports against the built clade, clade
-formulas) on as many fresh seeds as asked and prints a one-line verdict
-per family.
+formulas, analysis reports rendered by serialize.dumps against
+json.dumps with ids holding a quote, a backslash, a NUL and non-ASCII
+text) on as many fresh seeds as asked and prints a one-line verdict per
+family.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import phyloquiver as pq
-from phyloquiver import clades, generators as gen
+from phyloquiver import clades, generators as gen, serialize
 from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
 from phyloquiver.metric import _MAX_COMPARED, _isometry
 
@@ -109,6 +112,18 @@ def brute_prec_problems(space, pairs):
                 out.append(((a, b, 3), f"{a!r} prec {b!r} prec {c!r} on an equilateral "
                                        f"triple but not {a!r} prec {c!r}"))
     return one_per_pair(out)
+
+
+def audit_rendering(count, base, max_n):
+    for s in range(count):
+        make = gen.gen_random_monotonous if s % 2 else gen.gen_random_quiver
+        q = make(2 + s % (max_n - 1), 0.15 + 0.05 * (s % 8), seed=base + s)
+        name = {v: f'{v}"\\\x00é\U0001f600' for v in q.vertices}
+        q = pq.Quiver.build(name.values(), [(name[t], name[h]) for t, h in q.edges])
+        obj = serialize.report_to_obj(pq.analyze(q))
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps(obj) == want, s
+    print(f"report rendering          ok on {count} reports")
 
 
 def audit_round_trips(count, base):
@@ -476,6 +491,7 @@ def main() -> None:
     audit_oracle(args.quivers, args.seed_base, args.max_n)
     audit_universal(args.quivers, args.seed_base, args.max_n)
     audit_self_exclusive(args.quivers, args.seed_base, args.max_n)
+    audit_rendering(args.quivers, args.seed_base, args.max_n)
     audit_round_trips(args.seq, args.seed_base)
     audit_esequence_axioms(args.seq, args.seed_base)
     audit_isomorphism(args.seq, args.seed_base)

@@ -13,6 +13,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .analysis import AnalysisReport
 from .errors import InputError
@@ -27,10 +28,13 @@ def dumps(obj) -> str:
     With an indent, :mod:`json` writes through its pure-Python encoder, so
     the shapes this library writes (dicts with str keys, lists, tuples,
     str, int, bool, None) are rendered here instead, escaping strings with
-    the C function :mod:`json` itself uses. Any other type, a float or an
-    int key say, hands the whole object to :func:`json.dumps`, and so does
-    a cycle or a nesting too deep to recurse, so its output and errors are
-    exactly as before.
+    the C function :mod:`json` itself uses. A table, dicts that share one
+    set of str keys and hold str, int, bool or None, has its values encoded
+    by one call of the C encoder with NUL between them; the split on NUL is
+    exact, as an ASCII-escaped value never holds a raw NUL. Any other type,
+    a float or an int key say, hands the whole object to :func:`json.dumps`,
+    and so does a cycle or a nesting too deep to recurse, so its output
+    and errors are exactly as before.
     """
     try:
         return _render(obj, "\n") + "\n"
@@ -44,6 +48,8 @@ class _Unsupported(Exception):
 
 _escape = json.encoder.encode_basestring_ascii
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+_encode_values = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, None, _escape, None, ": ", "\x00", False, False, True)  # None without _json
 
 
 def _render(obj, newline: str) -> str:
@@ -70,10 +76,34 @@ def _render(obj, newline: str) -> str:
             return "[]"
         if set(map(type, obj)) == {str}:
             items = map(_escape, obj)
+        elif type(obj[0]) is dict and _encode_values and (table := _table(obj, newline)):
+            return table
         else:
             items = [_render(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise _Unsupported
+
+
+def _table(rows, newline: str) -> str | None:
+    """:func:`_render`'s text of ``rows``, or None unless they are a table."""
+    if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1 \
+            or set(map(type, chain.from_iterable(rows))) != {str}:
+        return None
+    keys = sorted(rows[0])
+    try:
+        got = map(itemgetter(*keys), rows)
+        values = list(chain.from_iterable(got) if len(keys) > 1 else got)
+    except KeyError:  # another key set of the same size
+        return None
+    if not set(map(type, values)) <= {str, int, bool, type(None)}:
+        return None
+    inner = newline + "  "
+    head, *rest = [inner + "  " + _escape(k) + ": " for k in keys]
+    parts = [None] * (2 * len(values))
+    parts[::2] = [inner + "}," + inner + "{" + head, *map(",".__add__, rest)] * len(rows)
+    parts[0] = "[" + inner + "{" + head
+    parts[1::2] = "".join(_encode_values(values, 0))[1:-1].split("\x00")
+    return "".join(parts) + inner + "}" + newline + "]"
 
 
 def loads(text: str, source: str = "<input>") -> object:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 from collections import OrderedDict
@@ -16,8 +17,10 @@ from phyloquiver import (
     ESequence,
     InputError,
     Quiver,
+    analyze,
     build_forest,
     evolutionary_sequence,
+    serialize,
     to_fraction,
     tower_v,
 )
@@ -25,6 +28,7 @@ from phyloquiver.generators import (
     gen_g3,
     gen_random_esequence,
     gen_random_metric,
+    gen_random_quiver,
     gen_random_ultrametric,
     gen_rooted_tree_quiver,
     gen_surjection_quiver,
@@ -44,6 +48,7 @@ from phyloquiver.serialize import (
     quiver_to_dot,
     quiver_to_obj,
     read_quiver_file,
+    report_to_obj,
     space_from_csv,
     space_to_csv,
     space_to_obj,
@@ -406,6 +411,46 @@ def stdlib_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+TABLE_TEXT = st.text(st.sampled_from('ab,\x00%"\\\né\U0001f600'), max_size=4)
+TABLE_VALUES = (
+    TABLE_TEXT
+    | st.integers(-2**100, 2**100)
+    | st.sampled_from([True, False, None])
+)
+# Each spoils one row of a table, so that dumps must leave the table path.
+SPOILERS = {
+    "float": lambda row, key, keys: row.update({key: 0.5}),
+    "nan": lambda row, key, keys: row.update({key: float("nan")}),
+    "list": lambda row, key, keys: row.update({key: [1, "a"]}),
+    "dict": lambda row, key, keys: row.update({key: {"a": 1}}),
+    "added key": lambda row, key, keys: row.update({max(keys) + "+": 1}),
+    "renamed key": lambda row, key, keys: row.update({max(keys) + "+": row.pop(key)}),
+    "empty row": lambda row, key, keys: row.clear(),
+    "int key": lambda row, key, keys: row.update({1: row.pop(key)}),
+}
+
+
+@st.composite
+def tables(draw):
+    """A list or tuple of 1-6 dicts on 1-5 shared keys, top level or nested
+    in a dict, with at most one spoiled row; and the spoiler's name."""
+    keys = draw(st.lists(TABLE_TEXT, min_size=1, max_size=5, unique=True))
+    spoiler = draw(st.sampled_from([None, None, None, "ordered", *SPOILERS]))
+    least = 2 if spoiler in ("added key", "renamed key") else 1  # one row is a table
+    rows = [{k: draw(TABLE_VALUES) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(least, 6)))]
+    if spoiler is not None:
+        at = draw(st.integers(0, len(rows) - 1))
+        if spoiler == "ordered":
+            rows[at] = OrderedDict(rows[at])
+        else:
+            SPOILERS[spoiler](rows[at], draw(st.sampled_from(keys)), keys)
+    table = draw(st.sampled_from([list, tuple]))(rows)
+    if draw(st.booleans()):
+        return {"rows": table, "n": len(rows)}, table, spoiler
+    return table, table, spoiler
+
+
 class TestDeterminism:
     def test_dumps_is_stable(self):
         obj = {"b": [3, 1], "a": {"y": 2, "x": 1}}
@@ -416,6 +461,31 @@ class TestDeterminism:
     @given(JSON_VALUES)
     def test_dumps_matches_json_dumps(self, obj):
         assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tables())
+    def test_tables_match_json_dumps(self, drawn):
+        obj, table, spoiler = drawn
+        assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
+        # only unspoiled tables take the table path
+        taken = serialize._table(table, "\n") is not None
+        assert taken == (spoiler is None), spoiler
+
+    def test_dumps_without_the_c_encoder(self, monkeypatch):
+        q = gen_random_quiver(12, 0.3, seed=5)
+        name = {v: f'{v}"\\\x00é\U0001f600' for v in q.vertices}
+        q = Quiver.build(name.values(), [(name[t], name[h]) for t, h in q.edges])
+        report = report_to_obj(analyze(q))
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        try:
+            importlib.reload(serialize)
+            monkeypatch.setattr(serialize, "_table", None)  # a call would raise
+            assert serialize.dumps(report) == stdlib_dumps(report)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(serialize)
+        assert serialize._encode_values is not None
+        assert serialize.dumps(report) == stdlib_dumps(report)
 
     @pytest.mark.parametrize("obj", [
         {1, 2},
