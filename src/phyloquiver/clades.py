@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import analysis, esequence
+from . import analysis
 from .errors import InputError
 from .quiver import Quiver, ancestor_of, condense, descendants, induced_subquiver
 
@@ -64,6 +64,8 @@ def clade_height(quiver: Quiver, apex: str, b: str) -> int:
     the formula is unjustified otherwise); compute heights directly in
     ``clade(quiver, apex).quiver`` for irregular apexes.
     """
+    from . import esequence
+
     quiver.check_vertex(apex)
     quiver.check_vertex(b)
     if not analysis.is_phylogenetic_quiver(quiver):

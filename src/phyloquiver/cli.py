@@ -2,19 +2,22 @@
 
 Exit status: 0 success, 1 validation failure or malformed input, 2 usage
 error, 3 size-guard refusal. Outputs are deterministic for fixed inputs
-and flags.
+and flags. Each command imports the layers it runs, so a process loads
+only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import analysis, clades, esequence, generators, metric, serialize
+from . import serialize
 from .errors import InputError, SizeGuardError, UndecidedError
-from .esequence import ESequence, PrecRelation
-from .metric import FiniteMetricSpace
-from .quiver import Quiver
+
+if TYPE_CHECKING:
+    from .esequence import ESequence
+    from .quiver import Quiver
 
 
 def _write(args, text: str) -> None:
@@ -30,6 +33,8 @@ def _write(args, text: str) -> None:
 
 def _load_space(args):
     """The CSV's space; ``--max-points`` refuses before the cubic metric check."""
+    from .metric import FiniteMetricSpace
+
     text = serialize.read_text(args.input)
     labels, rows = serialize.matrix_from_csv(text, source=args.input)
     if args.max_points is not None and len(labels) > args.max_points:
@@ -53,10 +58,14 @@ def _read_quiver_or_esequence(path: str) -> Quiver | ESequence:
 
 
 def cmd_analyze(args) -> dict:
+    from . import analysis
+
     return serialize.report_to_obj(analysis.analyze(serialize.read_quiver_file(args.input)))
 
 
 def cmd_universal(args) -> dict:
+    from . import analysis
+
     quiver = serialize.read_quiver_file(args.input)
     quiver.check_vertex(args.vertex)
     try:
@@ -75,29 +84,38 @@ def cmd_universal(args) -> dict:
 
 
 def cmd_clade(args) -> dict:
+    from . import clades
+
     return clades.clade_report(serialize.read_quiver_file(args.input), args.apex)
 
 
 def cmd_esequence(args) -> dict:
+    from . import esequence
+
     quiver = serialize.read_quiver_file(args.input)
     return serialize.esequence_to_obj(esequence.evolutionary_sequence(quiver))
 
 
-_FOREST_FORMATS = {"dot": serialize.forest_to_dot, "newick": serialize.forest_to_newick,
-                   "json": serialize.forest_to_obj}
+# Format -> name of its writer in serialize, looked up on each call.
+_FOREST_FORMATS = {"dot": "forest_to_dot", "newick": "forest_to_newick",
+                   "json": "forest_to_obj"}
 
 
 def cmd_forest(args) -> dict | str:
+    from . import esequence
+
     seq = _read_quiver_or_esequence(args.input)
-    if not isinstance(seq, ESequence):
+    if not isinstance(seq, esequence.ESequence):
         seq = esequence.evolutionary_sequence(seq)
-    return _FOREST_FORMATS[args.format](seq)
+    return getattr(serialize, _FOREST_FORMATS[args.format])(seq)
 
 
 def cmd_reconstruct(args) -> dict:
+    from . import esequence
+
     space = _load_space(args)
     if args.prec is None or args.prec == "empty":
-        prec = PrecRelation.build(())
+        prec = esequence.PrecRelation.build(())
     else:
         prec = serialize.prec_from_text(serialize.read_text(args.prec))
     if args.levels is None:
@@ -114,16 +132,22 @@ def cmd_reconstruct(args) -> dict:
 
 
 def cmd_ultra_tower(args) -> dict:
+    from . import metric
+
     return serialize.tower_to_obj(metric.tower_u(_load_space(args)), "ultrametric")
 
 
 def cmd_metric_tower(args) -> dict:
+    from . import metric
+
     return serialize.tower_to_obj(metric.tower_v(_load_space(args)), "metric")
 
 
 def cmd_validate(args) -> tuple[dict, int]:
     path = args.input
     if path.endswith(".csv"):
+        from . import metric
+
         labels, rows = serialize.matrix_from_csv(serialize.read_text(path), source=path)
         check = metric.validate_space(labels, rows)
         obj = {
@@ -133,11 +157,15 @@ def cmd_validate(args) -> tuple[dict, int]:
             "problems": list(check.problems),
         }
         return obj, 0 if check.is_metric else 1
+    from .quiver import Quiver
+
     seq = _read_quiver_or_esequence(path)
-    if isinstance(seq, ESequence):
-        problems = esequence.validate_esequence(seq)
-        return {"kind": "esequence", "problems": problems}, 0 if not problems else 1
-    return {"kind": "quiver", "problems": []}, 0
+    if isinstance(seq, Quiver):
+        return {"kind": "quiver", "problems": []}, 0
+    from .esequence import validate_esequence
+
+    problems = validate_esequence(seq)
+    return {"kind": "esequence", "problems": problems}, 0 if not problems else 1
 
 
 def _parse_tree_edges(text: str) -> list[tuple[str, str]]:
@@ -150,44 +178,44 @@ def _parse_tree_edges(text: str) -> list[tuple[str, str]]:
     return edges
 
 
-def _gen_rooted_tree(args):
+def _gen_rooted_tree(gen, args):
     if not args.edges or not args.root:
         raise InputError("rooted-tree needs --edges and --root")
-    return generators.gen_rooted_tree_quiver(_parse_tree_edges(args.edges), args.root)
+    return gen.gen_rooted_tree_quiver(_parse_tree_edges(args.edges), args.root)
 
 
-# Generator kind -> builder from the parsed arguments; the order is the
-# order of the ``gen`` choices.
+# Generator kind -> builder from the generators module and the parsed
+# arguments; the order is the order of the ``gen`` choices.
 _GENERATORS = {
-    "map-quiver": lambda a: generators.gen_map_quiver(a.n),
-    "surjection-quiver": lambda a: generators.gen_surjection_quiver(a.n),
+    "map-quiver": lambda g, a: g.gen_map_quiver(a.n),
+    "surjection-quiver": lambda g, a: g.gen_surjection_quiver(a.n),
     "rooted-tree": _gen_rooted_tree,
-    "g3": lambda a: generators.gen_g3(),
-    "abnormal": lambda a: generators.gen_abnormal(),
-    "nonmonotonous": lambda a: generators.gen_nonmonotonous(),
-    "irregular": lambda a: generators.gen_irregular(),
-    "random-quiver": lambda a: generators.gen_random_quiver(a.n, a.density, a.seed),
-    "random-monotonous":
-        lambda a: generators.gen_random_monotonous(a.n, a.density, a.seed),
+    "g3": lambda g, a: g.gen_g3(),
+    "abnormal": lambda g, a: g.gen_abnormal(),
+    "nonmonotonous": lambda g, a: g.gen_nonmonotonous(),
+    "irregular": lambda g, a: g.gen_irregular(),
+    "random-quiver": lambda g, a: g.gen_random_quiver(a.n, a.density, a.seed),
+    "random-monotonous": lambda g, a: g.gen_random_monotonous(a.n, a.density, a.seed),
     "random-phylogenetic":
-        lambda a: generators.gen_random_phylogenetic(a.n, a.density, a.seed),
-    "random-ultrametric":
-        lambda a: generators.gen_random_ultrametric(a.n, a.depth, a.seed),
-    "random-metric": lambda a: generators.gen_random_metric(a.n, a.seed),
-    "random-esequence": lambda a: generators.gen_random_esequence(
+        lambda g, a: g.gen_random_phylogenetic(a.n, a.density, a.seed),
+    "random-ultrametric": lambda g, a: g.gen_random_ultrametric(a.n, a.depth, a.seed),
+    "random-metric": lambda g, a: g.gen_random_metric(a.n, a.seed),
+    "random-esequence": lambda g, a: g.gen_random_esequence(
         a.levels, a.width, a.order_density, a.seed,
         single_root=a.single_root, surjective=a.surjective,
     ),
 }
 
+# Writer in serialize of each generator kind that builds no quiver.
+_GEN_WRITERS = {"random-ultrametric": "space_to_csv", "random-metric": "space_to_csv",
+                "random-esequence": "esequence_to_obj"}
+
 
 def cmd_gen(args) -> dict | str:
-    result = _GENERATORS[args.kind](args)
-    if isinstance(result, FiniteMetricSpace):
-        return serialize.space_to_csv(result)
-    if isinstance(result, ESequence):
-        return serialize.esequence_to_obj(result)
-    return serialize.quiver_to_obj(result)
+    from . import generators
+
+    result = _GENERATORS[args.kind](generators, args)
+    return getattr(serialize, _GEN_WRITERS.get(args.kind, "quiver_to_obj"))(result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,16 +33,16 @@ an InputError there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InputError, SizeGuardError
-from .metric import FiniteMetricSpace
 from .quiver import Quiver, condense, memo
-from . import analysis
+
+if TYPE_CHECKING:
+    from .metric import FiniteMetricSpace
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,8 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     a monotonous quiver, so an ancestor class of equal height is reached
     along class edges of that height alone.
     """
+    from . import analysis
+
     if not analysis.is_phylogenetic_quiver(quiver):
         raise InputError("evolutionary sequence requires a phylogenetic quiver")
     cond = condense(quiver)
@@ -327,6 +329,8 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     written once. It is an ultrametric by construction and is not checked
     again: with one root every pair meets, and at k = max(rho(a, c),
     rho(b, c)) both a and b meet c, so p^k(a) = p^k(b)."""
+    from .metric import FiniteMetricSpace
+
     _check_reconstruction_premises(seq, n)
     below = _below(seq, n)
     points = seq.levels[n]
@@ -383,6 +387,8 @@ def validate_prec(
     ``prec`` once per rule it breaks, with its least third point and the
     number of them, in sorted pair order.
     """
+    from fractions import Fraction
+
     if not space.is_ultrametric:
         raise InputError("validate_prec needs an ultrametric space")
     pairs, index = prec.pairs, space._index
@@ -488,6 +494,8 @@ def reconstruct(
     pts = space.points
     bad = {v for v in space._values if v % scale or v > n * scale}
     if bad:  # name the first offending pair in row order
+        from fractions import Fraction
+
         a, b, v = next((a, b, v) for a, row in zip(pts, ints)
                        for b, v in zip(pts, row) if v in bad)
         raise InputError(

@@ -9,14 +9,15 @@ cardinalities represented; the infinite originals do not fit in memory.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import analysis
 from .errors import InputError
-from .esequence import ESequence, _transitive_closure
-from .metric import FiniteMetricSpace
 from .quiver import Quiver
+
+if TYPE_CHECKING:
+    from .esequence import ESequence
+    from .metric import FiniteMetricSpace
 
 
 def _rng(*key) -> random.Random:
@@ -149,6 +150,10 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
     a split strictly exceed every distance below it, which is the
     ultrametric axiom by construction. A random rational scale keeps the
     values off the integers often enough to matter."""
+    from fractions import Fraction
+
+    from .metric import FiniteMetricSpace
+
     if n < 1:
         raise InputError("n must be at least 1")
     if depth < 1:
@@ -194,6 +199,10 @@ def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
     """Random rational metric space. Off-diagonal numerators are drawn
     from [12, 24] over one common denominator, so every triangle holds
     (24 <= 12 + 12) and the first draw is always a metric."""
+    from fractions import Fraction
+
+    from .metric import FiniteMetricSpace
+
     if n < 1:
         raise InputError("n must be at least 1")
     rng = _rng("metric", n, seed)
@@ -220,6 +229,8 @@ def gen_random_esequence(
     random permutation, so comparable elements share a parent and
     antisymmetry holds by construction; the relation is stored transitively
     closed."""
+    from .esequence import ESequence, _transitive_closure
+
     if levels < 1:
         raise InputError("levels must be at least 1")
     if width < 1:

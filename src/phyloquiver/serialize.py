@@ -3,6 +3,8 @@ forest DOT/Newick, and JSON-ready report objects.
 
 Serialization is deterministic: keys are sorted, set-like collections are
 sorted by label, and rationals are written as exact strings ("7/2", "3").
+A function that needs another layer imports it when called, so loading
+this module loads no other layer.
 """
 
 from __future__ import annotations
@@ -11,15 +13,19 @@ import csv
 import io
 import json
 import re
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .analysis import AnalysisReport
 from .errors import InputError
-from .esequence import ESequence, PrecRelation
-from .metric import FiniteMetricSpace, Tower, to_fraction
-from .quiver import Evolution, Quiver
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .analysis import AnalysisReport
+    from .esequence import ESequence, PrecRelation
+    from .metric import FiniteMetricSpace, Tower
+    from .quiver import Evolution, Quiver
 
 
 def dumps(obj) -> str:
@@ -116,6 +122,8 @@ def loads(text: str, source: str = "<input>") -> object:
 
 
 def fraction_str(value: Fraction) -> str:
+    from .metric import to_fraction
+
     return str(to_fraction(value))
 
 
@@ -142,6 +150,8 @@ def _pairs_of_str(items) -> bool:
 
 
 def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
+    from .quiver import Quiver
+
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputError(f"{source}: quiver JSON needs 'vertices' and 'edges'")
     vertices, edges = obj["vertices"], obj["edges"]
@@ -179,6 +189,8 @@ def quiver_from_dot(text: str, source: str = "<input>") -> Quiver:
     are skipped; ``--``, ports ``a:p`` and edges to ``{...}`` groups are
     refused.
     """
+    from .quiver import Quiver
+
     toks = []  # (kind, text): kind "id", a lower-cased keyword or punctuation
     for quoted, bare, punct in (m.groups() for m in _DOT_TOKEN.finditer(text)):
         if quoted is not None:
@@ -269,6 +281,8 @@ def esequence_to_obj(seq: ESequence) -> dict:
 
 
 def esequence_from_obj(obj, source: str = "<input>") -> ESequence:
+    from .esequence import ESequence
+
     if not isinstance(obj, dict) or "levels" not in obj or "parent" not in obj:
         raise InputError(f"{source}: E-sequence JSON needs 'levels' and 'parent'")
     levels, parent, order = obj["levels"], obj["parent"], obj.get("order", [])
@@ -292,6 +306,8 @@ def prec_from_text(text: str) -> PrecRelation:
     """Pairs, one per line, separated by whitespace or a comma; '#' starts
     a comment. The literal 'empty' (or an empty file) is the empty
     relation."""
+    from .esequence import PrecRelation
+
     pairs: list[tuple[str, str]] = []
     stripped = text.strip()
     if stripped.lower() == "empty":
@@ -313,6 +329,8 @@ def prec_from_text(text: str) -> PrecRelation:
 def _matrix_strs(space: FiniteMetricSpace) -> list[list[str]]:
     """The distance matrix as exact strings, read off the int rows; each
     distinct entry is rendered once."""
+    from fractions import Fraction
+
     scale, ints = space._scaled
     text = {v: str(Fraction(v, scale)) for v in space._values}
     return [[text[v] for v in row] for row in ints]
@@ -330,6 +348,8 @@ def matrix_from_csv(text: str, source: str = "<input>"):
     """Parse a labeled distance matrix: a header row of point labels, then
     one row of entries per point. Returns (labels, rows of Fractions).
     Each distinct cell text is parsed once."""
+    from .metric import to_fraction
+
     reader = list(csv.reader(io.StringIO(text)))
     reader = [row for row in reader if any(cell.strip() for cell in row)]
     if not reader:
@@ -358,6 +378,8 @@ def matrix_from_csv(text: str, source: str = "<input>"):
 
 
 def space_from_csv(text: str, source: str = "<input>") -> FiniteMetricSpace:
+    from .metric import FiniteMetricSpace
+
     labels, rows = matrix_from_csv(text, source)
     return FiniteMetricSpace.build(labels, rows)
 

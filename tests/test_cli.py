@@ -455,3 +455,77 @@ class TestGen:
 ])
 def test_rooted_tree_needs_edges_and_root(capsys, argv):
     assert run(capsys, *argv) == (1, "", "error: rooted-tree needs --edges and --root\n")
+
+
+# Writes the names in sys.modules, one a line, next to itself when the
+# interpreter exits; put first on PYTHONPATH, it runs at start-up.
+_MODULES_AT_EXIT = """\
+import atexit, os, sys
+
+def _dump(path=os.path.join(os.path.dirname(__file__), "modules.txt")):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\\n".join(sorted(sys.modules)))
+
+atexit.register(_dump)
+"""
+
+_LAYERS = ("quiver", "analysis", "clades", "esequence", "metric", "generators",
+           "serialize", "cli")
+# What the quiver-side commands and the metric-side commands must not load.
+_METRIC_SIDE = ("phyloquiver.metric", "phyloquiver.esequence", "phyloquiver.generators",
+                "fractions")
+_QUIVER_SIDE = ("phyloquiver.quiver", "phyloquiver.analysis", "phyloquiver.clades",
+                "phyloquiver.esequence")
+
+
+class TestColdStart:
+    """A fresh interpreter loads only the layers its subcommand runs."""
+
+    @pytest.fixture
+    def child(self, tmp_path):
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "sitecustomize.py").write_text(_MODULES_AT_EXIT)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(probe), src]))
+
+        def run_child(*args):
+            """Exit code, stdout and the set of modules loaded."""
+            proc = subprocess.run([sys.executable, *args], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.stderr == ""
+            loaded = (probe / "modules.txt").read_text().split("\n")
+            return proc.returncode, proc.stdout, set(loaded)
+
+        return run_child
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "u.csv").write_text(ULTRA3)
+        (tmp_path / "m.csv").write_text(TRI345)
+        assert main(["gen", "g3", "-o", str(tmp_path / "q.json")]) == 0
+        assert main(["gen", "random-esequence", "--single-root",
+                     "-o", str(tmp_path / "s.json")]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["analyze", "q.json"], _METRIC_SIDE),
+        (["universal", "q.json", "C", "--bound", "4"], _METRIC_SIDE),
+        (["clade", "q.json", "B"], _METRIC_SIDE),
+        (["ultra-tower", "u.csv"], _QUIVER_SIDE),
+        (["metric-tower", "m.csv"], _QUIVER_SIDE),
+        (["validate", "m.csv"], _QUIVER_SIDE),
+        (["forest", "s.json", "--format", "newick"], ("phyloquiver.metric", "fractions")),
+    ])
+    def test_subcommand_loads_only_its_layers(self, capsys, child, files, argv, absent):
+        argv = [str(files / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        code, out, loaded = child("-m", "phyloquiver", *argv)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == 0
+        assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+    def test_package_import_loads_no_layer(self, child):
+        code, _, loaded = child("-c", "import phyloquiver")
+        assert code == 0
+        assert "phyloquiver" in loaded
+        assert loaded.isdisjoint(f"phyloquiver.{n}" for n in _LAYERS + ("errors",))
