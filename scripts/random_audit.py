@@ -19,7 +19,8 @@ against every permutation, clade reports against the built clade, clade
 formulas, analysis reports rendered by serialize.dumps against
 json.dumps with ids holding a quote, a backslash, a NUL and non-ASCII
 text) on as many fresh seeds as asked and prints a one-line verdict per
-family.
+family. The brute-force references come from tests/oracles.py, which
+needs only the standard library and an importable phyloquiver.
 """
 
 from __future__ import annotations
@@ -28,13 +29,34 @@ import argparse
 import itertools
 import json
 import random
-from collections import Counter
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen, serialize
 from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
 from phyloquiver.metric import _MAX_COMPARED, _isometry
+
+# the brute-force references are the test suite's own
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import (
+    brute_esequence_problems,
+    brute_isometric,
+    brute_isomorphic,
+    brute_ultrametric,
+    cycle_union,
+    grouped_isotypic,
+    one_pair_mutations,
+    ref_check,
+    ref_is_trim,
+    ref_underline_d,
+    ref_validate_prec,
+    relabeled,
+    shuffled,
+    toggle_pair,
+    toggled_order,
+)
 
 
 def audit_oracle(count, base, max_n):
@@ -66,14 +88,6 @@ def audit_universal(count, base, max_n):
     print(f"universal evolutions      ok on {checked} vertices")
 
 
-def grouped_isotypic(q, vertices):
-    """``vertices`` grouped by height fall in one isotypy class per height."""
-    cond, h = pq.condense(q), pq.heights(q)
-    seen = {}
-    return all(seen.setdefault(h[a], cond.class_index[a]) == cond.class_index[a]
-               for a in vertices)
-
-
 def audit_self_exclusive(count, base, max_n):
     checked = rescued = 0
     for s in range(count):
@@ -82,36 +96,13 @@ def audit_self_exclusive(count, base, max_n):
         if pq.is_monotonous(q):
             continue
         rows = pq.analyze(q).vertices
+        cond, h = pq.condense(q), pq.heights(q)
         for v, row in zip(q.vertices, rows):
-            want = grouped_isotypic(q, _critical_ancestors(q, v))
+            want = grouped_isotypic(cond, h, _critical_ancestors(q, v))
             assert pq.is_normal(q, v) == row.normal == want, (s, v)
             rescued += want and not _normal_self_inclusive(q, v)
             checked += 1
     print(f"self-exclusive normality  ok on {checked} vertices ({rescued} rescued)")
-
-
-def brute_prec_problems(space, pairs):
-    """Asymmetry and the three ball rules of validate_prec, checked on every
-    ordered pair and every third point with Fraction distances, worded once
-    per pair and rule."""
-    rho = space.distance
-    out = [(None, f"prec is not asymmetric on ({a!r}, {b!r})")
-           for a, b in sorted(pairs) if a <= b and (b, a) in pairs]
-    for a, b in sorted(pairs):
-        d = rho(a, b)
-        for c in space.points:
-            if c in (a, b):
-                continue
-            if rho(a, c) < d and (c, b) not in pairs:
-                out.append(((a, b, 1), f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
-                                       f"rho({a!r},{b!r}) but not {c!r} prec {b!r}"))
-            if rho(b, c) < d and (a, c) not in pairs:
-                out.append(((a, b, 2), f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
-                                       f"rho({a!r},{b!r}) but not {a!r} prec {c!r}"))
-            if (b, c) in pairs and rho(a, c) == rho(b, c) == d and (a, c) not in pairs:
-                out.append(((a, b, 3), f"{a!r} prec {b!r} prec {c!r} on an equilateral "
-                                       f"triple but not {a!r} prec {c!r}"))
-    return one_per_pair(out)
 
 
 def audit_rendering(count, base, max_n):
@@ -147,40 +138,11 @@ def audit_round_trips(count, base):
                    for a in space.points for b in space.points), s
         assert pq.induce_prec(rebuilt, n).pairs == prec.pairs, s
         # one pair dropped, one pair added: the block test against the brute one
-        pairs = sorted(prec.pairs)
-        absent = sorted(set(itertools.product(space.points, repeat=2)) - prec.pairs)
-        mutations = [prec.pairs - {rng.choice(pairs)}] if pairs else []
-        for rel in mutations + [prec.pairs | {rng.choice(absent)}]:
-            got = pq.validate_prec(space, pq.PrecRelation(rel), n)
-            assert got == brute_prec_problems(space, rel), s
+        for rel in one_pair_mutations(space, prec, rng):
+            assert pq.validate_prec(space, rel, n) == ref_validate_prec(space, rel, n), s
             mutated += 1
     print(f"E-sequence round trips    ok on {count} realizations + {count} reconstructions")
     print(f"prec blocks               ok on {mutated} mutated relations")
-
-
-def brute_esequence_problems(seq):
-    """The E-sequence axioms straight from their definitions: each order
-    pair against level 0, its parents and its reverse, then against every
-    third label for transitivity, worded once per failing pair."""
-    order, lv = seq.order, seq.level_of
-    out = []
-    for x, y in sorted(order):
-        if lv[x] == 0:
-            out.append((None, f"order on level 0 must be trivial: {x!r} < {y!r}"))
-        elif seq.parent[x] != seq.parent[y]:
-            out.append((None, f"{x!r} < {y!r} but their parents differ "
-                              f"({seq.parent[x]!r} vs {seq.parent[y]!r})"))
-    for x, y in sorted(order):
-        if x == y:
-            out.append((None, f"order is not irreflexive: {x!r} < {x!r}"))
-        elif (y, x) in order and x < y:
-            out.append((None, f"order is not antisymmetric: {x!r} <> {y!r}"))
-    for x, y in sorted(order):
-        for z in sorted(seq.labels()):
-            if z != x and (y, z) in order and (x, z) not in order:
-                out.append(((x, y), f"order is not transitive: {x!r} < {y!r} < {z!r} "
-                                    f"without {x!r} < {z!r}"))
-    return one_per_pair(out)
 
 
 def audit_esequence_axioms(count, base):
@@ -188,13 +150,7 @@ def audit_esequence_axioms(count, base):
     unclosed = reversed_pairs = 0
     for s in range(count):
         seq = gen.gen_random_esequence(1 + s % 4, 4 + s % 6, 0.6, seed=base + s)
-        # pairs of the widest level toggled: dropped from the closure,
-        # reversed, reflexive, or across parents
-        order = set(seq.order)
-        level = max(seq.levels, key=len)
-        for _ in range(2 + s % 4):
-            order ^= {(rng.choice(level), rng.choice(level))}
-        mutated = pq.ESequence(seq.levels, seq.parent, frozenset(order))
+        mutated = toggled_order(seq, rng, 2 + s % 4)
         got = pq.validate_esequence(mutated)
         assert got == brute_esequence_problems(mutated), s
         unclosed += any("transitive" in p for p in got)
@@ -203,58 +159,15 @@ def audit_esequence_axioms(count, base):
           f"({unclosed} unclosed, {reversed_pairs} not antisymmetric)")
 
 
-def relabeled(seq, rng):
-    """A copy of ``seq`` under fresh labels, every level shuffled."""
-    name = {x: f"z{x}" for x in seq.labels()}
-    return pq.ESequence.build(
-        [rng.sample([name[x] for x in level], len(level)) for level in seq.levels],
-        {name[x]: name[p] for x, p in seq.parent.items()},
-        [(name[x], name[y]) for x, y in seq.order],
-    )
-
-
-def brute_isomorphic(e1, e2):
-    """Isomorphism by trying every level-wise bijection (small levels only)."""
-    if [len(level) for level in e1.levels] != [len(level) for level in e2.levels]:
-        return False
-    o1, o2 = e1.closed_order(), e2.closed_order()
-    for choice in itertools.product(*map(itertools.permutations, e2.levels)):
-        f = {x: y for l1, l2 in zip(e1.levels, choice) for x, y in zip(l1, l2)}
-        if all(f[e1.parent[x]] == e2.parent[f[x]] for x in e1.parent) and all(
-            ((x, y) in o1) == ((f[x], f[y]) in o2)
-            for level in e1.levels for x in level for y in level
-        ):
-            return True
-    return False
-
-
 def audit_isomorphism(count, base):
     rng = random.Random(base)
     for s in range(count):
         seq = gen.gen_random_esequence(1 + s % 5, 4 + s % 9, 0.35, seed=base + s)
         assert pq.esequence_isomorphic(seq, relabeled(seq, rng)), s
         seq = gen.gen_random_esequence(1 + s % 3, 4, 0.5, seed=base + s)
-        groups = {}
-        for x in seq.labels():
-            groups.setdefault(seq.parent.get(x), []).append(x)
-        order = seq.closed_order()
-        wide = [g for g in groups.values() if len(g) > 1]
-        if wide:  # toggle one pair inside a sibling group
-            order ^= {tuple(rng.sample(rng.choice(wide), 2))}
-        other = relabeled(pq.ESequence(seq.levels, seq.parent, order), rng)
+        other = relabeled(toggle_pair(seq, rng), rng)
         assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
     print(f"isomorphism               ok on {count} relabelled copies + {count} perturbations")
-
-
-def fraction_deficits(space):
-    """Per point, every (d(x,y) + d(x,z) - d(y,z)) / 2 over distinct y, z
-    avoiding x, straight from the Fraction distances."""
-    d = space.distance
-    return {
-        x: [(d(x, y) + d(x, z) - d(y, z)) / 2
-            for y, z in itertools.combinations([p for p in space.points if p != x], 2)]
-        for x in space.points
-    }
 
 
 def revalidated(space):
@@ -278,54 +191,12 @@ def audit_towers(count, base, max_n):
             assert revalidated(space), s
             quotients += 1
         for space in t.spaces + tv.spaces:
-            ud = pq.underline_d(space)
-            deficits = fraction_deficits(space)
-            if len(space) == 1:
-                assert ud == {space.points[0]: 0} and pq.is_trim(space), s
-            elif len(space) == 2:
-                half = space.rows[0][1] / 2
-                assert ud == dict.fromkeys(space.points, half), s
-                assert not pq.is_trim(space), s
-            else:
-                assert ud == {p: min(v) for p, v in deficits.items()}, s
-                assert pq.is_trim(space) == all(0 in v for v in deficits.values()), s
+            assert pq.underline_d(space) == ref_underline_d(space), s
+            assert pq.is_trim(space) == ref_is_trim(space), s
             checked += 1
     print(f"towers                    ok on {count} ultrametric + {count} metric spaces")
     print(f"underline_d and is_trim   ok on {checked} tower spaces")
     print(f"trusted tower quotients   ok on {quotients} re-validated")
-
-
-def one_per_pair(witnessed):
-    """Brute-force messages, one per witness, in the wording of the
-    validators: of each key (a failing pair, and rule) the first message
-    stays, in place, with the number of that key's messages appended.
-    ``witnessed`` holds (key, message) items, key None for a message that
-    names no witness."""
-    count = Counter(key for key, _ in witnessed)
-    seen = set()
-    out = []
-    for key, message in witnessed:
-        if key is None:
-            out.append(message)
-        elif key not in seen:
-            seen.add(key)
-            out.append(f"{message} (witness 1 of {count[key]})")
-    return out
-
-
-def brute_problems(labels, m):
-    """The metric-axiom failures of a symmetric Fraction matrix, straight
-    from the axioms: diagonal, then pairs, then every triple (i, j, k),
-    worded once per pair i <= j (the failure is symmetric in i and j)."""
-    n = len(labels)
-    out = [(None, f"nonzero diagonal at {labels[i]!r}") for i in range(n) if m[i][i]]
-    out += [(None, f"non-positive distance between {labels[i]!r} and {labels[j]!r}")
-            for i, j in itertools.combinations(range(n), 2) if m[i][j] <= 0]
-    out += [((i, j), f"triangle inequality fails on "
-                     f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
-            for i, j, k in itertools.product(range(n), repeat=3)
-            if m[i][j] > m[i][k] + m[j][k] and i <= j]
-    return tuple(one_per_pair(out))
 
 
 def audit_metric_problems(count, base):
@@ -341,23 +212,13 @@ def audit_metric_problems(count, base):
             i = rng.randrange(n)
             m[i][i] = Fraction(rng.choice((-1, 1)), den)
         labels = [f"p{i}" for i in range(n)]
-        want = brute_problems(labels, m)
-        if not want:
+        want = ref_check(labels, m)
+        if want[0]:
             continue
         check = pq.validate_space(labels, m)
-        assert not check.is_metric and check.problems == want, s
+        assert (check.is_metric, check.is_ultrametric, check.problems) == want, s
         checked += 1
     print(f"metric problems           ok on {checked} matrices")
-
-
-def brute_ultrametric(m):
-    """The strong triangle inequality and positivity of a symmetric
-    Fraction matrix, straight from the axioms, over every (i, j, k)."""
-    n = len(m)
-    return (all(m[i][i] == 0 for i in range(n))
-            and all(m[i][j] > 0 for i, j in itertools.combinations(range(n), 2))
-            and all(m[i][j] <= max(m[i][k], m[j][k])
-                    for i, j, k in itertools.product(range(n), repeat=3)))
 
 
 def audit_ultrametric_test(count, base):
@@ -384,43 +245,6 @@ def audit_ultrametric_test(count, base):
             assert pq.validate_space(labels, m).is_ultrametric == brute_ultrametric(m), s
             checked += 1
     print(f"ultrametric test          ok on {checked} matrices")
-
-
-def brute_isometric(a, b):
-    """A distance-preserving bijection exists, by trying every permutation
-    of the second space's points; each Fraction distance is first coded by
-    its rank among the values of both spaces."""
-    rank = {v: k for k, v in enumerate(set(itertools.chain(*a.rows, *b.rows)))}
-    rows, other = ([[rank[v] for v in row] for row in m.rows] for m in (a, b))
-    n = len(rows)
-    return len(other) == n and any(
-        all(rows[i][j] == other[p[i]][p[j]] for i in range(n) for j in range(i))
-        for p in itertools.permutations(range(n))
-    )
-
-
-def shuffled(rows, rng, tag):
-    """The space of ``rows`` under labels ``tag0``, ``tag1``, ... in a random order."""
-    n = len(rows)
-    perm = rng.sample(range(n), n)
-    return pq.FiniteMetricSpace.build(
-        [f"{tag}{i}" for i in range(n)],
-        [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
-    )
-
-
-def cycle_union(lengths, rng, tag):
-    """Disjoint cycles as a graph metric (d = 1 on an edge, 2 elsewhere),
-    shuffled: every row holds two 1s, so only the search tells them apart."""
-    n = sum(lengths)
-    rows = [[2 * (i != j) for j in range(n)] for i in range(n)]
-    start = 0
-    for k in lengths:
-        for i in range(k):
-            a, b = start + i, start + (i + 1) % k
-            rows[a][b] = rows[b][a] = 1
-        start += k
-    return shuffled(rows, rng, tag)
 
 
 def cycle_lengths(n, least=3):

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, SizeGuardError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -117,6 +117,8 @@ def loads(text: str, source: str = "<input>") -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise InputError(f"{source}: {str(exc).split(';')[0]}") from None
     except RecursionError:
         raise InputError(f"{source}: JSON nested too deeply") from None
 
@@ -332,7 +334,11 @@ def _matrix_strs(space: FiniteMetricSpace) -> list[list[str]]:
     from fractions import Fraction
 
     scale, ints = space._scaled
-    text = {v: str(Fraction(v, scale)) for v in space._values}
+    try:
+        text = {v: str(Fraction(v, scale)) for v in space._values}
+    except ValueError as exc:  # a numerator or denominator past the int->str limit
+        raise SizeGuardError(
+            f"a distance too long to write: {str(exc).split(';')[0]}") from None
     return [[text[v] for v in row] for row in ints]
 
 
@@ -350,8 +356,11 @@ def matrix_from_csv(text: str, source: str = "<input>"):
     Each distinct cell text is parsed once."""
     from .metric import to_fraction
 
-    reader = list(csv.reader(io.StringIO(text)))
-    reader = [row for row in reader if any(cell.strip() for cell in row)]
+    cells = csv.reader(io.StringIO(text))
+    try:
+        reader = [row for row in cells if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise InputError(f"{source}:{cells.line_num}: {exc}") from None
     if not reader:
         raise InputError(f"{source}: empty matrix file")
     labels = [cell.strip() for cell in reader[0]]

@@ -53,12 +53,13 @@ from phyloquiver.generators import (
     gen_surjection_quiver,
 )
 
-from conftest import (
+from oracles import (
+    brute_critical_ancestors,
     brute_embedding_exists,
     brute_full_evolutions,
     brute_heights,
     brute_primitives,
-    brute_reach,
+    grouped_isotypic,
 )
 
 
@@ -573,27 +574,6 @@ def normality_sweep():
     yield from (gen_g3(), gen_abnormal(), gen_nonmonotonous())
 
 
-def brute_critical_ancestors(q, include_self):
-    """Per vertex, its critical ancestors by definition, from brute reach
-    and heights; ``include_self`` keeps a vertex that is its own."""
-    reach, h = brute_reach(q), brute_heights(q)
-    return {v: frozenset(
-        head for tail, head in q.edges
-        if tail in reach[v] and h[tail] == h[head] + 1 and (include_self or head != v)
-    ) for v in q.vertices}
-
-
-def _grouped_isotypic(cond, h, vertices):
-    """Normality by its definition: ``vertices`` grouped by height ``h``
-    are pairwise isotypic (one class of ``cond`` per height)."""
-    seen = {}
-    for a in vertices:
-        c = cond.class_index[a]
-        if seen.setdefault(h[a], c) != c:
-            return False
-    return True
-
-
 def dense_draw(rng, n, edges):
     """``edges`` distinct non-loop edges drawn uniformly over n vertices:
     large isotypy classes, rarely monotonous."""
@@ -634,8 +614,8 @@ class TestOnePassNormality:
             for v in q.vertices:
                 crit = _critical_ancestors(q, v)
                 assert crit == exclusive[v]
-                assert is_normal(q, v) == _grouped_isotypic(cond, h, crit), (q, v)
-                assert _normal_self_inclusive(q, v) == _grouped_isotypic(
+                assert is_normal(q, v) == grouped_isotypic(cond, h, crit), (q, v)
+                assert _normal_self_inclusive(q, v) == grouped_isotypic(
                     cond, h, inclusive[v]), (q, v)
                 self_dependent += is_normal(q, v) != _normal_self_inclusive(q, v)
         assert self_dependent  # the sweep reaches rescued vertices
@@ -666,12 +646,12 @@ class TestSelfExclusiveNormality:
             rows = analyze(q).vertices
             for row in rows:
                 v = row.vertex
-                want = _grouped_isotypic(cond, h, exclusive[v])
+                want = grouped_isotypic(cond, h, exclusive[v])
                 assert is_normal(q, v) == want, (q.edges, v)
                 assert row.normal == want, (q.edges, v)
                 assert row.height == h[v]
                 assert row.phylogenetic == phylogenetic_status(q, v)
-                assert _normal_self_inclusive(q, v) == _grouped_isotypic(
+                assert _normal_self_inclusive(q, v) == grouped_isotypic(
                     cond, h, inclusive[v]), (q.edges, v)
                 rescued += want and not _normal_self_inclusive(q, v)
                 groups = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import os
@@ -19,6 +20,10 @@ from phyloquiver.metric import FiniteMetricSpace
 
 ULTRA3 = "x,y,z\n0,1,3\n1,0,3\n3,3,0\n"
 TRI345 = "x,y,z\n0,3,4\n3,0,5\n4,5,0\n"
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit")
 
 
 def run(capsys, *argv):
@@ -220,6 +225,20 @@ class TestTowers:
         assert code == 3 and out == ""
         assert err == f"refused: {path}: 3 points exceed --max-points 2\n"
 
+    @needs_digit_limit
+    def test_distance_past_the_digit_limit_gives_status_3(self, capsys, tmp_path):
+        # distances 1/p > 1/q: the first quotient's distance 1/p - 1/q has a
+        # denominator of about twice their digits, past the int->str limit
+        half = sys.get_int_max_str_digits() // 2 + 100
+        p, q = 10**half + 267, 10**half + 1231
+        path = tmp_path / "pq.csv"
+        path.write_text(f"x,y,z\n0,1/{q},1/{p}\n1/{q},0,1/{p}\n1/{p},1/{p},0\n")
+        code, out, err = run(capsys, "ultra-tower", str(path))
+        assert code == 3 and out == ""
+        assert err == ("refused: a distance too long to write: Exceeds the limit "
+                       f"({sys.get_int_max_str_digits()} digits) for integer string "
+                       "conversion\n")
+
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_max_points_below_one_is_a_usage_error(self, capsys, tmp_path, bound):
         path = tmp_path / "ultra3.csv"
@@ -404,6 +423,28 @@ class TestUnreadableInput:
         code, out, err = run(capsys, command, str(path))
         assert code == 1 and out == ""
         assert err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("command", ["validate", "ultra-tower", "metric-tower",
+                                         "reconstruct"])
+    def test_csv_cell_past_the_field_limit_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "big.csv"
+        cell = "1" * (csv.field_size_limit() + 1)  # 131,073 characters by default
+        path.write_text(f"a,b\n0,{cell}\n1,0\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:2: field larger than field limit " \
+                      f"({csv.field_size_limit()})\n"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_integer_past_the_digit_limit_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "q.json"
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text(f'{{"vertices": ["a"], "edges": [], "n": {"9" * digits}}}')
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: Exceeds the limit ")
+        assert err.endswith(f"value has {digits} digits\n")
 
 
 class TestGen:

@@ -47,7 +47,16 @@ from phyloquiver.generators import (
     gen_surjection_quiver,
 )
 
-from conftest import one_per_pair
+from oracles import (
+    brute_esequence_problems,
+    brute_isomorphic,
+    one_pair_mutations,
+    ref_validate_prec,
+    relabeled,
+    sibling_groups,
+    toggle_pair,
+    toggled_order,
+)
 
 
 @pytest.fixture
@@ -126,6 +135,19 @@ class TestESequenceType:
             assert len(got) <= 3 * len(order), s
             worded += len(got)
         assert worded > 1000, worded
+
+    def test_matches_axioms_on_mutated_orders(self):
+        rng = random.Random(24)
+        kinds = dict.fromkeys(
+            ("transitive", "antisymmetric", "irreflexive", "parents", "level 0"), 0)
+        for s in range(40):
+            seq = gen_random_esequence(1 + s % 4, 4 + s % 6, 0.6, seed=s)
+            mutated = toggled_order(seq, rng, 2 + s % 4)
+            got = validate_esequence(mutated)
+            assert got == brute_esequence_problems(mutated), s
+            for kind in kinds:
+                kinds[kind] += any(kind in p for p in got)
+        assert all(kinds.values()), kinds
 
 
 class TestEvolutionarySequence:
@@ -388,47 +410,6 @@ def terminal_data_by_walks(seq, n):
     return rho, frozenset(prec)
 
 
-def ref_validate_prec(sp, prec, n):
-    """validate_prec read off its definition: rho as Fractions, every rule
-    checked on every third point of every pair, then worded once per pair
-    and rule."""
-    rho, pairs = sp.distance, prec.pairs
-    values = sorted({rho(a, b) for a in sp.points for b in sp.points})
-    bound = max(values) if n is None else Fraction(n)
-    out = [f"distance value {v} outside 0..{bound}" for v in values
-           if v.denominator != 1 or v < 0 or v > bound]
-    out += [f"prec is not asymmetric on ({a!r}, {b!r})"
-            for a, b in sorted(pairs) if (b, a) in pairs and (a, b) <= (b, a)]
-    witnessed = [(None, v) for v in out]
-    for a, b in sorted(pairs):
-        for c in sp.points:
-            if a == b or c in (a, b):
-                continue
-            if rho(a, c) < rho(a, b) and (c, b) not in pairs:
-                witnessed.append(((a, b, 1),
-                                  f"{a!r} prec {b!r} and rho({a!r},{c!r}) < "
-                                  f"rho({a!r},{b!r}) but not {c!r} prec {b!r}"))
-            if rho(b, c) < rho(a, b) and (a, c) not in pairs:
-                witnessed.append(((a, b, 2),
-                                  f"{a!r} prec {b!r} and rho({b!r},{c!r}) < "
-                                  f"rho({a!r},{b!r}) but not {a!r} prec {c!r}"))
-            if ((b, c) in pairs and rho(a, b) == rho(a, c) == rho(b, c)
-                    and (a, c) not in pairs):
-                witnessed.append(((a, b, 3),
-                                  f"{a!r} prec {b!r} prec {c!r} on an equilateral "
-                                  f"triple but not {a!r} prec {c!r}"))
-    return one_per_pair(witnessed)
-
-
-def _one_pair_mutations(space, prec, rng):
-    """``prec`` with one random pair dropped, if it has one, and with one
-    pair of points it lacks added (reflexive and reversed pairs included)."""
-    pairs = sorted(prec.pairs)
-    absent = sorted(set(itertools.product(space.points, repeat=2)) - prec.pairs)
-    out = [prec.pairs - {rng.choice(pairs)}] if pairs else []
-    return [PrecRelation(p) for p in out + [prec.pairs | {rng.choice(absent)}]]
-
-
 class TestPrec:
     def test_empty_orders_give_empty_prec(self):
         seq = ESequence.build(
@@ -521,7 +502,7 @@ class TestPrec:
                 factor = Fraction(1 + s % 5, 2 + s % 3)
                 sp = FiniteMetricSpace.build(
                     sp.points, [[v * factor for v in row] for row in sp.rows])
-            for rel in [prec, *_one_pair_mutations(sp, prec, rng)]:
+            for rel in [prec, *one_pair_mutations(sp, prec, rng)]:
                 want = ref_validate_prec(sp, rel, n)
                 assert validate_prec(sp, rel, n) == want, s
                 kinds["broken" if any(" prec " in v for v in want) else "lawful"] += 1
@@ -540,7 +521,7 @@ class TestPrec:
         memo = SimpleNamespace(points=sp.points, distance=functools.cache(sp.distance))
         rng = random.Random(0)
         every = list(itertools.product(sp.points, repeat=2))
-        rels = _one_pair_mutations(sp, prec, rng)
+        rels = one_pair_mutations(sp, prec, rng)
         rels += [PrecRelation(prec.pairs ^ set(rng.sample(every, 3))) for _ in range(2)]
         worded = 0
         for rel in rels:
@@ -606,7 +587,7 @@ class TestPrec:
         assert validate_prec(sp, prec, n) == []
         assert esequence_isomorphic(reconstruct(sp, prec, n), seq)
         rng = random.Random(1)
-        for rel in _one_pair_mutations(sp, prec, rng):
+        for rel in one_pair_mutations(sp, prec, rng):
             assert validate_prec(sp, rel, n) != []
 
 
@@ -672,33 +653,6 @@ class TestReconstruction:
                 assert esequence_isomorphic(rebuilt, seq)
 
 
-def _relabeled(seq, rng):
-    """A copy of ``seq`` under fresh labels, every level shuffled."""
-    name = {x: f"z{x}" for x in seq.labels()}
-    return ESequence.build(
-        [rng.sample([name[x] for x in level], len(level)) for level in seq.levels],
-        {name[x]: name[p] for x, p in seq.parent.items()},
-        [(name[x], name[y]) for x, y in seq.order],
-    )
-
-
-def _sibling_groups(seq):
-    groups = {}
-    for x in seq.labels():
-        groups.setdefault(seq.parent.get(x), []).append(x)
-    return list(groups.values())
-
-
-def _toggle_pair(seq, rng):
-    """``seq`` with one pair inside a sibling group added to or removed
-    from its closed order."""
-    groups = [g for g in _sibling_groups(seq) if len(g) > 1]
-    if not groups:
-        return seq
-    x, y = rng.sample(rng.choice(groups), 2)
-    return ESequence(seq.levels, seq.parent, seq.closed_order() ^ {(x, y)})
-
-
 def _reparented(seq, rng):
     """``seq`` with one non-root label moved under a random parent, its
     order pairs dropped."""
@@ -713,7 +667,7 @@ def _reparented(seq, rng):
 def _with_cycle(seq, rng):
     """``seq`` with a reflexive pair, or a cycle of two or three labels,
     added inside one sibling group."""
-    group = rng.choice(_sibling_groups(seq))
+    group = rng.choice(sibling_groups(seq))
     cycle = rng.sample(group, rng.randint(1, min(3, len(group))))
     return ESequence(seq.levels, seq.parent,
                      seq.order | set(zip(cycle, cycle[1:] + cycle[:1])))
@@ -722,12 +676,12 @@ def _with_cycle(seq, rng):
 class TestIsomorphism:
     def test_identity_and_relabeling(self, two_fiber):
         assert esequence_isomorphic(two_fiber, two_fiber)
-        relabeled = ESequence.build(
+        renamed = ESequence.build(
             [["R"], ["B", "A"], ["B1", "A2", "A1"]],
             {"A": "R", "B": "R", "A1": "A", "A2": "A", "B1": "B"},
             [("A", "B")],
         )
-        assert esequence_isomorphic(two_fiber, relabeled)
+        assert esequence_isomorphic(two_fiber, renamed)
 
     def test_distinguishes_orders(self, two_fiber):
         unordered = ESequence.build(
@@ -759,35 +713,10 @@ class TestIsomorphism:
         assert esequence_isomorphic(closed, open_chain)
 
     def test_matches_brute_force_search(self):
-        def brute_iso(e1, e2):
-            if [len(l) for l in e1.levels] != [len(l) for l in e2.levels]:
-                return False
-            o1, o2 = e1.closed_order(), e2.closed_order()
-            per_level = [
-                itertools.permutations(l2) for l2 in e2.levels
-            ]
-            for choice in itertools.product(*per_level):
-                f = {
-                    x: y
-                    for l1, l2 in zip(e1.levels, choice)
-                    for x, y in zip(l1, l2)
-                }
-                ok = all(
-                    f[e1.parent[x]] == e2.parent[f[x]] for x in e1.parent
-                ) and all(
-                    ((x, y) in o1) == ((f[x], f[y]) in o2)
-                    for level in e1.levels
-                    for x in level
-                    for y in level
-                )
-                if ok:
-                    return True
-            return False
-
         for s in range(30):
             e1 = gen_random_esequence(1 + s % 3, 4, 0.5, seed=s)
             e2 = gen_random_esequence(1 + (s + 1) % 3, 4, 0.5, seed=s + 100)
-            assert esequence_isomorphic(e1, e2) == brute_iso(e1, e2)
+            assert esequence_isomorphic(e1, e2) == brute_isomorphic(e1, e2)
             assert esequence_isomorphic(e1, e1)
 
         # Copies, one-pair and re-parent perturbations, and reflexive or
@@ -798,13 +727,13 @@ class TestIsomorphism:
             cyclic = _with_cycle(e1, rng)
             for a, b in [
                 (e1, e1),
-                (e1, _toggle_pair(e1, rng)),
+                (e1, toggle_pair(e1, rng)),
                 (e1, _reparented(e1, rng)),
                 (e1, cyclic),
                 (cyclic, _with_cycle(e1, rng)),
             ]:
-                b = _relabeled(b, rng)
-                assert esequence_isomorphic(a, b) == brute_iso(a, b), s
+                b = relabeled(b, rng)
+                assert esequence_isomorphic(a, b) == brute_isomorphic(a, b), s
 
     def test_backtracks_past_color_refinement(self):
         # Two crowns on one level, four minimal and four maximal labels with
@@ -843,7 +772,7 @@ class TestIsomorphism:
         same = seq([("a1", "b1"), ("a2", "b2")])
         crossed = seq([("a1", "b2"), ("a2", "b1")])
         assert not esequence_isomorphic(same, crossed)
-        assert esequence_isomorphic(crossed, _relabeled(crossed, random.Random(0)))
+        assert esequence_isomorphic(crossed, relabeled(crossed, random.Random(0)))
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
     def test_crowns_beyond_the_budget_are_refused(self, n):
@@ -875,8 +804,8 @@ class TestIsomorphism:
 
         rng = random.Random(n)
         seq = group(pairs)
-        assert esequence_isomorphic(seq, _relabeled(seq, rng))
-        assert not esequence_isomorphic(seq, _relabeled(group(pairs + [(0, 3)]), rng))
+        assert esequence_isomorphic(seq, relabeled(seq, rng))
+        assert not esequence_isomorphic(seq, relabeled(group(pairs + [(0, 3)]), rng))
 
     def test_crown_above_a_long_chain(self):
         # The 290 chain labels are fixed by their keys; only the crown's
@@ -893,7 +822,7 @@ class TestIsomorphism:
 
         rng = random.Random(3)
         for split, expected in [(False, True), (True, False)]:
-            other = _relabeled(group("y", split), rng)
+            other = relabeled(group("y", split), rng)
             start = time.perf_counter()
             assert esequence_isomorphic(group("x", False), other) is expected
             assert time.perf_counter() - start < 2.0
@@ -902,9 +831,9 @@ class TestIsomorphism:
         rng = random.Random(5)
         leaves = [f"x{i}" for i in range(12)]
         fibre = ESequence.build([["r"], leaves], dict.fromkeys(leaves, "r"))
-        assert esequence_isomorphic(fibre, _relabeled(fibre, rng))
+        assert esequence_isomorphic(fibre, relabeled(fibre, rng))
         roots = ESequence.build([[f"r{i}" for i in range(50)]], {})
-        assert esequence_isomorphic(roots, _relabeled(roots, rng))
+        assert esequence_isomorphic(roots, relabeled(roots, rng))
 
     def test_order_across_sibling_groups_is_not_an_esequence(self):
         seq = ESequence.build(

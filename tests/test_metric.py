@@ -37,7 +37,14 @@ from phyloquiver.generators import (
     gen_random_ultrametric,
 )
 
-from conftest import one_per_pair
+from oracles import (
+    brute_isometric,
+    cycle_union,
+    ref_check,
+    ref_is_trim,
+    ref_underline_d,
+    shuffled,
+)
 
 
 @pytest.fixture
@@ -439,14 +446,6 @@ class TestIsometry:
         # Relabelled, row-permuted copies run the backtracking to a full
         # assignment; a copy with one entry moved, or with every distance
         # divided by a prime that keeps its int rows, must be refused.
-        def shuffled(space, rng):
-            n = len(space)
-            perm = rng.sample(range(n), n)
-            return FiniteMetricSpace.build(
-                [f"r{i}" for i in range(n)],
-                [[space.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
-            )
-
         def perturbed(space, rng):
             i, j = rng.sample(range(len(space)), 2)
             for eps in (Fraction(1, 97), Fraction(-1, 97)):
@@ -464,7 +463,7 @@ class TestIsometry:
                 base = gen_random_ultrametric(n, 1 + s % 3, seed=s)
             else:
                 base = gen_random_metric(n, seed=s)
-            copy = shuffled(base, rng)
+            copy = shuffled(base.rows, rng, "r")
             pairs = [("isometric", base, copy), ("isometric", copy, base)]
             if n >= 2:
                 rescaled = FiniteMetricSpace.build(
@@ -498,12 +497,8 @@ class TestIsometry:
             rows = [[0] * n for _ in range(n)]
             for i, j in itertools.combinations(range(n), 2):
                 rows[i][j] = rows[j][i] = rng.choice((1, 2))
-            perm = rng.sample(range(n), n)
             a = FiniteMetricSpace.build([f"g{i}" for i in range(n)], rows)
-            b = FiniteMetricSpace.build(
-                [f"h{i}" for i in range(n)],
-                [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
-            )
+            b = shuffled(rows, rng, "h")
             found = is_isometric(a, b)
             assert found is not None and sorted(found.values()) == sorted(b.points)
             assert all(
@@ -542,38 +537,6 @@ class TestIsometry:
             assert found is not None and sorted(found.values()) == sorted(points)
             assert all(ints[i][j] == ints[int(found[f"p{i}"][1:])][int(found[f"p{j}"][1:])]
                        for i in range(0, n, 37) for j in range(n))
-
-
-def cycle_union(lengths, rng, tag):
-    """Disjoint cycles of the given lengths as a graph metric, d = 1 on an
-    edge and 2 elsewhere, with shuffled labels."""
-    n = sum(lengths)
-    rows = [[2 * (i != j) for j in range(n)] for i in range(n)]
-    start = 0
-    for k in lengths:
-        for i in range(k):
-            a, b = start + i, start + (i + 1) % k
-            rows[a][b] = rows[b][a] = 1
-        start += k
-    perm = rng.sample(range(n), n)
-    return FiniteMetricSpace.build(
-        [f"{tag}{i}" for i in range(n)],
-        [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
-    )
-
-
-def brute_isometric(a, b):
-    if len(a.points) != len(b.points):
-        return False
-    for perm in itertools.permutations(b.points):
-        f = dict(zip(a.points, perm))
-        if all(
-            a.distance(x, y) == b.distance(f[x], f[y])
-            for x in a.points
-            for y in a.points
-        ):
-            return True
-    return False
 
 
 class TestStoredMatrix:
@@ -709,60 +672,6 @@ class TestBalls:
 # -- the integer kernel against plain Fraction definitions ---------------------
 
 MIXED_DENOMINATORS = (1, 3, 7, 1_000_003, 998_244_353, 2**31 - 1)
-
-
-def ref_check(labels, rows):
-    """(is_metric, is_ultrametric, problems) straight from the axioms."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    n = len(m)
-    problems = [f"nonzero diagonal at {labels[i]!r}" for i in range(n) if m[i][i] != 0]
-    problems += [
-        f"non-positive distance between {labels[i]!r} and {labels[j]!r}"
-        for i in range(n) for j in range(i + 1, n) if m[i][j] <= 0
-    ]
-    ok = not problems
-    witnessed = [(None, p) for p in problems]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if m[i][j] > m[i][k] + m[j][k]:
-            if i <= j:  # the failure is symmetric in i and j: word it once
-                witnessed.append(((i, j), (
-                    f"triangle inequality fails on "
-                    f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-                )))
-            ok = False
-    ultra = ok and all(
-        m[i][j] <= max(m[i][k], m[j][k])
-        for i, j, k in itertools.product(range(n), repeat=3)
-    )
-    return ok, ultra, tuple(one_per_pair(witnessed))
-
-
-def ref_underline_d(space):
-    pts = space.points
-    if len(pts) == 1:
-        return {pts[0]: Fraction(0)}
-    if len(pts) == 2:
-        return dict.fromkeys(pts, space.rows[0][1] / 2)
-    d = space.distance
-    return {
-        x: min(
-            (d(x, y) + d(x, z) - d(y, z)) / 2
-            for y, z in itertools.combinations([p for p in pts if p != x], 2)
-        )
-        for x in pts
-    }
-
-
-def ref_is_trim(space):
-    pts = space.points
-    d = space.distance
-    return len(pts) == 1 or all(
-        any(
-            d(x, y) + d(x, z) == d(y, z)
-            for y, z in itertools.combinations([p for p in pts if p != x], 2)
-        )
-        for x in pts
-    )
 
 
 def ref_collapse(space, reduced):

@@ -22,7 +22,7 @@ from phyloquiver import (
 )
 from phyloquiver.generators import gen_map_quiver, gen_surjection_quiver
 
-from conftest import brute_reach
+from oracles import brute_reach
 
 VERTICES = ["a", "b", "c", "d", "e", "f"]
 
