@@ -10,17 +10,19 @@ first of them, self-exclusive normality against each vertex's critical
 ancestors, realization and reconstruction round trips, validate_prec on
 one-pair mutations of each reconstructed relation and validate_esequence
 on mutated orders against every third point, worded once per failing pair,
-E-sequence isomorphism against relabelled copies and a brute-force search,
-tower laws, every tower quotient re-validated, underline_d and is_trim
-against their Fraction definitions, validate_space problems on non-metric
-matrices against every triple, its ultrametric flag on perturbed
-ultrametrics and on matrices of many ties against every triple, isometry
-against every permutation, clade reports against the built clade, clade
-formulas, analysis reports rendered by serialize.dumps against
-json.dumps with ids holding a quote, a backslash, a NUL and non-ASCII
-text) on as many fresh seeds as asked and prints a one-line verdict per
-family. The brute-force references come from tests/oracles.py, which
-needs only the standard library and an importable phyloquiver.
+E-sequence isomorphism against relabelled copies and a brute-force search
+(on random sequences, and on one sibling group that mixes unordered
+siblings, fixed classes and blocks of equal-key classes), tower laws,
+every tower quotient re-validated, underline_d and is_trim against their
+Fraction definitions, validate_space problems on non-metric matrices
+against every triple, its ultrametric flag on perturbed ultrametrics and
+on matrices of many ties against every triple, isometry against every
+permutation, clade reports against the built clade, clade formulas,
+analysis reports rendered by serialize.dumps against json.dumps with ids
+holding a quote, a backslash, a NUL and non-ASCII text) on as many fresh
+seeds as asked and prints a one-line verdict per family. The brute-force
+references come from tests/oracles.py, which needs only the standard
+library and an importable phyloquiver.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from oracles import (
     brute_ultrametric,
     cycle_union,
     grouped_isotypic,
+    one_group,
     one_pair_mutations,
     ref_check,
     ref_is_trim,
@@ -167,7 +170,12 @@ def audit_isomorphism(count, base):
         seq = gen.gen_random_esequence(1 + s % 3, 4, 0.5, seed=base + s)
         other = relabeled(toggle_pair(seq, rng), rng)
         assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
-    print(f"isomorphism               ok on {count} relabelled copies + {count} perturbations")
+        # one sibling group: no-search parts, fixed classes and the ordering search
+        seq = one_group(rng)
+        other = relabeled(rng.choice([seq, toggle_pair(seq, rng), one_group(rng)]), rng)
+        assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
+    print(f"isomorphism               ok on {count} relabelled copies + {count} perturbations"
+          f" + {count} one-group pairs")
 
 
 def revalidated(space):

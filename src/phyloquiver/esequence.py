@@ -27,7 +27,9 @@ maps flat in serialized form.
 Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
 the sorted codes of its connected parts, under a budget of adjacency entries
 per part; an order pair across sibling groups breaks the second axiom and is
-an InputError there.
+an InputError there. A sibling in no order pair is a part of its own and
+enters with no search, and a part whose classes are all fixed tries no
+orderings.
 """
 
 from __future__ import annotations
@@ -562,37 +564,50 @@ def esequence_isomorphic(first: ESequence, second: ESequence) -> bool:
 def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
     """From the top level down, each label gets the code of its children's
     group, and the roots are one more group: a group's code interns the
-    sorted codes of its connected parts (x ~ y when x < y or y < x)."""
+    sorted codes of its connected parts (x ~ y when x < y or y < x). A label
+    in no order pair is a part of its own, entered with no search."""
     closed = seq.closed_order()
     crossing = [(x, y) for x, y in closed if seq.parent.get(x) != seq.parent.get(y)]
     if crossing:  # name the least pair, not the first in hash order
         x, y = min(crossing)
         raise InputError(f"not an E-sequence: {x!r} < {y!r} across sibling groups")
-    sides = {x: (set(), set()) for x in seq.level_of}  # (below x, above x)
-    for x, y in closed:
+    sides = {x: (set(), set()) for x in set(chain.from_iterable(closed))}
+    for x, y in closed:  # (below x, above x) of the labels in some pair, frozen once
         sides[x][1].add(y)
         sides[y][0].add(x)
+    sides = {x: (frozenset(lo), frozenset(up)) for x, (lo, up) in sides.items()}
     code: dict[str, int] = {}
+    part: dict[str, int] = {}  # the code of each unordered label's own part
 
     def group_code(group: Iterable[str]) -> int:
-        parts = []
-        left = set(group)
+        parts = [part[x] for x in group if x in part]
+        left = {x for x in group if x in sides}
         while left:
-            part = [left.pop()]
-            for y in part:
+            found = [left.pop()]
+            for y in found:
                 new = (sides[y][0] | sides[y][1]) & left
                 left -= new
-                part.extend(new)
-            parts.append(codes.setdefault(_part_form(part, code, sides), len(codes)))
+                found.extend(new)
+            parts.append(codes.setdefault(_part_form(found, code, sides), len(codes)))
         return codes.setdefault(tuple(sorted(parts)), len(codes))
 
+    kids, leaf = seq._children, codes.setdefault((), len(codes))
+    searched = {seq.parent.get(x) for x in sides}  # parents of groups with pairs
     for x in reversed(seq.labels()):  # children before their parents
-        code[x] = group_code(seq.children(x))
+        if x not in kids:
+            c = leaf
+        elif x in searched:
+            c = group_code(kids[x])
+        else:  # each child is a part of its own
+            c = codes.setdefault(tuple(sorted(map(part.__getitem__, kids[x]))), len(codes))
+        code[x] = c
+        if x not in sides:
+            part[x] = codes.setdefault((c, False), len(codes))
     return group_code(seq.levels[0])
 
 
 def _part_form(part: list[str], code: dict[str, int],
-               sides: dict[str, tuple[set[str], set[str]]]) -> tuple[int, ...]:
+               sides: dict[str, tuple[frozenset[str], frozenset[str]]]) -> tuple[int, ...]:
     """Canonical form of one connected part's relation, coloured by codes.
 
     Twins (same code and closed below- and above-set) are interchangeable,
@@ -601,19 +616,28 @@ def _part_form(part: list[str], code: dict[str, int],
     successors and predecessors among the fixed classes, as bitmasks. The
     form is the number of classes, their sorted keys, and the least
     adjacency tuple among the movable classes over the orderings that
-    permute classes of equal key.
+    permute classes of equal key; with every class fixed there are none.
     """
     if len(part) == 1:  # no orderings to try: its code and self-loop say all
         return (code[part[0]], part[0] in sides[part[0]][1])
+    if len(part) == 2:  # x < y alone: two fixed classes, x first unless y's code is less
+        x, y = part if part[1] in sides[part[0]][1] else part[::-1]
+        if not sides[x][0] and not sides[y][1]:
+            if code[x] <= code[y]:
+                return (2, code[x], 1, 0, 1, 0, 2, code[y], 1, 1, 0, 1, 0)
+            return (2, code[y], 1, 1, 0, 2, 0, code[x], 1, 0, 1, 0, 1)
     twins: dict[tuple, list[str]] = {}
     for x in part:
-        twins.setdefault((code[x], *map(frozenset, sides[x])), []).append(x)
+        twins.setdefault((code[x], *sides[x]), []).append(x)
     keys = sorted([((c, len(xs), len(lo), len(up)), xs[0])
                    for (c, lo, up), xs in twins.items()])
     runs = [[x for _, x in run] for _, run in groupby(keys, key=lambda kx: kx[0])]
     bit = {run[0]: 1 << i for i, run in enumerate(runs) if len(run) == 1}
     keys = sorted([((*key, *(sum(bit.get(y, 0) for y in side) for side in sides[x])), x)
                    for key, x in keys])
+    form = (len(keys), *(k for key, _ in keys for k in key))
+    if len(bit) == len(keys):  # every class fixed: no orderings to try
+        return form
     blocks = [[x for _, x in run] for _, run in groupby(
         [kx for kx in keys if kx[1] not in bit], key=lambda kx: kx[0])]
     count = prod(map(factorial, map(len, blocks))) * sum(map(len, blocks)) ** 2
@@ -622,4 +646,4 @@ def _part_form(part: list[str], code: dict[str, int],
                              f"group exceed the budget of {_MAX_ENTRIES}")
     orders = (list(chain.from_iterable(c)) for c in product(*map(permutations, blocks)))
     least = min(tuple(b in sides[a][1] for a in order for b in order) for order in orders)
-    return (len(keys), *(k for key, _ in keys for k in key), *least)
+    return form + least

@@ -61,7 +61,10 @@ def to_fraction(value) -> Fraction:
     """Exact coercion: Fraction, int, or a string ('3/4', '0.25').
 
     Floats and scientific notation are refused; they have no place in a
-    computation that must distinguish zero exactly.
+    computation that must distinguish zero exactly. Digit-grouping
+    underscores are refused too, since only some Python versions read them.
+    A refused string longer than 32 characters is shown by its first 32
+    and its length.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,16 +73,27 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         token = value.strip()
         if "e" in token.lower():
-            raise InputError(f"scientific notation rejected: {value!r}")
+            raise InputError(f"scientific notation rejected: {_shown(value)}")
+        if "_" in token:
+            raise InputError(f"digit separator '_' rejected: {_shown(value)}")
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational number: {value!r}") from exc
+            reason = str(exc).split(";")[0]  # a literal past the int->str digit limit
+            if not reason.startswith("Exceeds the limit"):
+                reason = "not a rational number"
+            raise InputError(f"{reason}: {_shown(value)}") from exc
     if isinstance(value, float):
         raise InputError(
             f"float {value!r} rejected: pass an exact rational or a decimal string"
         )
     raise InputError(f"cannot interpret {value!r} as a rational number")
+
+
+def _shown(cell: str) -> str:
+    if len(cell) <= 32:
+        return repr(cell)
+    return f"{cell[:32]!r}... ({len(cell)} characters)"
 
 
 # A matrix as exact integer rows: (scale, rows) with rows[i][j] = d(i, j) * scale.

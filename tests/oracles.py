@@ -257,6 +257,29 @@ def relabeled(seq, rng):
     )
 
 
+def one_group(rng):
+    """A root over one sibling group of 2-5 labels with 0-3 leaf children
+    among them, ordered one of two ways. Either random pairs run from some
+    siblings (the lows) to others (the highs), and siblings in no pair sit
+    beside ordered ones with as many children; or every sibling is ordered,
+    the first half each below two neighbours in the second, which makes
+    twins, or blocks of equal-key classes in a zigzag of 2 lows and 3 highs."""
+    group = [f"g{i}" for i in range(rng.randint(2, 5))]
+    leaves = [f"c{i}" for i in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        ordered = rng.sample(group, rng.randint(2, len(group)))
+        cut = rng.randint(1, len(ordered) - 1)
+        order = [(a, b) for a in ordered[:cut] for b in ordered[cut:] if rng.random() < 0.6]
+    else:
+        lows, highs = group[:len(group) // 2], group[len(group) // 2:]
+        order = [(a, highs[(i + j) % len(highs)]) for i, a in enumerate(lows) for j in (0, 1)]
+    return ESequence.build(
+        [["r"], group] + [leaves] * bool(leaves),
+        {**dict.fromkeys(group, "r"), **{c: rng.choice(group) for c in leaves}},
+        order,
+    )
+
+
 def brute_isomorphic(e1, e2):
     """Isomorphism by trying every level-wise bijection (small levels only)."""
     if [len(level) for level in e1.levels] != [len(level) for level in e2.levels]:

@@ -26,6 +26,15 @@ needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit")
 
 
+def limit_words(convert) -> str:
+    """This interpreter's words for an int/str conversion past its digit
+    limit, up to the advice after ';' (3.10 says "limit (4300)", later
+    versions "limit (4300 digits)")."""
+    with pytest.raises(ValueError) as exc:
+        convert()
+    return str(exc.value).split(";")[0]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -235,9 +244,8 @@ class TestTowers:
         path.write_text(f"x,y,z\n0,1/{q},1/{p}\n1/{q},0,1/{p}\n1/{p},1/{p},0\n")
         code, out, err = run(capsys, "ultra-tower", str(path))
         assert code == 3 and out == ""
-        assert err == ("refused: a distance too long to write: Exceeds the limit "
-                       f"({sys.get_int_max_str_digits()} digits) for integer string "
-                       "conversion\n")
+        too_long = limit_words(lambda: str(10 ** sys.get_int_max_str_digits()))
+        assert err == f"refused: a distance too long to write: {too_long}\n"
 
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_max_points_below_one_is_a_usage_error(self, capsys, tmp_path, bound):
@@ -434,6 +442,16 @@ class TestUnreadableInput:
         assert code == 1 and out == ""
         assert err == f"error: {path}:2: field larger than field limit " \
                       f"({csv.field_size_limit()})\n"
+
+    @needs_digit_limit
+    def test_csv_cell_past_the_digit_limit_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        digits = "3" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(f"a,b\n0,1/{digits}\n1,0\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert err == (f"error: {path}:2:2: {limit_words(lambda: int(digits))}: "
+                       f"'1/{digits[:30]}'... ({len(digits) + 2} characters)\n")
 
     @needs_digit_limit
     @pytest.mark.parametrize("command", ["analyze", "validate"])

@@ -37,6 +37,7 @@ from phyloquiver import (
     validate_prec,
     validate_space,
 )
+from phyloquiver.esequence import _part_form
 from phyloquiver.generators import (
     gen_g3,
     gen_map_quiver,
@@ -50,6 +51,7 @@ from phyloquiver.generators import (
 from oracles import (
     brute_esequence_problems,
     brute_isomorphic,
+    one_group,
     one_pair_mutations,
     ref_validate_prec,
     relabeled,
@@ -734,6 +736,43 @@ class TestIsomorphism:
             ]:
                 b = relabeled(b, rng)
                 assert esequence_isomorphic(a, b) == brute_isomorphic(a, b), s
+
+    def test_mixed_groups_match_brute_force(self, monkeypatch):
+        # One sibling group under a root: unordered siblings beside ordered
+        # ones of the same subtree, parts whose classes are all fixed, and
+        # zigzags whose equal-key classes go through the ordering search.
+        searched = []
+
+        def recording(part, code, sides):
+            form = _part_form(part, code, sides)
+            if len(part) > 1:  # the form ends in a least adjacency tuple after a search
+                searched.append(len(form) > 1 + 6 * form[0])
+            return form
+
+        monkeypatch.setattr("phyloquiver.esequence._part_form", recording)
+        rng = random.Random(25)
+        beside = 0
+        for s in range(150):
+            a = one_group(rng)
+            ordered = {x for pair in a.order for x in pair}
+            kids = {x: len(a.children(x)) for x in a.levels[1]}
+            beside += any(kids[x] == kids[y] for x in kids.keys() - ordered for y in ordered)
+            for b in (a, toggle_pair(a, rng), one_group(rng)):
+                b = relabeled(b, rng)
+                assert esequence_isomorphic(a, b) == brute_isomorphic(a, b), s
+        assert beside >= 10 and searched.count(True) >= 10 and searched.count(False) >= 100
+
+    def test_unordered_siblings_make_no_part_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("phyloquiver.esequence._part_form",
+                            lambda *args: calls.append(args))
+        labels = [f"a{i}" for i in range(3000)]
+        chain = ESequence.build([[x] for x in labels], dict(zip(labels[1:], labels)))
+        roots = ESequence.build([[f"r{i}" for i in range(2000)]], {})
+        rng = random.Random(6)
+        assert esequence_isomorphic(chain, relabeled(chain, rng))
+        assert esequence_isomorphic(roots, relabeled(roots, rng))
+        assert calls == []
 
     def test_backtracks_past_color_refinement(self):
         # Two crowns on one level, four minimal and four maximal labels with

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -115,6 +116,31 @@ class TestValidation:
                 ["a", "b", "c"], [[0, 1], [1, 0, 1], [1, 1, cell]]
             )
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cell", ["1_0", "1/2_0"])
+    def test_digit_separators_refused_on_every_version(self, cell):
+        # Fraction reads "1_0" as 10 from Python 3.11 on, and 3.10 refuses it
+        with pytest.raises(InputError) as exc:
+            to_fraction(cell)
+        assert str(exc.value) == f"digit separator '_' rejected: {cell!r}"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int->str digit limit")
+    def test_cell_past_the_digit_limit_names_the_limit(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as limit:  # worded differently on 3.10
+            int(digits)
+        cell = "1/" + digits
+        with pytest.raises(InputError) as exc:
+            to_fraction(cell)
+        assert str(exc.value) == (f"{str(limit.value).split(';')[0]}: "
+                                  f"{cell[:32]!r}... ({len(cell)} characters)")
+
+    def test_long_bad_cell_shown_by_its_prefix(self):
+        cell = "x" * 5000
+        with pytest.raises(InputError) as exc:
+            to_fraction(cell)
+        assert str(exc.value) == f"not a rational number: {'x' * 32!r}... (5000 characters)"
 
     def test_short_row_of_good_cells(self):
         with pytest.raises(InputError) as exc:
