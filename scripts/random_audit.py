@@ -163,7 +163,7 @@ def audit_esequence_axioms(count, base):
 
 
 def audit_isomorphism(count, base):
-    rng = random.Random(base)
+    rng, groups = random.Random(base), random.Random(f"one-group {base}")
     for s in range(count):
         seq = gen.gen_random_esequence(1 + s % 5, 4 + s % 9, 0.35, seed=base + s)
         assert pq.esequence_isomorphic(seq, relabeled(seq, rng)), s
@@ -171,8 +171,10 @@ def audit_isomorphism(count, base):
         other = relabeled(toggle_pair(seq, rng), rng)
         assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
         # one sibling group: no-search parts, fixed classes and the ordering search
-        seq = one_group(rng)
-        other = relabeled(rng.choice([seq, toggle_pair(seq, rng), one_group(rng)]), rng)
+        seq = one_group(groups)
+        k = groups.randrange(3)  # a copy, a one-pair perturbation or a fresh group
+        other = seq if k == 0 else toggle_pair(seq, groups) if k == 1 else one_group(groups)
+        other = relabeled(other, groups)
         assert pq.esequence_isomorphic(seq, other) == brute_isomorphic(seq, other), s
     print(f"isomorphism               ok on {count} relabelled copies + {count} perturbations"
           f" + {count} one-group pairs")

@@ -598,7 +598,7 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
             c = leaf
         elif x in searched:
             c = group_code(kids[x])
-        else:  # each child is a part of its own
+        else:  # each child is a part of its own: group_code without its two scans
             c = codes.setdefault(tuple(sorted(map(part.__getitem__, kids[x]))), len(codes))
         code[x] = c
         if x not in sides:
@@ -620,12 +620,6 @@ def _part_form(part: list[str], code: dict[str, int],
     """
     if len(part) == 1:  # no orderings to try: its code and self-loop say all
         return (code[part[0]], part[0] in sides[part[0]][1])
-    if len(part) == 2:  # x < y alone: two fixed classes, x first unless y's code is less
-        x, y = part if part[1] in sides[part[0]][1] else part[::-1]
-        if not sides[x][0] and not sides[y][1]:
-            if code[x] <= code[y]:
-                return (2, code[x], 1, 0, 1, 0, 2, code[y], 1, 1, 0, 1, 0)
-            return (2, code[y], 1, 1, 0, 2, 0, code[x], 1, 0, 1, 0, 1)
     twins: dict[tuple, list[str]] = {}
     for x in part:
         twins.setdefault((code[x], *sides[x]), []).append(x)

@@ -54,7 +54,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, limit_reason
 
 
 def to_fraction(value) -> Fraction:
@@ -79,9 +79,7 @@ def to_fraction(value) -> Fraction:
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
-            reason = str(exc).split(";")[0]  # a literal past the int->str digit limit
-            if not reason.startswith("Exceeds the limit"):
-                reason = "not a rational number"
+            reason = limit_reason(exc) or "not a rational number"
             raise InputError(f"{reason}: {_shown(value)}") from exc
     if isinstance(value, float):
         raise InputError(

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, limit_reason
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -118,7 +118,7 @@ def loads(text: str, source: str = "<input>") -> object:
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
-        raise InputError(f"{source}: {str(exc).split(';')[0]}") from None
+        raise InputError(f"{source}: {limit_reason(exc) or exc}") from None
     except RecursionError:
         raise InputError(f"{source}: JSON nested too deeply") from None
 
@@ -338,7 +338,7 @@ def _matrix_strs(space: FiniteMetricSpace) -> list[list[str]]:
         text = {v: str(Fraction(v, scale)) for v in space._values}
     except ValueError as exc:  # a numerator or denominator past the int->str limit
         raise SizeGuardError(
-            f"a distance too long to write: {str(exc).split(';')[0]}") from None
+            f"a distance too long to write: {limit_reason(exc) or exc}") from None
     return [[text[v] for v in row] for row in ints]
 
 

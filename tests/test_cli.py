@@ -15,6 +15,7 @@ import pytest
 
 from phyloquiver import serialize
 from phyloquiver.cli import main
+from phyloquiver.errors import limit_reason
 from phyloquiver.esequence import PrecRelation, reconstruct
 from phyloquiver.metric import FiniteMetricSpace
 
@@ -28,11 +29,12 @@ needs_digit_limit = pytest.mark.skipif(
 
 def limit_words(convert) -> str:
     """This interpreter's words for an int/str conversion past its digit
-    limit, up to the advice after ';' (3.10 says "limit (4300)", later
-    versions "limit (4300 digits)")."""
+    limit (see errors.limit_reason)."""
     with pytest.raises(ValueError) as exc:
         convert()
-    return str(exc.value).split(";")[0]
+    words = limit_reason(exc.value)
+    assert words is not None, exc.value
+    return words
 
 
 def run(capsys, *argv):

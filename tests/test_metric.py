@@ -32,6 +32,7 @@ from phyloquiver import (
     underline_d,
     validate_space,
 )
+from phyloquiver.errors import limit_reason
 from phyloquiver.generators import (
     gen_random_esequence,
     gen_random_metric,
@@ -133,7 +134,7 @@ class TestValidation:
         cell = "1/" + digits
         with pytest.raises(InputError) as exc:
             to_fraction(cell)
-        assert str(exc.value) == (f"{str(limit.value).split(';')[0]}: "
+        assert str(exc.value) == (f"{limit_reason(limit.value)}: "
                                   f"{cell[:32]!r}... ({len(cell)} characters)")
 
     def test_long_bad_cell_shown_by_its_prefix(self):
