@@ -39,10 +39,9 @@ involves no slot of C, and so rescues no member by the same rule.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError, SizeGuardError, UndecidedError
+from .errors import Frozen, InputError, SizeGuardError, UndecidedError
 from .quiver import (
     Evolution,
     Quiver,
@@ -58,21 +57,26 @@ from .quiver import (
 _MAX_STATES = 2_000_000
 
 
-@dataclass(frozen=True)
-class VertexAnalysis:
-    vertex: str
-    height: int
-    primitive: bool
-    normal: bool
-    phylogenetic: bool | None  # None = undecided
+class VertexAnalysis(Frozen):
+    """One vertex's row of :func:`analyze`; ``phylogenetic`` is None when
+    undecided."""
+
+    _fields = ("vertex", "height", "primitive", "normal", "phylogenetic")
+
+    def __init__(self, vertex: str, height: int, primitive: bool, normal: bool,
+                 phylogenetic: bool | None) -> None:
+        self.__dict__.update(vertex=vertex, height=height, primitive=primitive,
+                             normal=normal, phylogenetic=phylogenetic)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    vertices: tuple[VertexAnalysis, ...]
-    monotonous: bool
-    phylogenetic_quiver: bool
-    isotypy_class_count: int
+class AnalysisReport(Frozen):
+    _fields = ("vertices", "monotonous", "phylogenetic_quiver", "isotypy_class_count")
+
+    def __init__(self, vertices: tuple[VertexAnalysis, ...], monotonous: bool,
+                 phylogenetic_quiver: bool, isotypy_class_count: int) -> None:
+        self.__dict__.update(vertices=vertices, monotonous=monotonous,
+                             phylogenetic_quiver=phylogenetic_quiver,
+                             isotypy_class_count=isotypy_class_count)
 
 
 @memo

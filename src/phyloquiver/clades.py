@@ -13,20 +13,18 @@ direct in-clade computation available as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis
-from .errors import InputError
+from .errors import Frozen, InputError
 from .quiver import Quiver, ancestor_of, condense, descendants, induced_subquiver
 
 
-@dataclass(frozen=True)
-class Clade:
+class Clade(Frozen):
     """Induced sub-quiver on the descendants of ``apex``, sharing host ids."""
 
-    host: Quiver
-    apex: str
-    quiver: Quiver
+    _fields = ("host", "apex", "quiver")
+
+    def __init__(self, host: Quiver, apex: str, quiver: Quiver) -> None:
+        self.__dict__.update(host=host, apex=apex, quiver=quiver)
 
     @property
     def members(self) -> tuple[str, ...]:

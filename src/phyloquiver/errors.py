@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :class:`Frozen`, the
+base of its immutable value types."""
 
 from __future__ import annotations
 
@@ -26,3 +27,34 @@ def limit_reason(exc: ValueError) -> str | None:
     ``exc`` is some other ValueError."""
     words = str(exc).split(";")[0]
     return words if words.startswith("Exceeds the limit") else None
+
+
+class Frozen:
+    """Immutable value compared, hashed and shown by the attributes that
+    ``_fields`` names, in order, as a frozen dataclass would be: equal only
+    to an instance of its own class with equal fields, hashed as the tuple
+    of them. ``__init__`` sets attributes through ``self.__dict__``, where
+    state outside ``_fields`` (memos, cached properties) may also live."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({shown})"

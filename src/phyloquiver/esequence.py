@@ -34,21 +34,19 @@ orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import InputError, SizeGuardError
+from .errors import Frozen, InputError, SizeGuardError
 from .quiver import Quiver, condense, memo
 
 if TYPE_CHECKING:
     from .metric import FiniteMetricSpace
 
 
-@dataclass(frozen=True)
-class ESequence:
+class ESequence(Frozen):
     """Graded labeled sets with parental maps and per-level strict orders.
 
     ``order`` holds pairs (x, y) meaning x < y; pairs must stay inside one
@@ -58,11 +56,11 @@ class ESequence:
     breaches as data.
     """
 
-    levels: tuple[tuple[str, ...], ...]
-    parent: Mapping[str, str]
-    order: frozenset[tuple[str, str]]
+    _fields = ("levels", "parent", "order")
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: tuple[tuple[str, ...], ...], parent: Mapping[str, str],
+                 order: frozenset[tuple[str, str]]) -> None:
+        self.__dict__.update(levels=levels, parent=parent, order=order)
         if not self.levels:
             raise InputError("an E-sequence needs at least one level")
         seen: set[str] = set()
@@ -345,11 +343,13 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     return FiniteMetricSpace._from_ints(points, 1, depths, True)
 
 
-@dataclass(frozen=True)
-class PrecRelation:
+class PrecRelation(Frozen):
     """Binary relation on a point set; lawful instances are asymmetric."""
 
-    pairs: frozenset[tuple[str, str]]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: frozenset[tuple[str, str]]) -> None:
+        self.__dict__.update(pairs=pairs)
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[str, str]]) -> "PrecRelation":
@@ -582,8 +582,11 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
     def group_code(group: Iterable[str]) -> int:
         parts = [part[x] for x in group if x in part]
         left = {x for x in group if x in sides}
-        while left:
-            found = [left.pop()]
+        for x in sorted(left):  # parts in order of their least labels, never hash order
+            if x not in left:
+                continue
+            left.remove(x)
+            found = [x]
             for y in found:
                 new = (sides[y][0] | sides[y][1]) & left
                 left -= new

@@ -46,7 +46,6 @@ tower with no check of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse
@@ -54,7 +53,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, SizeGuardError, limit_reason
+from .errors import Frozen, InputError, SizeGuardError, limit_reason
 
 
 def to_fraction(value) -> Fraction:
@@ -116,11 +115,13 @@ def _scaled(matrix: Iterable[Iterable]) -> _Scaled:
     )
 
 
-@dataclass(frozen=True)
-class SpaceCheck:
-    is_metric: bool
-    is_ultrametric: bool
-    problems: tuple[str, ...]
+class SpaceCheck(Frozen):
+    _fields = ("is_metric", "is_ultrametric", "problems")
+
+    def __init__(self, is_metric: bool, is_ultrametric: bool,
+                 problems: tuple[str, ...]) -> None:
+        self.__dict__.update(is_metric=is_metric, is_ultrametric=is_ultrametric,
+                             problems=problems)
 
 
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
@@ -252,15 +253,17 @@ def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, 
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """Labeled points with an exact rational distance matrix, stored as its
     reduced int rows. ``build`` enforces the metric axioms; the plain
-    constructor trusts its caller."""
+    constructor trusts its caller. ``is_ultrametric`` is not a field: it
+    follows from the rows, so it is never compared or hashed."""
 
-    points: tuple[str, ...]
-    _scaled: _Scaled = field(repr=False)
-    is_ultrametric: bool = field(compare=False, repr=False)
+    _fields = ("points", "_scaled")
+
+    def __init__(self, points: tuple[str, ...], _scaled: _Scaled,
+                 is_ultrametric: bool) -> None:
+        self.__dict__.update(points=points, _scaled=_scaled, is_ultrametric=is_ultrametric)
 
     @classmethod
     def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
@@ -377,15 +380,14 @@ def n_nonzero(space: FiniteMetricSpace) -> int:
     return len(space._values) - 1
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Frozen):
     """Total map between the point sets of two spaces."""
 
-    source: FiniteMetricSpace
-    target: FiniteMetricSpace
-    mapping: Mapping[str, str]
+    _fields = ("source", "target", "mapping")
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace,
+                 mapping: Mapping[str, str]) -> None:
+        self.__dict__.update(source=source, target=target, mapping=mapping)
         if set(self.mapping) != set(self.source.points):
             raise InputError("map must be defined on every source point")
         for v in self.mapping.values():
@@ -397,11 +399,13 @@ class PointMap:
         return set(self.mapping.values()) == set(self.target.points)
 
 
-@dataclass(frozen=True)
-class MapClassification:
-    is_isometry: bool
-    contraction_epsilon: Fraction | None
-    is_drift: bool
+class MapClassification(Frozen):
+    _fields = ("is_isometry", "contraction_epsilon", "is_drift")
+
+    def __init__(self, is_isometry: bool, contraction_epsilon: Fraction | None,
+                 is_drift: bool) -> None:
+        self.__dict__.update(is_isometry=is_isometry,
+                             contraction_epsilon=contraction_epsilon, is_drift=is_drift)
 
     @property
     def kind(self) -> str:
@@ -520,15 +524,17 @@ def quotient_v(space: FiniteMetricSpace) -> tuple[FiniteMetricSpace, PointMap]:
     return _collapse(space, space._half_deficits, False)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Frozen):
     """A maximal chain of quotient projections: spaces[0] is the input,
     spaces[-1] the terminal space, maps[i] projects spaces[i] onto
     spaces[i+1]. Read backwards it is the universal evolution of the input
     in the corresponding quiver of spaces."""
 
-    spaces: tuple[FiniteMetricSpace, ...]
-    maps: tuple[PointMap, ...]
+    _fields = ("spaces", "maps")
+
+    def __init__(self, spaces: tuple[FiniteMetricSpace, ...],
+                 maps: tuple[PointMap, ...]) -> None:
+        self.__dict__.update(spaces=spaces, maps=maps)
 
     def __len__(self) -> int:
         return len(self.maps)

@@ -21,10 +21,9 @@ class ids, so an ancestry test is one bit test.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import Frozen, InputError
 
 
 def memo(fn):
@@ -49,21 +48,20 @@ def memo(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """Immutable finite quiver over string vertex ids.
 
     ``edges[i] = (tail, head)`` reads "tail descends from head". Optional
     display labels ride along but take no part in any computation.
-    ``_memo`` holds results derived from this quiver (see :func:`memo`).
+    ``_memo`` holds results derived from this quiver (see :func:`memo`); it
+    is not a field, so it is never compared, hashed or shown.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    labels: tuple[tuple[str, str], ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("vertices", "edges", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...],
+                 labels: tuple[tuple[str, str], ...] = ()) -> None:
+        self.__dict__.update(vertices=vertices, edges=edges, labels=labels, _memo={})
         if not self.vertices:
             raise InputError("a quiver needs at least one vertex")
         seen: set[str] = set()
@@ -97,12 +95,11 @@ class Quiver:
     def has_edge(self, tail: str, head: str) -> bool:
         return (tail, head) in _edge_lookup(self)
 
-    def __repr__(self) -> str:  # the default dataclass repr drowns test output
+    def __repr__(self) -> str:  # a field-by-field repr would drown test output
         return f"Quiver({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(Frozen):
     """Partition of a quiver into isotypy classes plus the class-level DAG.
 
     ``classes`` are the strongly connected components, each sorted, and the
@@ -112,10 +109,12 @@ class Condensation:
     (ancestors first).
     """
 
-    classes: tuple[tuple[str, ...], ...]
-    class_index: Mapping[str, int]
-    parents: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
+    _fields = ("classes", "class_index", "parents", "order")
+
+    def __init__(self, classes: tuple[tuple[str, ...], ...], class_index: Mapping[str, int],
+                 parents: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> None:
+        self.__dict__.update(classes=classes, class_index=class_index,
+                             parents=parents, order=order)
 
     def class_of(self, v: str) -> int:
         try:
@@ -124,8 +123,7 @@ class Condensation:
             raise InputError(f"unknown vertex id {v!r}") from None
 
 
-@dataclass(frozen=True)
-class Evolution:
+class Evolution(Frozen):
     """A validated directed path, listed ancestor-first.
 
     ``vertices = (A0, ..., Am)`` with initial vertex A0 and terminal vertex
@@ -133,9 +131,11 @@ class Evolution:
     step A(k+1) -> Ak. Construct through :func:`validate_evolution`.
     """
 
-    quiver: Quiver
-    vertices: tuple[str, ...]
-    edge_indices: tuple[int, ...]
+    _fields = ("quiver", "vertices", "edge_indices")
+
+    def __init__(self, quiver: Quiver, vertices: tuple[str, ...],
+                 edge_indices: tuple[int, ...]) -> None:
+        self.__dict__.update(quiver=quiver, vertices=vertices, edge_indices=edge_indices)
 
     @property
     def initial(self) -> str:

@@ -903,6 +903,33 @@ class TestIsomorphism:
             messages.add(proc.stdout)
         assert messages == {"not an E-sequence: 'x' < 'w' across sibling groups\n"}
 
+    def test_refused_part_independent_of_hash_seed(self):
+        # One sibling group holds a 5-crown and a 6-crown, both over the
+        # budget; the refusal counts the part holding the least label.
+        script = (
+            "from phyloquiver import ESequence, SizeGuardError, esequence_isomorphic\n"
+            "def crown(n, lo, hi):\n"
+            "    return [(f'{lo}{i}', f'{hi}{(i + j) % n}') for i in range(n) for j in (0, 1)]\n"
+            "xs = [f'{t}{i}' for t, n in (('a', 5), ('b', 5), ('c', 6), ('d', 6))\n"
+            "      for i in range(n)]\n"
+            "seq = ESequence.build([['r'], xs], dict.fromkeys(xs, 'r'),\n"
+            "                      crown(5, 'a', 'b') + crown(6, 'c', 'd'))\n"
+            "try:\n"
+            "    esequence_isomorphic(seq, seq)\n"
+            "except SizeGuardError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {"1440000 adjacency entries to compare in a sibling group "
+                            "exceed the budget of 100000\n"}
+
     def test_deep_chain(self):
         def chain(n, tag):
             labels = [f"{tag}{i}" for i in range(n)]

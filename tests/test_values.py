@@ -1,0 +1,199 @@
+"""The value types' contract: frozen, compared and hashed by their fields
+as a tuple, equal only to their own class, and printed as before."""
+
+from __future__ import annotations
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from phyloquiver import (
+    AnalysisReport,
+    Clade,
+    Condensation,
+    ESequence,
+    Evolution,
+    FiniteMetricSpace,
+    MapClassification,
+    PointMap,
+    PrecRelation,
+    Quiver,
+    Tower,
+)
+from phyloquiver.analysis import VertexAnalysis
+from phyloquiver.metric import SpaceCheck
+
+
+def quiver():
+    return Quiver(("A", "B"), (("B", "A"),), (("A", "root"),))
+
+
+def space():
+    return FiniteMetricSpace(("x", "y"), (2, ((0, 2), (2, 0))), True)
+
+
+def point():
+    return FiniteMetricSpace(("z",), (2, ((0,),)), True)
+
+
+def point_map():
+    return PointMap(space(), point(), {"x": "z", "y": "z"})
+
+
+def row():
+    return VertexAnalysis(vertex="A", height=0, primitive=True, normal=True,
+                          phylogenetic=None)
+
+
+# name: (class, fresh (args, kwargs), field names, hashable, repr)
+CASES = {
+    "Quiver": (
+        Quiver, lambda: ((("A", "B"), (("B", "A"),), (("A", "root"),)), {}),
+        ("vertices", "edges", "labels"), True,
+        "Quiver(2 vertices, 1 edges)",
+    ),
+    "Condensation": (
+        Condensation, lambda: (((("A",), ("B",)), {"A": 0, "B": 1}, ((), (0,)), (0, 1)), {}),
+        ("classes", "class_index", "parents", "order"), False,
+        "Condensation(classes=(('A',), ('B',)), class_index={'A': 0, 'B': 1}, "
+        "parents=((), (0,)), order=(0, 1))",
+    ),
+    "Evolution": (
+        Evolution, lambda: ((quiver(), ("A", "B"), (0,)), {}),
+        ("quiver", "vertices", "edge_indices"), True,
+        "Evolution(A <- B)",
+    ),
+    "VertexAnalysis": (
+        VertexAnalysis,
+        lambda: ((), dict(vertex="A", height=0, primitive=True, normal=True,
+                          phylogenetic=None)),
+        ("vertex", "height", "primitive", "normal", "phylogenetic"), True,
+        "VertexAnalysis(vertex='A', height=0, primitive=True, normal=True, "
+        "phylogenetic=None)",
+    ),
+    "AnalysisReport": (
+        AnalysisReport,
+        lambda: ((), dict(vertices=(row(),), monotonous=True, phylogenetic_quiver=False,
+                          isotypy_class_count=2)),
+        ("vertices", "monotonous", "phylogenetic_quiver", "isotypy_class_count"), True,
+        "AnalysisReport(vertices=(VertexAnalysis(vertex='A', height=0, primitive=True, "
+        "normal=True, phylogenetic=None),), monotonous=True, phylogenetic_quiver=False, "
+        "isotypy_class_count=2)",
+    ),
+    "Clade": (
+        Clade, lambda: ((quiver(), "A", quiver()), {}),
+        ("host", "apex", "quiver"), True,
+        "Clade(host=Quiver(2 vertices, 1 edges), apex='A', "
+        "quiver=Quiver(2 vertices, 1 edges))",
+    ),
+    "ESequence": (
+        ESequence,
+        lambda: (((("r",), ("a", "b")), {"a": "r", "b": "r"}, frozenset({("a", "b")})), {}),
+        ("levels", "parent", "order"), False,
+        "ESequence(levels=(('r',), ('a', 'b')), parent={'a': 'r', 'b': 'r'}, "
+        "order=frozenset({('a', 'b')}))",
+    ),
+    "PrecRelation": (
+        PrecRelation, lambda: ((frozenset({("a", "b")}),), {}),
+        ("pairs",), True,
+        "PrecRelation(pairs=frozenset({('a', 'b')}))",
+    ),
+    "SpaceCheck": (
+        SpaceCheck, lambda: ((True, False, ("p",)), {}),
+        ("is_metric", "is_ultrametric", "problems"), True,
+        "SpaceCheck(is_metric=True, is_ultrametric=False, problems=('p',))",
+    ),
+    "FiniteMetricSpace": (
+        FiniteMetricSpace, lambda: ((("x", "y"), (2, ((0, 2), (2, 0))), True), {}),
+        ("points", "_scaled"), True,
+        "FiniteMetricSpace(2 points)",
+    ),
+    "PointMap": (
+        PointMap, lambda: ((space(), point(), {"x": "z", "y": "z"}), {}),
+        ("source", "target", "mapping"), False,
+        "PointMap(source=FiniteMetricSpace(2 points), target=FiniteMetricSpace(1 points), "
+        "mapping={'x': 'z', 'y': 'z'})",
+    ),
+    "MapClassification": (
+        MapClassification, lambda: ((False, Fraction(1, 2), False), {}),
+        ("is_isometry", "contraction_epsilon", "is_drift"), True,
+        "MapClassification(is_isometry=False, contraction_epsilon=Fraction(1, 2), "
+        "is_drift=False)",
+    ),
+    "Tower": (
+        Tower, lambda: (((space(), point()), (point_map(),)), {}),
+        ("spaces", "maps"), False,
+        "Tower(spaces=(FiniteMetricSpace(2 points), FiniteMetricSpace(1 points)), "
+        "maps=(PointMap(source=FiniteMetricSpace(2 points), "
+        "target=FiniteMetricSpace(1 points), mapping={'x': 'z', 'y': 'z'}),))",
+    ),
+}
+
+
+def test_cases_cover_thirteen_types():
+    assert len(CASES) == 13
+    assert all(cls.__name__ == name for name, (cls, *_) in CASES.items())
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    cls, make, fields, hashable, text = CASES[request.param]
+
+    def build(kind=cls):
+        args, kwargs = make()
+        return kind(*args, **kwargs)
+
+    return build, cls, fields, hashable, text
+
+
+def test_fields_cannot_be_assigned_or_deleted(case):
+    build, _, fields, _, _ = case
+    value = build()
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_equal_arguments_give_equal_values(case):
+    build, _, fields, hashable, _ = case
+    first, second = build(), build()
+    assert first == second and not first != second
+    if hashable:
+        assert hash(first) == hash(second) == hash(tuple(getattr(first, f) for f in fields))
+    else:
+        with pytest.raises(TypeError):
+            hash(first)
+
+
+def test_another_class_with_equal_fields_is_unequal(case):
+    build, cls, fields, _, _ = case
+    value, other = build(), build(type("Other", (cls,), {}))
+    assert all(getattr(value, f) == getattr(other, f) for f in fields)
+    assert value != other and other != value
+    assert value != tuple(getattr(value, f) for f in fields)
+
+
+def test_repr_lists_the_fields(case):
+    build, _, _, _, text = case
+    assert repr(build()) == text
+
+
+def test_pickle_round_trip_keeps_the_value(case):
+    build, _, _, _, _ = case
+    value = build()
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_state_outside_the_fields_is_not_compared():
+    warm, cold = quiver(), quiver()
+    warm.has_edge("B", "A")  # fills its memo
+    assert warm == cold and hash(warm) == hash(cold)
+    ultra, general = space(), FiniteMetricSpace(("x", "y"), (2, ((0, 2), (2, 0))), False)
+    assert ultra == general and hash(ultra) == hash(general)
