@@ -25,7 +25,7 @@ _EXPORTS = {
                  "phylogenetic_core", "phylogenetic_status", "primitive_vertices",
                  "short_full_evolutions", "universal_evolution",
                  "verify_universal_bounded"),
-    "clades": ("Clade", "clade", "clade_height", "clade_report", "is_regular"),
+    "clades": ("clade", "clade_height", "clade_report", "is_regular"),
     "esequence": ("ESequence", "PrecRelation", "build_forest",
                   "esequence_isomorphic", "evolutionary_sequence",
                   "forest_distance", "induce_prec", "realize_esequence",

@@ -1,4 +1,4 @@
-"""Clade sub-quivers, regular vertices, and clade-internal heights.
+"""Clades, regular vertices, and clade-internal heights.
 
 The clade of a vertex A is the sub-quiver induced on the descendants of A.
 Its primitive vertices are precisely the host vertices isotypic to A, and
@@ -7,36 +7,20 @@ descendant. So the clade-internal heights h_A are a breadth-first search
 from A's class along host in-edges, read off the host without building the
 clade. For a regular apex in a phylogenetic quiver, h_A is also given by a
 closed formula in terms of the host heights and the parental map;
-:func:`clade_height` implements it, and :meth:`Clade.heights` keeps the
-direct in-clade computation available as an independent check.
+:func:`clade_height` implements it, and ``heights(clade(q, A))`` keeps
+the direct in-clade computation available as an independent check.
 """
 
 from __future__ import annotations
 
 from . import analysis
-from .errors import Frozen, InputError
+from .errors import InputError
 from .quiver import Quiver, ancestor_of, condense, descendants, induced_subquiver
 
 
-class Clade(Frozen):
-    """Induced sub-quiver on the descendants of ``apex``, sharing host ids."""
-
-    _fields = ("host", "apex", "quiver")
-
-    def __init__(self, host: Quiver, apex: str, quiver: Quiver) -> None:
-        self.__dict__.update(host=host, apex=apex, quiver=quiver)
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.quiver.vertices
-
-    def heights(self) -> dict[str, int]:
-        """Clade-internal heights h_A, computed inside the sub-quiver."""
-        return analysis.heights(self.quiver)
-
-
-def clade(quiver: Quiver, apex: str) -> Clade:
-    return Clade(quiver, apex, induced_subquiver(quiver, descendants(quiver, apex)))
+def clade(quiver: Quiver, apex: str) -> Quiver:
+    """Sub-quiver induced on the descendants of ``apex``, sharing host ids."""
+    return induced_subquiver(quiver, descendants(quiver, apex))
 
 
 def is_regular(quiver: Quiver, apex: str) -> bool:
@@ -60,7 +44,7 @@ def clade_height(quiver: Quiver, apex: str, b: str) -> int:
 
     Requires a phylogenetic host and a regular apex (the second branch of
     the formula is unjustified otherwise); compute heights directly in
-    ``clade(quiver, apex).quiver`` for irregular apexes.
+    ``clade(quiver, apex)`` for irregular apexes.
     """
     from . import esequence
 

@@ -393,6 +393,8 @@ def validate_prec(
 
     if not space.is_ultrametric:
         raise InputError("validate_prec needs an ultrametric space")
+    if n is not None and n < 0:
+        raise InputError("n must be nonnegative")
     pairs, index = prec.pairs, space._index
     if not set(chain.from_iterable(pairs)) <= index.keys():
         a, b = min((a, b) for a, b in pairs if a not in index or b not in index)
@@ -621,8 +623,6 @@ def _part_form(part: list[str], code: dict[str, int],
     adjacency tuple among the movable classes over the orderings that
     permute classes of equal key; with every class fixed there are none.
     """
-    if len(part) == 1:  # no orderings to try: its code and self-loop say all
-        return (code[part[0]], part[0] in sides[part[0]][1])
     twins: dict[tuple, list[str]] = {}
     for x in part:
         twins.setdefault((code[x], *sides[x]), []).append(x)

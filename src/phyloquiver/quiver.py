@@ -93,7 +93,7 @@ class Quiver(Frozen):
             raise InputError(f"unknown vertex id {v!r}")
 
     def has_edge(self, tail: str, head: str) -> bool:
-        return (tail, head) in _edge_lookup(self)
+        return (tail, head) in _edge_set(self)
 
     def __repr__(self) -> str:  # a field-by-field repr would drown test output
         return f"Quiver({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -127,15 +127,15 @@ class Evolution(Frozen):
     """A validated directed path, listed ancestor-first.
 
     ``vertices = (A0, ..., Am)`` with initial vertex A0 and terminal vertex
-    Am; ``edge_indices[k]`` points into ``quiver.edges`` and realizes the
-    step A(k+1) -> Ak. Construct through :func:`validate_evolution`.
+    Am, each step A(k+1) -> Ak backed by an edge of ``quiver``; parallel
+    edges do not tell evolutions apart. Construct through
+    :func:`validate_evolution`.
     """
 
-    _fields = ("quiver", "vertices", "edge_indices")
+    _fields = ("quiver", "vertices")
 
-    def __init__(self, quiver: Quiver, vertices: tuple[str, ...],
-                 edge_indices: tuple[int, ...]) -> None:
-        self.__dict__.update(quiver=quiver, vertices=vertices, edge_indices=edge_indices)
+    def __init__(self, quiver: Quiver, vertices: tuple[str, ...]) -> None:
+        self.__dict__.update(quiver=quiver, vertices=vertices)
 
     @property
     def initial(self) -> str:
@@ -153,49 +153,19 @@ class Evolution(Frozen):
         return "Evolution(" + " <- ".join(self.vertices) + ")"
 
 
-def validate_evolution(
-    quiver: Quiver,
-    vertices: Iterable[str],
-    edge_indices: Iterable[int] | None = None,
-) -> Evolution:
-    """Check a vertex sequence (and optional edge choices) against a quiver.
-
-    Steps are numbered 1..m; step k needs an edge with tail ``vertices[k]``
-    and head ``vertices[k-1]``. When ``edge_indices`` is omitted, the first
-    matching edge is selected for every step.
-    """
+def validate_evolution(quiver: Quiver, vertices: Iterable[str]) -> Evolution:
+    """Check a vertex sequence against a quiver: step k, numbered 1..m,
+    needs an edge with tail ``vertices[k]`` and head ``vertices[k-1]``."""
     seq = tuple(vertices)
     if not seq:
         raise InputError("an evolution contains at least one vertex")
     for v in seq:
         quiver.check_vertex(v)
-    m = len(seq) - 1
-    if edge_indices is None:
-        chosen = []
-        lookup = _edge_lookup(quiver)
-        for k in range(1, m + 1):
-            idx = lookup.get((seq[k], seq[k - 1]))
-            if idx is None:
-                raise InputError(
-                    f"step {k}: no edge from {seq[k]!r} to {seq[k - 1]!r}"
-                )
-            chosen.append(idx)
-        return Evolution(quiver, seq, tuple(chosen))
-    picked = tuple(edge_indices)
-    if len(picked) != m:
-        raise InputError(
-            f"expected {m} edge choices for {m + 1} vertices, got {len(picked)}"
-        )
-    for k, idx in enumerate(picked, start=1):
-        if not 0 <= idx < len(quiver.edges):
-            raise InputError(f"step {k}: edge index {idx} out of range")
-        tail, head = quiver.edges[idx]
-        if (tail, head) != (seq[k], seq[k - 1]):
-            raise InputError(
-                f"step {k}: edge {idx} is ({tail!r}, {head!r}), "
-                f"need tail {seq[k]!r} and head {seq[k - 1]!r}"
-            )
-    return Evolution(quiver, seq, picked)
+    edges = _edge_set(quiver)
+    for k in range(1, len(seq)):
+        if (seq[k], seq[k - 1]) not in edges:
+            raise InputError(f"step {k}: no edge from {seq[k]!r} to {seq[k - 1]!r}")
+    return Evolution(quiver, seq)
 
 
 def concat(alpha: Evolution, beta: Evolution) -> Evolution:
@@ -207,11 +177,7 @@ def concat(alpha: Evolution, beta: Evolution) -> Evolution:
         raise InputError(
             f"endpoint mismatch: {alpha.terminal!r} != {beta.initial!r}"
         )
-    return Evolution(
-        alpha.quiver,
-        alpha.vertices + beta.vertices[1:],
-        alpha.edge_indices + beta.edge_indices,
-    )
+    return Evolution(alpha.quiver, alpha.vertices + beta.vertices[1:])
 
 
 def ancestors(quiver: Quiver, v: str) -> frozenset[str]:
@@ -279,11 +245,8 @@ def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
 
 
 @memo
-def _edge_lookup(quiver: Quiver) -> Mapping[tuple[str, str], int]:
-    lookup: dict[tuple[str, str], int] = {}
-    for i, e in enumerate(quiver.edges):
-        lookup.setdefault(e, i)
-    return lookup
+def _edge_set(quiver: Quiver) -> frozenset[tuple[str, str]]:
+    return frozenset(quiver.edges)
 
 
 @memo

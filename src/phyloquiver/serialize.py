@@ -310,14 +310,13 @@ def prec_from_text(text: str) -> PrecRelation:
     relation."""
     from .esequence import PrecRelation
 
-    pairs: list[tuple[str, str]] = []
-    stripped = text.strip()
-    if stripped.lower() == "empty":
+    rows = [(ln, raw, raw.split("#")[0].strip())
+            for ln, raw in enumerate(text.splitlines(), start=1)]
+    rows = [row for row in rows if row[2]]
+    if len(rows) == 1 and rows[0][2].lower() == "empty":
         return PrecRelation.build(())
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    pairs: list[tuple[str, str]] = []
+    for ln, raw, line in rows:
         parts = [p for p in re.split(r"[,\s]+", line) if p]
         if len(parts) != 2:
             raise InputError(f"prec file line {ln}: expected two labels, got {raw!r}")

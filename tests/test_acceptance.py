@@ -187,9 +187,9 @@ def test_criterion_9_clade_theorem():
                 continue
             regular_seen += 1
             c = clades.clade(q, apex)
-            assert pq.is_phylogenetic_quiver(c.quiver)
-            direct = c.heights()
-            for b in c.members:
+            assert pq.is_phylogenetic_quiver(c)
+            direct = pq.heights(c)
+            for b in c.vertices:
                 assert clades.clade_height(q, apex, b) == direct[b]
                 descendant_pairs += 1
     assert regular_seen > 0 and descendant_pairs > 0

@@ -36,28 +36,29 @@ def phylogenetic_samples(count):
 class TestClade:
     def test_g3_clade_of_b(self, g3):
         c = clade(g3, "B")
-        assert set(c.members) == {"B", "C"}
-        assert set(c.quiver.edges) == {("B", "C"), ("C", "B")}
-        assert primitive_vertices(c.quiver) == {"B", "C"}
-        assert c.heights() == {"B": 0, "C": 0}
+        assert c == induced_subquiver(g3, descendants(g3, "B"))
+        assert c.vertices == ("B", "C")
+        assert set(c.edges) == {("B", "C"), ("C", "B")}
+        assert primitive_vertices(c) == {"B", "C"}
+        assert heights(c) == {"B": 0, "C": 0}
 
     def test_primitive_sink_clade(self):
         s5 = gen_surjection_quiver(5)
         c = clade(s5, "1")
-        assert set(c.members) == set(s5.vertices)
+        assert set(c.vertices) == set(s5.vertices)
 
     def test_clade_primitives_are_the_isotypic_vertices(self):
         for q in phylogenetic_samples(30):
             for a in q.vertices:
                 c = clade(q, a)
-                expected = {v for v in c.members if isotypic(q, v, a)}
-                assert primitive_vertices(c.quiver) == expected
+                expected = {v for v in c.vertices if isotypic(q, v, a)}
+                assert primitive_vertices(c) == expected
 
     def test_all_members_have_finite_clade_height(self):
         for q in phylogenetic_samples(20):
             for a in q.vertices:
-                table = clade(q, a).heights()
-                assert set(table) == set(clade(q, a).members)
+                table = heights(clade(q, a))
+                assert set(table) == set(clade(q, a).vertices)
 
 
 class TestRegularity:
@@ -89,7 +90,7 @@ class TestCladeHeight:
         # the n - m + 1 branch
         s5 = gen_surjection_quiver(5)
         assert clade_height(s5, "2", "3") == 1
-        assert clade(s5, "2").heights()["3"] == 1
+        assert heights(clade(s5, "2"))["3"] == 1
 
     def test_parent_chain_branch(self):
         core = gen_abnormal()
@@ -97,7 +98,7 @@ class TestCladeHeight:
 
         core = phylogenetic_core(core)
         assert clade_height(core, "P1", "Q1") == 1  # p([Q1]) = [P1]
-        assert clade(core, "P1").heights()["Q1"] == 1
+        assert heights(clade(core, "P1"))["Q1"] == 1
 
     def test_formula_matches_direct_heights(self):
         checked = 0
@@ -105,8 +106,8 @@ class TestCladeHeight:
             for a in q.vertices:
                 if not is_regular(q, a):
                     continue
-                direct = clade(q, a).heights()
-                for b in clade(q, a).members:
+                direct = heights(clade(q, a))
+                for b in clade(q, a).vertices:
                     assert clade_height(q, a, b) == direct[b]
                     checked += 1
         assert checked > 100
@@ -115,7 +116,7 @@ class TestCladeHeight:
         for q in phylogenetic_samples(20):
             h = heights(q)
             for a in q.vertices:
-                table = clade(q, a).heights()
+                table = heights(clade(q, a))
                 for b, hab in table.items():
                     assert h[b] >= h[a]
                     assert hab >= h[b] - h[a]
@@ -125,7 +126,7 @@ class TestCladeHeight:
         # direct clade height of C is 0 (C is primitive in the clade of B)
         with pytest.raises(InputError, match="phylogenetic"):
             clade_height(g3, "B", "C")
-        assert clade(g3, "B").heights()["C"] == 0
+        assert heights(clade(g3, "B"))["C"] == 0
 
     def test_rejects_irregular_apex(self):
         q = gen_irregular()
@@ -144,7 +145,7 @@ class TestCladeTheorem:
         for q in phylogenetic_samples(30):
             for a in q.vertices:
                 if is_regular(q, a):
-                    assert is_phylogenetic_quiver(clade(q, a).quiver)
+                    assert is_phylogenetic_quiver(clade(q, a))
                     checked += 1
         assert checked > 30
 

@@ -962,6 +962,9 @@ def _chain_space():
     pytest.param(lambda: validate_prec(
         gen_random_ultrametric(3, seed=0), PrecRelation(frozenset({("p0", "q")})), 1),
                  "prec pair ('p0', 'q') references unknown points", id="prec-unknown"),
+    pytest.param(lambda: validate_prec(
+        gen_random_ultrametric(3, seed=0), PrecRelation(frozenset()), -1),
+                 "n must be nonnegative", id="prec-negative-n"),
     pytest.param(lambda: reconstruct(_chain_space(), PrecRelation(frozenset()), 1),
                  "reconstruction needs an ultrametric space", id="not-ultrametric"),
     pytest.param(lambda: reconstruct(

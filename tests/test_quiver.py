@@ -237,14 +237,6 @@ class TestEvolutions:
         with pytest.raises(InputError, match="step 2"):
             validate_evolution(g3, ["A", "B", "A"])
 
-    def test_explicit_edge_choice_checked(self, g3):
-        idx = g3.edges.index(("B", "A"))
-        evo = validate_evolution(g3, ["A", "B"], [idx])
-        assert evo.edge_indices == (idx,)
-        wrong = g3.edges.index(("C", "B"))
-        with pytest.raises(InputError, match="step 1"):
-            validate_evolution(g3, ["A", "B"], [wrong])
-
     def test_intermediate_vertices_between_isotypic_endpoints(self, g3):
         evo = validate_evolution(g3, ["B", "C", "B", "C"])
         for v in evo.vertices:
@@ -292,10 +284,9 @@ def _other_evolution():
                  "label attached to unknown vertex 'z'", id="label"),
     pytest.param(lambda: validate_evolution(gen_map_quiver(2), []),
                  "an evolution contains at least one vertex", id="empty-evolution"),
-    pytest.param(lambda: validate_evolution(gen_map_quiver(2), ["1", "2"], []),
-                 "expected 1 edge choices for 2 vertices, got 0", id="edge-count"),
-    pytest.param(lambda: validate_evolution(gen_map_quiver(2), ["1", "2"], [9]),
-                 "step 1: edge index 9 out of range", id="edge-index"),
+    pytest.param(lambda: validate_evolution(Quiver.build(["a", "b"], [("b", "a")]),
+                                            ["b", "a"]),
+                 "step 1: no edge from 'a' to 'b'", id="missing-step"),
     pytest.param(lambda: concat(validate_evolution(gen_map_quiver(2), ["1"]),
                                 _other_evolution()),
                  "cannot concatenate evolutions from different quivers", id="concat"),

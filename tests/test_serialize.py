@@ -309,6 +309,8 @@ class TestMatrixCsvCells:
 class TestPrecFile:
     def test_empty_literal(self):
         assert prec_from_text("empty").pairs == frozenset()
+        assert prec_from_text("# none\nempty\n").pairs == frozenset()
+        assert prec_from_text("EMPTY  # no pairs\n\n").pairs == frozenset()
 
     def test_pairs_and_comments(self):
         rel = prec_from_text("a b\n# note\nc,d\n")
