@@ -144,11 +144,7 @@ def monotonize(quiver: Quiver) -> Quiver:
     edge.
     """
     h = _height_table(quiver)
-    return Quiver(
-        quiver.vertices,
-        tuple(e for e in quiver.edges if h[e[0]] >= h[e[1]]),
-        quiver.labels,
-    )
+    return Quiver(quiver.vertices, tuple(e for e in quiver.edges if h[e[0]] >= h[e[1]]))
 
 
 def critical_vertices(quiver: Quiver, evo: Evolution) -> list[int]:

@@ -67,7 +67,6 @@ def cmd_universal(args) -> dict:
     from . import analysis
 
     quiver = serialize.read_quiver_file(args.input)
-    quiver.check_vertex(args.vertex)
     try:
         evo = analysis.universal_evolution(quiver, args.vertex)
     except UndecidedError as exc:
@@ -118,16 +117,9 @@ def cmd_reconstruct(args) -> dict:
         prec = esequence.PrecRelation.build(())
     else:
         prec = serialize.prec_from_text(serialize.read_text(args.prec))
-    if args.levels is None:
-        top, scale = space._values[-1], space._scaled[0]
-        if top % scale:
-            raise InputError(
-                "matrix has non-integer distances; pass --levels explicitly "
-                "only for integer ultrametrics"
-            )
-        n = top // scale
-    else:
-        n = args.levels
+    # The default is the largest distance rounded up, so reconstruct itself
+    # names any distance that is not an integer.
+    n = -(-space._values[-1] // space._scaled[0]) if args.levels is None else args.levels
     return serialize.esequence_to_obj(esequence.reconstruct(space, prec, n))
 
 

@@ -51,17 +51,17 @@ def memo(fn):
 class Quiver(Frozen):
     """Immutable finite quiver over string vertex ids.
 
-    ``edges[i] = (tail, head)`` reads "tail descends from head". Optional
-    display labels ride along but take no part in any computation.
-    ``_memo`` holds results derived from this quiver (see :func:`memo`); it
-    is not a field, so it is never compared, hashed or shown.
+    ``edges[i] = (tail, head)`` reads "tail descends from head". A quiver
+    is these two tuples and nothing else: two quivers are equal, and hash
+    alike, exactly when their vertex and edge tuples are. ``_memo`` holds
+    results derived from this quiver (see :func:`memo`); it is not a field,
+    so it is never compared, hashed or shown.
     """
 
-    _fields = ("vertices", "edges", "labels")
+    _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...],
-                 labels: tuple[tuple[str, str], ...] = ()) -> None:
-        self.__dict__.update(vertices=vertices, edges=edges, labels=labels, _memo={})
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        self.__dict__.update(vertices=vertices, edges=edges, _memo={})
         if not self.vertices:
             raise InputError("a quiver needs at least one vertex")
         seen: set[str] = set()
@@ -74,19 +74,10 @@ class Quiver(Frozen):
                 raise InputError(f"edge ({tail!r}, {head!r}): unknown tail vertex")
             if head not in seen:
                 raise InputError(f"edge ({tail!r}, {head!r}): unknown head vertex")
-        for v, _ in self.labels:
-            if v not in seen:
-                raise InputError(f"label attached to unknown vertex {v!r}")
 
     @classmethod
-    def build(
-        cls,
-        vertices: Iterable[str],
-        edges: Iterable[tuple[str, str]],
-        labels: Mapping[str, str] | None = None,
-    ) -> "Quiver":
-        lab = tuple(sorted((labels or {}).items()))
-        return cls(tuple(vertices), tuple((t, h) for t, h in edges), lab)
+    def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Quiver":
+        return cls(tuple(vertices), tuple((t, h) for t, h in edges))
 
     def check_vertex(self, v: str) -> None:
         if v not in _adjacency(self)[0]:
@@ -237,7 +228,6 @@ def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
     return Quiver(
         tuple(v for v in quiver.vertices if v in kept),
         tuple(e for e in quiver.edges if e[0] in kept and e[1] in kept),
-        tuple(lab for lab in quiver.labels if lab[0] in kept),
     )
 
 

@@ -133,13 +133,7 @@ def fraction_str(value: Fraction) -> str:
 
 
 def quiver_to_obj(quiver: Quiver) -> dict:
-    obj: dict = {
-        "vertices": list(quiver.vertices),
-        "edges": [[t, h] for t, h in quiver.edges],
-    }
-    if quiver.labels:
-        obj["labels"] = dict(quiver.labels)
-    return obj
+    return {"vertices": list(quiver.vertices), "edges": [[t, h] for t, h in quiver.edges]}
 
 
 def _all(items, kind) -> bool:
@@ -165,12 +159,7 @@ def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
         raise InputError(
             f"{source}: each item of 'edges' must be a [tail, head] pair of string ids"
         )
-    labels = obj.get("labels")
-    if labels is None:
-        labels = {}
-    elif not isinstance(labels, dict) or not _all(labels.values(), str):
-        raise InputError(f"{source}: 'labels' must be an object of strings")
-    return Quiver.build(vertices, edges, labels)
+    return Quiver.build(vertices, edges)
 
 
 # A blank or comment, a quoted id, a bare id, or one other character.

@@ -519,7 +519,7 @@ class TestPerQuiverMemo:
 
     def test_racing_first_analyze_gives_equal_reports(self):
         q = gen_random_monotonous(60, 0.2, seed=4)
-        expected = analyze(Quiver(q.vertices, q.edges, q.labels))
+        expected = analyze(Quiver(q.vertices, q.edges))
         barrier = threading.Barrier(4)
         results = []
 
@@ -543,7 +543,7 @@ class TestPerQuiverMemo:
     def test_equal_distinct_quivers_give_equal_results(self):
         for q in random_quivers(20):
             report = analyze(q)
-            twin = Quiver(q.vertices, q.edges, q.labels)
+            twin = Quiver(q.vertices, q.edges)
             assert twin == q and twin is not q and hash(twin) == hash(q)
             assert analyze(twin) == report
             assert heights(twin) == heights(q)

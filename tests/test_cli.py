@@ -97,10 +97,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("obj, field", [
         ({"vertices": ["a"], "edges": 5}, "edges"),
         ({"vertices": {"a": 1}, "edges": []}, "vertices"),
-        ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "labels"),
+        ({"vertices": "a", "edges": []}, "vertices"),
         ({"vertices": ["a", 2], "edges": []}, "vertices"),
         ({"vertices": ["a"], "edges": [["a", 0]]}, "edges"),
-        ({"vertices": ["a"], "edges": [], "labels": {"a": 1}}, "labels"),
     ])
     def test_wrong_field_types_exit_1(self, capsys, tmp_path, obj, field):
         path = tmp_path / "q.json"
@@ -108,6 +107,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 1 and out == ""
         assert f"'{field}' must be" in err and "Traceback" not in err
+
+    def test_extra_keys_do_not_change_the_report(self, capsys, tmp_path, g3_file):
+        path = tmp_path / "extra.json"
+        obj = json.loads(Path(g3_file).read_text())
+        path.write_text(json.dumps({**obj, "labels": {"A": 5}, "note": None}))
+        want = run(capsys, "analyze", g3_file)
+        assert want[0] == 0 and run(capsys, "analyze", str(path)) == want
 
 
 class TestUniversal:
@@ -295,11 +301,13 @@ class TestReconstruct:
         assert code == 0 and out == serialize.dumps(serialize.esequence_to_obj(want))
 
     def test_default_levels_refuse_non_integer_distances(self, capsys, tmp_path):
-        path = tmp_path / "half.csv"
-        path.write_text("a,b\n0,1/2\n1/2,0\n")
-        code, out, err = run(capsys, "reconstruct", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith("error: matrix has non-integer distances")
+        for text, message in [
+            ("a,b\n0,1/2\n1/2,0\n", "distance rho('a','b') = 1/2 is not an integer in 0..1"),
+            ("a,b,c\n0,1,3/2\n1,0,1\n3/2,1,0\n", "reconstruction needs an ultrametric space"),
+        ]:
+            path = tmp_path / "m.csv"
+            path.write_text(text)
+            assert run(capsys, "reconstruct", str(path)) == (1, "", f"error: {message}\n")
 
     def test_point_labels_colliding_with_ball_labels(self, capsys, tmp_path):
         path = tmp_path / "collide.csv"

@@ -280,8 +280,6 @@ def _other_evolution():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: Quiver.build(["a"], [("z", "a")]),
                  "edge ('z', 'a'): unknown tail vertex", id="edge-tail"),
-    pytest.param(lambda: Quiver.build(["a"], [], {"z": "label"}),
-                 "label attached to unknown vertex 'z'", id="label"),
     pytest.param(lambda: validate_evolution(gen_map_quiver(2), []),
                  "an evolution contains at least one vertex", id="empty-evolution"),
     pytest.param(lambda: validate_evolution(Quiver.build(["a", "b"], [("b", "a")]),

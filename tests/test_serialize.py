@@ -74,36 +74,32 @@ class TestQuiverJson:
     @pytest.mark.parametrize("obj, field", [
         ({"vertices": ["a"], "edges": 5}, "'edges' must be a list"),
         ({"vertices": "a", "edges": []}, "'vertices' must be a list"),
-        ({"vertices": ["a"], "edges": [], "labels": ["x"]}, "'labels' must be an object"),
-        ({"vertices": ["a"], "edges": [], "labels": "x"}, "'labels' must be an object"),
+        ({"vertices": ["a"], "edges": "ab"}, "'edges' must be a list"),
+        ({"vertices": ["a"], "edges": [["a", "a", "a"]]}, "each item of 'edges' must be"),
         ({"vertices": ["a", 1], "edges": []}, "'vertices' must be a list of string ids"),
         ({"vertices": ["a"], "edges": [["a"]]}, "each item of 'edges' must be"),
         ({"vertices": ["a"], "edges": [["a", 0]]},
          "each item of 'edges' must be a \\[tail, head\\] pair of string ids"),
         ({"vertices": ["a"], "edges": [[None, "a"]]}, "each item of 'edges' must be"),
-        ({"vertices": ["a"], "edges": [], "labels": {"a": 5}},
-         "'labels' must be an object of strings"),
     ])
     def test_wrong_field_types_name_the_field(self, obj, field):
         with pytest.raises(InputError, match=f"q.json: {field}"):
             quiver_from_obj(obj, source="q.json")
 
-    def test_null_labels_mean_none(self):
-        q = quiver_from_obj({"vertices": ["a"], "edges": [], "labels": None})
-        assert q.labels == ()
+    @pytest.mark.parametrize("extra", [
+        {"labels": {"A": "root taxon"}}, {"labels": 5}, {"labels": ["x"]},
+        {"labels": None}, {"comment": "made by hand"},
+    ])
+    def test_extra_keys_are_ignored(self, extra):
+        vertices, edges = ["A", "B"], [["B", "A"]]
+        q = quiver_from_obj({"vertices": vertices, "edges": edges, **extra})
+        assert q == Quiver.build(vertices, edges)
+        assert quiver_to_obj(q).keys() == {"vertices", "edges"}
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "missing.json"
         with pytest.raises(InputError, match=f"cannot read {path}"):
             read_quiver_file(str(path))
-
-    def test_labels_ride_along(self):
-        from phyloquiver import Quiver
-
-        q = Quiver.build(["A", "B"], [("B", "A")], labels={"A": "root taxon"})
-        obj = quiver_to_obj(q)
-        assert obj["labels"] == {"A": "root taxon"}
-        assert quiver_from_obj(obj) == q
 
     def test_json_diagnostics_carry_position(self):
         with pytest.raises(InputError, match=r"g\.json:2:8: Invalid control"):

@@ -29,7 +29,7 @@ from phyloquiver.metric import SpaceCheck
 
 
 def quiver():
-    return Quiver(("A", "B"), (("B", "A"),), (("A", "root"),))
+    return Quiver(("A", "B"), (("B", "A"),))
 
 
 def space():
@@ -52,8 +52,8 @@ def row():
 # name: (class, fresh (args, kwargs), field names, hashable, repr)
 CASES = {
     "Quiver": (
-        Quiver, lambda: ((("A", "B"), (("B", "A"),), (("A", "root"),)), {}),
-        ("vertices", "edges", "labels"), True,
+        Quiver, lambda: ((("A", "B"), (("B", "A"),)), {}),
+        ("vertices", "edges"), True,
         "Quiver(2 vertices, 1 edges)",
     ),
     "Condensation": (
