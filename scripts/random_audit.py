@@ -22,7 +22,8 @@ analysis reports rendered by serialize.dumps against json.dumps with ids
 holding a quote, a backslash, a NUL and non-ASCII text) on as many fresh
 seeds as asked and prints a one-line verdict per family. The brute-force
 references come from tests/oracles.py, which needs only the standard
-library and an importable phyloquiver.
+library and an importable phyloquiver. The oracle family also checks
+each quiver's phylogenetic verdict against its vertices' verdicts.
 """
 
 from __future__ import annotations
@@ -68,12 +69,16 @@ def audit_oracle(count, base, max_n):
         q = gen.gen_random_monotonous(2 + s % (max_n - 1), 0.15 + 0.03 * (s % 8),
                                       seed=base + s)
         bound = 2 * len(q.vertices)
+        verdicts = []
         for v in q.vertices:
             want = pq.is_phylogenetic_vertex(q, v)
             got = all(pq.verify_universal_bounded(q, a, bound)
                       for a in pq.short_full_evolutions(q, v))
             assert want == got, (s, v)
+            verdicts.append(got)
             checked += 1
+        # a phylogenetic quiver: every vertex has a universal evolution
+        assert pq.is_phylogenetic_quiver(q) == all(verdicts), s
     print(f"oracle agreement          ok on {checked} vertices")
 
 

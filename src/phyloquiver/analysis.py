@@ -34,6 +34,18 @@ class C is normal exactly when S_C holds one slot more than heights, the
 height holding two slots is h(v), and ``v`` is C's only member in S_C
 there. A class with an abnormal parent inherits that parent's clash, which
 involves no slot of C, and so rescues no member by the same rule.
+
+The quiver-level question needs no bitsets: a monotonous quiver is
+phylogenetic exactly when its parental map (:func:`_parental`) is well
+defined, that is, each class C of height m > 0 has one parent class P(C)
+at height m - 1 (it has some, as an edge drops at most one height) and
+P(D) = P(C) for each equal-height parent class D of C. Heights never rise
+along a path, so C's ancestors are the classes C reaches at height m and
+all that their parent classes one height down reach: no critical ancestor
+of C's vertices lies at height m or above. If every vertex is normal, C's
+drop edges enter one class, and so do each D's. Conversely, if the rule
+holds at every class, induction down the heights puts every critical head
+of height k - 1 into the (m - k + 1)-fold parent of C.
 """
 
 from __future__ import annotations
@@ -234,6 +246,24 @@ def _normality(quiver: Quiver) -> tuple[tuple[bool, ...], tuple[str | None, ...]
     return tuple(normal), tuple(rescued)
 
 
+@memo
+def _parental(quiver: Quiver) -> tuple[int | None, ...] | None:
+    """Per class id, its parent class one height down (None at height 0),
+    or None unless the quiver is phylogenetic, by the parental rule."""
+    if not is_monotonous(quiver):
+        return None
+    cond, h = condense(quiver), _height_table(quiver)
+    ch = [h[cls[0]] for cls in cond.classes]
+    up: list[int | None] = [None] * len(ch)
+    for c in cond.order:  # drop parents and equal-height parents' parents agree
+        for p in cond.parents[c]:
+            d = up[p] if ch[p] == ch[c] else p
+            if up[c] not in (None, d):
+                return None
+            up[c] = d
+    return tuple(up)
+
+
 def is_normal(quiver: Quiver, v: str) -> bool:
     """True when the critical ancestors of ``v``, grouped by height, are
     pairwise isotypic within each group.
@@ -419,8 +449,8 @@ def phylogenetic_core(quiver: Quiver) -> Quiver:
 
 
 def is_phylogenetic_quiver(quiver: Quiver) -> bool:
-    """Monotonous and every vertex normal (heights are finite for free)."""
-    return is_monotonous(quiver) and all(_normality(quiver)[0])
+    """Monotonous and every vertex normal, decided by the parental rule."""
+    return _parental(quiver) is not None
 
 
 def analyze(quiver: Quiver) -> AnalysisReport:

@@ -223,38 +223,28 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     """Isotypy classes graded by height, with parental maps and the induced
     per-level order.
 
-    One walk over the class DAG, ancestors first. The parent of a height-m
-    class is its one parent class at height m-1; in a phylogenetic quiver
-    all height-dropping edges out of a class agree on it. The order on a
-    level is ancestry between classes. Heights never rise along an edge of
-    a monotonous quiver, so an ancestor class of equal height is reached
-    along class edges of that height alone.
+    Parents come from the pass that decides the quiver phylogenetic. The
+    order on a level is ancestry between classes, read in one walk over the
+    class DAG, ancestors first: an equal-height ancestor class is reached
+    along edges into parent classes other than the class's own parent.
     """
     from . import analysis
 
-    if not analysis.is_phylogenetic_quiver(quiver):
+    up = analysis._parental(quiver)
+    if up is None:
         raise InputError("evolutionary sequence requires a phylogenetic quiver")
-    cond = condense(quiver)
-    h = analysis.heights(quiver)
+    cond, h = condense(quiver), analysis._height_table(quiver)
     label = [cls[0] for cls in cond.classes]
-    class_height = [h[x] for x in label]
-    levels: list[list[str]] = [[] for _ in range(max(class_height) + 1)]
-    for x, m in zip(label, class_height):  # classes are sorted by label
-        levels[m].append(x)
-    parent: dict[str, str] = {}
-    order: set[tuple[str, str]] = set()
-    same: list[set[int]] = [set() for _ in label]  # equal-height ancestors
+    levels: list[list[str]] = [[] for _ in range(max(h.values()) + 1)]
+    for x in label:  # classes are sorted by label
+        levels[h[x]].append(x)
+    parent = {label[i]: label[p] for i, p in enumerate(up) if p is not None}
+    same: dict[int, set[int]] = {}  # equal-height ancestors, where there are any
     for i in cond.order:
-        m = class_height[i]
-        if m:  # exactly one: two would be conflicting critical ancestors
-            (p,) = (j for j in cond.parents[i] if class_height[j] == m - 1)
-            parent[label[i]] = label[p]
-        for j in cond.parents[i]:
-            if class_height[j] == m:
-                same[i].add(j)
-                same[i].update(same[j])
-        order.update((label[j], label[i]) for j in same[i])
-    parent = dict(sorted(parent.items()))  # label order, like the levels
+        if len(cond.parents[i]) > 1:  # more than its own parent
+            peers = {j for j in cond.parents[i] if j != up[i]}
+            same[i] = peers.union(*(same.get(j, ()) for j in peers))
+    order = {(label[j], label[i]) for i, js in same.items() for j in js}
     return ESequence(tuple(map(tuple, levels)), parent, frozenset(order))
 
 

@@ -691,6 +691,55 @@ class TestSelfExclusiveNormality:
         assert "_class_reach" not in q._memo
 
 
+def parental_sweep():
+    for n in (3, 5, 8):
+        for d in (0.2, 0.35, 0.5):
+            for s in range(200):
+                q = gen_random_quiver(n, d, seed=s)
+                yield q
+                yield monotonize(q)
+
+
+class TestParentalRule:
+    """A quiver is phylogenetic exactly when it is monotonous and every
+    vertex is normal; the library decides it by the parental map alone."""
+
+    def test_matches_definition(self):
+        equal_height_refusals = monotonicity_refusals = 0
+        for q in parental_sweep():
+            cond, h = condense(q), brute_heights(q)
+            crit = brute_critical_ancestors(q, True)
+            monotonous = all(h[tail] >= h[head] for tail, head in q.edges)
+            normal = all(grouped_isotypic(cond, h, crit[v]) for v in q.vertices)
+            assert monotonous == is_monotonous(q)
+            assert is_phylogenetic_quiver(q) == (monotonous and normal), q.edges
+            # refused by the equal-height rule alone: one parent class one
+            # height down everywhere, yet some vertex is not normal
+            drops = [{j for j in cond.parents[i] if h[cond.classes[j][0]] < h[cls[0]]}
+                     for i, cls in enumerate(cond.classes)]
+            one_drop = all(len(d) == (h[cls[0]] > 0) for d, cls in zip(drops, cond.classes))
+            equal_height_refusals += monotonous and one_drop and not normal
+            monotonicity_refusals += normal and not monotonous
+        assert equal_height_refusals and monotonicity_refusals
+
+    def test_equal_height_parent_with_another_parent(self):
+        # Q1 -> Q2 at height 1: Q1's critical ancestors P1 and P2 clash.
+        q = Quiver.build(["P1", "P2", "Q1", "Q2"],
+                         [("Q1", "P1"), ("Q2", "P2"), ("Q1", "Q2")])
+        assert is_monotonous(q) and not is_normal(q, "Q1")
+        assert not is_phylogenetic_quiver(q)
+        with pytest.raises(InputError) as err:
+            evolutionary_sequence(q)
+        assert str(err.value) == "evolutionary sequence requires a phylogenetic quiver"
+
+    def test_quiver_level_answers_build_no_normality_bitsets(self):
+        for ask in (evolutionary_sequence, is_phylogenetic_quiver):
+            core = gen_random_phylogenetic(12, 0.3, seed=3)
+            q = Quiver(core.vertices, core.edges)
+            ask(q)
+            assert "_normality" not in q._memo and "_critical_heads" not in q._memo
+
+
 def recursive_short_evolutions(q, v):
     """The depth-first order of the recursive definition, as vertex tuples."""
     h = heights(q)
