@@ -23,7 +23,9 @@ holding a quote, a backslash, a NUL and non-ASCII text) on as many fresh
 seeds as asked and prints a one-line verdict per family. The brute-force
 references come from tests/oracles.py, which needs only the standard
 library and an importable phyloquiver. The oracle family also checks
-each quiver's phylogenetic verdict against its vertices' verdicts.
+each quiver's phylogenetic verdict against its vertices' verdicts, and
+each vertex's normality against its critical ancestors, as the
+self-exclusive family does on the non-monotonous quivers.
 """
 
 from __future__ import annotations
@@ -69,8 +71,11 @@ def audit_oracle(count, base, max_n):
         q = gen.gen_random_monotonous(2 + s % (max_n - 1), 0.15 + 0.03 * (s % 8),
                                       seed=base + s)
         bound = 2 * len(q.vertices)
+        rows, cond, h = pq.analyze(q).vertices, pq.condense(q), pq.heights(q)
         verdicts = []
-        for v in q.vertices:
+        for v, row in zip(q.vertices, rows):
+            normal = grouped_isotypic(cond, h, _critical_ancestors(q, v))
+            assert pq.is_normal(q, v) == row.normal == normal, (s, v)
             want = pq.is_phylogenetic_vertex(q, v)
             got = all(pq.verify_universal_bounded(q, a, bound)
                       for a in pq.short_full_evolutions(q, v))

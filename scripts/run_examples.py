@@ -55,7 +55,7 @@ def main() -> None:
               f"epsilon={pq.classify_map(pm).contraction_epsilon}")
 
     tri = pq.FiniteMetricSpace.build(["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
-    slack = {p: serialize.fraction_str(v) for p, v in pq.underline_d(tri).items()}
+    slack = {p: str(v) for p, v in pq.underline_d(tri).items()}
     print("== triangle {3,4,5}: underline_d:", slack, "trim:", pq.is_trim(tri))
     print("   drift tower length:", len(pq.tower_v(tri)))
 

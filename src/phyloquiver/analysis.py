@@ -35,17 +35,15 @@ height holding two slots is h(v), and ``v`` is C's only member in S_C
 there. A class with an abnormal parent inherits that parent's clash, which
 involves no slot of C, and so rescues no member by the same rule.
 
-The quiver-level question needs no bitsets: a monotonous quiver is
-phylogenetic exactly when its parental map (:func:`_parental`) is well
-defined, that is, each class C of height m > 0 has one parent class P(C)
-at height m - 1 (it has some, as an edge drops at most one height) and
-P(D) = P(C) for each equal-height parent class D of C. Heights never rise
-along a path, so C's ancestors are the classes C reaches at height m and
-all that their parent classes one height down reach: no critical ancestor
-of C's vertices lies at height m or above. If every vertex is normal, C's
-drop edges enter one class, and so do each D's. Conversely, if the rule
-holds at every class, induction down the heights puts every critical head
-of height k - 1 into the (m - k + 1)-fold parent of C.
+On a monotonous quiver the pass needs no bitsets. Heights never rise
+along a path, so each parent class P of a class C of height m lies at
+height m or m - 1 (an edge drops at most one height), and C is normal
+exactly when every P is normal and C's drop parents and its equal-height
+parents' parents are one class D. If C is normal, S_P lies in S_C for
+every P, so those classes at height m - 1 coincide. If the rule holds,
+S_C holds members of D at height m - 1 and S_D below, by induction down
+the heights. D is C's parent in the E-sequence, and the quiver is
+phylogenetic exactly when every class is normal.
 """
 
 from __future__ import annotations
@@ -203,23 +201,38 @@ def _critical_heads(quiver: Quiver) -> tuple[tuple[str, ...], ...]:
 
 
 @memo
-def _normality(quiver: Quiver) -> tuple[tuple[bool, ...], tuple[str | None, ...]]:
+def _normality(quiver: Quiver) -> tuple[tuple[bool, ...], tuple[str | None, ...],
+                                        tuple[int | None, ...] | None]:
     """Per class id, self-inclusive normality and the rescued member or
-    None, by the slot rule of the module docstring in one pass over the
-    class order, parents first. A class's pair of bitsets is dropped once
-    its last child class has read it, so a k-chain keeps O(k) bits live.
+    None; then, when the quiver is phylogenetic, each class's parent class
+    one height down (None at height 0), else None. One pass over the class
+    order, parents first: the parental rule of the module docstring on a
+    monotonous quiver, the slot rule on any other. A class's pair of
+    bitsets is dropped once its last child class has read it, so a k-chain
+    keeps O(k) bits live.
     """
-    cond = condense(quiver)
-    ci, h, heads = cond.class_index, _height_table(quiver), _critical_heads(quiver)
+    cond, h = condense(quiver), _height_table(quiver)
+    n = len(cond.classes)
+    normal = [True] * n
+    if is_monotonous(quiver):
+        ch = [h[cls[0]] for cls in cond.classes]
+        up: list[int | None] = [None] * n
+        for c in cond.order:
+            for p in cond.parents[c]:
+                d = up[p] if ch[p] == ch[c] else p
+                if not normal[p] or up[c] not in (None, d):
+                    normal[c] = False
+                up[c] = d
+        return tuple(normal), (None,) * n, tuple(up) if all(normal) else None
+    ci, heads = cond.class_index, _critical_heads(quiver)
     slot_ids: dict[tuple[int, int], int] = {}
     at_height: dict[int, list[int]] = {}
-    readers = [0] * len(cond.classes)
+    readers = [0] * n
     for parents in cond.parents:
         for p in parents:
             readers[p] += 1
-    pairs: list[tuple[int, int] | None] = [None] * len(cond.classes)
-    normal = [False] * len(cond.classes)
-    rescued: list[str | None] = [None] * len(cond.classes)
+    pairs: list[tuple[int, int] | None] = [None] * n
+    rescued: list[str | None] = [None] * n
     for c in cond.order:
         slots = levels = 0
         for p in cond.parents[c]:
@@ -243,25 +256,7 @@ def _normality(quiver: Quiver) -> tuple[tuple[bool, ...], tuple[str | None, ...]
                 slots >> i & 1 for i in at_height[h[x]]) == 2]
             if len(mine) == 1:
                 rescued[c] = mine[0]
-    return tuple(normal), tuple(rescued)
-
-
-@memo
-def _parental(quiver: Quiver) -> tuple[int | None, ...] | None:
-    """Per class id, its parent class one height down (None at height 0),
-    or None unless the quiver is phylogenetic, by the parental rule."""
-    if not is_monotonous(quiver):
-        return None
-    cond, h = condense(quiver), _height_table(quiver)
-    ch = [h[cls[0]] for cls in cond.classes]
-    up: list[int | None] = [None] * len(ch)
-    for c in cond.order:  # drop parents and equal-height parents' parents agree
-        for p in cond.parents[c]:
-            d = up[p] if ch[p] == ch[c] else p
-            if up[c] not in (None, d):
-                return None
-            up[c] = d
-    return tuple(up)
+    return tuple(normal), tuple(rescued), None
 
 
 def is_normal(quiver: Quiver, v: str) -> bool:
@@ -274,7 +269,7 @@ def is_normal(quiver: Quiver, v: str) -> bool:
     quivers, as the one member of C that S_C holds at the single height
     with two slots, so that leaving ``v`` out ends the clash.
     """
-    normal, rescued = _normality(quiver)
+    normal, rescued, _ = _normality(quiver)
     c = condense(quiver).class_of(v)
     return normal[c] or rescued[c] == v
 
@@ -450,7 +445,7 @@ def phylogenetic_core(quiver: Quiver) -> Quiver:
 
 def is_phylogenetic_quiver(quiver: Quiver) -> bool:
     """Monotonous and every vertex normal, decided by the parental rule."""
-    return _parental(quiver) is not None
+    return _normality(quiver)[2] is not None
 
 
 def analyze(quiver: Quiver) -> AnalysisReport:
@@ -458,7 +453,7 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     h = _height_table(quiver)
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
-    normal, rescued = _normality(quiver)
+    normal, rescued, up = _normality(quiver)
     monotonous = is_monotonous(quiver)
     rows = []
     for v in quiver.vertices:
@@ -474,6 +469,6 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     return AnalysisReport(
         vertices=tuple(rows),
         monotonous=monotonous,
-        phylogenetic_quiver=monotonous and all(normal),
+        phylogenetic_quiver=up is not None,
         isotypy_class_count=len(cond.classes),
     )

@@ -230,7 +230,7 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     """
     from . import analysis
 
-    up = analysis._parental(quiver)
+    up = analysis._normality(quiver)[2]
     if up is None:
         raise InputError("evolutionary sequence requires a phylogenetic quiver")
     cond, h = condense(quiver), analysis._height_table(quiver)

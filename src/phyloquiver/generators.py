@@ -24,6 +24,12 @@ def _rng(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
 
 
+def _names(prefix: str, n: int) -> list[str]:
+    """``prefix`` and 0..n-1, zero-padded to one width so they sort by number."""
+    width = len(str(n - 1))
+    return [f"{prefix}{i:0{width}}" for i in range(n)]
+
+
 def gen_map_quiver(n: int) -> Quiver:
     """Sets of cardinality 1..n with all maps: an edge for every ordered
     pair (a map between nonempty finite sets always exists), so every
@@ -122,8 +128,7 @@ def gen_random_quiver(n: int, density: float = 0.3, seed: int = 0) -> Quiver:
     if not 0 <= density <= 1:
         raise InputError("density must lie in [0, 1]")
     rng = _rng("quiver", n, density, seed)
-    width = len(str(n - 1)) if n > 1 else 1
-    vertices = [f"v{str(i).zfill(width)}" for i in range(n)]
+    vertices = _names("v", n)
     edges = [
         (a, b)
         for a in vertices
@@ -159,8 +164,7 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
     if depth < 1:
         raise InputError("depth must be at least 1")
     rng = _rng("ultrametric", n, depth, seed)
-    width = len(str(n - 1)) if n > 1 else 1
-    points = [f"p{str(i).zfill(width)}" for i in range(n)]
+    points = _names("p", n)
     scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
     dist: dict[tuple[str, str], Fraction] = {}
 
@@ -206,8 +210,7 @@ def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
     if n < 1:
         raise InputError("n must be at least 1")
     rng = _rng("metric", n, seed)
-    width = len(str(n - 1)) if n > 1 else 1
-    points = [f"p{str(i).zfill(width)}" for i in range(n)]
+    points = _names("p", n)
     den = rng.randint(1, 4)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

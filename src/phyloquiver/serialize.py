@@ -123,12 +123,6 @@ def loads(text: str, source: str = "<input>") -> object:
         raise InputError(f"{source}: JSON nested too deeply") from None
 
 
-def fraction_str(value: Fraction) -> str:
-    from .metric import to_fraction
-
-    return str(to_fraction(value))
-
-
 # -- quivers -----------------------------------------------------------------
 
 

@@ -733,11 +733,11 @@ class TestParentalRule:
         assert str(err.value) == "evolutionary sequence requires a phylogenetic quiver"
 
     def test_quiver_level_answers_build_no_normality_bitsets(self):
-        for ask in (evolutionary_sequence, is_phylogenetic_quiver):
+        for ask in (evolutionary_sequence, is_phylogenetic_quiver, analyze):
             core = gen_random_phylogenetic(12, 0.3, seed=3)
             q = Quiver(core.vertices, core.edges)
             ask(q)
-            assert "_normality" not in q._memo and "_critical_heads" not in q._memo
+            assert "_critical_heads" not in q._memo
 
 
 def recursive_short_evolutions(q, v):
@@ -806,6 +806,22 @@ class TestDeepQuivers:
         tracemalloc.start()
         try:
             answers = is_normal(q, top), _normal_self_inclusive(q, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answers == (True, True)
+        assert peak < 8 * 2**20
+
+    def test_nonmonotonous_chain_normality_frees_its_bitsets(self):
+        # The edge z -> c9999 climbs, so the slot rule walks the whole chain.
+        chain = chain_quiver(10_000)
+        q = Quiver.build([*chain.vertices, "z"],
+                         [*chain.edges, ("z", "c0"), ("z", "c9999")])
+        _critical_heads(q)
+        assert not is_monotonous(q)
+        tracemalloc.start()
+        try:
+            answers = is_normal(q, "c9999"), is_normal(q, "z")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -39,7 +39,6 @@ from phyloquiver.serialize import (
     esequence_to_obj,
     forest_to_dot,
     forest_to_newick,
-    fraction_str,
     loads,
     matrix_from_csv,
     prec_from_text,
@@ -242,7 +241,7 @@ class TestMatrixCsv:
         for s in range(60):
             spaces += tower_v(gen_random_metric(1 + s % 9, seed=s)).spaces
         for sp in spaces:
-            want = [[fraction_str(v) for v in row] for row in sp.rows]
+            want = [[str(v) for v in row] for row in sp.rows]
             assert space_to_obj(sp)["matrix"] == want
             assert space_to_csv(sp).splitlines()[1:] == [",".join(r) for r in want]
 
@@ -511,10 +510,6 @@ class TestDeterminism:
         obj = {"a": []}
         obj["a"].append(obj)
         assert outcome(dumps, obj) == outcome(stdlib_dumps, obj)
-
-    def test_fraction_strings(self):
-        assert fraction_str(Fraction(3, 2)) == "3/2"
-        assert fraction_str(Fraction(4, 2)) == "2"
 
 
 @pytest.mark.parametrize("call, message", [
