@@ -25,7 +25,11 @@ references come from tests/oracles.py, which needs only the standard
 library and an importable phyloquiver. The oracle family also checks
 each quiver's phylogenetic verdict against its vertices' verdicts, and
 each vertex's normality against its critical ancestors, as the
-self-exclusive family does on the non-monotonous quivers.
+self-exclusive family does on the non-monotonous quivers. The exact status
+family checks every vertex of a non-monotonous quiver against the oracle
+"some short full evolution passes verify_universal_bounded at length
+V·(h + 2)", and counts the non-normal vertices that the sink classes they
+reach settle and those left to the walk.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from oracles import (
     brute_esequence_problems,
     brute_isometric,
     brute_isomorphic,
+    brute_primitives,
+    brute_reach,
     brute_ultrametric,
     cycle_union,
     grouped_isotypic,
@@ -85,6 +91,31 @@ def audit_oracle(count, base, max_n):
         # a phylogenetic quiver: every vertex has a universal evolution
         assert pq.is_phylogenetic_quiver(q) == all(verdicts), s
     print(f"oracle agreement          ok on {checked} vertices")
+
+
+def audit_exact_status(count, base, max_n):
+    checked = by_sinks = walked = 0
+    for s in range(count):
+        q = gen.gen_random_quiver(2 + s % (max_n - 1), 0.2 + 0.05 * (s % 7), seed=base + s)
+        if pq.is_monotonous(q):
+            continue
+        rows, ci, h = pq.analyze(q).vertices, pq.condense(q).class_index, pq.heights(q)
+        reach, prim = brute_reach(q), brute_primitives(q)
+        for v, row in zip(q.vertices, rows):
+            bound = len(q.vertices) * (h[v] + 2)
+            want = any(pq.verify_universal_bounded(q, a, bound)
+                       for a in pq.short_full_evolutions(q, v))
+            assert pq.phylogenetic_status(q, v) is row.phylogenetic is want, (s, v)
+            checked += 1
+            if _normal_self_inclusive(q, v):
+                continue
+            if len({ci[p] for p in reach[v] & prim}) > 1:
+                assert not want, (s, v)
+                by_sinks += 1
+            else:
+                walked += 1
+    print(f"exact status              ok on {checked} vertices "
+          f"({by_sinks} settled by sink classes, {walked} walked)")
 
 
 def audit_universal(count, base, max_n):
@@ -333,6 +364,7 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=9)
     args = parser.parse_args()
     audit_oracle(args.quivers, args.seed_base, args.max_n)
+    audit_exact_status(args.quivers, args.seed_base, args.max_n)
     audit_universal(args.quivers, args.seed_base, args.max_n)
     audit_self_exclusive(args.quivers, args.seed_base, args.max_n)
     audit_rendering(args.quivers, args.seed_base, args.max_n)

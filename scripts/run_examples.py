@@ -20,7 +20,7 @@ def show_quiver(name, quiver):
           f"phylogenetic_quiver={report.phylogenetic_quiver} "
           f"classes={report.isotypy_class_count}")
     for row in report.vertices:
-        status = {True: "yes", False: "no", None: "undecided"}[row.phylogenetic]
+        status = {True: "yes", False: "no"}[row.phylogenetic]
         print(f"   {row.vertex}: h={row.height} primitive={row.primitive} "
               f"normal={row.normal} phylogenetic={status}")
 

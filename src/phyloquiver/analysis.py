@@ -10,10 +10,9 @@ short one has length h(X). X is phylogenetic when one of its full
 evolutions embeds, as an isotypy-subsequence, in every full evolution for
 X. On monotonous quivers (no edge climbs in height from tail to head) the
 exact criterion is: phylogenetic iff every pair of equal-height critical
-ancestors is isotypic. On non-monotonous quivers normality remains a
-sufficient condition, and anything beyond it is reported as undecided
-rather than guessed; :func:`verify_universal_bounded` offers an exact
-check against all full evolutions up to a length bound.
+ancestors is isotypic. On any other quiver normality still suffices, and
+:func:`phylogenetic_status` settles the rest by the sink classes they reach
+or by :func:`verify_universal_bounded` at a length that makes it exact.
 
 Normality is decided for every vertex at once, in one pass over the
 condensation (:func:`_normality`), and :func:`universal_evolution` takes
@@ -51,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Sequence
 
-from .errors import Frozen, InputError, SizeGuardError, UndecidedError
+from .errors import Frozen, InputError, SizeGuardError
 from .quiver import (
     Evolution,
     Quiver,
@@ -68,13 +67,12 @@ _MAX_STATES = 2_000_000
 
 
 class VertexAnalysis(Frozen):
-    """One vertex's row of :func:`analyze`; ``phylogenetic`` is None when
-    undecided."""
+    """One vertex's row of :func:`analyze`, every status a bool."""
 
     _fields = ("vertex", "height", "primitive", "normal", "phylogenetic")
 
     def __init__(self, vertex: str, height: int, primitive: bool, normal: bool,
-                 phylogenetic: bool | None) -> None:
+                 phylogenetic: bool) -> None:
         self.__dict__.update(vertex=vertex, height=height, primitive=primitive,
                              normal=normal, phylogenetic=phylogenetic)
 
@@ -331,29 +329,41 @@ def short_full_evolutions(quiver: Quiver, v: str) -> Iterator[Evolution]:
             path.append(u)
 
 
-def phylogenetic_status(quiver: Quiver, v: str) -> bool | None:
-    """Whether ``v`` admits a universal evolution; None when undecidable.
+def phylogenetic_status(quiver: Quiver, v: str) -> bool:
+    """Whether ``v`` admits a universal evolution, decided on any quiver.
 
-    Monotonous quiver: decided exactly (phylogenetic iff normal). Otherwise
-    only the sufficient direction is available: normal implies
-    phylogenetic, and non-normal vertices come back as None.
+    A universal evolution embeds in every short full evolution, so it is
+    short and has their one class sequence: ``v`` is phylogenetic exactly
+    when its least short full evolution α embeds in every full evolution.
+    :func:`verify_universal_bounded` on α decides that at length
+    V·(h(v) + 2): a walk state is a vertex and a matched prefix of
+    0..h(v) + 1 classes, so no shortest avoiding evolution is longer. Two
+    cheaper rules come first. A normal vertex (self-inclusive) is
+    phylogenetic, and on a monotonous quiver no other is. A vertex whose
+    class reaches two sink classes is not, as an evolution from one never
+    enters the other. So :func:`analyze` walks O(V²·h) states at worst,
+    and one walk past ``_MAX_STATES`` raises :class:`SizeGuardError`.
     """
     quiver.check_vertex(v)
-    if is_monotonous(quiver):
-        return is_normal(quiver, v)
-    if _normal_self_inclusive(quiver, v):
-        return True
-    return None
+    return _phylogenetic(quiver)[v]
 
 
-def is_phylogenetic_vertex(quiver: Quiver, v: str) -> bool:
-    status = phylogenetic_status(quiver, v)
-    if status is None:
-        raise UndecidedError(
-            "undecided: exact universality check unsupported for "
-            "non-monotonous quivers"
-        )
-    return status
+is_phylogenetic_vertex = phylogenetic_status
+
+
+@memo
+def _phylogenetic(quiver: Quiver) -> dict[str, bool]:
+    """Per vertex, :func:`phylogenetic_status`. ``sink`` holds per class id
+    the one sink class it reaches, or -1; all -1 on a monotonous quiver."""
+    cond, normal = condense(quiver), _normality(quiver)[0]
+    ci, sink = cond.class_index, [-1] * len(cond.classes)
+    for c in () if is_monotonous(quiver) else cond.order:
+        found = {sink[p] for p in cond.parents[c]} or {c}
+        sink[c] = found.pop() if len(found) == 1 else -1
+    h, n = _height_table(quiver), len(quiver.vertices)
+    return {v: normal[ci[v]] or sink[ci[v]] >= 0 and verify_universal_bounded(
+        quiver, next(short_full_evolutions(quiver, v)), n * (h[v] + 2))
+        for v in quiver.vertices}
 
 
 def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
@@ -365,7 +375,7 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
     :func:`short_full_evolutions` yields, is returned so the choice is
     deterministic.
     """
-    if not is_phylogenetic_vertex(quiver, v):
+    if not phylogenetic_status(quiver, v):
         return None
     return next(short_full_evolutions(quiver, v))
 
@@ -454,21 +464,20 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
     normal, rescued, up = _normality(quiver)
-    monotonous = is_monotonous(quiver)
+    phylogenetic = _phylogenetic(quiver)
     rows = []
     for v in quiver.vertices:
         c = cond.class_index[v]
-        inclusive = normal[c]
         rows.append(VertexAnalysis(
             vertex=v,
             height=h[v],
             primitive=v in prim,
-            normal=inclusive or rescued[c] == v,
-            phylogenetic=inclusive if monotonous else (inclusive or None),
+            normal=normal[c] or rescued[c] == v,
+            phylogenetic=phylogenetic[v],
         ))
     return AnalysisReport(
         vertices=tuple(rows),
-        monotonous=monotonous,
+        monotonous=is_monotonous(quiver),
         phylogenetic_quiver=up is not None,
         isotypy_class_count=len(cond.classes),
     )

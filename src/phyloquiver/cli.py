@@ -13,7 +13,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import serialize
-from .errors import InputError, SizeGuardError, UndecidedError
+from .errors import InputError, SizeGuardError
 
 if TYPE_CHECKING:
     from .esequence import ESequence
@@ -67,10 +67,7 @@ def cmd_universal(args) -> dict:
     from . import analysis
 
     quiver = serialize.read_quiver_file(args.input)
-    try:
-        evo = analysis.universal_evolution(quiver, args.vertex)
-    except UndecidedError as exc:
-        return {"status": "undecided", "reason": str(exc)}
+    evo = analysis.universal_evolution(quiver, args.vertex)
     if evo is None:
         return {"status": "none"}
     obj = {"status": "universal", **serialize.evolution_to_obj(evo)}

@@ -10,9 +10,8 @@ class InputError(ValueError):
 
 
 class UndecidedError(RuntimeError):
-    """A query whose exact answer is not computable for the given input
-    (e.g. phylogenetic status of a non-normal vertex in a non-monotonous
-    quiver)."""
+    """Exported so that callers which catch it keep working; never raised,
+    as every phylogenetic status is now decided exactly."""
 
 
 class SizeGuardError(RuntimeError):

@@ -72,7 +72,22 @@ def test_criterion_3_oracle_equivalence():
             checked += 1
             agreements += decided == oracle
     assert checked >= 200 and agreements == checked
-    _ok(3, f"oracle equivalence on {checked} vertices of 200 monotonous quivers")
+    # non-monotonous quivers: some short evolution passes the walk at V·(h + 2)
+    exact = 0
+    for s in range(300):
+        q = gen_random_quiver(3 + s % 6, density=(0.2, 0.35, 0.5)[s // 6 % 3], seed=s)
+        if pq.is_monotonous(q):
+            continue
+        h = pq.heights(q)
+        for v in q.vertices:
+            bound = len(q.vertices) * (h[v] + 2)
+            oracle = any(pq.verify_universal_bounded(q, alpha, bound)
+                         for alpha in pq.short_full_evolutions(q, v))
+            assert pq.phylogenetic_status(q, v) is oracle, (s, v)
+            exact += 1
+    assert exact >= 300
+    _ok(3, f"oracle equivalence on {checked} vertices of 200 monotonous quivers "
+           f"and {exact} vertices of non-monotonous ones")
 
 
 def test_criterion_4_class_order_and_parental_maps():

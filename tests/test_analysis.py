@@ -16,7 +16,6 @@ from phyloquiver import (
     InputError,
     Quiver,
     SizeGuardError,
-    UndecidedError,
     analyze,
     condense,
     critical_ancestors,
@@ -364,20 +363,43 @@ class TestPhylogeneticVertices:
         assert phylogenetic_status(q, "R") is False
         assert universal_evolution(q, "R") is None
 
-    def test_undecided_raises(self):
+    def test_climbing_edge_r_is_not_phylogenetic(self):
         # non-monotonous and not normal: abnormal quiver plus a vertex T
-        # whose edge T -> R climbs heights
+        # whose edge T -> R climbs heights. R's two short evolutions pass
+        # through Q1 and Q2, which lie in different classes.
         q = Quiver.build(
             ["P1", "P2", "Q1", "Q2", "R", "T"],
             [("Q1", "P1"), ("Q2", "P2"), ("R", "Q1"), ("R", "Q2"),
              ("T", "P1"), ("T", "R")],
         )
         assert not is_monotonous(q)
-        assert phylogenetic_status(q, "R") is None
-        with pytest.raises(UndecidedError, match="undecided"):
-            is_phylogenetic_vertex(q, "R")
-        with pytest.raises(UndecidedError):
-            universal_evolution(q, "R")
+        assert phylogenetic_status(q, "R") is False
+        assert is_phylogenetic_vertex(q, "R") is False
+        assert universal_evolution(q, "R") is None
+
+    def test_one_definition_under_both_names(self):
+        assert is_phylogenetic_vertex is phylogenetic_status
+
+    def test_status_is_per_vertex_not_per_class(self):
+        # v3's one short evolution is (v2, v3); v1's are (v2, v0, v1) and
+        # (v2, v3, v1), whose class sequences differ
+        q = gen_random_quiver(4, 0.25, seed=92)
+        assert q.edges == (("v0", "v2"), ("v1", "v0"), ("v1", "v3"),
+                           ("v3", "v1"), ("v3", "v2"))
+        assert isotypic(q, "v1", "v3")
+        assert phylogenetic_status(q, "v1") is False
+        assert phylogenetic_status(q, "v3") is True
+        assert universal_evolution(q, "v1") is None
+        assert universal_evolution(q, "v3").vertices == ("v2", "v3")
+        rows = {row.vertex: row.phylogenetic for row in analyze(q).vertices}
+        assert rows == {"v0": True, "v1": False, "v2": True, "v3": True}
+
+    def test_walk_counts_against_the_budget(self, monkeypatch):
+        # v1 and v3 are non-normal and reach one sink class, so both walk
+        q = gen_random_quiver(4, 0.25, seed=92)
+        monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 1)
+        with pytest.raises(SizeGuardError, match="node budget of 1$"):
+            analyze(q)
 
     def test_universal_evolution_g3(self, g3):
         assert universal_evolution(g3, "C").vertices == ("A", "B", "C")
@@ -446,6 +468,62 @@ class TestBoundedOracle:
         alpha = validate_evolution(q, ["P", "v"])
         results = [verify_universal_bounded(q, alpha, m) for m in range(8)]
         assert results == [True] * 5 + [False] * 3
+
+    def test_matches_brute_enumeration(self):
+        # every short evolution against every bounded full evolution,
+        # written out, at bounds h(v)..h(v) + 3
+        checked = fails = nonmonotonous = 0
+        for n in range(2, 6):
+            for d in (0.25, 0.35, 0.5):
+                for s in range(60):
+                    q = gen_random_quiver(n, d, seed=s)
+                    nonmonotonous += not is_monotonous(q)
+                    ci, h = condense(q).class_index, heights(q)
+                    for v in q.vertices:
+                        for m in range(h[v], h[v] + 4):
+                            betas = brute_full_evolutions(q, v, m)
+                            for alpha in short_full_evolutions(q, v):
+                                want = all(brute_embedding_exists(ci, alpha.vertices, b)
+                                           for b in betas)
+                                assert verify_universal_bounded(q, alpha, m) == want, (
+                                    n, d, s, v, m)
+                                checked += 1
+                                fails += not want
+        assert checked >= 10_000 and fails >= 500 and nonmonotonous >= 50
+
+
+class TestExactStatus:
+    """Off monotonous quivers, every status against the any-short-α oracle:
+    some short full evolution embeds in every full evolution of length at
+    most V·(h + 2), the bound past which the walk meets no new state."""
+
+    def test_matches_any_short_oracle(self, monkeypatch):
+        walked = []
+
+        def spy(q, alpha, max_length):
+            walked.append(verify_universal_bounded(q, alpha, max_length))
+            return walked[-1]
+
+        monkeypatch.setattr("phyloquiver.analysis.verify_universal_bounded", spy)
+        checked = non_normal = 0
+        for n in range(2, 8):
+            for d in (0.2, 0.35, 0.5):
+                for s in range(100):
+                    q = gen_random_quiver(n, d, seed=s)
+                    if is_monotonous(q):
+                        continue
+                    rows, h = analyze(q).vertices, heights(q)
+                    for v, row in zip(q.vertices, rows):
+                        bound = len(q.vertices) * (h[v] + 2)
+                        want = any(verify_universal_bounded(q, alpha, bound)
+                                   for alpha in short_full_evolutions(q, v))
+                        assert phylogenetic_status(q, v) is row.phylogenetic is want, (
+                            n, d, s, v)
+                        checked += 1
+                        non_normal += not _normal_self_inclusive(q, v)
+        settled_by_sinks = non_normal - len(walked)
+        assert checked >= 1_500 and non_normal >= 100
+        assert settled_by_sinks > 0 and True in walked and False in walked
 
 
 class TestPhylogeneticQuivers:

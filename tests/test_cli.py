@@ -75,6 +75,19 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err == f"error: {path}: unexpected ':' in DOT digraph\n"
 
+    def test_walk_past_the_budget_gives_status_3(self, capsys, tmp_path, monkeypatch):
+        # v1 and v3 are isotypic, not normal, and reach one sink class: both walk
+        path = tmp_path / "r4.json"
+        main(["gen", "random-quiver", "--n", "4", "--density", "0.25", "--seed", "92",
+              "-o", str(path)])
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert [r["phylogenetic"] for r in json.loads(out)["vertices"]] == [
+            True, False, True, True]
+        monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 1)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 3 and out == "" and "node budget" in err
+
     def test_byte_identical_reruns(self, capsys, g3_file):
         _, first, _ = run(capsys, "analyze", g3_file)
         _, second, _ = run(capsys, "analyze", g3_file)
@@ -132,8 +145,10 @@ class TestUniversal:
         assert code == 0
         assert json.loads(out)["status"] == "none"
 
-    def test_undecided_status(self, capsys, tmp_path):
-        path = tmp_path / "und.json"
+    def test_climbing_edge_r_is_none(self, capsys, tmp_path):
+        # R reaches the sink classes of P1 and P2, so no evolution from one
+        # embeds in an evolution from the other
+        path = tmp_path / "climb.json"
         path.write_text(json.dumps({
             "vertices": ["P1", "P2", "Q1", "Q2", "R", "T"],
             "edges": [["Q1", "P1"], ["Q2", "P2"], ["R", "Q1"], ["R", "Q2"],
@@ -141,7 +156,7 @@ class TestUniversal:
         }))
         code, out, _ = run(capsys, "universal", str(path), "R")
         assert code == 0
-        assert json.loads(out)["status"] == "undecided"
+        assert json.loads(out) == {"status": "none"}
 
     def test_unknown_vertex_is_validation_failure(self, capsys, g3_file):
         code, _, err = run(capsys, "universal", g3_file, "Z")

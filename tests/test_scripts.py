@@ -15,7 +15,7 @@ TINY_AUDIT = ("random_audit.py", "--quivers", "6", "--spaces", "4", "--seq", "4"
 
 # one line per family of scripts/random_audit.py, in the order it runs them
 AUDIT_FAMILIES = [
-    "oracle agreement", "universal evolutions", "self-exclusive normality",
+    "oracle agreement", "exact status", "universal evolutions", "self-exclusive normality",
     "report rendering", "E-sequence round trips", "prec blocks", "E-sequence axioms",
     "isomorphism", "towers", "underline_d and is_trim", "trusted tower quotients",
     "metric problems", "ultrametric test", "isometry", "clade reports", "clade formulas",
