@@ -152,7 +152,8 @@ def monotonize(quiver: Quiver) -> Quiver:
     edge.
     """
     h = _height_table(quiver)
-    return Quiver(quiver.vertices, tuple(e for e in quiver.edges if h[e[0]] >= h[e[1]]))
+    return Quiver._trusted(vertices=quiver.vertices,
+                           edges=tuple(e for e in quiver.edges if h[e[0]] >= h[e[1]]))
 
 
 def critical_vertices(quiver: Quiver, evo: Evolution) -> list[int]:
@@ -341,11 +342,18 @@ def phylogenetic_status(quiver: Quiver, v: str) -> bool:
     cheaper rules come first. A normal vertex (self-inclusive) is
     phylogenetic, and on a monotonous quiver no other is. A vertex whose
     class reaches two sink classes is not, as an evolution from one never
-    enters the other. So :func:`analyze` walks O(V²·h) states at worst,
-    and one walk past ``_MAX_STATES`` raises :class:`SizeGuardError`.
+    enters the other. Only ``v`` itself is walked, if at all, so
+    :func:`analyze` walks O(V²·h) states at worst, and one walk past
+    ``_MAX_STATES`` raises :class:`SizeGuardError`.
     """
     quiver.check_vertex(v)
-    return _phylogenetic(quiver)[v]
+    table = _phylogenetic(quiver)
+    try:
+        return table[v]
+    except KeyError:  # left to the walk, and kept once walked
+        alpha = next(short_full_evolutions(quiver, v))
+        bound = len(quiver.vertices) * (_height_table(quiver)[v] + 2)
+        return table.setdefault(v, verify_universal_bounded(quiver, alpha, bound))
 
 
 is_phylogenetic_vertex = phylogenetic_status
@@ -353,17 +361,16 @@ is_phylogenetic_vertex = phylogenetic_status
 
 @memo
 def _phylogenetic(quiver: Quiver) -> dict[str, bool]:
-    """Per vertex, :func:`phylogenetic_status`. ``sink`` holds per class id
-    the one sink class it reaches, or -1; all -1 on a monotonous quiver."""
+    """Per vertex, :func:`phylogenetic_status` where no walk is needed; the
+    rest are added as asked. ``sink`` holds per class id the one sink class
+    it reaches, or -1; all -1 on a monotonous quiver."""
     cond, normal = condense(quiver), _normality(quiver)[0]
     ci, sink = cond.class_index, [-1] * len(cond.classes)
     for c in () if is_monotonous(quiver) else cond.order:
         found = {sink[p] for p in cond.parents[c]} or {c}
         sink[c] = found.pop() if len(found) == 1 else -1
-    h, n = _height_table(quiver), len(quiver.vertices)
-    return {v: normal[ci[v]] or sink[ci[v]] >= 0 and verify_universal_bounded(
-        quiver, next(short_full_evolutions(quiver, v)), n * (h[v] + 2))
-        for v in quiver.vertices}
+    return {v: normal[ci[v]] for v in quiver.vertices
+            if normal[ci[v]] or sink[ci[v]] < 0}
 
 
 def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
@@ -464,7 +471,7 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
     normal, rescued, up = _normality(quiver)
-    phylogenetic = _phylogenetic(quiver)
+    known = _phylogenetic(quiver)  # each other vertex is walked once asked
     rows = []
     for v in quiver.vertices:
         c = cond.class_index[v]
@@ -473,7 +480,7 @@ def analyze(quiver: Quiver) -> AnalysisReport:
             height=h[v],
             primitive=v in prim,
             normal=normal[c] or rescued[c] == v,
-            phylogenetic=phylogenetic[v],
+            phylogenetic=known[v] if v in known else phylogenetic_status(quiver, v),
         ))
     return AnalysisReport(
         vertices=tuple(rows),

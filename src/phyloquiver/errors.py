@@ -33,9 +33,19 @@ class Frozen:
     ``_fields`` names, in order, as a frozen dataclass would be: equal only
     to an instance of its own class with equal fields, hashed as the tuple
     of them. ``__init__`` sets attributes through ``self.__dict__``, where
-    state outside ``_fields`` (memos, cached properties) may also live."""
+    state outside ``_fields`` (memos, cached properties) may also live.
+
+    One construction rule: the public constructors and ``build`` check what
+    they are given, and a value the library derives from values already
+    checked is stored by :meth:`_trusted`, which checks nothing again."""
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, **fields):
+        self = cls.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -245,7 +245,8 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
             peers = {j for j in cond.parents[i] if j != up[i]}
             same[i] = peers.union(*(same.get(j, ()) for j in peers))
     order = {(label[j], label[i]) for i, js in same.items() for j in js}
-    return ESequence(tuple(map(tuple, levels)), parent, frozenset(order))
+    return ESequence._trusted(levels=tuple(map(tuple, levels)), parent=parent,
+                              order=frozenset(order))
 
 
 def _require_esequence(seq: ESequence) -> None:
@@ -262,7 +263,7 @@ def realize_esequence(seq: ESequence) -> Quiver:
     _require_esequence(seq)
     edges = [(a, seq.parent[a]) for level in seq.levels[1:] for a in level]
     edges += [(y, x) for x, y in sorted(seq.order)]  # x < y: y descends from x
-    return Quiver.build(seq.labels(), edges)
+    return Quiver._trusted(vertices=tuple(seq.labels()), edges=tuple(edges))
 
 
 # -- forests -----------------------------------------------------------------
@@ -523,7 +524,7 @@ def reconstruct(
         i, j = index[a], index[b]
         s = n + 1 - ints[i][j] // scale
         order.add((owner[s][i], owner[s][j]))
-    return ESequence(tuple(levels), parent, frozenset(order))
+    return ESequence._trusted(levels=tuple(levels), parent=parent, order=frozenset(order))
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -554,10 +555,10 @@ def esequence_isomorphic(first: ESequence, second: ESequence) -> bool:
 
 
 def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
-    """From the top level down, each label gets the code of its children's
-    group, and the roots are one more group: a group's code interns the
-    sorted codes of its connected parts (x ~ y when x < y or y < x). A label
-    in no order pair is a part of its own, entered with no search."""
+    """One pass, children first: a label in no order pair hands its parent
+    its part code (a part of its own, with no search), any other its code,
+    to be joined into connected parts (x ~ y when x < y or y < x). A group's
+    code interns the sorted codes of its parts; the roots hand up to None."""
     closed = seq.closed_order()
     crossing = [(x, y) for x, y in closed if seq.parent.get(x) != seq.parent.get(y)]
     if crossing:  # name the least pair, not the first in hash order
@@ -568,12 +569,12 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
         sides[x][1].add(y)
         sides[y][0].add(x)
     sides = {x: (frozenset(lo), frozenset(up)) for x, (lo, up) in sides.items()}
-    code: dict[str, int] = {}
-    part: dict[str, int] = {}  # the code of each unordered label's own part
+    handed: dict[str | None, list[int]] = {}  # per parent, its unordered children's parts
+    ordered: dict[str | None, dict[str, int]] = {}  # per parent, its other children's codes
 
-    def group_code(group: Iterable[str]) -> int:
-        parts = [part[x] for x in group if x in part]
-        left = {x for x in group if x in sides}
+    def group_code(p: str | None) -> int:
+        parts, code = handed.pop(p, []), ordered.pop(p, {})
+        left = set(code)
         for x in sorted(left):  # parts in order of their least labels, never hash order
             if x not in left:
                 continue
@@ -586,19 +587,22 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
             parts.append(codes.setdefault(_part_form(found, code, sides), len(codes)))
         return codes.setdefault(tuple(sorted(parts)), len(codes))
 
-    kids, leaf = seq._children, codes.setdefault((), len(codes))
-    searched = {seq.parent.get(x) for x in sides}  # parents of groups with pairs
-    for x in reversed(seq.labels()):  # children before their parents
-        if x not in kids:
+    parent, leaf = seq.parent, codes.setdefault((), len(codes))
+    for x in reversed(seq.labels()):
+        if x in ordered:
+            c = group_code(x)
+        elif x in handed:  # group_code with every child a part of its own
+            parts = handed.pop(x)
+            key = tuple(sorted(parts)) if len(parts) > 1 else (parts[0],)
+            c = codes.setdefault(key, len(codes))
+        else:
             c = leaf
-        elif x in searched:
-            c = group_code(kids[x])
-        else:  # each child is a part of its own: group_code without its two scans
-            c = codes.setdefault(tuple(sorted(map(part.__getitem__, kids[x]))), len(codes))
-        code[x] = c
-        if x not in sides:
-            part[x] = codes.setdefault((c, False), len(codes))
-    return group_code(seq.levels[0])
+        if x in sides:
+            ordered.setdefault(parent.get(x), {})[x] = c
+        else:
+            part = codes.setdefault((c, False), len(codes))
+            handed.setdefault(parent.get(x), []).append(part)
+    return group_code(None)
 
 
 def _part_form(part: list[str], code: dict[str, int],

@@ -79,6 +79,11 @@ class Quiver(Frozen):
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Quiver":
         return cls(tuple(vertices), tuple((t, h) for t, h in edges))
 
+    @classmethod
+    def _trusted(cls, **fields) -> "Quiver":
+        # the memo last, as __init__ stores it, so both share one key layout
+        return super()._trusted(**fields, _memo={})
+
     def check_vertex(self, v: str) -> None:
         if v not in _adjacency(self)[0]:
             raise InputError(f"unknown vertex id {v!r}")
@@ -225,9 +230,9 @@ def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
         quiver.check_vertex(v)
     if not kept:
         raise InputError("induced sub-quiver needs at least one vertex")
-    return Quiver(
-        tuple(v for v in quiver.vertices if v in kept),
-        tuple(e for e in quiver.edges if e[0] in kept and e[1] in kept),
+    return Quiver._trusted(
+        vertices=tuple(v for v in quiver.vertices if v in kept),
+        edges=tuple(e for e in quiver.edges if e[0] in kept and e[1] in kept),
     )
 
 

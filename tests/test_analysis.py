@@ -525,6 +525,69 @@ class TestExactStatus:
         assert checked >= 1_500 and non_normal >= 100
         assert settled_by_sinks > 0 and True in walked and False in walked
 
+    def test_point_answers_equal_analyze_rows(self):
+        # point queries last to first on one quiver, analyze on a fresh copy
+        compared = 0
+        for n in range(2, 8):
+            for d in (0.2, 0.35, 0.5):
+                for s in range(100):
+                    q = gen_random_quiver(n, d, seed=s)
+                    if is_monotonous(q):
+                        continue
+                    points = {v: phylogenetic_status(q, v) for v in reversed(q.vertices)}
+                    rows = analyze(gen_random_quiver(n, d, seed=s)).vertices
+                    assert {row.vertex: row.phylogenetic for row in rows} == points, (n, d, s)
+                    compared += 1
+        assert compared >= 300
+
+
+def climbing_chain(k):
+    """P <- Q1, P <- Q2, R -> Q1, R -> Q2, a k-chain c1..ck above R, and T
+    with edges T -> ck (climbing) and T -> P: R, the chain and T are not
+    normal and reach one sink class, so each is settled by the walk."""
+    chain = [f"c{i}" for i in range(1, k + 1)]
+    edges = [("Q1", "P"), ("Q2", "P"), ("R", "Q1"), ("R", "Q2"), ("c1", "R")]
+    edges += list(zip(chain[1:], chain))
+    edges += [("T", chain[-1]), ("T", "P")]
+    return Quiver.build(["P", "Q1", "Q2", "R", "T", *chain], edges)
+
+
+class TestPointStatus:
+    """A point query walks its own vertex at most, never the others."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walked = []
+
+        def spy(q, alpha, max_length):
+            walked.append(alpha.terminal)
+            return verify_universal_bounded(q, alpha, max_length)
+
+        monkeypatch.setattr("phyloquiver.analysis.verify_universal_bounded", spy)
+        return walked
+
+    def test_primitive_p_walks_nothing(self, walks):
+        q = climbing_chain(250)
+        assert phylogenetic_status(q, "P") is True
+        assert universal_evolution(q, "P").vertices == ("P",)
+        assert walks == []
+
+    def test_each_point_query_walks_at_most_once(self, walks):
+        want = {row.vertex: row.phylogenetic for row in analyze(climbing_chain(30)).vertices}
+        assert len(walks) == 30 + 2  # R, the chain and T
+        for v, status in want.items():
+            walks.clear()
+            q = climbing_chain(30)
+            assert phylogenetic_status(q, v) is status
+            assert walks == ([v] if v in ("R", "T") or v.startswith("c") else [])
+            assert phylogenetic_status(q, v) is status and len(walks) <= 1
+
+    def test_analyze_reuses_the_walked_points(self, walks):
+        q = climbing_chain(30)
+        assert phylogenetic_status(q, "c7") is False and walks == ["c7"]
+        analyze(q)
+        assert sorted(walks) == sorted(["R", "T", *(f"c{i}" for i in range(1, 31))])
+
 
 class TestPhylogeneticQuivers:
     def test_set_and_surjection_quivers(self):

@@ -22,9 +22,25 @@ from phyloquiver import (
     PrecRelation,
     Quiver,
     Tower,
+    clade,
+    evolutionary_sequence,
+    induce_prec,
+    induced_subquiver,
+    is_phylogenetic_quiver,
+    monotonize,
+    phylogenetic_core,
+    realize_esequence,
+    reconstruct,
+    terminal_ultrametric,
+    validate_esequence,
 )
 from phyloquiver.analysis import VertexAnalysis
 from phyloquiver.errors import Frozen
+from phyloquiver.generators import (
+    gen_random_esequence,
+    gen_random_phylogenetic,
+    gen_random_quiver,
+)
 from phyloquiver.metric import SpaceCheck
 
 
@@ -197,3 +213,68 @@ def test_state_outside_the_fields_is_not_compared():
     assert warm == cold and hash(warm) == hash(cold)
     ultra, general = space(), FiniteMetricSpace(("x", "y"), (2, ((0, 2), (2, 0))), False)
     assert ultra == general and hash(ultra) == hash(general)
+
+
+def test_a_trusted_value_behaves_like_the_checked_one(case):
+    build, cls, fields, hashable, text = case
+    value = build()
+    trusted = cls._trusted(**{f: getattr(value, f) for f in fields})
+    assert type(trusted) is cls
+    assert trusted == value and value == trusted and not trusted != value
+    if hashable:
+        assert hash(trusted) == hash(value)
+    assert repr(trusted) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(trusted, name, None)
+    with pytest.raises(AttributeError):
+        trusted.extra = 1
+
+
+def test_each_trusted_quiver_has_its_own_empty_memo():
+    first = Quiver._trusted(vertices=("A", "B"), edges=(("B", "A"),))
+    second = Quiver._trusted(vertices=("A", "B"), edges=(("B", "A"),))
+    assert first._memo == {} and first._memo is not second._memo
+    assert list(first.__dict__) == list(quiver().__dict__)  # one key layout
+    first.has_edge("B", "A")
+    assert first._memo and second._memo == {}
+
+
+def checked(value):
+    """``value`` rebuilt through its checking constructor."""
+    return type(value)(*(getattr(value, f) for f in value._fields))
+
+
+def trusted_outputs():
+    """Every value the library builds without checks, over the audit
+    families: random and monotonized quivers, chains, and the inputs of
+    realization and reconstruction."""
+    for s in range(120):
+        n, d = 2 + s % 8, (0.2, 0.35, 0.5)[s % 3]
+        for q in (gen_random_quiver(n, d, seed=s), gen_random_phylogenetic(n, d, seed=s)):
+            m = monotonize(q)
+            yield from (m, phylogenetic_core(m), induced_subquiver(q, q.vertices[:1 + s % n]))
+            yield from (clade(q, v) for v in q.vertices[s % 2::2])
+            if is_phylogenetic_quiver(m):
+                yield evolutionary_sequence(m)
+        seq = gen_random_esequence(1 + s % 5, 3 + s % 7, 0.4, seed=s)
+        yield from (realize_esequence(seq), evolutionary_sequence(realize_esequence(seq)))
+        seq = gen_random_esequence(2 + s % 4, 3 + s % 6, 0.4, seed=s,
+                                   single_root=True, surjective=True)
+        top = seq.top
+        yield reconstruct(terminal_ultrametric(seq, top), induce_prec(seq, top), top)
+    for k in (1, 2, 60, 600):
+        labels = [f"c{i}" for i in range(k)]
+        chain = ESequence.build([[x] for x in labels], dict(zip(labels[1:], labels)))
+        q = realize_esequence(chain)
+        yield from (q, evolutionary_sequence(q), clade(q, labels[k // 2]), monotonize(q))
+
+
+def test_trusted_outputs_pass_their_checking_constructors():
+    counts = {Quiver: 0, ESequence: 0}
+    for value in trusted_outputs():
+        assert checked(value) == value
+        if isinstance(value, ESequence):
+            assert validate_esequence(value) == []
+        counts[type(value)] += 1
+    assert counts[Quiver] >= 1_000 and counts[ESequence] >= 300
