@@ -471,7 +471,6 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     prim = primitive_vertices(quiver)
     cond = condense(quiver)
     normal, rescued, up = _normality(quiver)
-    known = _phylogenetic(quiver)  # each other vertex is walked once asked
     rows = []
     for v in quiver.vertices:
         c = cond.class_index[v]
@@ -480,7 +479,7 @@ def analyze(quiver: Quiver) -> AnalysisReport:
             height=h[v],
             primitive=v in prim,
             normal=normal[c] or rescued[c] == v,
-            phylogenetic=known[v] if v in known else phylogenetic_status(quiver, v),
+            phylogenetic=phylogenetic_status(quiver, v),
         ))
     return AnalysisReport(
         vertices=tuple(rows),

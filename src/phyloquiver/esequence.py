@@ -572,9 +572,9 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
     handed: dict[str | None, list[int]] = {}  # per parent, its unordered children's parts
     ordered: dict[str | None, dict[str, int]] = {}  # per parent, its other children's codes
 
-    def group_code(p: str | None) -> int:
-        parts, code = handed.pop(p, []), ordered.pop(p, {})
-        left = set(code)
+    def join(p: str | None) -> None:  # p's ordered children, as parts handed to p
+        code = ordered.pop(p)
+        parts, left = handed.setdefault(p, []), set(code)
         for x in sorted(left):  # parts in order of their least labels, never hash order
             if x not in left:
                 continue
@@ -585,24 +585,21 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
                 left -= new
                 found.extend(new)
             parts.append(codes.setdefault(_part_form(found, code, sides), len(codes)))
-        return codes.setdefault(tuple(sorted(parts)), len(codes))
 
     parent, leaf = seq.parent, codes.setdefault((), len(codes))
     for x in reversed(seq.labels()):
         if x in ordered:
-            c = group_code(x)
-        elif x in handed:  # group_code with every child a part of its own
-            parts = handed.pop(x)
-            key = tuple(sorted(parts)) if len(parts) > 1 else (parts[0],)
-            c = codes.setdefault(key, len(codes))
-        else:
-            c = leaf
+            join(x)
+        parts = handed.pop(x, None)
+        c = codes.setdefault(tuple(sorted(parts)), len(codes)) if parts else leaf
         if x in sides:
             ordered.setdefault(parent.get(x), {})[x] = c
         else:
             part = codes.setdefault((c, False), len(codes))
             handed.setdefault(parent.get(x), []).append(part)
-    return group_code(None)
+    if None in ordered:
+        join(None)
+    return codes.setdefault(tuple(sorted(handed[None])), len(codes))
 
 
 def _part_form(part: list[str], code: dict[str, int],
