@@ -44,7 +44,7 @@ from pathlib import Path
 
 import phyloquiver as pq
 from phyloquiver import clades, generators as gen, serialize
-from phyloquiver.analysis import _critical_ancestors, _normal_self_inclusive
+from phyloquiver.analysis import _normal_self_inclusive, critical_ancestors
 from phyloquiver.metric import _MAX_COMPARED, _isometry
 
 # the brute-force references are the test suite's own
@@ -80,7 +80,7 @@ def audit_oracle(count, base, max_n):
         rows, cond, h = pq.analyze(q).vertices, pq.condense(q), pq.heights(q)
         verdicts = []
         for v, row in zip(q.vertices, rows):
-            normal = grouped_isotypic(cond, h, _critical_ancestors(q, v))
+            normal = grouped_isotypic(cond, h, critical_ancestors(q, v))
             assert pq.is_normal(q, v) == row.normal == normal, (s, v)
             want = pq.is_phylogenetic_vertex(q, v)
             got = all(pq.verify_universal_bounded(q, a, bound)
@@ -142,7 +142,7 @@ def audit_self_exclusive(count, base, max_n):
         rows = pq.analyze(q).vertices
         cond, h = pq.condense(q), pq.heights(q)
         for v, row in zip(q.vertices, rows):
-            want = grouped_isotypic(cond, h, _critical_ancestors(q, v))
+            want = grouped_isotypic(cond, h, critical_ancestors(q, v))
             assert pq.is_normal(q, v) == row.normal == want, (s, v)
             rescued += want and not _normal_self_inclusive(q, v)
             checked += 1

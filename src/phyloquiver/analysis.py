@@ -59,7 +59,6 @@ from .quiver import (
     condense,
     induced_subquiver,
     memo,
-    validate_evolution,
 )
 
 # States the bounded universality check may visit.
@@ -166,6 +165,7 @@ def critical_vertices(quiver: Quiver, evo: Evolution) -> list[int]:
     return [k for k in range(len(seq) - 1) if h[seq[k + 1]] == h[seq[k]] + 1]
 
 
+@memo
 def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     """Vertices at which some evolutionary history of ``v`` crosses into a
     higher level: A (distinct from ``v``) such that an edge A1 -> A exists
@@ -176,11 +176,6 @@ def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     vertices of full evolutions on every monotonous quiver, where such
     cycles cannot occur.
     """
-    return _critical_ancestors(quiver, v)
-
-
-@memo
-def _critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     heads, reached = _critical_heads(quiver), _reached_classes(quiver, 0, v)
     # Copying a finished set sizes the frozenset's table to fit; building it
     # from a generator leaves it up to twice as large.
@@ -324,7 +319,7 @@ def short_full_evolutions(quiver: Quiver, v: str) -> Iterator[Evolution]:
             if path:
                 path.pop()
         elif u == v:
-            yield validate_evolution(quiver, [*path, v])
+            yield Evolution._trusted(quiver=quiver, vertices=(*path, v))
         else:
             stack.append(filter(cone[len(path) + 1].__contains__, inn[u]))
             path.append(u)

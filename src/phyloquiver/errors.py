@@ -37,7 +37,9 @@ class Frozen:
 
     One construction rule: the public constructors and ``build`` check what
     they are given, and a value the library derives from values already
-    checked is stored by :meth:`_trusted`, which checks nothing again."""
+    checked is stored by :meth:`_trusted`, which checks nothing again. The
+    one exception is ``FiniteMetricSpace``, whose plain constructor trusts
+    its caller; its ``build`` checks."""
 
     _fields: tuple[str, ...] = ()
 

@@ -28,8 +28,7 @@ Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
 the sorted codes of its connected parts, under a budget of adjacency entries
 per part; an order pair across sibling groups breaks the second axiom and is
 an InputError there. A sibling in no order pair is a part of its own and
-enters with no search, and a part whose classes are all fixed tries no
-orderings.
+enters with no search.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ class ESequence(Frozen):
 
 
 def _transitive_closure(
-    pairs: frozenset[tuple[str, str]]
+    pairs: Iterable[tuple[str, str]]
 ) -> frozenset[tuple[str, str]]:
     succ: dict[str, set[str]] = {}
     for x, y in pairs:
@@ -224,9 +223,9 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     per-level order.
 
     Parents come from the pass that decides the quiver phylogenetic. The
-    order on a level is ancestry between classes, read in one walk over the
-    class DAG, ancestors first: an equal-height ancestor class is reached
-    along edges into parent classes other than the class's own parent.
+    order on a level is ancestry between classes: the closure of the edges
+    into parent classes other than a class's own parent, which all keep
+    its height, as does every path between two classes of one height.
     """
     from . import analysis
 
@@ -239,14 +238,9 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     for x in label:  # classes are sorted by label
         levels[h[x]].append(x)
     parent = {label[i]: label[p] for i, p in enumerate(up) if p is not None}
-    same: dict[int, set[int]] = {}  # equal-height ancestors, where there are any
-    for i in cond.order:
-        if len(cond.parents[i]) > 1:  # more than its own parent
-            peers = {j for j in cond.parents[i] if j != up[i]}
-            same[i] = peers.union(*(same.get(j, ()) for j in peers))
-    order = {(label[j], label[i]) for i, js in same.items() for j in js}
-    return ESequence._trusted(levels=tuple(map(tuple, levels)), parent=parent,
-                              order=frozenset(order))
+    order = _transitive_closure({(label[j], label[i]) for i, js in enumerate(cond.parents)
+                                 for j in js if j != up[i]})
+    return ESequence._trusted(levels=tuple(map(tuple, levels)), parent=parent, order=order)
 
 
 def _require_esequence(seq: ESequence) -> None:
@@ -290,7 +284,11 @@ def forest_distance(forest: ESequence, a: str, b: str) -> int | None:
 # -- terminal data and reconstruction ---------------------------------------
 
 
-def _check_reconstruction_premises(seq: ESequence, n: int) -> None:
+def _below(seq: ESequence, n: int) -> dict[str, list[int]]:
+    """Positions in level ``n`` below each label of levels 0..n, in one pass
+    up the parent map, once the terminal-data premises hold: a lawful
+    E-sequence, ``n`` in range, one root, and surjective parents, which
+    leave no label without a position."""
     _require_esequence(seq)
     if not 0 <= n <= seq.top:
         raise InputError(f"level {n} out of range 0..{seq.top}")
@@ -300,11 +298,6 @@ def _check_reconstruction_premises(seq: ESequence, n: int) -> None:
         covered = {seq.parent[x] for x in seq.levels[m]}
         if covered != set(seq.levels[m - 1]):
             raise InputError(f"parental map into level {m - 1} is not surjective")
-
-
-def _below(seq: ESequence, n: int) -> dict[str, list[int]]:
-    """Positions in level ``n`` below each label of levels 0..n, in one pass
-    up the parent map; surjective parents leave no label without one."""
     below = {x: [i] for i, x in enumerate(seq.levels[n])}
     for level in reversed(seq.levels[1:n + 1]):
         for x in level:
@@ -322,9 +315,7 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     rho(b, c)) both a and b meet c, so p^k(a) = p^k(b)."""
     from .metric import FiniteMetricSpace
 
-    _check_reconstruction_premises(seq, n)
-    below = _below(seq, n)
-    points = seq.levels[n]
+    below, points = _below(seq, n), seq.levels[n]
     depths = [[0] * len(points) for _ in points]
     for m in range(1, n + 1):
         for p in seq.levels[m - 1]:
@@ -353,7 +344,6 @@ def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     labels share a parent, so that is: a below x and b below y for some
     x < y of the order at a level up to ``n``. The premises check has
     found that order transitive, so it is its own closure."""
-    _check_reconstruction_premises(seq, n)
     below, points, lv = _below(seq, n), seq.levels[n], seq.level_of
     return PrecRelation(frozenset(
         (points[i], points[j])
@@ -469,6 +459,11 @@ def _ball_bits(space: FiniteMetricSpace, limit: int) -> list[int]:
     return [bits[ball] for ball in owner]
 
 
+# Labels one reconstruction may build, bounded by one per point and level, so
+# a tiny space with a huge distance or ``n`` is refused before any level.
+_MAX_LABELS = 1_000_000
+
+
 def reconstruct(
     space: FiniteMetricSpace, prec: PrecRelation, n: int
 ) -> ESequence:
@@ -479,7 +474,8 @@ def reconstruct(
     table; parents are the containing balls one radius up; balls B < B' of
     radius r exactly when some a in B, b in B' satisfy a prec b at distance
     r + 1. Points keep their labels at level n; an internal ball is labeled
-    "<level>:<minimal member>".
+    "<level>:<minimal member>". Raises SizeGuardError when the bound
+    (n + 1) * |points| on the labels exceeds ``_MAX_LABELS``.
     """
     if not space.is_ultrametric:
         raise InputError("reconstruction needs an ultrametric space")
@@ -500,6 +496,9 @@ def reconstruct(
     violations = validate_prec(space, prec, n)
     if violations:
         raise InputError("prec relation is not lawful: " + "; ".join(violations))
+    if (n + 1) * len(pts) > _MAX_LABELS:
+        raise SizeGuardError(f"{(n + 1) * len(pts)} labels ({n + 1} levels of {len(pts)} "
+                             f"points) exceed the budget of {_MAX_LABELS}")
 
     by_label = sorted(range(len(pts)), key=pts.__getitem__)
     levels: list[tuple[str, ...]] = []
@@ -612,7 +611,8 @@ def _part_form(part: list[str], code: dict[str, int],
     successors and predecessors among the fixed classes, as bitmasks. The
     form is the number of classes, their sorted keys, and the least
     adjacency tuple among the movable classes over the orderings that
-    permute classes of equal key; with every class fixed there are none.
+    permute classes of equal key; with every class fixed that is the one
+    empty ordering, which adds nothing.
     """
     twins: dict[tuple, list[str]] = {}
     for x in part:
@@ -624,8 +624,6 @@ def _part_form(part: list[str], code: dict[str, int],
     keys = sorted([((*key, *(sum(bit.get(y, 0) for y in side) for side in sides[x])), x)
                    for key, x in keys])
     form = (len(keys), *(k for key, _ in keys for k in key))
-    if len(bit) == len(keys):  # every class fixed: no orderings to try
-        return form
     blocks = [[x for _, x in run] for _, run in groupby(
         [kx for kx in keys if kx[1] not in bit], key=lambda kx: kx[0])]
     count = prod(map(factorial, map(len, blocks))) * sum(map(len, blocks)) ** 2

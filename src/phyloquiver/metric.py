@@ -482,8 +482,8 @@ def _collapse(
     quotient = FiniteMetricSpace._from_ints(
         [pts[a] for a in heads], scale, rows, ultrametric or _is_ultrametric(rows)
     )
-    return quotient, PointMap(
-        space, quotient, {x: pts[rep[i]] for i, x in enumerate(pts)}
+    return quotient, PointMap._trusted(
+        source=space, target=quotient, mapping={x: pts[rep[i]] for i, x in enumerate(pts)}
     )
 
 

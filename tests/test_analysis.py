@@ -39,7 +39,7 @@ from phyloquiver import (
     validate_evolution,
     verify_universal_bounded,
 )
-from phyloquiver.analysis import _critical_ancestors, _critical_heads, _normal_self_inclusive
+from phyloquiver.analysis import _critical_heads, _normal_self_inclusive
 from phyloquiver.generators import (
     gen_abnormal,
     gen_g3,
@@ -753,7 +753,7 @@ class TestOnePassNormality:
             exclusive, inclusive = (brute_critical_ancestors(q, False),
                                     brute_critical_ancestors(q, True))
             for v in q.vertices:
-                crit = _critical_ancestors(q, v)
+                crit = critical_ancestors(q, v)
                 assert crit == exclusive[v]
                 assert is_normal(q, v) == grouped_isotypic(cond, h, crit), (q, v)
                 assert _normal_self_inclusive(q, v) == grouped_isotypic(
@@ -827,7 +827,7 @@ class TestSelfExclusiveNormality:
         assert not is_monotonous(q)
         analyze(q)
         assert not any(
-            isinstance(key, tuple) and key[0] == "_critical_ancestors" for key in q._memo
+            isinstance(key, tuple) and key[0] == "critical_ancestors" for key in q._memo
         )
         assert "_class_reach" not in q._memo
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phyloquiver import serialize
 from phyloquiver.cli import main
@@ -324,6 +330,18 @@ class TestReconstruct:
             path.write_text(text)
             assert run(capsys, "reconstruct", str(path)) == (1, "", f"error: {message}\n")
 
+    def test_more_labels_than_the_budget_exit_3(self, capsys, tmp_path):
+        big, u3 = tmp_path / "big.csv", tmp_path / "u3.csv"
+        big.write_text(f"a,b\n0,{10**20}\n{10**20},0\n")
+        u3.write_text("a,b,c\n0,1,2\n1,0,2\n2,2,0\n")
+        for argv, words in [
+            ([str(big)], "200000000000000000002 labels (100000000000000000001 levels of 2"),
+            ([str(u3), "--prec", "empty", "--levels", "1000000000"],
+             "3000000003 labels (1000000001 levels of 3"),
+        ]:
+            assert run(capsys, "reconstruct", *argv) == (
+                3, "", f"refused: {words} points) exceed the budget of 1000000\n")
+
     def test_point_labels_colliding_with_ball_labels(self, capsys, tmp_path):
         path = tmp_path / "collide.csv"
         path.write_text("a,b,1:a\n0,1,2\n1,0,2\n2,2,0\n")
@@ -438,6 +456,55 @@ class TestValidate:
         assert problems == [
             "order is not transitive: 'a' < 'b' < 'c' without 'a' < 'c' (witness 1 of 4)"
         ]
+
+
+# Distances and --levels between these two ranges are inside the label
+# budget of reconstruct, which builds up to a million labels from them, and
+# that takes seconds apiece; below it and past it, every value is fast.
+_SIZES = st.one_of(st.integers(1, 40), st.integers(10**6, 10**30))
+
+
+@st.composite
+def distance_csvs(draw):
+    """A small distance matrix as CSV text: random entries, sometimes made
+    symmetric with a zero diagonal, or one distance on every pair."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d = draw(_SIZES)
+        grid = [[0 if i == j else d for j in range(n)] for i in range(n)]
+    else:  # numerators over one denominator: drawing Fractions is slow
+        den = draw(st.integers(1, 4))
+        cells = iter(draw(st.lists(st.integers(-1, 60), min_size=n * n, max_size=n * n)))
+        grid = [[Fraction(next(cells), den) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            grid = [[0 if i == j else grid[min(i, j)][max(i, j)] for j in range(n)]
+                    for i in range(n)]
+    rows = [",".join(f"p{i}" for i in range(n))]
+    return "\n".join(rows + [",".join(map(str, row)) for row in grid]) + "\n"
+
+
+class TestCsvFuzz:
+    # Each example runs reconstruct and one other command: building the
+    # argument parser costs ~3 ms a run, so all four would double the time.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(distance_csvs(), st.one_of(st.none(), st.integers(-2, 0), _SIZES),
+           st.sampled_from(["ultra-tower", "metric-tower", "validate"]))
+    def test_every_csv_command_exits_cleanly(self, text, levels, other):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            flags = [] if levels is None else ["--levels", str(levels)]
+            for argv in (["reconstruct", path, *flags], [other, path]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 3), (argv, text)
+                words = err.getvalue()
+                assert "Traceback" not in words
+                if words:  # a refusal prints nothing else
+                    assert out.getvalue() == ""
+                    assert words.startswith("refused: " if code == 3 else "error: ")
 
 
 class TestUnreadableInput:

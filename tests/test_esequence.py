@@ -635,6 +635,26 @@ class TestReconstruction:
         with pytest.raises(InputError, match="^point labels collide with generated ball labels$"):
             reconstruct(sp, PrecRelation.build(()), 2)
 
+    def test_refuses_more_labels_than_its_budget(self, monkeypatch):
+        # one level per integer radius: 10**20 + 1 levels of two points, or a
+        # billion of three, refused before the first level is built
+        big = FiniteMetricSpace.build(["a", "b"], [[0, 10**20], [10**20, 0]])
+        u3 = FiniteMetricSpace.build(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        for space, n, labels in [(big, 10**20, 2 * 10**20 + 2), (u3, 10**9, 3 * 10**9 + 3)]:
+            with pytest.raises(SizeGuardError, match=(
+                f"^{labels} labels \\({n + 1} levels of {len(space)} points\\) "
+                "exceed the budget of 1000000$"
+            )):
+                reconstruct(space, PrecRelation.build(()), n)
+        # the earlier refusals keep their words, and the budget is inclusive
+        half = FiniteMetricSpace.build(["a", "b"], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+        with pytest.raises(InputError, match="is not an integer in 0..1000000000$"):
+            reconstruct(half, PrecRelation.build(()), 10**9)
+        monkeypatch.setattr("phyloquiver.esequence._MAX_LABELS", 9)
+        assert len(reconstruct(u3, PrecRelation.build(()), 2).labels()) == 6
+        with pytest.raises(SizeGuardError, match="^12 labels"):
+            reconstruct(u3, PrecRelation.build(()), 3)
+
     def test_rejects_unlawful_prec(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
         with pytest.raises(InputError, match="lawful"):

@@ -32,14 +32,19 @@ from phyloquiver import (
     realize_esequence,
     reconstruct,
     terminal_ultrametric,
+    tower_u,
+    tower_v,
     validate_esequence,
+    validate_evolution,
 )
-from phyloquiver.analysis import VertexAnalysis
+from phyloquiver.analysis import VertexAnalysis, short_full_evolutions
 from phyloquiver.errors import Frozen
 from phyloquiver.generators import (
     gen_random_esequence,
+    gen_random_metric,
     gen_random_phylogenetic,
     gen_random_quiver,
+    gen_random_ultrametric,
 )
 from phyloquiver.metric import SpaceCheck
 
@@ -241,22 +246,31 @@ def test_each_trusted_quiver_has_its_own_empty_memo():
 
 
 def checked(value):
-    """``value`` rebuilt through its checking constructor."""
+    """``value`` rebuilt through its checking constructor, which for an
+    evolution is `validate_evolution`."""
+    if isinstance(value, Evolution):
+        return validate_evolution(value.quiver, value.vertices)
     return type(value)(*(getattr(value, f) for f in value._fields))
 
 
 def trusted_outputs():
     """Every value the library builds without checks, over the audit
-    families: random and monotonized quivers, chains, and the inputs of
-    realization and reconstruction."""
+    families: random and monotonized quivers and their short full
+    evolutions, chains, the inputs of realization and reconstruction, and
+    the maps of towers over random metrics and ultrametrics."""
     for s in range(120):
         n, d = 2 + s % 8, (0.2, 0.35, 0.5)[s % 3]
         for q in (gen_random_quiver(n, d, seed=s), gen_random_phylogenetic(n, d, seed=s)):
             m = monotonize(q)
             yield from (m, phylogenetic_core(m), induced_subquiver(q, q.vertices[:1 + s % n]))
             yield from (clade(q, v) for v in q.vertices[s % 2::2])
+            yield from (e for x in (q, m) for v in x.vertices for e in short_full_evolutions(x, v))
             if is_phylogenetic_quiver(m):
                 yield evolutionary_sequence(m)
+        for space in (gen_random_metric(n, seed=s), gen_random_ultrametric(n, 1 + s % 4, seed=s)):
+            yield from tower_v(space).maps
+            if space.is_ultrametric:
+                yield from tower_u(space).maps
         seq = gen_random_esequence(1 + s % 5, 3 + s % 7, 0.4, seed=s)
         yield from (realize_esequence(seq), evolutionary_sequence(realize_esequence(seq)))
         seq = gen_random_esequence(2 + s % 4, 3 + s % 6, 0.4, seed=s,
@@ -271,10 +285,11 @@ def trusted_outputs():
 
 
 def test_trusted_outputs_pass_their_checking_constructors():
-    counts = {Quiver: 0, ESequence: 0}
+    counts = {Quiver: 0, ESequence: 0, Evolution: 0, PointMap: 0}
     for value in trusted_outputs():
         assert checked(value) == value
         if isinstance(value, ESequence):
             assert validate_esequence(value) == []
         counts[type(value)] += 1
     assert counts[Quiver] >= 1_000 and counts[ESequence] >= 300
+    assert counts[Evolution] >= 1_000 and counts[PointMap] >= 300
