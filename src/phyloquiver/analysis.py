@@ -341,14 +341,13 @@ def phylogenetic_status(quiver: Quiver, v: str) -> bool:
     :func:`analyze` walks O(V²·h) states at worst, and one walk past
     ``_MAX_STATES`` raises :class:`SizeGuardError`.
     """
-    quiver.check_vertex(v)
     table = _phylogenetic(quiver)
-    try:
-        return table[v]
-    except KeyError:  # left to the walk, and kept once walked
+    if v not in table:  # left to the walk, and kept once walked
+        quiver.check_vertex(v)
         alpha = next(short_full_evolutions(quiver, v))
         bound = len(quiver.vertices) * (_height_table(quiver)[v] + 2)
-        return table.setdefault(v, verify_universal_bounded(quiver, alpha, bound))
+        table.setdefault(v, verify_universal_bounded(quiver, alpha, bound))
+    return table[v]
 
 
 is_phylogenetic_vertex = phylogenetic_status
@@ -413,16 +412,10 @@ def verify_universal_bounded(
     need = len(pattern)
     _, inn = _adjacency(quiver)
 
-    # Build candidate evolutions ancestor-first: start at a primitive and
-    # extend by children. State = (vertex just consumed, greedy matches).
-    dist: dict[tuple[str, int], int] = {}
-    queue: deque[tuple[str, int]] = deque()
-    for p in sorted(prim):
-        j = 1 if ci[p] == pattern[0] else 0
-        state = (p, j)
-        if state not in dist:
-            dist[state] = 0
-            queue.append(state)
+    # Build candidate evolutions ancestor-first: one state per primitive,
+    # then extend by children. State = (vertex just consumed, greedy matches).
+    dist = {(p, int(ci[p] == pattern[0])): 0 for p in sorted(prim)}
+    queue = deque(dist)
     while queue:
         v, j = queue.popleft()
         d = dist[(v, j)]

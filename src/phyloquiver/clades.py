@@ -46,11 +46,10 @@ def clade_height(quiver: Quiver, apex: str, b: str) -> int:
     the formula is unjustified otherwise); compute heights directly in
     ``clade(quiver, apex)`` for irregular apexes.
     """
-    from . import esequence
-
     quiver.check_vertex(apex)
     quiver.check_vertex(b)
-    if not analysis.is_phylogenetic_quiver(quiver):
+    up = analysis._normality(quiver)[2]
+    if up is None:
         raise InputError("clade_height requires a phylogenetic quiver")
     if not ancestor_of(quiver, apex, b):
         raise InputError(f"{b!r} is not a descendant of {apex!r}")
@@ -58,11 +57,12 @@ def clade_height(quiver: Quiver, apex: str, b: str) -> int:
         raise InputError(
             f"{apex!r} is not regular; compute heights directly in the clade"
         )
-    h = analysis._height_table(quiver)
+    h, ci = analysis._height_table(quiver), condense(quiver).class_index
     m, n = h[apex], h[b]
-    seq = esequence.evolutionary_sequence(quiver)
-    above = seq.parent_iter(esequence.class_label(quiver, b), n - m)
-    return n - m + (above != esequence.class_label(quiver, apex))
+    above = ci[b]
+    for _ in range(n - m):
+        above = up[above]
+    return n - m + (above != ci[apex])
 
 
 def clade_report(quiver: Quiver, apex: str) -> dict:

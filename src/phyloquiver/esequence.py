@@ -211,12 +211,6 @@ def validate_esequence(seq: ESequence) -> list[str]:
 # -- evolutionary sequence of a phylogenetic quiver -------------------------
 
 
-def class_label(quiver: Quiver, v: str) -> str:
-    """Canonical label of the isotypy class of ``v``: its minimal member."""
-    cond = condense(quiver)
-    return cond.classes[cond.class_of(v)][0]
-
-
 @memo
 def evolutionary_sequence(quiver: Quiver) -> ESequence:
     """Isotypy classes graded by height, with parental maps and the induced

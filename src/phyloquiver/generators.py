@@ -12,12 +12,22 @@ import random
 from typing import TYPE_CHECKING, Iterable
 
 from . import analysis
-from .errors import InputError
+from .errors import InputError, SizeGuardError
 from .quiver import Quiver
 
 if TYPE_CHECKING:
     from .esequence import ESequence
     from .metric import FiniteMetricSpace
+
+
+_MAX_CELLS = 1_000_000
+
+
+def _within_budget(cells: int, shape: str) -> None:
+    """Refuse, before anything is drawn, more cells than ``_MAX_CELLS``: n²
+    pairs for the vertex and point kinds, levels × width² for E-sequences."""
+    if cells > _MAX_CELLS:
+        raise SizeGuardError(f"{cells} cells ({shape}) exceed the budget of {_MAX_CELLS}")
 
 
 def _rng(*key) -> random.Random:
@@ -36,6 +46,7 @@ def gen_map_quiver(n: int) -> Quiver:
     vertex is isotypic to every other and all are primitive."""
     if n < 1:
         raise InputError("n must be at least 1")
+    _within_budget(n * n, f"{n} by {n} pairs")
     vertices = [str(k) for k in range(1, n + 1)]
     edges = [(a, b) for a in vertices for b in vertices]
     return Quiver.build(vertices, edges)
@@ -47,6 +58,7 @@ def gen_surjection_quiver(n: int) -> Quiver:
     height one."""
     if n < 1:
         raise InputError("n must be at least 1")
+    _within_budget(n * n, f"{n} by {n} pairs")
     vertices = [str(k) for k in range(1, n + 1)]
     edges = [(str(k), str(j)) for k in range(1, n + 1) for j in range(1, k + 1)]
     return Quiver.build(vertices, edges)
@@ -127,6 +139,7 @@ def gen_random_quiver(n: int, density: float = 0.3, seed: int = 0) -> Quiver:
         raise InputError("n must be at least 1")
     if not 0 <= density <= 1:
         raise InputError("density must lie in [0, 1]")
+    _within_budget(n * n, f"{n} by {n} pairs")
     rng = _rng("quiver", n, density, seed)
     vertices = _names("v", n)
     edges = [
@@ -163,6 +176,7 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
         raise InputError("n must be at least 1")
     if depth < 1:
         raise InputError("depth must be at least 1")
+    _within_budget(n * n, f"{n} by {n} distances")
     rng = _rng("ultrametric", n, depth, seed)
     points = _names("p", n)
     scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
@@ -209,6 +223,7 @@ def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
 
     if n < 1:
         raise InputError("n must be at least 1")
+    _within_budget(n * n, f"{n} by {n} distances")
     rng = _rng("metric", n, seed)
     points = _names("p", n)
     den = rng.randint(1, 4)
@@ -240,6 +255,7 @@ def gen_random_esequence(
         raise InputError("width must be at least 1")
     if not 0 <= order_density <= 1:
         raise InputError("order_density must lie in [0, 1]")
+    _within_budget(levels * width * width, f"{levels} levels of {width} by {width} pairs")
     rng = _rng("esequence", levels, width, order_density, seed,
                single_root, surjective)
     sizes = [1 if single_root else rng.randint(1, width)]

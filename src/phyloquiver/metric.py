@@ -430,8 +430,6 @@ def classify_map(pmap: PointMap) -> MapClassification:
         raise InputError("classification requires a surjective map")
     src, tgt = pmap.source, pmap.target
     pts = src.points
-    if len(pts) == 1:
-        return MapClassification(True, None, True)
     s, src_ints = src._scaled
     t, tgt_ints = tgt._scaled
     image = [tgt._index[pmap.mapping[x]] for x in pts]

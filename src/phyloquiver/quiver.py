@@ -124,14 +124,21 @@ class Evolution(Frozen):
 
     ``vertices = (A0, ..., Am)`` with initial vertex A0 and terminal vertex
     Am, each step A(k+1) -> Ak backed by an edge of ``quiver``; parallel
-    edges do not tell evolutions apart. Construct through
-    :func:`validate_evolution`.
+    edges do not tell evolutions apart. It checks every vertex and step.
     """
 
     _fields = ("quiver", "vertices")
 
     def __init__(self, quiver: Quiver, vertices: tuple[str, ...]) -> None:
         self.__dict__.update(quiver=quiver, vertices=vertices)
+        if not vertices:
+            raise InputError("an evolution contains at least one vertex")
+        for v in vertices:
+            quiver.check_vertex(v)
+        edges = _edge_set(quiver)
+        for k, (head, tail) in enumerate(zip(vertices, vertices[1:]), 1):
+            if (tail, head) not in edges:
+                raise InputError(f"step {k}: no edge from {tail!r} to {head!r}")
 
     @property
     def initial(self) -> str:
@@ -150,18 +157,8 @@ class Evolution(Frozen):
 
 
 def validate_evolution(quiver: Quiver, vertices: Iterable[str]) -> Evolution:
-    """Check a vertex sequence against a quiver: step k, numbered 1..m,
-    needs an edge with tail ``vertices[k]`` and head ``vertices[k-1]``."""
-    seq = tuple(vertices)
-    if not seq:
-        raise InputError("an evolution contains at least one vertex")
-    for v in seq:
-        quiver.check_vertex(v)
-    edges = _edge_set(quiver)
-    for k in range(1, len(seq)):
-        if (seq[k], seq[k - 1]) not in edges:
-            raise InputError(f"step {k}: no edge from {seq[k]!r} to {seq[k - 1]!r}")
-    return Evolution(quiver, seq)
+    """The :class:`Evolution` of ``vertices``, any iterable, checked."""
+    return Evolution(quiver, tuple(vertices))
 
 
 def concat(alpha: Evolution, beta: Evolution) -> Evolution:
@@ -173,7 +170,8 @@ def concat(alpha: Evolution, beta: Evolution) -> Evolution:
         raise InputError(
             f"endpoint mismatch: {alpha.terminal!r} != {beta.initial!r}"
         )
-    return Evolution(alpha.quiver, alpha.vertices + beta.vertices[1:])
+    return Evolution._trusted(quiver=alpha.quiver,
+                              vertices=alpha.vertices + beta.vertices[1:])
 
 
 def ancestors(quiver: Quiver, v: str) -> frozenset[str]:

@@ -377,6 +377,18 @@ class TestPhylogeneticVertices:
         assert is_phylogenetic_vertex(q, "R") is False
         assert universal_evolution(q, "R") is None
 
+    def test_unknown_vertex_raises_without_a_chained_error(self, g3):
+        with pytest.raises(InputError, match="^unknown vertex id 'Z'$") as exc:
+            phylogenetic_status(g3, "Z")
+        assert exc.value.__context__ is None
+
+    def test_analyze_checks_no_vertex_it_reads_from_the_table(self, monkeypatch):
+        q = gen_random_monotonous(30, 0.2, seed=7)
+        calls, check = [], Quiver.check_vertex
+        monkeypatch.setattr(Quiver, "check_vertex",
+                            lambda self, v: calls.append(v) or check(self, v))
+        assert len(analyze(q).vertices) == 30 and calls == []
+
     def test_one_definition_under_both_names(self):
         assert is_phylogenetic_vertex is phylogenetic_status
 

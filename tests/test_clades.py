@@ -112,6 +112,12 @@ class TestCladeHeight:
                     checked += 1
         assert checked > 100
 
+    def test_reads_the_parental_map_without_an_esequence(self):
+        q = gen_random_phylogenetic(12, 0.2, seed=1)
+        pairs = [(a, b) for a in q.vertices if is_regular(q, a) for b in descendants(q, a)]
+        assert len(pairs) > 9 and all(clade_height(q, a, b) >= 0 for a, b in pairs)
+        assert "evolutionary_sequence" not in q._memo
+
     def test_bound_against_host_heights(self):
         for q in phylogenetic_samples(20):
             h = heights(q)

@@ -593,6 +593,16 @@ class TestGen:
     def test_bad_generator_arguments_exit_1(self, capsys, argv, message):
         assert run(capsys, "gen", *argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, words", [
+        (["map-quiver", "--n", "1001"], "1002001 cells (1001 by 1001 pairs)"),
+        (["random-metric", "--n", "1001"], "1002001 cells (1001 by 1001 distances)"),
+        (["random-esequence", "--levels", "40001", "--width", "5"],
+         "1000025 cells (40001 levels of 5 by 5 pairs)"),
+    ])
+    def test_more_cells_than_the_budget_exit_3(self, capsys, argv, words):
+        assert run(capsys, "gen", *argv) == (
+            3, "", f"refused: {words} exceed the budget of 1000000\n")
+
     def test_random_metric_csv(self, capsys):
         code, out, _ = run(capsys, "gen", "random-metric", "--n", "4", "--seed", "2")
         assert code == 0

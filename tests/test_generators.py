@@ -8,6 +8,7 @@ import pytest
 
 from phyloquiver import (
     InputError,
+    SizeGuardError,
     heights,
     is_monotonous,
     is_phylogenetic_quiver,
@@ -169,3 +170,42 @@ def test_input_errors(call, message):
     with pytest.raises(InputError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# One size past the budget of 10^6 cells for each generator that draws or
+# holds n² pairs, or levels × width² for E-sequence orders.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gen_map_quiver(1001), "1002001 cells (1001 by 1001 pairs)", id="map"),
+    pytest.param(lambda: gen_surjection_quiver(1001), "1002001 cells (1001 by 1001 pairs)",
+                 id="surjection"),
+    pytest.param(lambda: gen_random_quiver(1001, 0), "1002001 cells (1001 by 1001 pairs)",
+                 id="random"),
+    pytest.param(lambda: gen_random_monotonous(1001), "1002001 cells (1001 by 1001 pairs)",
+                 id="monotonous"),
+    pytest.param(lambda: gen_random_phylogenetic(1001), "1002001 cells (1001 by 1001 pairs)",
+                 id="phylogenetic"),
+    pytest.param(lambda: gen_random_ultrametric(1001), "1002001 cells (1001 by 1001 distances)",
+                 id="ultrametric"),
+    pytest.param(lambda: gen_random_metric(1001), "1002001 cells (1001 by 1001 distances)",
+                 id="metric"),
+    pytest.param(lambda: gen_random_esequence(250_001, 2),
+                 "1000004 cells (250001 levels of 2 by 2 pairs)", id="esequence"),
+])
+def test_refuses_more_cells_than_its_budget(call, message):
+    with pytest.raises(SizeGuardError) as exc:
+        call()
+    assert str(exc.value) == f"{message} exceed the budget of 1000000"
+
+
+def test_budget_edge_and_check_order(monkeypatch):
+    # malformed arguments are refused first, and the budget is inclusive
+    with pytest.raises(InputError, match="^density must lie in"):
+        gen_random_quiver(1001, density=2)
+    monkeypatch.setattr("phyloquiver.generators._MAX_CELLS", 9)
+    assert len(gen_map_quiver(3).edges) == 9
+    assert len(gen_random_metric(3)) == 3
+    assert len(gen_random_esequence(1, 3, seed=1).labels()) <= 3
+    for call in (lambda: gen_map_quiver(4), lambda: gen_random_quiver(4, 0),
+                 lambda: gen_random_esequence(2, 3)):
+        with pytest.raises(SizeGuardError, match=" exceed the budget of 9$"):
+            call()

@@ -14,6 +14,7 @@ import pytest
 from phyloquiver import (
     FiniteMetricSpace,
     InputError,
+    MapClassification,
     PointMap,
     SizeGuardError,
     balls,
@@ -230,6 +231,9 @@ class TestClassifyMap:
         other = FiniteMetricSpace.build(["y"], [[0]])
         cl = classify_map(PointMap(one, other, {"x": "y"}))
         assert cl.kind == "isometry" and cl.is_drift
+        # no pair to compare: the general path's answer
+        identity = PointMap(one, one, {"x": "x"})
+        assert classify_map(identity) == MapClassification(True, None, True)
 
 
 class TestUltrametricQuotients:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phyloquiver import (
+    Evolution,
     InputError,
     Quiver,
     ancestor_of,
@@ -242,6 +243,18 @@ class TestEvolutions:
         for v in evo.vertices:
             assert isotypic(g3, v, evo.initial)
             assert isotypic(g3, v, evo.terminal)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ((), "an evolution contains at least one vertex"),
+        (("A", "Z"), "unknown vertex id 'Z'"),
+        (("A", "C"), "step 1: no edge from 'C' to 'A'"),
+        (("A", "B", "A"), "step 2: no edge from 'A' to 'B'"),
+    ])
+    def test_constructor_checks_as_validate_evolution_does(self, g3, vertices, message):
+        for build in (Evolution, validate_evolution):
+            with pytest.raises(InputError) as exc:
+                build(g3, vertices)
+            assert str(exc.value) == message
 
     def test_concat(self, g3):
         ab = validate_evolution(g3, ["A", "B"])
