@@ -376,9 +376,17 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
     :func:`short_full_evolutions` yields, is returned so the choice is
     deterministic.
     """
+    path = _universal_path(quiver, v)
+    return None if path is None else Evolution._trusted(quiver=quiver, vertices=path)
+
+
+@memo
+def _universal_path(quiver: Quiver, v: str) -> tuple[str, ...] | None:
+    """The vertices of :func:`universal_evolution`, or None; kept as ids,
+    since a stored :class:`Evolution` would hold its own quiver."""
     if not phylogenetic_status(quiver, v):
         return None
-    return next(short_full_evolutions(quiver, v))
+    return next(short_full_evolutions(quiver, v)).vertices
 
 
 def verify_universal_bounded(

@@ -9,13 +9,25 @@ clade. For a regular apex in a phylogenetic quiver, h_A is also given by a
 closed formula in terms of the host heights and the parental map;
 :func:`clade_height` implements it, and ``heights(clade(q, A))`` keeps
 the direct in-clade computation available as an independent check.
+
+Each apex's regular flag is kept on the quiver once asked, one bool per
+apex; clade heights are not, since reports over a chain would keep
+~n^2/2 of them.
 """
 
 from __future__ import annotations
 
 from . import analysis
 from .errors import InputError
-from .quiver import Quiver, ancestor_of, condense, descendants, induced_subquiver
+from .quiver import (
+    Quiver,
+    _edge_set,
+    ancestor_of,
+    condense,
+    descendants,
+    induced_subquiver,
+    memo,
+)
 
 
 def clade(quiver: Quiver, apex: str) -> Quiver:
@@ -27,14 +39,28 @@ def is_regular(quiver: Quiver, apex: str) -> bool:
     """True when every descendant of ``apex`` of equal height has a direct
     edge to ``apex``. The apex itself is exempt: its zero-length chain needs
     no loop."""
-    return _regular_over(quiver, apex, descendants(quiver, apex))
+    return _regular_over(quiver, apex)
 
 
-def _regular_over(quiver: Quiver, apex: str, members) -> bool:
-    """:func:`is_regular` with the descendants of ``apex`` given."""
-    h = analysis._height_table(quiver)
-    return all(b == apex or h[b] != h[apex] or quiver.has_edge(b, apex)
-               for b in members)
+@memo
+def _regular(quiver: Quiver) -> dict[str, bool]:
+    """Per apex asked, its :func:`is_regular` flag; filled by
+    :func:`_regular_over`."""
+    return {}
+
+
+def _regular_over(quiver: Quiver, apex: str, members=None) -> bool:
+    """:func:`is_regular`, judged once per apex over ``members``, the
+    descendants of ``apex`` when the caller holds them."""
+    table = _regular(quiver)
+    if apex not in table:
+        if members is None:
+            members = descendants(quiver, apex)  # rejects an unknown apex
+        h, edges = analysis._height_table(quiver), _edge_set(quiver)
+        m = h[apex]
+        table.setdefault(apex, all(b == apex or h[b] != m or (b, apex) in edges
+                                   for b in members))
+    return table[apex]
 
 
 def clade_height(quiver: Quiver, apex: str, b: str) -> int:
@@ -53,7 +79,7 @@ def clade_height(quiver: Quiver, apex: str, b: str) -> int:
         raise InputError("clade_height requires a phylogenetic quiver")
     if not ancestor_of(quiver, apex, b):
         raise InputError(f"{b!r} is not a descendant of {apex!r}")
-    if not is_regular(quiver, apex):
+    if not _regular_over(quiver, apex):
         raise InputError(
             f"{apex!r} is not regular; compute heights directly in the clade"
         )

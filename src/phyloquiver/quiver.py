@@ -33,7 +33,10 @@ def memo(fn):
     Results live and die with their quiver, and a lookup never hashes it.
     Keys are strings and argument values, so a warmed quiver still pickles.
     Two threads racing a first call both compute equal values; the first
-    one stored is the one every caller gets.
+    one stored is the one every caller gets. No stored value may hold the
+    quiver, as an :class:`Evolution` does: that would tie the quiver to
+    its own memo in a reference cycle, freed only by the cyclic collector.
+    Store vertex ids and wrap them on the way out.
     """
     name = fn.__qualname__
 
@@ -52,16 +55,18 @@ class Quiver(Frozen):
     """Immutable finite quiver over string vertex ids.
 
     ``edges[i] = (tail, head)`` reads "tail descends from head". A quiver
-    is these two tuples and nothing else: two quivers are equal, and hash
-    alike, exactly when their vertex and edge tuples are. ``_memo`` holds
-    results derived from this quiver (see :func:`memo`); it is not a field,
-    so it is never compared, hashed or shown.
+    is these two tuples, made of any iterables the constructor is given,
+    and nothing else: two quivers are equal, and hash alike, exactly when
+    their vertex and edge tuples are. ``_memo`` holds results derived from
+    this quiver (see :func:`memo`); it is not a field, so it is never
+    compared, hashed or shown.
     """
 
     _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
-        self.__dict__.update(vertices=vertices, edges=edges, _memo={})
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
+        self.__dict__.update(vertices=tuple(vertices),
+                             edges=tuple((t, h) for t, h in edges), _memo={})
         if not self.vertices:
             raise InputError("a quiver needs at least one vertex")
         seen: set[str] = set()
@@ -77,7 +82,7 @@ class Quiver(Frozen):
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Quiver":
-        return cls(tuple(vertices), tuple((t, h) for t, h in edges))
+        return cls(vertices, edges)
 
     @classmethod
     def _trusted(cls, **fields) -> "Quiver":
@@ -124,12 +129,14 @@ class Evolution(Frozen):
 
     ``vertices = (A0, ..., Am)`` with initial vertex A0 and terminal vertex
     Am, each step A(k+1) -> Ak backed by an edge of ``quiver``; parallel
-    edges do not tell evolutions apart. It checks every vertex and step.
+    edges do not tell evolutions apart. It stores ``vertices``, any
+    iterable, as a tuple and checks every vertex and step.
     """
 
     _fields = ("quiver", "vertices")
 
-    def __init__(self, quiver: Quiver, vertices: tuple[str, ...]) -> None:
+    def __init__(self, quiver: Quiver, vertices: Iterable[str]) -> None:
+        vertices = tuple(vertices)
         self.__dict__.update(quiver=quiver, vertices=vertices)
         if not vertices:
             raise InputError("an evolution contains at least one vertex")
@@ -158,7 +165,7 @@ class Evolution(Frozen):
 
 def validate_evolution(quiver: Quiver, vertices: Iterable[str]) -> Evolution:
     """The :class:`Evolution` of ``vertices``, any iterable, checked."""
-    return Evolution(quiver, tuple(vertices))
+    return Evolution(quiver, vertices)
 
 
 def concat(alpha: Evolution, beta: Evolution) -> Evolution:

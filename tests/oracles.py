@@ -73,6 +73,18 @@ def brute_heights(quiver: Quiver) -> dict[str, int]:
     return out
 
 
+def brute_regular(quiver: Quiver) -> dict[str, bool]:
+    """Per apex A, whether every descendant B != A of A's height has an
+    edge B -> A; descendants from brute reach, heights from brute_heights."""
+    reach, h = brute_reach(quiver), brute_heights(quiver)
+    edges = set(quiver.edges)
+    return {
+        a: all(b == a or h[b] != h[a] or (b, a) in edges
+               for b in quiver.vertices if a in reach[b])
+        for a in quiver.vertices
+    }
+
+
 def brute_full_evolutions(quiver: Quiver, v: str, max_length: int):
     """All full evolutions for v of length <= max_length, as ancestor-first
     vertex tuples, by enumerating walks from v toward the primitives."""

@@ -40,6 +40,7 @@ from phyloquiver import (
     verify_universal_bounded,
 )
 from phyloquiver.analysis import _critical_heads, _normal_self_inclusive
+from phyloquiver.clades import clade_height, clade_report, is_regular
 from phyloquiver.generators import (
     gen_abnormal,
     gen_g3,
@@ -661,6 +662,27 @@ class TestPerQuiverMemo:
         gc.collect()
         assert ref() is None
 
+    def test_no_memo_value_keeps_its_quiver_alive(self):
+        # With the cyclic collector off, reference counts alone must free a
+        # dropped quiver: a stored value that held it, as an Evolution does,
+        # would tie it to its own memo.
+        gc.disable()
+        try:
+            q = gen_random_phylogenetic(12, 0.3, seed=1)
+            analyze(q)
+            for v in q.vertices:
+                critical_ancestors(q, v)
+                universal_evolution(q, v)
+                if clade_report(q, v)["regular"]:
+                    clade_height(q, v, v)
+            evolutionary_sequence(q)
+            assert "_regular" in q._memo and ("_universal_path", q.vertices[0]) in q._memo
+            ref = weakref.ref(q)
+            del q
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_warmed_quiver_round_trips_through_pickle(self):
         q = gen_random_phylogenetic(12, 0.3, seed=2)
         report = analyze(q)
@@ -681,6 +703,35 @@ class TestPerQuiverMemo:
             results.append(analyze(q))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+
+    def test_racing_first_reads_fill_the_per_vertex_tables_alike(self):
+        q = gen_random_monotonous(60, 0.2, seed=4)
+
+        def reads(quiver, order):
+            return {v: (is_regular(quiver, v), universal_evolution(quiver, v))
+                    for v in order}
+
+        expected = reads(Quiver(q.vertices, q.edges), q.vertices)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker(order):
+            barrier.wait(timeout=30)
+            results.append(reads(q, order))
+
+        orders = [q.vertices, q.vertices[::-1]] * 2
+        threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -929,6 +980,16 @@ class TestLayeredUniversalEvolution:
                 assert got.vertices == want
                 if phylogenetic_status(q, v):
                     assert universal_evolution(q, v) == got
+
+    def test_repeat_calls_give_equal_values(self):
+        for q in list(random_quivers(30, max_n=8, densities=(0.3, 0.5))) + [
+            gen_g3(), gen_abnormal(), gen_nonmonotonous()
+        ]:
+            for v in q.vertices:
+                first = universal_evolution(q, v)
+                assert ("_universal_path", v) in q._memo
+                assert universal_evolution(q, v) == first
+                assert universal_evolution(Quiver(q.vertices, q.edges), v) == first
 
     def test_parallel_edges_pick_the_first_index(self):
         q = Quiver.build(["A", "B", "C"], [("C", "A"), ("B", "A"), ("C", "B"),

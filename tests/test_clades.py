@@ -15,7 +15,9 @@ from phyloquiver import (
     is_phylogenetic_quiver,
     isotypic,
     primitive_vertices,
+    universal_evolution,
 )
+from phyloquiver import clades
 from phyloquiver.clades import clade, clade_height, clade_report, is_regular
 from phyloquiver.generators import (
     gen_abnormal,
@@ -26,6 +28,8 @@ from phyloquiver.generators import (
     gen_surjection_quiver,
 )
 from phyloquiver.serialize import dumps
+
+from oracles import brute_regular
 
 
 def phylogenetic_samples(count):
@@ -78,6 +82,81 @@ class TestRegularity:
     def test_unknown_vertex(self, g3):
         with pytest.raises(InputError):
             is_regular(g3, "Z")
+
+    def test_flag_matches_the_definition_in_any_call_order(self):
+        # The flag is judged once per apex, by whichever reader asks first;
+        # every later read must agree with the definition.
+        def sweep():
+            yield gen_irregular()
+            yield gen_surjection_quiver(5)
+            yield gen_abnormal()
+            for s in range(25):
+                yield gen_random_phylogenetic(3 + s % 7, 0.2 + 0.05 * (s % 4), seed=s)
+                yield gen_random_monotonous(2 + s % 10, 0.15 + 0.05 * (s % 6), seed=s)
+                yield gen_random_quiver(2 + s % 10, 0.15 + 0.05 * (s % 6), seed=s)
+
+        def height_first(q, a):
+            if not is_phylogenetic_quiver(q):
+                return
+            try:
+                clade_height(q, a, a)
+            except InputError:
+                assert not want[a]
+            else:
+                assert want[a]
+
+        checked = irregular = 0
+        for q in sweep():
+            want = brute_regular(q)
+            irregular += list(want.values()).count(False)
+            for first in (height_first, clade_report, is_regular):
+                fresh = Quiver(q.vertices, q.edges)
+                for a in fresh.vertices:
+                    first(fresh, a)
+                    assert is_regular(fresh, a) == want[a], (q, a, first)
+                    assert clade_report(fresh, a)["regular"] == want[a], (q, a, first)
+                    checked += 1
+        assert checked > 1000 and irregular > 30, (checked, irregular)
+
+    def test_warm_apex_takes_no_descendant_set(self, monkeypatch):
+        q = gen_surjection_quiver(5)
+        direct = heights(clade(q, "2"))
+        calls = []
+
+        def spy(quiver, v):
+            calls.append(v)
+            return descendants(quiver, v)
+
+        monkeypatch.setattr(clades, "descendants", spy)
+        assert clade_height(q, "2", "3") == 1
+        assert calls == ["2"]  # the cold apex is judged once
+        assert {b: clade_height(q, "2", b) for b in direct} == direct
+        assert is_regular(q, "2") and clade_report(q, "5")["regular"]
+        assert calls == ["2"]  # the report judges "5" over its own members
+
+    def test_unknown_id_stores_nothing(self):
+        q = gen_random_phylogenetic(10, 0.3, seed=2)
+        v = q.vertices[0]
+        calls = (
+            lambda: is_regular(q, "Z"),
+            lambda: clade_report(q, "Z"),
+            lambda: clade_height(q, "Z", v),
+            lambda: clade_height(q, v, "Z"),
+            lambda: universal_evolution(q, "Z"),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="unknown vertex id 'Z'"):
+                call()
+        assert not any("Z" in key for key in q._memo if isinstance(key, tuple))
+        assert not any("Z" in value for value in q._memo.values() if isinstance(value, dict))
+        is_regular(q, v), clade_report(q, v), universal_evolution(q, v)
+        kept = {key: len(value) if isinstance(value, dict) else None
+                for key, value in q._memo.items()}
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
+        assert kept == {key: len(value) if isinstance(value, dict) else None
+                        for key, value in q._memo.items()}
 
 
 class TestCladeHeight:

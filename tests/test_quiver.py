@@ -256,6 +256,18 @@ class TestEvolutions:
                 build(g3, vertices)
             assert str(exc.value) == message
 
+    def test_constructors_store_tuples(self, g3):
+        # lists passed straight to the checking constructors still give
+        # values equal to, and hashing as, the tuple forms
+        evo = Evolution(g3, ["A", "B"])
+        assert evo.vertices == ("A", "B")
+        assert evo == Evolution(g3, ("A", "B"))
+        assert hash(evo) == hash(validate_evolution(g3, ("A", "B")))
+        q = Quiver(["A", "B"], [["B", "A"]])
+        assert q.vertices == ("A", "B") and q.edges == (("B", "A"),)
+        assert q == Quiver(("A", "B"), (("B", "A"),))
+        assert hash(q) == hash(Quiver.build(("A", "B"), (("B", "A"),)))
+
     def test_concat(self, g3):
         ab = validate_evolution(g3, ["A", "B"])
         bc = validate_evolution(g3, ["B", "C"])
