@@ -105,11 +105,8 @@ def is_primitive(quiver: Quiver, v: str) -> bool:
 
 @memo
 def _height_table(quiver: Quiver) -> dict[str, int]:
-    table = _distances_to(quiver, sorted(primitive_vertices(quiver)))
-    missing = set(quiver.vertices) - table.keys()
-    if missing:  # impossible in a finite quiver; guards a broken invariant
-        raise AssertionError(f"vertices without a primitive ancestor: {missing}")
-    return table
+    # every vertex reaches a sink class of the finite condensation
+    return _distances_to(quiver, sorted(primitive_vertices(quiver)))
 
 
 def _distances_to(quiver: Quiver, sources: Sequence[str]) -> dict[str, int]:

@@ -37,9 +37,7 @@ class Frozen:
 
     One construction rule: the public constructors and ``build`` check what
     they are given, and a value the library derives from values already
-    checked is stored by :meth:`_trusted`, which checks nothing again. The
-    one exception is ``FiniteMetricSpace``, whose plain constructor trusts
-    its caller; its ``build`` checks."""
+    checked is stored by :meth:`_trusted`, which checks nothing again."""
 
     _fields: tuple[str, ...] = ()
 

@@ -158,18 +158,14 @@ def gen_random_monotonous(n: int, density: float = 0.3, seed: int = 0) -> Quiver
 def gen_random_phylogenetic(n: int, density: float = 0.3, seed: int = 0) -> Quiver:
     """Phylogenetic core of a random monotonous quiver. The core is never
     empty: primitive vertices are always normal."""
-    core = analysis.phylogenetic_core(gen_random_monotonous(n, density, seed))
-    assert analysis.is_phylogenetic_quiver(core)
-    return core
+    return analysis.phylogenetic_core(gen_random_monotonous(n, density, seed))
 
 
 def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetricSpace:
     """Random ultrametric space built from a random hierarchy: distances at
     a split strictly exceed every distance below it, which is the
-    ultrametric axiom by construction. A random rational scale keeps the
-    values off the integers often enough to matter."""
-    from fractions import Fraction
-
+    ultrametric axiom by construction, so it is not checked. A random
+    rational scale keeps the values off the integers often enough to matter."""
     from .metric import FiniteMetricSpace
 
     if n < 1:
@@ -179,8 +175,8 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
     _within_budget(n * n, f"{n} by {n} distances")
     rng = _rng("ultrametric", n, depth, seed)
     points = _names("p", n)
-    scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-    dist: dict[tuple[str, str], Fraction] = {}
+    scale, unit = rng.randint(1, 6), rng.randint(1, 4)  # distances in units of 1/unit
+    dist: dict[tuple[str, str], int] = {}
 
     def split(block: list[str], level: int) -> None:
         if len(block) == 1:
@@ -205,21 +201,16 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
             split(part, rng.randint(1, level - 1) if level > 1 else 1)
 
     split(points, depth)
-    rows = [
-        [dist.get((a, b), Fraction(0)) for b in points] for a in points
-    ]
-    space = FiniteMetricSpace.build(points, rows)
-    assert space.is_ultrametric
-    return space
+    rows = [[dist.get((a, b), 0) for b in points] for a in points]
+    return FiniteMetricSpace._from_ints(points, unit, rows, True)
 
 
 def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
     """Random rational metric space. Off-diagonal numerators are drawn
     from [12, 24] over one common denominator, so every triangle holds
-    (24 <= 12 + 12) and the first draw is always a metric."""
-    from fractions import Fraction
-
-    from .metric import FiniteMetricSpace
+    (24 <= 12 + 12) and the draw is stored unchecked; only its ultrametric
+    flag is read off the rows."""
+    from .metric import FiniteMetricSpace, _is_ultrametric
 
     if n < 1:
         raise InputError("n must be at least 1")
@@ -227,11 +218,11 @@ def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
     rng = _rng("metric", n, seed)
     points = _names("p", n)
     den = rng.randint(1, 4)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = Fraction(rng.randint(12, 24), den)
-    return FiniteMetricSpace.build(points, rows)
+            rows[i][j] = rows[j][i] = rng.randint(12, 24)
+    return FiniteMetricSpace._from_ints(points, den, rows, _is_ultrametric(rows))
 
 
 def gen_random_esequence(

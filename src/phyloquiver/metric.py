@@ -35,12 +35,14 @@ from its int rows, each taking its own reduced scale, and rests on a law
 instead of a fresh cubic check: the contraction quotient of an ultrametric
 is an ultrametric, the drift quotient of a metric is a metric (its strong
 triangle inequality is read off its rows), and the split depths of an
-E-sequence with one root form an ultrametric. Two more laws spare the cubic
-half-deficits: on an ultrametric, the least deficit at x is its distance m
-to its nearest point, or 2m minus the widest distance among the others
-when all of them lie at m, read off one sort of each row; and a
-drift step that collapses no pair has a trim image, so it ends the drift
-tower with no check of its own.
+E-sequence with one root form an ultrametric. So do the split levels of a
+random hierarchy (gen_random_ultrametric), and distances drawn from
+[12, 24] over one denominator (gen_random_metric) form a metric, as
+24 <= 12 + 12. Two more laws spare the cubic half-deficits: on an
+ultrametric, the least deficit at x is its distance m to its nearest
+point, or 2m minus the widest distance among the others when all of them
+lie at m, read off one sort of each row; and a drift step that collapses
+no pair has a trim image, so it ends the drift tower with no check.
 """
 
 from __future__ import annotations
@@ -255,23 +257,23 @@ def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, 
 
 class FiniteMetricSpace(Frozen):
     """Labeled points with an exact rational distance matrix, stored as its
-    reduced int rows. ``build`` enforces the metric axioms; the plain
-    constructor trusts its caller. ``is_ultrametric`` is not a field: it
-    follows from the rows, so it is never compared or hashed."""
+    reduced int rows. The constructor, and ``build`` with it, enforces the
+    metric axioms. ``is_ultrametric`` is not a field: it follows from the
+    rows, so it is never compared or hashed."""
 
     _fields = ("points", "_scaled")
 
-    def __init__(self, points: tuple[str, ...], _scaled: _Scaled,
-                 is_ultrametric: bool) -> None:
-        self.__dict__.update(points=points, _scaled=_scaled, is_ultrametric=is_ultrametric)
-
-    @classmethod
-    def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
+    def __init__(self, points: Iterable[str], rows: Iterable[Iterable]) -> None:
         labels = tuple(points)
         check, scaled = _check(labels, rows)
         if not check.is_metric:
             raise InputError("not a metric: " + "; ".join(check.problems))
-        return cls(labels, scaled, check.is_ultrametric)
+        self.__dict__.update(points=labels, _scaled=scaled,
+                             is_ultrametric=check.is_ultrametric)
+
+    @classmethod
+    def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
+        return cls(points, rows)
 
     @classmethod
     def _from_ints(
@@ -286,7 +288,8 @@ class FiniteMetricSpace(Frozen):
         the entries gives the scale and rows validate_space would compute."""
         g = gcd(scale, *chain.from_iterable(ints))
         scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
-        return cls(tuple(points), (2 * scale // g, scaled), is_ultrametric)
+        return cls._trusted(points=tuple(points), _scaled=(2 * scale // g, scaled),
+                            is_ultrametric=is_ultrametric)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -376,7 +376,8 @@ class TestUnderlineD:
         # cubic kernel of a general metric stands in for it.
         for n in range(20, 41):
             for space in tower_u(mixed_ultrametric(n, n)).spaces:
-                general = FiniteMetricSpace(space.points, space._scaled, False)
+                general = FiniteMetricSpace._trusted(
+                    points=space.points, _scaled=space._scaled, is_ultrametric=False)
                 assert space._half_deficits == general._half_deficits
                 if n in (20, 30):
                     assert underline_d(space) == ref_underline_d(space)
@@ -840,6 +841,37 @@ class TestIntKernel:
                 assert str(exc.value) == "not a metric: " + "; ".join(want[2])
         assert failing > 50
 
+    def test_constructor_checks_as_build_does(self):
+        flags, refused = set(), 0
+        for s in range(150):
+            labels, rows = mixed_matrix(1 + s % 7, s)
+            for matrix in (rows, mixed_metric(1 + s % 7, s).rows,
+                           mixed_ultrametric(1 + s % 7, s).rows):
+                try:
+                    built = FiniteMetricSpace.build(labels, matrix)
+                except InputError as exc:
+                    with pytest.raises(InputError) as plain:
+                        FiniteMetricSpace(labels, matrix)
+                    assert str(plain.value) == str(exc)
+                    assert str(exc).startswith("not a metric: ")
+                    refused += 1
+                    continue
+                space = FiniteMetricSpace(labels, matrix)
+                assert space == built and hash(space) == hash(built)
+                assert space.is_ultrametric == built.is_ultrametric
+                flags.add(space.is_ultrametric)
+        assert flags == {True, False} and refused > 50
+
+    def test_generator_draws_skip_the_check(self, monkeypatch):
+        import phyloquiver.metric as metric
+
+        calls, check = [], metric._check
+        monkeypatch.setattr(metric, "_check", lambda *args: calls.append(args) or check(*args))
+        for s in range(30):
+            gen_random_metric(1 + s % 13, seed=s)
+            gen_random_ultrametric(1 + s % 13, 1 + s % 4, seed=s)
+        assert calls == []
+
     def test_large_matrices_with_long_edges(self):
         # a few long edges on a metric break many triangles at once; zero
         # and negative distances and a nonzero diagonal join in some matrices
@@ -939,8 +971,9 @@ class TestIntKernel:
             assert all(classify_map(m).is_drift for m in t.maps)
 
     def test_trusted_spaces_revalidate(self):
-        # Tower quotients and terminal ultrametrics are built from int rows
-        # without a check; validating them afresh must agree on everything.
+        # Generator draws, tower quotients and terminal ultrametrics are
+        # built from int rows without a check; validating them afresh must
+        # agree on everything.
         def caterpillar(n):
             return FiniteMetricSpace.build(
                 [f"c{i}" for i in range(n)],
@@ -962,11 +995,12 @@ class TestIntKernel:
             terminals += [terminal_ultrametric(seq, n) for n in range(seq.top + 1)]
         assert {q.is_ultrametric for q in drifts} == {True, False}
         assert len(contractions) > 300 and len(terminals) > 200
-        for q in drifts + contractions + terminals:
+        for q in inputs + drifts + contractions + terminals:
             check = validate_space(q.points, q.rows)
             assert check.is_metric
             assert q.is_ultrametric == check.is_ultrametric
-            assert FiniteMetricSpace.build(q.points, q.rows) == q
+            rebuilt = FiniteMetricSpace.build(q.points, q.rows)
+            assert rebuilt == q and rebuilt.is_ultrametric == q.is_ultrametric
 
     def test_underline_d_returns_a_copy(self, tri345):
         first = underline_d(tri345)

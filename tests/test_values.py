@@ -53,11 +53,11 @@ def quiver():
 
 
 def space():
-    return FiniteMetricSpace(("x", "y"), (2, ((0, 2), (2, 0))), True)
+    return FiniteMetricSpace(("x", "y"), ((0, 1), (1, 0)))
 
 
 def point():
-    return FiniteMetricSpace(("z",), (2, ((0,),)), True)
+    return FiniteMetricSpace(("z",), ((0,),))
 
 
 def point_map():
@@ -122,7 +122,7 @@ CASES = {
         "SpaceCheck(is_metric=True, is_ultrametric=False, problems=('p',))",
     ),
     "FiniteMetricSpace": (
-        FiniteMetricSpace, lambda: ((("x", "y"), (2, ((0, 2), (2, 0))), True), {}),
+        FiniteMetricSpace, lambda: ((("x", "y"), ((0, 1), (1, 0))), {}),
         ("points", "_scaled"), True,
         "FiniteMetricSpace(2 points)",
     ),
@@ -215,7 +215,9 @@ def test_state_outside_the_fields_is_not_compared():
     warm, cold = quiver(), quiver()
     warm.has_edge("B", "A")  # fills its memo
     assert warm == cold and hash(warm) == hash(cold)
-    ultra, general = space(), FiniteMetricSpace(("x", "y"), (2, ((0, 2), (2, 0))), False)
+    ultra = space()
+    general = FiniteMetricSpace._trusted(points=ultra.points, _scaled=ultra._scaled,
+                                         is_ultrametric=False)
     assert ultra == general and hash(ultra) == hash(general)
 
 
