@@ -66,24 +66,15 @@ _MAX_STATES = 2_000_000
 
 
 class VertexAnalysis(Frozen):
-    """One vertex's row of :func:`analyze`, every status a bool."""
+    """One vertex's row of :func:`analyze`: its id, int height, status bools."""
 
     _fields = ("vertex", "height", "primitive", "normal", "phylogenetic")
 
-    def __init__(self, vertex: str, height: int, primitive: bool, normal: bool,
-                 phylogenetic: bool) -> None:
-        self.__dict__.update(vertex=vertex, height=height, primitive=primitive,
-                             normal=normal, phylogenetic=phylogenetic)
-
 
 class AnalysisReport(Frozen):
-    _fields = ("vertices", "monotonous", "phylogenetic_quiver", "isotypy_class_count")
+    """:func:`analyze`'s tuple of vertex rows, two bools and int class count."""
 
-    def __init__(self, vertices: tuple[VertexAnalysis, ...], monotonous: bool,
-                 phylogenetic_quiver: bool, isotypy_class_count: int) -> None:
-        self.__dict__.update(vertices=vertices, monotonous=monotonous,
-                             phylogenetic_quiver=phylogenetic_quiver,
-                             isotypy_class_count=isotypy_class_count)
+    _fields = ("vertices", "monotonous", "phylogenetic_quiver", "isotypy_class_count")
 
 
 @memo
@@ -467,14 +458,14 @@ def analyze(quiver: Quiver) -> AnalysisReport:
     rows = []
     for v in quiver.vertices:
         c = cond.class_index[v]
-        rows.append(VertexAnalysis(
+        rows.append(VertexAnalysis._trusted(
             vertex=v,
             height=h[v],
             primitive=v in prim,
             normal=normal[c] or rescued[c] == v,
             phylogenetic=phylogenetic_status(quiver, v),
         ))
-    return AnalysisReport(
+    return AnalysisReport._trusted(
         vertices=tuple(rows),
         monotonous=is_monotonous(quiver),
         phylogenetic_quiver=up is not None,

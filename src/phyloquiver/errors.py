@@ -32,14 +32,29 @@ class Frozen:
     """Immutable value compared, hashed and shown by the attributes that
     ``_fields`` names, in order, as a frozen dataclass would be: equal only
     to an instance of its own class with equal fields, hashed as the tuple
-    of them. ``__init__`` sets attributes through ``self.__dict__``, where
-    state outside ``_fields`` (memos, cached properties) may also live.
+    of them, and built from them by position or by name. They live in
+    ``self.__dict__``, as may state outside ``_fields`` (memos, caches).
 
-    One construction rule: the public constructors and ``build`` check what
-    they are given, and a value the library derives from values already
-    checked is stored by :meth:`_trusted`, which checks nothing again."""
+    One construction rule, with no exception: public constructors and
+    ``build`` take outside input, checked by the types that override
+    ``__init__``, and :meth:`_trusted` stores every value the library derives."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields, name = self._fields, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name}() takes fields {fields}, not {len(values)} values")
+        for field, value in zip(fields, values):
+            if field in named:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            named[field] = value
+        for field in (*named, *fields):
+            if field not in fields:
+                raise TypeError(f"{name}() got an unknown field {field!r}")
+            if field not in named:
+                raise TypeError(f"{name}() missing field {field!r}")
+        self.__dict__.update({field: named[field] for field in fields})
 
     @classmethod
     def _trusted(cls, **fields):

@@ -49,7 +49,8 @@ class ESequence(Frozen):
     """Graded labeled sets with parental maps and per-level strict orders.
 
     ``order`` holds pairs (x, y) meaning x < y; pairs must stay inside one
-    level. The constructor checks only structure (label uniqueness, total
+    level. The constructor stores its iterables as tuples, a dict and a
+    frozenset of pairs, and checks only structure (label uniqueness, total
     parents into the previous level, in-level pairs); the E-sequence axioms
     themselves are the business of :func:`validate_esequence`, which treats
     breaches as data.
@@ -57,9 +58,10 @@ class ESequence(Frozen):
 
     _fields = ("levels", "parent", "order")
 
-    def __init__(self, levels: tuple[tuple[str, ...], ...], parent: Mapping[str, str],
-                 order: frozenset[tuple[str, str]]) -> None:
-        self.__dict__.update(levels=levels, parent=parent, order=order)
+    def __init__(self, levels: Iterable[Iterable[str]], parent: Mapping[str, str],
+                 order: Iterable[tuple[str, str]]) -> None:
+        self.__dict__.update(levels=tuple(map(tuple, levels)), parent=dict(parent),
+                             order=frozenset((x, y) for x, y in order))
         if not self.levels:
             raise InputError("an E-sequence needs at least one level")
         seen: set[str] = set()
@@ -84,17 +86,9 @@ class ESequence(Frozen):
                 raise InputError(f"order pair ({x!r}, {y!r}) crosses levels")
 
     @classmethod
-    def build(
-        cls,
-        levels: Iterable[Iterable[str]],
-        parent: Mapping[str, str],
-        order: Iterable[tuple[str, str]] = (),
-    ) -> "ESequence":
-        return cls(
-            tuple(tuple(level) for level in levels),
-            dict(parent),
-            frozenset((x, y) for x, y in order),
-        )
+    def build(cls, levels: Iterable[Iterable[str]], parent: Mapping[str, str],
+              order: Iterable[tuple[str, str]] = ()) -> "ESequence":
+        return cls(levels, parent, order)
 
     @property
     def top(self) -> int:
@@ -324,12 +318,12 @@ class PrecRelation(Frozen):
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: frozenset[tuple[str, str]]) -> None:
-        self.__dict__.update(pairs=pairs)
+    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
+        self.__dict__.update(pairs=frozenset((a, b) for a, b in pairs))
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[str, str]]) -> "PrecRelation":
-        return cls(frozenset((a, b) for a, b in pairs))
+        return cls(pairs)
 
 
 def induce_prec(seq: ESequence, n: int) -> PrecRelation:
@@ -339,7 +333,7 @@ def induce_prec(seq: ESequence, n: int) -> PrecRelation:
     x < y of the order at a level up to ``n``. The premises check has
     found that order transitive, so it is its own closure."""
     below, points, lv = _below(seq, n), seq.levels[n], seq.level_of
-    return PrecRelation(frozenset(
+    return PrecRelation._trusted(pairs=frozenset(
         (points[i], points[j])
         for x, y in seq.order if lv[x] <= n
         for i in below[x] for j in below[y]

@@ -174,11 +174,10 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
         raise InputError("depth must be at least 1")
     _within_budget(n * n, f"{n} by {n} distances")
     rng = _rng("ultrametric", n, depth, seed)
-    points = _names("p", n)
     scale, unit = rng.randint(1, 6), rng.randint(1, 4)  # distances in units of 1/unit
-    dist: dict[tuple[str, str], int] = {}
+    rows = [[0] * n for _ in range(n)]
 
-    def split(block: list[str], level: int) -> None:
+    def split(block: list[int], level: int) -> None:
         if len(block) == 1:
             return
         if level == 1:
@@ -196,13 +195,12 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
             for other in parts[i + 1:]:
                 for x in part:
                     for y in other:
-                        dist[(x, y)] = dist[(y, x)] = value
+                        rows[x][y] = rows[y][x] = value
         for part in parts:
             split(part, rng.randint(1, level - 1) if level > 1 else 1)
 
-    split(points, depth)
-    rows = [[dist.get((a, b), 0) for b in points] for a in points]
-    return FiniteMetricSpace._from_ints(points, unit, rows, True)
+    split(list(range(n)), depth)
+    return FiniteMetricSpace._from_ints(_names("p", n), unit, rows, True)
 
 
 def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:

@@ -118,12 +118,9 @@ def _scaled(matrix: Iterable[Iterable]) -> _Scaled:
 
 
 class SpaceCheck(Frozen):
-    _fields = ("is_metric", "is_ultrametric", "problems")
+    """Two bools, is_metric and is_ultrametric, and a tuple of problem texts."""
 
-    def __init__(self, is_metric: bool, is_ultrametric: bool,
-                 problems: tuple[str, ...]) -> None:
-        self.__dict__.update(is_metric=is_metric, is_ultrametric=is_ultrametric,
-                             problems=problems)
+    _fields = ("is_metric", "is_ultrametric", "problems")
 
 
 def validate_space(points: Sequence[str], rows: Sequence[Sequence]) -> SpaceCheck:
@@ -159,7 +156,8 @@ def _check(
     ultra = not problems and _is_ultrametric(ints)
     if not ultra:
         problems += _triangles(labels, ints)
-    return SpaceCheck(not problems, ultra, tuple(problems)), scaled
+    return SpaceCheck._trusted(is_metric=not problems, is_ultrametric=ultra,
+                               problems=tuple(problems)), scaled
 
 
 def _positivity(
@@ -403,12 +401,9 @@ class PointMap(Frozen):
 
 
 class MapClassification(Frozen):
-    _fields = ("is_isometry", "contraction_epsilon", "is_drift")
+    """Two bools, is_isometry and is_drift, and a Fraction epsilon or None."""
 
-    def __init__(self, is_isometry: bool, contraction_epsilon: Fraction | None,
-                 is_drift: bool) -> None:
-        self.__dict__.update(is_isometry=is_isometry,
-                             contraction_epsilon=contraction_epsilon, is_drift=is_drift)
+    _fields = ("is_isometry", "contraction_epsilon", "is_drift")
 
     @property
     def kind(self) -> str:
@@ -449,7 +444,8 @@ def classify_map(pmap: PointMap) -> MapClassification:
             drift = drift and e == (row[j] - hi - half[j]) * t
     gap = diffs.pop() if len(diffs) == 1 else 0
     epsilon = Fraction(gap, s * t) if gap > 0 else None
-    return MapClassification(iso, epsilon, drift)
+    return MapClassification._trusted(is_isometry=iso, contraction_epsilon=epsilon,
+                                      is_drift=drift)
 
 
 def _collapse(
@@ -533,10 +529,6 @@ class Tower(Frozen):
 
     _fields = ("spaces", "maps")
 
-    def __init__(self, spaces: tuple[FiniteMetricSpace, ...],
-                 maps: tuple[PointMap, ...]) -> None:
-        self.__dict__.update(spaces=spaces, maps=maps)
-
     def __len__(self) -> int:
         return len(self.maps)
 
@@ -556,7 +548,7 @@ def tower_u(space: FiniteMetricSpace) -> Tower:
         nxt, pmap = quotient_u(spaces[-1])
         spaces.append(nxt)
         maps.append(pmap)
-    return Tower(tuple(spaces), tuple(maps))
+    return Tower._trusted(spaces=tuple(spaces), maps=tuple(maps))
 
 
 def tower_v(space: FiniteMetricSpace) -> Tower:
@@ -573,7 +565,7 @@ def tower_v(space: FiniteMetricSpace) -> Tower:
         # triple, so its image is trim without a second cubic pass.
         if len(nxt) == len(pmap.source):
             break
-    return Tower(tuple(spaces), tuple(maps))
+    return Tower._trusted(spaces=tuple(spaces), maps=tuple(maps))
 
 
 # Row entries the isometry search may compare: a candidate for the next

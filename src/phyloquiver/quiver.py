@@ -112,11 +112,6 @@ class Condensation(Frozen):
 
     _fields = ("classes", "class_index", "parents", "order")
 
-    def __init__(self, classes: tuple[tuple[str, ...], ...], class_index: Mapping[str, int],
-                 parents: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> None:
-        self.__dict__.update(classes=classes, class_index=class_index,
-                             parents=parents, order=order)
-
     def class_of(self, v: str) -> int:
         try:
             return self.class_index[v]
@@ -219,11 +214,11 @@ def condense(quiver: Quiver) -> Condensation:
         a, b = class_index[tail], class_index[head]
         if a != b:
             parents[a].add(b)
-    return Condensation(
-        classes,
-        class_index,
-        tuple(tuple(sorted(p)) for p in parents),
-        tuple(class_index[c[0]] for c in comps),  # Tarjan emits ancestors first
+    return Condensation._trusted(
+        classes=classes,
+        class_index=class_index,
+        parents=tuple(tuple(sorted(p)) for p in parents),
+        order=tuple(class_index[c[0]] for c in comps),  # Tarjan emits ancestors first
     )
 
 

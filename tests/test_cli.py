@@ -11,7 +11,7 @@ import os
 import random
 import subprocess
 import sys
-import tempfile
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phyloquiver import serialize
+from phyloquiver import cli, serialize
 from phyloquiver.cli import main
 from phyloquiver.errors import limit_reason
 from phyloquiver.esequence import PrecRelation, reconstruct
@@ -483,28 +483,190 @@ def distance_csvs(draw):
     return "\n".join(rows + [",".join(map(str, row)) for row in grid]) + "\n"
 
 
+@pytest.fixture(scope="class")
+def fuzz_dir(tmp_path_factory):
+    """One directory for a fuzz class's files, and one argument parser:
+    every ``cli.main`` call builds the same one, ~3 ms and most of a fuzzed
+    run, so the class builds it once and shares it."""
+    parser = cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        yield tmp_path_factory.mktemp("fuzz")
+
+
+def run_cleanly(argv, text) -> int:
+    """Run one command in process and return its exit code: 0 to 3, with
+    no traceback, and a refusal (``error:`` or ``refused:``) prints nothing
+    on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, from argparse
+            code = exc.code
+    words = err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in words, (argv, text, words)
+    if words and code != 2:
+        assert out.getvalue() == "", (argv, text)
+        assert words.startswith("refused: " if code == 3 else "error: "), (argv, text, words)
+    return code
+
+
+def run_on_file(path, text, argv) -> int:
+    """``run_cleanly`` with ``{}`` in argv standing for ``path``, which is
+    written with ``text`` first."""
+    path.write_text(text, encoding="utf-8")
+    return run_cleanly([str(path) if a == "{}" else a for a in argv], text)
+
+
 class TestCsvFuzz:
-    # Each example runs reconstruct and one other command: building the
-    # argument parser costs ~3 ms a run, so all four would double the time.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(distance_csvs(), st.one_of(st.none(), st.integers(-2, 0), _SIZES),
            st.sampled_from(["ultra-tower", "metric-tower", "validate"]))
-    def test_every_csv_command_exits_cleanly(self, text, levels, other):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "m.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            flags = [] if levels is None else ["--levels", str(levels)]
-            for argv in (["reconstruct", path, *flags], [other, path]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in (0, 1, 3), (argv, text)
-                words = err.getvalue()
-                assert "Traceback" not in words
-                if words:  # a refusal prints nothing else
-                    assert out.getvalue() == ""
-                    assert words.startswith("refused: " if code == 3 else "error: ")
+    def test_every_csv_command_exits_cleanly(self, fuzz_dir, text, levels, other):
+        flags = [] if levels is None else ["--levels", str(levels)]
+        for argv in (["reconstruct", "{}", *flags], [other, "{}"]):
+            assert run_on_file(fuzz_dir / "m.csv", text, argv) in (0, 1, 3)
+
+
+# Ids of the fuzzed quivers and E-sequences, an empty one, a space and a
+# quote among them, and values of the wrong type for ids, pairs and keys.
+# The strategies draw few values, each from a strategy built once: with
+# strategies built while drawing, the JSON examples took over twice as long.
+_IDS = ["a", "b", "c", "r", "", "x y", 'q"']
+_JUNK = [None, True, 0, -1, 1.5, "ab", [], {}, ["a"], ["a", "b", "c"], [["a"]], [None, "a"]]
+_SMALL = st.integers(0, 99)
+_DAMAGE = st.lists(st.integers(0, 7 * len(_JUNK) - 1), max_size=2)
+
+
+@st.composite
+def quiver_or_esequence_json(draw):
+    """A well-formed quiver or E-sequence object on a few ids, then
+    broken in up to two ways: a key dropped, a key's value or the last item
+    of it replaced by junk or by an item with the unknown id 'zz', the
+    whole object replaced by junk, or its text cut short; as JSON text,
+    with one of its ids."""
+    mask = draw(st.integers(1, 2 ** len(_IDS) - 1))  # which ids, in _IDS order
+    labels = [x for k, x in enumerate(_IDS) if mask >> k & 1]
+    n = len(labels)
+    pairs = [[labels[i % n], labels[i // n % n]] for i in draw(st.lists(_SMALL, max_size=5))]
+    if draw(st.booleans()):
+        obj = {"vertices": labels, "edges": pairs}
+    else:  # levels cut before some of the ids
+        cuts = [k for k in range(1, n) if draw(st.booleans())]
+        levels = [labels[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+        obj = {"levels": levels, "order": pairs,
+               "parent": {x: below[draw(_SMALL) % len(below)] for below, level
+                          in zip(levels, levels[1:]) for x in level}}
+    text = None
+    for damage, j in (divmod(d, len(_JUNK)) for d in draw(_DAMAGE)):
+        keys, junk = sorted(obj) if isinstance(obj, dict) else [], _JUNK[j]
+        key = keys[j % len(keys)] if keys else None
+        if key is None or damage == 5:
+            obj = junk
+        elif damage == 0:
+            del obj[key]
+        elif damage == 1:
+            obj[key] = junk
+        elif damage == 6:
+            text = json.dumps(obj)
+            text = text[:draw(_SMALL) * len(text) // 100]
+        elif isinstance(obj[key], list):  # the last item replaced, or one added
+            obj[key] = [*obj[key][:-1], junk if damage < 4 else ["a", "zz"]]
+        elif isinstance(obj[key], dict):
+            obj[key] = {**obj[key], "zz": junk if damage < 4 else "a"}
+    return (json.dumps(obj) if text is None else text), labels[draw(_SMALL) % n]
+
+
+# Readable DOT statements, and damage for them: refused statements (an
+# undirected edge, a port, an edge to a group), keywords and other tokens
+# out of place, an unclosed quote or comment, and None, which drops a part.
+_DOT_STATEMENTS = st.lists(st.sampled_from([
+    "a -> b;", "b -> c -> a;", "r;", "c -> r", '"x y" -> "q\\"";', "node [shape=box];",
+    "edge [color=red]", "graph [rankdir=LR];", "subgraph s { c -> r }", "subgraph { a }",
+    "rankdir = LR;", 'a [label="A"];', "// note\n", "# note\n", "/* note */",
+]), max_size=6)
+_DOT_DAMAGE = [
+    None, "a -- b;", "a:p -> b;", "a -> { b c };", "digraph", "strict", "graph", "subgraph",
+    "node", "edge", "{", "}", "[", "]", ";", ",", "=", "->", "--", ":", "1", "-1", '"open',
+    "/* open", "graph {",
+]
+_DOT_DAMAGES = st.lists(st.integers(0, 8 * len(_DOT_DAMAGE) - 1), max_size=3)
+_DOT_HEADS = st.sampled_from(["digraph {", "strict digraph g {", "digraph g {"])
+
+
+@st.composite
+def dot_soups(draw):
+    """A digraph of readable statements, damaged in up to three places."""
+    parts = [draw(_DOT_HEADS), *draw(_DOT_STATEMENTS), "}"]
+    for at, piece in (divmod(d, len(_DOT_DAMAGE)) for d in draw(_DOT_DAMAGES)):
+        piece = _DOT_DAMAGE[piece]
+        if piece is None and parts:
+            del parts[at % len(parts)]
+        elif piece is not None:
+            parts.insert(at % (len(parts) + 1), piece)
+    return " ".join(parts)
+
+
+_POINTS = ["p0", "p1", "p2", "p3"]
+# Lines of a prec file: pairs of the points of PREC_CSV split by spaces or
+# commas, lawful blocks of them, comments, 'empty', unknown points, and
+# lines with one label or three.
+_PREC_LINES = st.sampled_from(
+    [f"{x}{sep}{y}" for x in _POINTS for y in _POINTS for sep in (" ", ",", ", ", "\t")]
+    + ["p0 p2\np0 p3\np1 p2\np1 p3", "p2 p0\np2 p1\np3 p0\np3 p1", "p0 p1  # a note"]
+    + ["p0 p9", "P0 p1", "p0 ,, p1", "empty", "EMPTY", "# comment", "", "   ", "p0",
+       "p0 p1 p2", ","]
+)
+
+
+# Points p0, p1 and p2, p3 in two balls of radius 1, at 2 from each other.
+PREC_CSV = "p0,p1,p2,p3\n0,1,2,2\n1,0,2,2\n2,2,0,1\n2,2,1,0\n"
+
+# The quiver commands, each with the arguments it takes, given a vertex id.
+# An example runs the one its text's checksum picks: Hypothesis draws the
+# first of a list far more often than the rest, and a replayed example
+# must run the same command.
+_QUIVER_COMMANDS = [
+    lambda v, i: ["analyze", "{}"],
+    lambda v, i: ["universal", "{}", v, *(["--bound", str(i)] if i % 2 else [])],
+    lambda v, i: ["clade", "{}", v],
+    lambda v, i: ["esequence", "{}"],
+    lambda v, i: ["forest", "{}", "--format", ("dot", "newick", "json")[i % 3]],
+    lambda v, i: ["validate", "{}"],
+]
+
+
+def quiver_command(text, vertex):
+    pick = zlib.crc32(text.encode())
+    return _QUIVER_COMMANDS[pick % len(_QUIVER_COMMANDS)](vertex, pick // len(_QUIVER_COMMANDS))
+
+
+class TestTextFuzz:
+    """JSON, DOT and prec files drawn to be broken in every way their
+    readers name, each run through one command; as for CSV, every run
+    exits 0 to 3 with no traceback."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(quiver_or_esequence_json())
+    def test_every_json_command_exits_cleanly(self, fuzz_dir, drawn):
+        text, vertex = drawn
+        run_on_file(fuzz_dir / "q.json", text, quiver_command(text, vertex))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(dot_soups(), st.sampled_from(["a", "b", "r"]))
+    def test_every_dot_command_exits_cleanly(self, fuzz_dir, text, vertex):
+        run_on_file(fuzz_dir / "q.dot", text, quiver_command(text, vertex))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(_PREC_LINES, max_size=4).map("\n".join),
+           st.sampled_from([None, 2, 3, 0, 1]))
+    def test_every_prec_file_exits_cleanly(self, fuzz_dir, text, levels):
+        space = fuzz_dir / "u.csv"
+        space.write_text(PREC_CSV)
+        flags = [] if levels is None else ["--levels", str(levels)]
+        argv = ["reconstruct", str(space), "--prec", "{}", *flags]
+        assert run_on_file(fuzz_dir / "p.txt", text, argv) in (0, 1)
 
 
 class TestUnreadableInput:

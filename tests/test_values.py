@@ -22,7 +22,10 @@ from phyloquiver import (
     PrecRelation,
     Quiver,
     Tower,
+    analyze,
     clade,
+    classify_map,
+    condense,
     evolutionary_sequence,
     induce_prec,
     induced_subquiver,
@@ -34,6 +37,7 @@ from phyloquiver import (
     terminal_ultrametric,
     tower_u,
     tower_v,
+    universal_evolution,
     validate_esequence,
 )
 from phyloquiver.analysis import VertexAnalysis, short_full_evolutions
@@ -41,6 +45,7 @@ from phyloquiver.errors import Frozen
 from phyloquiver.generators import (
     gen_random_esequence,
     gen_random_metric,
+    gen_random_monotonous,
     gen_random_phylogenetic,
     gen_random_quiver,
     gen_random_ultrametric,
@@ -211,6 +216,65 @@ def test_pickle_round_trip_keeps_the_value(case):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+# The types with no constructor of their own: Frozen's binds their fields.
+PLAIN = ("AnalysisReport", "Condensation", "MapClassification", "SpaceCheck", "Tower",
+         "VertexAnalysis")
+
+
+def test_only_the_plain_types_use_the_generic_constructor():
+    generic = {name for name, (cls, *_) in CASES.items() if cls.__init__ is Frozen.__init__}
+    assert generic == set(PLAIN)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_a_plain_type_binds_its_fields_by_position_or_by_name(name):
+    cls, make, fields, _, text = CASES[name]
+    args, kwargs = make()
+    value = cls(*args, **kwargs)
+    named = {f: getattr(value, f) for f in fields}
+    values = tuple(named.values())
+    for built in (cls(*values), cls(**named), cls(**dict(reversed(named.items()))),
+                  cls(*values[:2], **dict(list(named.items())[2:]))):
+        assert built == value and repr(built) == text
+        assert list(built.__dict__) == list(fields)  # one key layout, as _trusted's
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_a_plain_type_names_the_field_it_cannot_bind(name):
+    cls, make, fields, _, _ = CASES[name]
+    args, kwargs = make()
+    value = cls(*args, **kwargs)
+    named = {f: getattr(value, f) for f in fields}
+    first, last = fields[0], fields[-1]
+    calls = [
+        ((), {f: v for f, v in named.items() if f != last}, f"missing field {last!r}"),
+        ((), {**named, "extra": 1}, "got an unknown field 'extra'"),
+        ((named[first],), named, f"got field {first!r} twice"),
+        ((*named.values(), 1), {}, f"takes fields {fields}, not {len(fields) + 1} values"),
+    ]
+    for args, kwargs, words in calls:
+        with pytest.raises(TypeError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == f"{name}() {words}"
+
+
+def test_esequence_constructor_stores_what_build_stores():
+    args = ([["r"], ["a", "b"]], {"a": "r", "b": "r"}, {("a", "b")})
+    seq = ESequence(*args)
+    assert seq == ESequence.build(*args) == ESequence._trusted(
+        levels=(("r",), ("a", "b")), parent={"a": "r", "b": "r"},
+        order=frozenset({("a", "b")}))
+    assert ESequence(iter(args[0]), args[1], [["a", "b"]]) == seq
+    assert type(seq.parent) is dict and seq.parent is not args[1]
+
+
+def test_prec_constructor_stores_what_build_stores():
+    prec = PrecRelation({("a", "b")})
+    assert prec == PrecRelation.build({("a", "b")}) == PrecRelation([["a", "b"]])
+    assert hash(prec) == hash(PrecRelation.build([("a", "b")]))
+    assert prec.pairs == frozenset({("a", "b")})
+
+
 def test_state_outside_the_fields_is_not_compared():
     warm, cold = quiver(), quiver()
     warm.has_edge("B", "A")  # fills its memo
@@ -291,3 +355,51 @@ def test_trusted_outputs_pass_their_checking_constructors():
         counts[type(value)] += 1
     assert counts[Quiver] >= 1_000 and counts[ESequence] >= 300
     assert counts[Evolution] >= 1_000 and counts[PointMap] >= 300
+
+
+def derived_inputs():
+    """Seeded inputs for every function that derives a value: random,
+    monotonous and phylogenetic quivers, none of them queried yet,
+    single-root E-sequences, and random metrics and ultrametrics."""
+    quivers, sequences, spaces = [], [], []
+    for s in range(12):
+        n = 3 + s % 6
+        quivers += [gen(n, 0.35, seed=s) for gen in
+                    (gen_random_quiver, gen_random_monotonous, gen_random_phylogenetic)]
+        sequences.append(gen_random_esequence(2 + s % 3, 3 + s % 4, 0.4, seed=s,
+                                              single_root=True, surjective=True))
+        spaces += [gen_random_metric(n, seed=s), gen_random_ultrametric(n, 1 + s % 4, seed=s)]
+    return quivers, sequences, spaces
+
+
+def test_the_library_derives_every_value_without_a_public_constructor(monkeypatch):
+    quivers, sequences, spaces = derived_inputs()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"public {type(self).__name__} constructor called")
+
+    for cls in (Frozen, *Frozen.__subclasses__()):
+        if "__init__" in vars(cls):  # Frozen's own, and every checking type's
+            monkeypatch.setattr(cls, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        SpaceCheck(True, True, ())
+    rows = realized = maps = 0
+    for q in quivers:  # fresh: no memo holds a result built before the patch
+        report = analyze(q)
+        condense(q)
+        rows += len(report.vertices)
+        for v in q.vertices[::2]:
+            universal_evolution(q, v)
+            clade(q, v)
+        phylogenetic_core(monotonize(q))
+        if report.phylogenetic_quiver:
+            realize_esequence(evolutionary_sequence(q))
+            realized += 1
+    for seq in sequences:
+        top = seq.top
+        evolutionary_sequence(realize_esequence(seq))
+        reconstruct(terminal_ultrametric(seq, top), induce_prec(seq, top), top)
+    for space in spaces:
+        for tower in [tower_v(space)] + ([tower_u(space)] if space.is_ultrametric else []):
+            maps += len([classify_map(pmap) for pmap in tower.maps])
+    assert rows >= 150 and realized >= 20 and maps >= 40
