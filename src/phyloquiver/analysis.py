@@ -48,13 +48,14 @@ phylogenetic exactly when every class is normal.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import Frozen, InputError, SizeGuardError
 from .quiver import (
     Evolution,
     Quiver,
     _adjacency,
+    _distances_to,
     _reached_classes,
     condense,
     induced_subquiver,
@@ -98,20 +99,6 @@ def is_primitive(quiver: Quiver, v: str) -> bool:
 def _height_table(quiver: Quiver) -> dict[str, int]:
     # every vertex reaches a sink class of the finite condensation
     return _distances_to(quiver, sorted(primitive_vertices(quiver)))
-
-
-def _distances_to(quiver: Quiver, sources: Sequence[str]) -> dict[str, int]:
-    """Distance to ``sources`` of each vertex reaching them; keys in BFS order."""
-    _, inn = _adjacency(quiver)
-    table = dict.fromkeys(sources, 0)
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        for w in inn[u]:  # w has an edge into u: one step further at most
-            if w not in table:
-                table[w] = table[u] + 1
-                queue.append(w)
-    return table
 
 
 def heights(quiver: Quiver) -> dict[str, int]:
@@ -164,7 +151,7 @@ def critical_ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     vertices of full evolutions on every monotonous quiver, where such
     cycles cannot occur.
     """
-    heads, reached = _critical_heads(quiver), _reached_classes(quiver, 0, v)
+    heads, reached = _critical_heads(quiver), _reached_classes(quiver, v)
     # Copying a finished set sizes the frozenset's table to fit; building it
     # from a generator leaves it up to twice as large.
     return frozenset({x for j in reached for x in heads[j] if x != v})

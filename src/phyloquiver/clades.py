@@ -3,12 +3,12 @@
 The clade of a vertex A is the sub-quiver induced on the descendants of A.
 Its primitive vertices are precisely the host vertices isotypic to A, and
 every vertex on a path to them, like every child of a descendant, is a
-descendant. So the clade-internal heights h_A are a breadth-first search
-from A's class along host in-edges, read off the host without building the
-clade. For a regular apex in a phylogenetic quiver, h_A is also given by a
-closed formula in terms of the host heights and the parental map;
-:func:`clade_height` implements it, and ``heights(clade(q, A))`` keeps
-the direct in-clade computation available as an independent check.
+descendant. So the descendants and the clade-internal heights h_A are one
+breadth-first search from A's class along host in-edges, read off the host
+with no clade and no reachability closure built. For a regular apex in a
+phylogenetic quiver, h_A is also given by a closed formula in terms of the
+host heights and the parental map, :func:`clade_height`; the direct
+in-clade computation ``heights(clade(q, A))`` stays as an independent check.
 
 Each apex's regular flag is kept on the quiver once asked, one bool per
 apex; clade heights are not, since reports over a chain would keep
@@ -21,6 +21,7 @@ from . import analysis
 from .errors import InputError
 from .quiver import (
     Quiver,
+    _distances_to,
     _edge_set,
     ancestor_of,
     condense,
@@ -97,7 +98,7 @@ def clade_report(quiver: Quiver, apex: str) -> dict:
     h_A is the host BFS of the module notes, from the sorted members of the
     apex's class; its keys follow the order of the in-clade height BFS."""
     cond = condense(quiver)  # class_of rejects an unknown apex
-    table = analysis._distances_to(quiver, cond.classes[cond.class_of(apex)])
+    table = _distances_to(quiver, cond.classes[cond.class_of(apex)])
     return {
         "apex": apex,
         "members": sorted(table),

@@ -282,6 +282,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_points", None) is not None and args.max_points < 1:
         parser.error("--max-points must be at least 1")
+    if getattr(args, "bound", None) is not None and args.bound < 0:
+        parser.error("--bound must be nonnegative")
     try:  # a command returns its JSON-ready object or text, or that and a status
         result = args.fn(args)
         out, status = result if isinstance(result, tuple) else (result, 0)

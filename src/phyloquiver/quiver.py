@@ -14,14 +14,16 @@ connected components. :func:`condense` records them once, with the class
 DAG as each class's ``parents`` (the other classes its edges reach) and an
 ``order`` that lists every class after all of its parents; reachability,
 primitivity, normality and the evolutionary sequence are walks over that
-order. Reach is stored as one Python int per class, a bitset over the
-class ids, so an ancestry test is one bit test.
+order. Ancestor reach is one Python int per class, a bitset over the class
+ids, so an ancestry test is one bit test. Descendants are not stored: they
+are the breadth-first search along in-edges that also gives heights.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping
+from collections import deque
+from typing import Iterable, Mapping, Sequence
 
 from .errors import Frozen, InputError
 
@@ -178,12 +180,15 @@ def concat(alpha: Evolution, beta: Evolution) -> Evolution:
 
 def ancestors(quiver: Quiver, v: str) -> frozenset[str]:
     """All vertices reachable from ``v`` along edges, ``v`` included."""
-    return _reach(quiver, 0, v)
+    classes = condense(quiver).classes
+    return frozenset({x for j in _reached_classes(quiver, v) for x in classes[j]})
 
 
 def descendants(quiver: Quiver, v: str) -> frozenset[str]:
-    """All vertices from which ``v`` is reachable, ``v`` included."""
-    return _reach(quiver, 1, v)
+    """All vertices from which ``v`` is reachable, ``v`` included, found by
+    the in-edge search :func:`_distances_to` in linear memory."""
+    quiver.check_vertex(v)
+    return frozenset(_distances_to(quiver, (v,)))
 
 
 def ancestor_of(quiver: Quiver, a: str, b: str) -> bool:
@@ -191,7 +196,7 @@ def ancestor_of(quiver: Quiver, a: str, b: str) -> bool:
     counts, so every vertex is an ancestor of itself."""
     cond = condense(quiver)  # class_of rejects an unknown id
     i, j = cond.class_of(a), cond.class_of(b)
-    return bool(_class_reach(quiver)[0][j] >> i & 1)
+    return bool(_class_reach(quiver)[j] >> i & 1)
 
 
 def isotypic(quiver: Quiver, a: str, b: str) -> bool:
@@ -303,13 +308,10 @@ def _tarjan(
 
 
 @memo
-def _class_reach(quiver: Quiver) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reachability closures of the class DAG as int bitsets: bit j of
-    ``down[i]`` is set when class j is reachable from class ``i`` along
-    class edges (the ancestor direction), and bit j of ``up[i]`` when class
-    ``i`` is reachable from class j. Each is one pass over the class order,
-    the closure over strongly connected components (Nuutila 1995).
-    """
+def _class_reach(quiver: Quiver) -> tuple[int, ...]:
+    """Ancestor closure of the class DAG as int bitsets: bit j of entry i
+    is set when class j is reachable from class i along class edges. One
+    pass over the class order: the closure over SCCs of Nuutila (1995)."""
     cond = condense(quiver)
     down = [0] * len(cond.classes)
     for i in cond.order:  # the parents of i are done
@@ -317,21 +319,25 @@ def _class_reach(quiver: Quiver) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for j in cond.parents[i]:
             bits |= down[j]
         down[i] = bits
-    up = [1 << i for i in range(len(cond.classes))]
-    for i in reversed(cond.order):  # the children of i have pushed into it
-        for j in cond.parents[i]:
-            up[j] |= up[i]
-    return tuple(down), tuple(up)
+    return tuple(down)
 
 
-def _reach(quiver: Quiver, side: int, v: str) -> frozenset[str]:
-    """The members of the classes in the ``side`` reach of ``v``'s class."""
-    classes = condense(quiver).classes
-    return frozenset({x for j in _reached_classes(quiver, side, v) for x in classes[j]})
-
-
-def _reached_classes(quiver: Quiver, side: int, v: str) -> list[int]:
-    """Ids of the classes in the ``side`` reach of ``v``'s class, from bin()."""
+def _reached_classes(quiver: Quiver, v: str) -> list[int]:
+    """Ids of the classes in the ancestor reach of ``v``'s class, from bin()."""
     cond = condense(quiver)
-    digits = reversed(bin(_class_reach(quiver)[side][cond.class_of(v)]))
+    digits = reversed(bin(_class_reach(quiver)[cond.class_of(v)]))
     return [j for j, d in enumerate(digits) if d == "1"]
+
+
+def _distances_to(quiver: Quiver, sources: Sequence[str]) -> dict[str, int]:
+    """Distance to ``sources`` of each vertex reaching them; keys in BFS order."""
+    _, inn = _adjacency(quiver)
+    table = dict.fromkeys(sources, 0)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for w in inn[u]:  # w has an edge into u: one step further at most
+            if w not in table:
+                table[w] = table[u] + 1
+                queue.append(w)
+    return table

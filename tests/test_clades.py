@@ -9,6 +9,8 @@ import pytest
 from phyloquiver import (
     InputError,
     Quiver,
+    ancestor_of,
+    ancestors,
     descendants,
     heights,
     induced_subquiver,
@@ -63,6 +65,51 @@ class TestClade:
             for a in q.vertices:
                 table = heights(clade(q, a))
                 assert set(table) == set(clade(q, a).vertices)
+
+
+def chain(n):
+    """v0 <- v1 <- ... <- v(n - 1); the root v0 is the only primitive."""
+    vs = [f"v{i}" for i in range(n)]
+    return Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+
+
+class TestDescendantReads:
+    """Descendants, clades and cold regular flags are one in-edge search
+    of the host; only ancestor reads build the class closure."""
+
+    def test_descendant_reads_build_no_closure(self, g3):
+        samples = [g3, chain(50), gen_abnormal(), gen_random_quiver(30, 0.1, seed=1),
+                   gen_random_monotonous(40, 0.15, seed=2)]
+        for q in samples:
+            for apex in q.vertices[:: max(1, len(q.vertices) // 5)]:
+                for read in (descendants, clade, is_regular, clade_report):
+                    fresh = Quiver(q.vertices, q.edges)
+                    read(fresh, apex)
+                    assert "_class_reach" not in fresh._memo, (read.__name__, apex)
+                fresh = Quiver(q.vertices, q.edges)
+                ancestors(fresh, apex)
+                assert "_class_reach" in fresh._memo
+                fresh = Quiver(q.vertices, q.edges)
+                ancestor_of(fresh, apex, q.vertices[0])
+                assert "_class_reach" in fresh._memo
+
+    def test_deep_chain_reads_grow_linearly(self):
+        # A descendant closure over a k-chain holds ~k^2/2 bits, ~4x per
+        # doubling; the search keeps a table per vertex, ~2x.
+        peaks = {}
+        for n in (10_000, 20_000):
+            for read in (descendants, clade, is_regular):
+                q = chain(n)
+                tracemalloc.start()
+                try:
+                    read(q, "v0")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks[n] = max(peaks.get(n, 0), peak)
+            assert len(descendants(q, "v0")) == n and is_regular(q, "v0")
+        assert peaks[20_000] <= 2.5 * peaks[10_000]
+        assert peaks[20_000] < 20 * 2**20
 
 
 class TestRegularity:

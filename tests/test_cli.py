@@ -144,6 +144,18 @@ class TestUniversal:
         assert obj["vertices"] == ["A", "B", "C"]
         assert obj["bounded_check"] is True
 
+    @pytest.mark.parametrize("vertex", ["C", "R"])
+    def test_negative_bound_is_a_usage_error(self, capsys, tmp_path, vertex):
+        # C has a universal evolution to check; R, not phylogenetic, has none
+        path = tmp_path / "q.json"
+        main(["gen", "g3" if vertex == "C" else "abnormal", "-o", str(path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["universal", str(path), vertex, "--bound", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--bound must be nonnegative" in captured.err
+
     def test_none_for_abnormal_r(self, capsys, tmp_path):
         path = tmp_path / "ab.json"
         main(["gen", "abnormal", "-o", str(path)])

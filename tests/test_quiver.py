@@ -21,7 +21,12 @@ from phyloquiver import (
     isotypic,
     validate_evolution,
 )
-from phyloquiver.generators import gen_map_quiver, gen_surjection_quiver
+from phyloquiver.generators import (
+    gen_map_quiver,
+    gen_random_monotonous,
+    gen_random_quiver,
+    gen_surjection_quiver,
+)
 
 from oracles import brute_reach
 
@@ -62,6 +67,17 @@ class TestQuiverBasics:
         assert q.has_edge("a", "a")
 
 
+def check_reach(q):
+    """Ancestors, descendants (an in-edge search) and ancestor_of (the
+    class closure) against the brute-force reach."""
+    reach = brute_reach(q)
+    for a in q.vertices:
+        assert ancestors(q, a) == frozenset(reach[a])
+        below = descendants(q, a)
+        for b in q.vertices:
+            assert ancestor_of(q, a, b) == (a in reach[b]) == (b in below)
+
+
 class TestAncestorPreorder:
     def test_g3_reachability(self, g3):
         assert ancestor_of(g3, "A", "B")
@@ -77,19 +93,20 @@ class TestAncestorPreorder:
         with pytest.raises(InputError):
             ancestor_of(g3, "A", "Z")
 
-    @settings(max_examples=60, deadline=None)
-    @given(quivers())
-    def test_matches_brute_reachability(self, q):
-        reach = brute_reach(q)
-        for a in q.vertices:
-            assert ancestors(q, a) == frozenset(reach[a])
-            assert descendants(q, a) == {b for b in q.vertices if a in reach[b]}
-            for b in q.vertices:
-                assert ancestor_of(q, a, b) == (a in reach[b])
+    def test_matches_brute_reachability(self):
+        # Seeded quivers of 30 to 80 vertices, larger than quivers() draws:
+        # sparse enough for a deep class DAG, dense enough for cycles, and
+        # their monotonous parts.
+        for s, n in enumerate((30, 45, 60, 80)):
+            for density in (0.015, 0.025, 0.04):
+                check_reach(gen_random_quiver(n, density, seed=s))
+                check_reach(gen_random_monotonous(n, density, seed=s))
+        settings(max_examples=60, deadline=None)(given(quivers())(check_reach))()
 
     def test_deep_chain_reach_stays_small(self):
-        # One bitset per class: a frozenset per class would hold ~n^2/2
-        # entries here (over 400 MiB at n = 3000).
+        # Ancestor reach is one bitset per class and descendants a search:
+        # a frozenset per class would hold ~n^2/2 entries here (over
+        # 400 MiB at n = 3000).
         n = 3000
         vs = [f"v{i:04d}" for i in range(n)]
         q = Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
