@@ -9,6 +9,7 @@ cardinalities represented; the infinite originals do not fit in memory.
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
 from . import analysis
@@ -175,6 +176,10 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
     _within_budget(n * n, f"{n} by {n} distances")
     rng = _rng("ultrametric", n, depth, seed)
     scale, unit = rng.randint(1, 6), rng.randint(1, 4)  # distances in units of 1/unit
+    # Entries 2 level * scale / c in units of c / (2 unit), c = gcd(scale,
+    # unit): once some pair splits at level 1 their gcd with the unit is 2,
+    # so _from_ints stores the rows as written.
+    c = gcd(scale, unit)
     rows = [[0] * n for _ in range(n)]
 
     def split(block: list[int], level: int) -> None:
@@ -190,7 +195,7 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
             parts = [
                 shuffled[i:j] for i, j in zip([0, *cuts], [*cuts, len(block)])
             ]
-        value = level * scale
+        value = 2 * level * scale // c
         for i, part in enumerate(parts):
             for other in parts[i + 1:]:
                 for x in part:
@@ -200,7 +205,7 @@ def gen_random_ultrametric(n: int, depth: int = 3, seed: int = 0) -> FiniteMetri
             split(part, rng.randint(1, level - 1) if level > 1 else 1)
 
     split(list(range(n)), depth)
-    return FiniteMetricSpace._from_ints(_names("p", n), unit, rows, True)
+    return FiniteMetricSpace._from_ints(_names("p", n), 2 * unit // c, rows, True)
 
 
 def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
@@ -219,8 +224,8 @@ def gen_random_metric(n: int, seed: int = 0) -> FiniteMetricSpace:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = rng.randint(12, 24)
-    return FiniteMetricSpace._from_ints(points, den, rows, _is_ultrametric(rows))
+            rows[i][j] = rows[j][i] = 2 * rng.randint(12, 24)  # in units of 1/(2 den)
+    return FiniteMetricSpace._from_ints(points, 2 * den, rows, _is_ultrametric(rows))
 
 
 def gen_random_esequence(

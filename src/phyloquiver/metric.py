@@ -43,6 +43,15 @@ ultrametric, the least deficit at x is its distance m to its nearest
 point, or 2m minus the widest distance among the others when all of them
 lie at m, read off one sort of each row; and a drift step that collapses
 no pair has a trim image, so it ends the drift tower with no check.
+
+The cubic scans that remain take exact filters, which change no answer or
+message. The triangle check passes a pair (i, j) unscanned when d(i, j) <=
+m_i + m_j, m_i the least off-diagonal entry of row i, and neither diagonal
+entry is negative: no third point can then undercut d(i, j). The deficit
+scan at x skips each y whose terms are bounded below by the best so far,
+and stops at 0, the floor of a metric's deficits. The worst case stays
+cubic: a cycle's triangle check scans most pairs, and tree leaves, whose
+deficits are all positive, skip few.
 """
 
 from __future__ import annotations
@@ -186,10 +195,16 @@ def _triangles(
     messages. The failure is symmetric in i and j, and a pair fails for
     some k exactly when the least entry of row i + row j is below d(i, j).
     So each unordered pair is tested once, and k is scanned only on
-    failing pairs."""
+    failing pairs. A pair needs no test when d(i, j) <= m_i + m_j, m_i the
+    least entry of row i off the diagonal, and neither diagonal entry is
+    negative: every k outside {i, j} gives d(i, k) + d(k, j) >= m_i + m_j,
+    and k in {i, j} adds a diagonal entry to d(i, j)."""
+    low = [min(row[:i] + row[i + 1:], default=0) for i, row in enumerate(ints)]
     problems = []
-    for i, row in enumerate(ints):
-        for j, (dij, other) in enumerate(zip(row[i:], ints[i:]), i):
+    for i, (row, li) in enumerate(zip(ints, low)):
+        for j, (dij, other, lj) in enumerate(zip(row[i:], ints[i:], low[i:]), i):
+            if dij <= li + lj and row[i] >= 0 <= other[j]:
+                continue
             if min(map(add, row, other)) < dij:
                 via = [k for k, s in enumerate(map(add, row, other)) if s < dij]
                 problems.append(
@@ -283,9 +298,13 @@ class FiniteMetricSpace(Frozen):
     ) -> "FiniteMetricSpace":
         """A space the caller knows to be a metric, from int rows in units
         of 1/scale; nothing is checked. Reducing by the gcd of the scale and
-        the entries gives the scale and rows validate_space would compute."""
+        the entries gives the scale and rows validate_space would compute.
+        Rows already in that unit, where the gcd is 2, are kept as written."""
         g = gcd(scale, *chain.from_iterable(ints))
-        scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
+        if g == 2:
+            scaled = tuple(map(tuple, ints))
+        else:
+            scaled = tuple(tuple(2 * v // g for v in row) for row in ints)
         return cls._trusted(points=tuple(points), _scaled=(2 * scale // g, scaled),
                             is_ultrametric=is_ultrametric)
 
@@ -309,25 +328,35 @@ class FiniteMetricSpace(Frozen):
 
     @cached_property
     def _half_deficits(self) -> tuple[int, ...]:
-        """underline_d of each point, in units of 1/scale."""
+        """underline_d of each point, in units of 1/scale. On a metric with
+        three points or more, x's scan skips each y with d(x,y) + m - M_y >=
+        best so far, m the least distance from x and M_y the largest entry
+        of row y: every term of y is at least that, as d(x,z) >= m (the
+        raised z = x entry only more) and d(y,z) <= M_y. It stops once best
+        reaches 0, below which no deficit of a metric lies. Both keep the
+        minimum exact, as best only falls."""
         ints = self._scaled[1]
         if len(ints) < 3:
             # 0 on a single point, half the sole distance on a pair
             return tuple(max(row) // 2 for row in ints)
         if self.is_ultrametric:
             return _ultrametric_half_deficits(ints)
+        top = list(map(max, ints))
         out = []
         for x, row in enumerate(ints):
             # The deficit d(x,y) + d(x,z) - d(y,z) over y < z, both != x, is
             # d(x,y) + min over z > y of (row x - row y). z = x must be kept
-            # out, so its entry is raised past every real term.
+            # out, so its entry is raised to 2 max(row), past every real term.
             probe = list(row)
-            probe[x] = 2 * max(row)
-            best = min(
-                dxy + min(map(sub, probe[y + 1:], other[y + 1:]))
-                for y, (dxy, other) in enumerate(zip(row[:-1], ints))
-                if y != x
-            )
+            best = probe[x] = 2 * top[x]
+            least = min(probe)
+            for y, (dxy, other, ty) in enumerate(zip(row[:-1], ints, top)):
+                if y != x and dxy + least - ty < best:
+                    term = dxy + min(map(sub, probe[y + 1:], other[y + 1:]))
+                    if term < best:
+                        best = term
+                        if not best:
+                            break
             out.append(best // 2)
         return tuple(out)
 

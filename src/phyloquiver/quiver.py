@@ -195,8 +195,9 @@ def ancestor_of(quiver: Quiver, a: str, b: str) -> bool:
     """True when some evolution runs from ``a`` to ``b`` (a <= b); length 0
     counts, so every vertex is an ancestor of itself."""
     cond = condense(quiver)  # class_of rejects an unknown id
-    i, j = cond.class_of(a), cond.class_of(b)
-    return bool(_class_reach(quiver)[j] >> i & 1)
+    reach = _class_reach(quiver)
+    i, j = reach[cond.class_of(a)], reach[cond.class_of(b)]
+    return i | j == j  # a's class lies in b's reach exactly when a's reach does
 
 
 def isotypic(quiver: Quiver, a: str, b: str) -> bool:
@@ -309,13 +310,16 @@ def _tarjan(
 
 @memo
 def _class_reach(quiver: Quiver) -> tuple[int, ...]:
-    """Ancestor closure of the class DAG as int bitsets: bit j of entry i
-    is set when class j is reachable from class i along class edges. One
-    pass over the class order: the closure over SCCs of Nuutila (1995)."""
+    """Ancestor closure of the class DAG as int bitsets: bit p of entry i
+    is set when class ``cond.order[p]`` is reachable from class i along
+    class edges. One pass over the class order: the closure over SCCs of
+    Nuutila (1995). The order puts ancestors first, so a class's bits stop
+    at its own position, and a k-chain holds ~k²/2 bits however its
+    vertices are named."""
     cond = condense(quiver)
     down = [0] * len(cond.classes)
-    for i in cond.order:  # the parents of i are done
-        bits = 1 << i
+    for p, i in enumerate(cond.order):  # the parents of i are done
+        bits = 1 << p
         for j in cond.parents[i]:
             bits |= down[j]
         down[i] = bits
@@ -326,7 +330,7 @@ def _reached_classes(quiver: Quiver, v: str) -> list[int]:
     """Ids of the classes in the ancestor reach of ``v``'s class, from bin()."""
     cond = condense(quiver)
     digits = reversed(bin(_class_reach(quiver)[cond.class_of(v)]))
-    return [j for j, d in enumerate(digits) if d == "1"]
+    return [i for i, d in zip(cond.order, digits) if d == "1"]
 
 
 def _distances_to(quiver: Quiver, sources: Sequence[str]) -> dict[str, int]:

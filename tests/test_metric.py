@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -1012,6 +1013,136 @@ class TestIntKernel:
         from phyloquiver.metric import SpaceCheck
 
         assert validate_space(ultra3.points, ultra3.rows) == SpaceCheck(True, True, ())
+
+
+# -- the exact filters of the triangle check and the deficit scan --------------
+
+
+def bound_matrix(n, seed):
+    """A symmetric matrix of entries in [5, 9] over one mixed denominator,
+    so every pair lies within the row-minimum bound m_i + m_j. One pair is
+    then set to exactly m_i + m_j of the other entries of its rows, or one
+    unit above it, sometimes with both minima at one point k; some matrices
+    take a negative entry, or a negative or positive diagonal entry. Returns
+    the labels, the rows and the kinds of changes made."""
+    rng = random.Random(f"bound-matrix:{n}:{seed}")
+    den = rng.choice(MIXED_DENOMINATORS)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = m[j][i] = Fraction(rng.randint(5 * den, 9 * den), den)
+    kinds = set()
+    if n >= 3:
+        i, j, k = rng.sample(range(n), 3)
+        if rng.random() < 0.5:  # the least entries of rows i and j both at k
+            m[i][k] = m[k][i] = m[j][k] = m[k][j] = Fraction(5)
+            kinds.add("shared")
+        rest = [x for x in range(n) if x not in (i, j)]
+        bound = min(m[i][x] for x in rest) + min(m[j][x] for x in rest)
+        above = rng.random() < 0.5
+        m[i][j] = m[j][i] = bound + Fraction(above, den)
+        kinds.add("above" if above else "at")
+    if n >= 2 and rng.random() < 0.2:
+        i, j = rng.sample(range(n), 2)
+        m[i][j] = m[j][i] = Fraction(-rng.randint(1, 3 * den), den)
+        kinds.add("negative")
+    if rng.random() < 0.3:
+        i = rng.randrange(n)
+        m[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 * den), den)
+        kinds.add("diagonal" if m[i][i] > 0 else "negative diagonal")
+    return [f"b{i}" for i in range(n)], m, kinds
+
+
+def shortest_paths(n, edges):
+    """The graph metric of weighted edges (i, j, w), by Floyd–Warshall."""
+    big = sum(w for _, _, w in edges) + 1
+    m = [[0 if i == j else big for j in range(n)] for i in range(n)]
+    for i, j, w in edges:
+        m[i][j] = m[j][i] = min(m[i][j], w)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        m[i][j] = min(m[i][j], m[i][k] + m[k][j])
+    return m
+
+
+def graph_spaces(rng):
+    """Cycles and grids, unit and randomly weighted ones, the leaves of
+    random binary trees with rational edge lengths, and random metrics:
+    spaces with every deficit zero, with none, and between."""
+    def weight():
+        return rng.choice((1, 1, 2, 3, Fraction(1, 2), Fraction(5, 3)))
+
+    shapes = []
+    for n in (3, 4, 5, 6, 7, 9, 12, 25, 40):
+        shapes.append((f"cycle{n}", shortest_paths(n, [(i, (i + 1) % n, 1) for i in range(n)])))
+        shapes.append((f"wcycle{n}", shortest_paths(n, [(i, (i + 1) % n, weight())
+                                                          for i in range(n)])))
+    for a, b in ((1, 3), (2, 2), (2, 5), (3, 3), (4, 6), (7, 7)):
+        cells = [(x, y) for x in range(a) for y in range(b)]
+        ids = {c: i for i, c in enumerate(cells)}
+        links = [(ids[x, y], ids[x + dx, y + dy]) for x, y in cells for dx, dy in ((1, 0), (0, 1))
+                 if (x + dx, y + dy) in ids]
+        shapes.append((f"grid{a}x{b}", shortest_paths(len(cells), [(i, j, 1) for i, j in links])))
+        shapes.append((f"wgrid{a}x{b}", shortest_paths(len(cells),
+                                                        [(i, j, weight()) for i, j in links])))
+    for leaves in (3, 4, 6, 10, 20, 40):
+        nodes, edges, top = list(range(leaves)), [], leaves
+        while len(nodes) > 1:  # join two random subtrees under a new node
+            for child in rng.sample(nodes, 2):
+                nodes.remove(child)
+                edges.append((child, top, weight()))
+            nodes.append(top)
+            top += 1
+        tree = shortest_paths(top, edges)
+        shapes.append((f"tree{leaves}", [row[:leaves] for row in tree[:leaves]]))
+    spaces = [FiniteMetricSpace.build([f"g{i}" for i in range(len(rows))], rows)
+              for _, rows in shapes]
+    spaces += [mixed_metric(n, 1000 + n) for n in (3, 6, 10, 20, 30)]
+    spaces += [gen_random_metric(n, seed=n) for n in (3, 8, 20, 60)]
+    return [name for name, _ in shapes] + ["mixed"] * 5 + ["random"] * 4, spaces
+
+
+class TestScanFilters:
+    def test_triangles_match_every_triple_near_the_bound(self):
+        # Pairs at m_i + m_j are passed by the bound, pairs one unit above
+        # are scanned (and fail when both minima sit at one point), and a
+        # negative diagonal entry fails every pair of its row however small
+        # the pair's distance.
+        seen = Counter()
+        for s in range(900):
+            n = 1 + s % 8
+            labels, rows, kinds = bound_matrix(n, s)
+            check = validate_space(labels, rows)
+            want = ref_check(labels, rows)
+            assert (check.is_metric, check.is_ultrametric, check.problems) == want, s
+            seen.update(kinds)
+            seen["metric" if check.is_metric else "refused"] += 1
+            if "above" in kinds:
+                seen["above and failing" if any(p.startswith("triangle") for p in
+                                                check.problems) else "above and holding"] += 1
+            if not check.is_metric:
+                with pytest.raises(InputError) as exc:
+                    FiniteMetricSpace.build(labels, rows)
+                assert str(exc.value) == "not a metric: " + "; ".join(want[2])
+        assert min(seen.values()) >= 30, seen
+
+    def test_deficits_match_the_definition_on_graph_metrics(self):
+        names, spaces = graph_spaces(random.Random("graph-spaces"))
+        trim = set()
+        for name, sp in zip(names, spaces):
+            assert underline_d(sp) == ref_underline_d(sp), name
+            assert is_trim(sp) == ref_is_trim(sp), name
+            if is_trim(sp):
+                trim.add(name)
+        assert {"cycle5", "cycle40", "grid7x7"} <= trim
+        assert not any(name.startswith("tree") for name in trim)
+
+    def test_drift_towers_of_graph_metrics(self):
+        names, spaces = graph_spaces(random.Random("graph-towers"))
+        for name, sp in zip(names, spaces):
+            if len(sp) <= 12:
+                assert_matches_reference(sp)
+            tower = tower_v(sp)
+            assert all(classify_map(m).is_drift for m in tower.maps), name
+            assert is_trim(tower.terminal), name
 
 
 @pytest.mark.parametrize("call, message", [

@@ -122,6 +122,19 @@ class TestAncestorPreorder:
         assert ancestor_of(q, vs[0], vs[-1]) and not ancestor_of(q, vs[-1], vs[0])
         assert peak < 20 * 2**20
 
+    def test_closure_size_does_not_depend_on_names(self):
+        # Unpadded names sort v0, v1, v10, v100, ..., so class ids do not
+        # follow the chain; bits numbered by class id would make each
+        # bitset as wide as its largest id, about twice the bits in all.
+        sizes = []
+        for name in ("v{}", "v{:05d}"):
+            vs = [name.format(i) for i in range(10_000)]
+            q = Quiver(vs, [(vs[i + 1], vs[i]) for i in range(len(vs) - 1)])
+            assert ancestors(q, vs[-1]) == frozenset(vs)
+            assert ancestor_of(q, vs[0], vs[-1]) and not ancestor_of(q, vs[-1], vs[0])
+            sizes.append(sum(map(int.__sizeof__, q._memo["_class_reach"])))
+        assert max(sizes) < 1.05 * min(sizes), sizes
+
     @settings(max_examples=40, deadline=None)
     @given(quivers())
     def test_preorder_transitive(self, q):
