@@ -154,7 +154,7 @@ def audit_rendering(count, base, max_n):
         make = gen.gen_random_monotonous if s % 2 else gen.gen_random_quiver
         q = make(2 + s % (max_n - 1), 0.15 + 0.05 * (s % 8), seed=base + s)
         name = {v: f'{v}"\\\x00é\U0001f600' for v in q.vertices}
-        q = pq.Quiver.build(name.values(), [(name[t], name[h]) for t, h in q.edges])
+        q = pq.Quiver(name.values(), [(name[t], name[h]) for t, h in q.edges])
         obj = serialize.report_to_obj(pq.analyze(q))
         want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         assert serialize.dumps(obj) == want, s
@@ -224,7 +224,7 @@ def audit_isomorphism(count, base):
 def revalidated(space):
     """``space`` rebuilt from its rows by the validating constructor, which
     must give back the same int rows and ultrametric flag."""
-    again = pq.FiniteMetricSpace.build(space.points, space.rows)
+    again = pq.FiniteMetricSpace(space.points, space.rows)
     return again == space and again.is_ultrametric == space.is_ultrametric
 
 

@@ -43,7 +43,7 @@ def main() -> None:
     tree = gen.gen_rooted_tree_quiver([("r", "x"), ("x", "y"), ("r", "z")], "r")
     show_quiver("rooted tree", tree)
 
-    ultra3 = pq.FiniteMetricSpace.build(
+    ultra3 = pq.FiniteMetricSpace(
         ["x", "y", "z"], [[0, 1, 3], [1, 0, 3], [3, 3, 0]]
     )
     tower = pq.tower_u(ultra3)
@@ -54,19 +54,19 @@ def main() -> None:
         print(f"   step {i}: {pq.classify_map(pm).kind} "
               f"epsilon={pq.classify_map(pm).contraction_epsilon}")
 
-    tri = pq.FiniteMetricSpace.build(["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    tri = pq.FiniteMetricSpace(["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
     slack = {p: str(v) for p, v in pq.underline_d(tri).items()}
     print("== triangle {3,4,5}: underline_d:", slack, "trim:", pq.is_trim(tri))
     print("   drift tower length:", len(pq.tower_v(tri)))
 
-    cycle = pq.FiniteMetricSpace.build(
+    cycle = pq.FiniteMetricSpace(
         ["p0", "p1", "p2", "p3"],
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
     )
     print("== four-cycle metric: trim:", pq.is_trim(cycle),
           "(its own trim core, drift tower length", len(pq.tower_v(cycle)), ")")
 
-    two_fiber = pq.ESequence.build(
+    two_fiber = pq.ESequence(
         [["r"], ["a", "b"], ["a1", "a2", "b1"]],
         {"a": "r", "b": "r", "a1": "a", "a2": "a", "b1": "b"},
         [("a", "b")],

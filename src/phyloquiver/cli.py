@@ -42,7 +42,7 @@ def _load_space(args):
             f"{args.input}: {len(labels)} points exceed --max-points "
             f"{args.max_points}"
         )
-    return FiniteMetricSpace.build(labels, rows)
+    return FiniteMetricSpace(labels, rows)
 
 
 def _read_quiver_or_esequence(path: str) -> Quiver | ESequence:
@@ -111,7 +111,7 @@ def cmd_reconstruct(args) -> dict:
 
     space = _load_space(args)
     if args.prec is None or args.prec == "empty":
-        prec = esequence.PrecRelation.build(())
+        prec = esequence.PrecRelation(())
     else:
         prec = serialize.prec_from_text(serialize.read_text(args.prec))
     # The default is the largest distance rounded up, so reconstruct itself

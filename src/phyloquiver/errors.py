@@ -35,9 +35,9 @@ class Frozen:
     of them, and built from them by position or by name. They live in
     ``self.__dict__``, as may state outside ``_fields`` (memos, caches).
 
-    One construction rule, with no exception: public constructors and
-    ``build`` take outside input, checked by the types that override
-    ``__init__``, and :meth:`_trusted` stores every value the library derives."""
+    One construction rule, with no exception: public constructors take
+    outside input, checked by the types that override ``__init__``, and
+    :meth:`_trusted` stores every value the library derives."""
 
     _fields: tuple[str, ...] = ()
 

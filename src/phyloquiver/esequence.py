@@ -59,7 +59,7 @@ class ESequence(Frozen):
     _fields = ("levels", "parent", "order")
 
     def __init__(self, levels: Iterable[Iterable[str]], parent: Mapping[str, str],
-                 order: Iterable[tuple[str, str]]) -> None:
+                 order: Iterable[tuple[str, str]] = ()) -> None:
         self.__dict__.update(levels=tuple(map(tuple, levels)), parent=dict(parent),
                              order=frozenset((x, y) for x, y in order))
         if not self.levels:
@@ -84,11 +84,6 @@ class ESequence(Frozen):
                 raise InputError(f"order pair ({x!r}, {y!r}) references unknown labels")
             if lv[x] != lv[y]:
                 raise InputError(f"order pair ({x!r}, {y!r}) crosses levels")
-
-    @classmethod
-    def build(cls, levels: Iterable[Iterable[str]], parent: Mapping[str, str],
-              order: Iterable[tuple[str, str]] = ()) -> "ESequence":
-        return cls(levels, parent, order)
 
     @property
     def top(self) -> int:
@@ -298,9 +293,10 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
     p^k(a) = p^k(b). Equals half the forest path distance. Distinct
     siblings x, y of level m split the pairs below them at k = n + 1 - m,
     and each pair lies below exactly one such x, y, so each entry is
-    written once. It is an ultrametric by construction and is not checked
-    again: with one root every pair meets, and at k = max(rho(a, c),
-    rho(b, c)) both a and b meet c, so p^k(a) = p^k(b)."""
+    written once, in half units, the reduced unit of integer depths. It is
+    an ultrametric by construction and is not checked again: with one root
+    every pair meets, and at k = max(rho(a, c), rho(b, c)) both a and b
+    meet c, so p^k(a) = p^k(b)."""
     from .metric import FiniteMetricSpace
 
     below, points = _below(seq, n), seq.levels[n]
@@ -309,8 +305,8 @@ def terminal_ultrametric(seq: ESequence, n: int) -> FiniteMetricSpace:
         for p in seq.levels[m - 1]:
             for x, y in permutations(seq.children(p), 2):
                 for i, j in product(below[x], below[y]):
-                    depths[i][j] = n + 1 - m
-    return FiniteMetricSpace._from_ints(points, 1, depths, True)
+                    depths[i][j] = 2 * (n + 1 - m)
+    return FiniteMetricSpace._from_ints(points, 2, depths, True)
 
 
 class PrecRelation(Frozen):
@@ -321,9 +317,6 @@ class PrecRelation(Frozen):
     def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(pairs=frozenset((a, b) for a, b in pairs))
 
-    @classmethod
-    def build(cls, pairs: Iterable[tuple[str, str]]) -> "PrecRelation":
-        return cls(pairs)
 
 
 def induce_prec(seq: ESequence, n: int) -> PrecRelation:

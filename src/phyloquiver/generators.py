@@ -50,7 +50,7 @@ def gen_map_quiver(n: int) -> Quiver:
     _within_budget(n * n, f"{n} by {n} pairs")
     vertices = [str(k) for k in range(1, n + 1)]
     edges = [(a, b) for a in vertices for b in vertices]
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 def gen_surjection_quiver(n: int) -> Quiver:
@@ -62,7 +62,7 @@ def gen_surjection_quiver(n: int) -> Quiver:
     _within_budget(n * n, f"{n} by {n} pairs")
     vertices = [str(k) for k in range(1, n + 1)]
     edges = [(str(k), str(j)) for k in range(1, n + 1) for j in range(1, k + 1)]
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 def gen_rooted_tree_quiver(
@@ -96,19 +96,19 @@ def gen_rooted_tree_quiver(
         raise InputError("input is not a tree: not connected")
     vertices = sorted(undirected)
     edges = [(child, parent[child]) for child in vertices if child in parent]
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 def gen_g3() -> Quiver:
     """Three vertices A, B, C with edges B->A, B->C, C->B: heights 0, 1, 2
     with B and C isotypic."""
-    return Quiver.build(["A", "B", "C"], [("B", "A"), ("B", "C"), ("C", "B")])
+    return Quiver(["A", "B", "C"], [("B", "A"), ("B", "C"), ("C", "B")])
 
 
 def gen_abnormal() -> Quiver:
     """Two independent primitive roots below a common descendant R, whose
     equal-height critical ancestors are non-isotypic: R is not normal."""
-    return Quiver.build(
+    return Quiver(
         ["P1", "P2", "Q1", "Q2", "R"],
         [("Q1", "P1"), ("Q2", "P2"), ("R", "Q1"), ("R", "Q2")],
     )
@@ -117,7 +117,7 @@ def gen_abnormal() -> Quiver:
 def gen_nonmonotonous() -> Quiver:
     """Four-vertex chain with a shortcut: heights 0, 1, 2, 1 and the edge
     S->R climbs from height 1 to height 2."""
-    return Quiver.build(
+    return Quiver(
         ["P", "Q", "R", "S"],
         [("Q", "P"), ("R", "Q"), ("S", "R"), ("S", "P")],
     )
@@ -126,7 +126,7 @@ def gen_nonmonotonous() -> Quiver:
 def gen_irregular() -> Quiver:
     """A phylogenetic quiver in which Q is irregular: R descends from Q at
     equal height through S but has no direct edge to Q."""
-    return Quiver.build(
+    return Quiver(
         ["P", "Q", "R", "S"],
         [("Q", "P"), ("S", "Q"), ("S", "P"), ("R", "S"), ("R", "P")],
     )
@@ -149,7 +149,7 @@ def gen_random_quiver(n: int, density: float = 0.3, seed: int = 0) -> Quiver:
         for b in vertices
         if rng.random() < density
     ]
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 def gen_random_monotonous(n: int, density: float = 0.3, seed: int = 0) -> Quiver:
@@ -281,4 +281,4 @@ def gen_random_esequence(
                 for b in perm[i + 1:]:
                     if rng.random() < order_density:
                         order.add((a, b))
-    return ESequence.build(names, parent, _transitive_closure(frozenset(order)))
+    return ESequence(names, parent, _transitive_closure(frozenset(order)))

@@ -41,8 +41,8 @@ random hierarchy (gen_random_ultrametric), and distances drawn from
 24 <= 12 + 12. Two more laws spare the cubic half-deficits: on an
 ultrametric, the least deficit at x is its distance m to its nearest
 point, or 2m minus the widest distance among the others when all of them
-lie at m, read off one sort of each row; and a drift step that collapses
-no pair has a trim image, so it ends the drift tower with no check.
+lie at m, read off the ball table; and a drift step that collapses no
+pair has a trim image, so it ends the drift tower with no check.
 
 The cubic scans that remain take exact filters, which change no answer or
 message. The triangle check passes a pair (i, j) unscanned when d(i, j) <=
@@ -62,7 +62,7 @@ from functools import cached_property
 from itertools import accumulate, chain, filterfalse
 from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import Frozen, InputError, SizeGuardError, limit_reason
 
@@ -246,33 +246,31 @@ def _is_ultrametric(ints: tuple[tuple[int, ...], ...]) -> bool:
     )
 
 
-def _ultrametric_half_deficits(ints: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _ultrametric_half_deficits(
+    order: Sequence[int], join: Sequence[int]
+) -> tuple[int, ...]:
     """underline_d of each point of an ultrametric with three points or
-    more, from its sorted rows. Of d(x,y), d(x,z) and d(y,z) the two largest
+    more, from its ball table. Of d(x,y), d(x,z) and d(y,z) the two largest
     are equal, so a deficit at x is d(x,y) when d(x,y) < d(x,z), and
-    2 d(x,y) - d(y,z) >= d(x,y) when they are equal. Let m be the distance
-    from x to its nearest point y. If some z lies farther, d(y,z) = d(x,z)
-    and the least deficit is m. Otherwise every other point lies at m, and
-    it is 2m - W, W the widest distance between two other points. Every
-    other row y then tops out at d(y,x) = m, so its widest distance off x
-    is its second-largest entry, counted with multiplicity."""
-    rows = [sorted(row) for row in ints]
-    out = []
-    for x, row in enumerate(rows):
-        m = row[1]  # the diagonal 0 is the only zero of the row
-        if row[-1] > m:
-            out.append(m // 2)
-        else:
-            widest = max(other[-2] for y, other in enumerate(rows) if y != x)
-            out.append(m - widest // 2)
+    2 d(x,y) - d(y,z) >= d(x,y) when they are equal. Let m be the shorter
+    step beside x, its nearest distance, and D the longest, the farthest
+    distance from any point. If m < D, some z lies farther, d(y,z) = d(x,z)
+    and the least deficit is m. Otherwise it is 2m - W, W the longest step
+    with x taken out: D inside the order, the longest past x's own at an end."""
+    top = max(join)
+    ends = (top, *join[1:], top)
+    widest = (max(join[2:]), max(join[1:-1]))  # x first, x elsewhere
+    out = [0] * len(order)
+    for i, (x, m) in enumerate(zip(order, map(min, ends, ends[1:]))):
+        out[x] = m // 2 if m < top else m - widest[i > 0] // 2
     return tuple(out)
 
 
 class FiniteMetricSpace(Frozen):
     """Labeled points with an exact rational distance matrix, stored as its
-    reduced int rows. The constructor, and ``build`` with it, enforces the
-    metric axioms. ``is_ultrametric`` is not a field: it follows from the
-    rows, so it is never compared or hashed."""
+    reduced int rows. The constructor enforces the metric axioms.
+    ``is_ultrametric`` is not a field: it follows from the rows, so it is
+    never compared or hashed."""
 
     _fields = ("points", "_scaled")
 
@@ -283,10 +281,6 @@ class FiniteMetricSpace(Frozen):
             raise InputError("not a metric: " + "; ".join(check.problems))
         self.__dict__.update(points=labels, _scaled=scaled,
                              is_ultrametric=check.is_ultrametric)
-
-    @classmethod
-    def build(cls, points: Iterable[str], rows: Iterable[Iterable]) -> "FiniteMetricSpace":
-        return cls(points, rows)
 
     @classmethod
     def _from_ints(
@@ -340,7 +334,7 @@ class FiniteMetricSpace(Frozen):
             # 0 on a single point, half the sole distance on a pair
             return tuple(max(row) // 2 for row in ints)
         if self.is_ultrametric:
-            return _ultrametric_half_deficits(ints)
+            return _ultrametric_half_deficits(*self._balls)
         top = list(map(max, ints))
         out = []
         for x, row in enumerate(ints):
@@ -571,27 +565,24 @@ def tower_u(space: FiniteMetricSpace) -> Tower:
     number of distinct nonzero distances."""
     if not space.is_ultrametric:
         raise InputError("tower_u needs an ultrametric space")
-    spaces = [space]
-    maps: list[PointMap] = []
-    while len(spaces[-1].points) > 1:
-        nxt, pmap = quotient_u(spaces[-1])
-        spaces.append(nxt)
-        maps.append(pmap)
-    return Tower._trusted(spaces=tuple(spaces), maps=tuple(maps))
+    return _tower(space, quotient_u, lambda s: len(s) == 1)
 
 
 def tower_v(space: FiniteMetricSpace) -> Tower:
-    """Iterate quotient_v until the space is trim (the trim core). Each
-    step but the last collapses at least one pair, so the loop ends."""
+    """Iterate quotient_v until the space is trim (the trim core)."""
+    return _tower(space, quotient_v, is_trim)
+
+
+def _tower(space: FiniteMetricSpace, step: Callable, done: Callable) -> Tower:
+    """Apply step until done holds. A step that collapses no pair is the
+    last: d' = d - h(x) - h(y) lowers every deficit at x by exactly 2 h(x)
+    and keeps every triple, so its image is trim with no second cubic pass."""
     spaces = [space]
     maps: list[PointMap] = []
-    while not is_trim(spaces[-1]):
-        nxt, pmap = quotient_v(spaces[-1])
+    while not done(spaces[-1]):
+        nxt, pmap = step(spaces[-1])
         spaces.append(nxt)
         maps.append(pmap)
-        # A step that collapses no pair is the last: d' = d - h(x) - h(y)
-        # lowers every deficit at x by exactly 2 h(x), and keeps every
-        # triple, so its image is trim without a second cubic pass.
         if len(nxt) == len(pmap.source):
             break
     return Tower._trusted(spaces=tuple(spaces), maps=tuple(maps))

@@ -83,10 +83,6 @@ class Quiver(Frozen):
                 raise InputError(f"edge ({tail!r}, {head!r}): unknown head vertex")
 
     @classmethod
-    def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Quiver":
-        return cls(vertices, edges)
-
-    @classmethod
     def _trusted(cls, **fields) -> "Quiver":
         # the memo last, as __init__ stores it, so both share one key layout
         return super()._trusted(**fields, _memo={})

@@ -153,7 +153,7 @@ def quiver_from_obj(obj, source: str = "<input>") -> Quiver:
         raise InputError(
             f"{source}: each item of 'edges' must be a [tail, head] pair of string ids"
         )
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 # A blank or comment, a quoted id, a bare id, or one other character.
@@ -232,7 +232,7 @@ def quiver_from_dot(text: str, source: str = "<input>") -> Quiver:
     take("")
     if not vertices:
         raise InputError(f"{source}: digraph declares no vertices")
-    return Quiver.build(vertices, edges)
+    return Quiver(vertices, edges)
 
 
 def _dot_quote(name: str) -> str:
@@ -284,7 +284,7 @@ def esequence_from_obj(obj, source: str = "<input>") -> ESequence:
         raise InputError(
             f"{source}: each item of 'order' must be an [x, y] pair of string labels"
         )
-    return ESequence.build(levels, parent, order)
+    return ESequence(levels, parent, order)
 
 
 def prec_from_text(text: str) -> PrecRelation:
@@ -297,14 +297,14 @@ def prec_from_text(text: str) -> PrecRelation:
             for ln, raw in enumerate(text.splitlines(), start=1)]
     rows = [row for row in rows if row[2]]
     if len(rows) == 1 and rows[0][2].lower() == "empty":
-        return PrecRelation.build(())
+        return PrecRelation(())
     pairs: list[tuple[str, str]] = []
     for ln, raw, line in rows:
         parts = [p for p in re.split(r"[,\s]+", line) if p]
         if len(parts) != 2:
             raise InputError(f"prec file line {ln}: expected two labels, got {raw!r}")
         pairs.append((parts[0], parts[1]))
-    return PrecRelation.build(pairs)
+    return PrecRelation(pairs)
 
 
 # -- metric spaces ------------------------------------------------------------
@@ -372,7 +372,7 @@ def space_from_csv(text: str, source: str = "<input>") -> FiniteMetricSpace:
     from .metric import FiniteMetricSpace
 
     labels, rows = matrix_from_csv(text, source)
-    return FiniteMetricSpace.build(labels, rows)
+    return FiniteMetricSpace(labels, rows)
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:

@@ -262,7 +262,7 @@ def toggle_pair(seq, rng):
 def relabeled(seq, rng):
     """A copy of ``seq`` under fresh labels, every level shuffled."""
     name = {x: f"z{x}" for x in seq.labels()}
-    return ESequence.build(
+    return ESequence(
         [rng.sample([name[x] for x in level], len(level)) for level in seq.levels],
         {name[x]: name[p] for x, p in seq.parent.items()},
         [(name[x], name[y]) for x, y in seq.order],
@@ -285,7 +285,7 @@ def one_group(rng):
     else:
         lows, highs = group[:len(group) // 2], group[len(group) // 2:]
         order = [(a, highs[(i + j) % len(highs)]) for i, a in enumerate(lows) for j in (0, 1)]
-    return ESequence.build(
+    return ESequence(
         [["r"], group] + [leaves] * bool(leaves),
         {**dict.fromkeys(group, "r"), **{c: rng.choice(group) for c in leaves}},
         order,
@@ -385,7 +385,7 @@ def shuffled(rows, rng, tag):
     """The space of ``rows`` under labels ``tag0``, ``tag1``, ... in a random order."""
     n = len(rows)
     perm = rng.sample(range(n), n)
-    return FiniteMetricSpace.build(
+    return FiniteMetricSpace(
         [f"{tag}{i}" for i in range(n)],
         [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)],
     )

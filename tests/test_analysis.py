@@ -283,7 +283,7 @@ class TestEmbedding:
     def test_isotypic_stand_in_carries_the_match(self):
         # same shape as G3 plus an edge C -> A, so (A, C, B) is a valid
         # evolution; B ~ C lets (A, B) embed in it
-        q = Quiver.build(
+        q = Quiver(
             ["A", "B", "C"], [("B", "A"), ("B", "C"), ("C", "B"), ("C", "A")]
         )
         ab = validate_evolution(q, ["A", "B"])
@@ -368,7 +368,7 @@ class TestPhylogeneticVertices:
         # non-monotonous and not normal: abnormal quiver plus a vertex T
         # whose edge T -> R climbs heights. R's two short evolutions pass
         # through Q1 and Q2, which lie in different classes.
-        q = Quiver.build(
+        q = Quiver(
             ["P1", "P2", "Q1", "Q2", "R", "T"],
             [("Q1", "P1"), ("Q2", "P2"), ("R", "Q1"), ("R", "Q2"),
              ("T", "P1"), ("T", "R")],
@@ -477,7 +477,7 @@ class TestBoundedOracle:
         # length 5 avoids P, so (P, v) passes exactly below length 5.
         edges = [("v", "P"), ("a1", "P2"), ("v", "a4")]
         edges += [(f"a{i}", f"a{i - 1}") for i in range(2, 5)]
-        q = Quiver.build(["P", "P2", "a1", "a2", "a3", "a4", "v"], edges)
+        q = Quiver(["P", "P2", "a1", "a2", "a3", "a4", "v"], edges)
         alpha = validate_evolution(q, ["P", "v"])
         results = [verify_universal_bounded(q, alpha, m) for m in range(8)]
         assert results == [True] * 5 + [False] * 3
@@ -562,7 +562,7 @@ def climbing_chain(k):
     edges = [("Q1", "P"), ("Q2", "P"), ("R", "Q1"), ("R", "Q2"), ("c1", "R")]
     edges += list(zip(chain[1:], chain))
     edges += [("T", chain[-1]), ("T", "P")]
-    return Quiver.build(["P", "Q1", "Q2", "R", "T", *chain], edges)
+    return Quiver(["P", "Q1", "Q2", "R", "T", *chain], edges)
 
 
 class TestPointStatus:
@@ -757,7 +757,7 @@ class TestPerQuiverMemo:
 def chain_quiver(levels):
     """c0 <- c1 <- ... <- c(levels - 1); c0 is the only primitive."""
     vs = [f"c{i}" for i in range(levels)]
-    return Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(levels - 1)])
+    return Quiver(vs, [(vs[i + 1], vs[i]) for i in range(levels - 1)])
 
 
 def diamond_ladder(rungs):
@@ -768,7 +768,7 @@ def diamond_ladder(rungs):
         a, b, j, below = f"a{k}", f"b{k}", f"j{k}", f"j{k - 1}"
         vs += [a, b, j]
         es += [(a, b), (b, a), (a, below), (b, below), (j, a), (j, b)]
-    return Quiver.build(vs, es)
+    return Quiver(vs, es)
 
 
 def normality_sweep():
@@ -787,7 +787,7 @@ def dense_draw(rng, n, edges):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             chosen.add((vs[a], vs[b]))
-    return Quiver.build(vs, sorted(chosen))
+    return Quiver(vs, sorted(chosen))
 
 
 def nonmonotonous_sweep():
@@ -928,7 +928,7 @@ class TestParentalRule:
 
     def test_equal_height_parent_with_another_parent(self):
         # Q1 -> Q2 at height 1: Q1's critical ancestors P1 and P2 clash.
-        q = Quiver.build(["P1", "P2", "Q1", "Q2"],
+        q = Quiver(["P1", "P2", "Q1", "Q2"],
                          [("Q1", "P1"), ("Q2", "P2"), ("Q1", "Q2")])
         assert is_monotonous(q) and not is_normal(q, "Q1")
         assert not is_phylogenetic_quiver(q)
@@ -992,7 +992,7 @@ class TestLayeredUniversalEvolution:
                 assert universal_evolution(Quiver(q.vertices, q.edges), v) == first
 
     def test_parallel_edges_pick_the_first_index(self):
-        q = Quiver.build(["A", "B", "C"], [("C", "A"), ("B", "A"), ("C", "B"),
+        q = Quiver(["A", "B", "C"], [("C", "A"), ("B", "A"), ("C", "B"),
                                            ("B", "A"), ("C", "A")])
         evo = universal_evolution(q, "C")
         assert evo.vertices == ("A", "C")
@@ -1029,7 +1029,7 @@ class TestDeepQuivers:
     def test_nonmonotonous_chain_normality_frees_its_bitsets(self):
         # The edge z -> c9999 climbs, so the slot rule walks the whole chain.
         chain = chain_quiver(10_000)
-        q = Quiver.build([*chain.vertices, "z"],
+        q = Quiver([*chain.vertices, "z"],
                          [*chain.edges, ("z", "c0"), ("z", "c9999")])
         _critical_heads(q)
         assert not is_monotonous(q)

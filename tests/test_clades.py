@@ -70,7 +70,7 @@ class TestClade:
 def chain(n):
     """v0 <- v1 <- ... <- v(n - 1); the root v0 is the only primitive."""
     vs = [f"v{i}" for i in range(n)]
-    return Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+    return Quiver(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
 
 
 class TestDescendantReads:
@@ -326,7 +326,7 @@ class TestCladeReport:
         # none of them may stay on the quiver once the reports are gone.
         n = 600
         vs = [f"v{i:03d}" for i in range(n)]
-        q = Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+        q = Quiver(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
         clade_report(q, vs[0])  # warms the whole-quiver tables
         tracemalloc.start()
         try:

@@ -265,10 +265,10 @@ class TestTowers:
     def test_max_points_refuses_before_the_metric_check(
         self, capsys, tmp_path, monkeypatch
     ):
-        def build(*args):
+        def init(*args):
             raise AssertionError("the metric check ran before the refusal")
 
-        monkeypatch.setattr(FiniteMetricSpace, "build", build)
+        monkeypatch.setattr(FiniteMetricSpace, "__init__", init)
         path = tmp_path / "ultra3.csv"
         path.write_text(ULTRA3)
         code, out, err = run(capsys, "ultra-tower", str(path), "--max-points", "2")
@@ -329,8 +329,8 @@ class TestReconstruct:
         path = tmp_path / "leaves.csv"
         path.write_text("a1,a2,b1\n0,1,2\n1,0,2\n2,2,0\n")
         code, out, _ = run(capsys, "reconstruct", str(path), "--levels", "3")
-        space = FiniteMetricSpace.build(["a1", "a2", "b1"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
-        want = reconstruct(space, PrecRelation.build(()), 3)
+        space = FiniteMetricSpace(["a1", "a2", "b1"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        want = reconstruct(space, PrecRelation(()), 3)
         assert code == 0 and out == serialize.dumps(serialize.esequence_to_obj(want))
 
     def test_default_levels_refuse_non_integer_distances(self, capsys, tmp_path):

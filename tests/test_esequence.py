@@ -64,7 +64,7 @@ from oracles import (
 @pytest.fixture
 def two_fiber():
     """P0 = {r}, P1 = {a, b} with a < b, P2 = {a1, a2, b1}."""
-    return ESequence.build(
+    return ESequence(
         [["r"], ["a", "b"], ["a1", "a2", "b1"]],
         {"a": "r", "b": "r", "a1": "a", "a2": "a", "b1": "b"},
         [("a", "b")],
@@ -74,22 +74,22 @@ def two_fiber():
 class TestESequenceType:
     def test_structural_checks(self):
         with pytest.raises(InputError, match="duplicate"):
-            ESequence.build([["a"], ["a"]], {"a": "a"})
+            ESequence([["a"], ["a"]], {"a": "a"})
         with pytest.raises(InputError, match="cover"):
-            ESequence.build([["r"], ["x"]], {})
+            ESequence([["r"], ["x"]], {})
         with pytest.raises(InputError, match="one level below"):
-            ESequence.build([["r"], ["x"], ["y"]], {"x": "r", "y": "r"})
+            ESequence([["r"], ["x"], ["y"]], {"x": "r", "y": "r"})
         with pytest.raises(InputError, match="crosses levels"):
-            ESequence.build([["r"], ["x"]], {"x": "r"}, [("r", "x")])
+            ESequence([["r"], ["x"]], {"x": "r"}, [("r", "x")])
 
     def test_validate_flags_order_on_level_zero(self):
-        seq = ESequence.build([["r", "s"]], {}, [("r", "s")])
+        seq = ESequence([["r", "s"]], {}, [("r", "s")])
         assert validate_esequence(seq) == [
             "order on level 0 must be trivial: 'r' < 's'"
         ]
 
     def test_validate_flags_parent_mismatch(self):
-        seq = ESequence.build(
+        seq = ESequence(
             [["r", "s"], ["x", "y"]], {"x": "r", "y": "s"}, [("x", "y")]
         )
         violations = validate_esequence(seq)
@@ -98,11 +98,11 @@ class TestESequenceType:
     def test_validate_flags_broken_order_axioms(self):
         base = [["r"], ["x", "y", "z"]]
         parent = {"x": "r", "y": "r", "z": "r"}
-        refl = ESequence.build(base, parent, [("x", "x")])
+        refl = ESequence(base, parent, [("x", "x")])
         assert any("irreflexive" in v for v in validate_esequence(refl))
-        sym = ESequence.build(base, parent, [("x", "y"), ("y", "x")])
+        sym = ESequence(base, parent, [("x", "y"), ("y", "x")])
         assert any("antisymmetric" in v for v in validate_esequence(sym))
-        open_chain = ESequence.build(base, parent, [("x", "y"), ("y", "z")])
+        open_chain = ESequence(base, parent, [("x", "y"), ("y", "z")])
         assert any("transitive" in v for v in validate_esequence(open_chain))
 
     def test_generated_sequences_are_lawful(self):
@@ -116,7 +116,7 @@ class TestESequenceType:
         k = 20
         a, b, c = ([f"{t}{i:02}" for i in range(k)] for t in "abc")
         kids = c + b + a  # positions in the level do not follow the labels
-        seq = ESequence.build([["r"], kids], dict.fromkeys(kids, "r"),
+        seq = ESequence([["r"], kids], dict.fromkeys(kids, "r"),
                               [*itertools.product(a, b), *itertools.product(b, c)])
         assert validate_esequence(seq) == [
             f"order is not transitive: {x!r} < {y!r} < 'c00' without "
@@ -169,7 +169,7 @@ class TestEvolutionarySequence:
     def test_single_vertex_quiver(self):
         from phyloquiver import Quiver
 
-        seq = evolutionary_sequence(Quiver.build(["x"], []))
+        seq = evolutionary_sequence(Quiver(["x"], []))
         assert seq.levels == (("x",),)
 
     def test_rejects_non_phylogenetic(self):
@@ -232,7 +232,7 @@ class TestEvolutionarySequenceByScan:
 
     def test_deep_chain(self):
         labels = [f"c{i}" for i in range(3000)]
-        seq = ESequence.build(
+        seq = ESequence(
             [[x] for x in labels], {labels[i + 1]: labels[i] for i in range(2999)}
         )
         self.assert_matches(realize_esequence(seq))
@@ -240,13 +240,13 @@ class TestEvolutionarySequenceByScan:
 
 class TestRealization:
     def test_chain(self):
-        seq = ESequence.build([["r"], ["a"]], {"a": "r"})
+        seq = ESequence([["r"], ["a"]], {"a": "r"})
         q = realize_esequence(seq)
         assert q.vertices == ("r", "a")
         assert q.edges == (("a", "r"),)
 
     def test_rejects_invalid(self):
-        bad = ESequence.build([["r", "s"]], {}, [("r", "s")])
+        bad = ESequence([["r", "s"]], {}, [("r", "s")])
         with pytest.raises(InputError, match="not an E-sequence"):
             realize_esequence(bad)
 
@@ -283,7 +283,7 @@ class TestForest:
         assert forest_distance(f, "a", "b") == 2
 
     def test_separate_trees_unreachable(self):
-        seq = ESequence.build([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
+        seq = ESequence([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
         f = build_forest(seq)
         assert forest_distance(f, "x", "y") is None
         assert forest_distance(f, "x", "r") == 1
@@ -342,17 +342,17 @@ class TestTerminalUltrametric:
                     assert 2 * sp.distance(a, b) == forest_distance(f, a, b)
 
     def test_one_leaf_level(self):
-        seq = ESequence.build([["r"], ["x"]], {"x": "r"})
+        seq = ESequence([["r"], ["x"]], {"x": "r"})
         sp = terminal_ultrametric(seq, 1)
         assert sp.points == ("x",)
 
     def test_rejects_multiple_roots(self):
-        seq = ESequence.build([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
+        seq = ESequence([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
         with pytest.raises(InputError, match="card"):
             terminal_ultrametric(seq, 1)
 
     def test_rejects_non_surjective(self):
-        seq = ESequence.build(
+        seq = ESequence(
             [["r"], ["a", "b"], ["c"]], {"a": "r", "b": "r", "c": "a"}
         )
         with pytest.raises(InputError, match="surjective"):
@@ -364,7 +364,7 @@ def _deep_shapes(levels=300, width=40):
     out of the root, and ``width`` leaves fanning out under one chain, each
     fan with disjoint ordered pairs."""
     fan = [[f"c{j}x{m}" for j in range(width)] for m in range(1, levels)]
-    root_fan = ESequence.build(
+    root_fan = ESequence(
         [["r"]] + fan,
         {x: fan[m - 1][j] if m else "r"
          for m, level in enumerate(fan) for j, x in enumerate(level)},
@@ -372,7 +372,7 @@ def _deep_shapes(levels=300, width=40):
     )
     stem = [f"k{m}" for m in range(levels - 1)]
     leaves = [f"leaf{j}" for j in range(width)]
-    leaf_fan = ESequence.build(
+    leaf_fan = ESequence(
         [[x] for x in stem] + [leaves],
         {**dict(zip(stem[1:], stem)), **dict.fromkeys(leaves, stem[-1])},
         [(leaves[j], leaves[j + 1]) for j in range(0, width - 1, 2)],
@@ -414,7 +414,7 @@ def terminal_data_by_walks(seq, n):
 
 class TestPrec:
     def test_empty_orders_give_empty_prec(self):
-        seq = ESequence.build(
+        seq = ESequence(
             [["r"], ["a", "b"], ["a1", "b1"]],
             {"a": "r", "b": "r", "a1": "a", "b1": "b"},
         )
@@ -447,26 +447,26 @@ class TestPrec:
 
     def test_validate_prec_counterexamples(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
-        sym = PrecRelation.build([("a1", "b1"), ("b1", "a1")])
+        sym = PrecRelation([("a1", "b1"), ("b1", "a1")])
         assert any("asymmetric" in v for v in validate_prec(sp, sym))
         # distances exceed the declared number of levels
         assert any(
             "outside" in v
-            for v in validate_prec(sp, PrecRelation.build(()), n=1)
+            for v in validate_prec(sp, PrecRelation(()), n=1)
         )
         with pytest.raises(InputError, match="ultrametric"):
             validate_prec(
-                __import__("phyloquiver").FiniteMetricSpace.build(
+                __import__("phyloquiver").FiniteMetricSpace(
                     ["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
                 ),
-                PrecRelation.build(()),
+                PrecRelation(()),
             )
 
     def test_validate_prec_ball_compatibility_rules(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
         # a1 prec b1 without a2 prec b1 breaks rule (iii): rho(a1, a2) = 1
         # is below rho(a1, b1) = 2
-        partial = PrecRelation.build([("a1", "b1")])
+        partial = PrecRelation([("a1", "b1")])
         assert any("prec" in v for v in validate_prec(sp, partial, 2))
 
     def test_validate_prec_matches_fraction_definition(self):
@@ -502,7 +502,7 @@ class TestPrec:
             sp, prec = terminal_ultrametric(seq, n), induce_prec(seq, n)
             if s % 3 == 0:
                 factor = Fraction(1 + s % 5, 2 + s % 3)
-                sp = FiniteMetricSpace.build(
+                sp = FiniteMetricSpace(
                     sp.points, [[v * factor for v in row] for row in sp.rows])
             for rel in [prec, *one_pair_mutations(sp, prec, rng)]:
                 want = ref_validate_prec(sp, rel, n)
@@ -557,8 +557,8 @@ class TestPrec:
         pts = [f"p{i}" for i in range(m)] + [f"q{i}" for i in range(m)]
         rows = [[0 if x == y else 1 if x[1:] == y[1:] else 2 for y in pts]
                 for x in pts]
-        sp = FiniteMetricSpace.build(pts, rows)
-        prec = PrecRelation.build(
+        sp = FiniteMetricSpace(pts, rows)
+        prec = PrecRelation(
             (f"p{i}", f"p{(i + d) % m}") for i in range(m) for d in (1, -1))
         got = validate_prec(sp, prec)
         assert len(got) == 3 * len(prec.pairs) + m
@@ -604,61 +604,61 @@ class TestReconstruction:
     def test_single_point_degenerate_chain(self):
         from phyloquiver import FiniteMetricSpace
 
-        sp = FiniteMetricSpace.build(("x",), ((0,),))
-        rebuilt = reconstruct(sp, PrecRelation.build(()), 3)
+        sp = FiniteMetricSpace(("x",), ((0,),))
+        rebuilt = reconstruct(sp, PrecRelation(()), 3)
         assert [len(level) for level in rebuilt.levels] == [1, 1, 1, 1]
 
     def test_two_points_empty_prec(self):
         from phyloquiver import FiniteMetricSpace
 
-        sp = FiniteMetricSpace.build(["x", "y"], [[0, 1], [1, 0]])
-        rebuilt = reconstruct(sp, PrecRelation.build(()), 1)
+        sp = FiniteMetricSpace(["x", "y"], [[0, 1], [1, 0]])
+        rebuilt = reconstruct(sp, PrecRelation(()), 1)
         assert [len(level) for level in rebuilt.levels] == [1, 2]
         assert not rebuilt.order
 
     def test_rejects_non_integer_distances(self):
         from phyloquiver import FiniteMetricSpace
 
-        sp = FiniteMetricSpace.build(
+        sp = FiniteMetricSpace(
             ["x", "y"], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
         )
         with pytest.raises(InputError, match="integer"):
-            reconstruct(sp, PrecRelation.build(()), 1)
+            reconstruct(sp, PrecRelation(()), 1)
 
     def test_rejects_point_labels_that_collide_with_ball_labels(self):
         from phyloquiver import FiniteMetricSpace
 
         # the radius-1 ball {a, b} of level 1 is named "1:a", a point's label
-        sp = FiniteMetricSpace.build(
+        sp = FiniteMetricSpace(
             ["a", "b", "1:a"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
         )
         with pytest.raises(InputError, match="^point labels collide with generated ball labels$"):
-            reconstruct(sp, PrecRelation.build(()), 2)
+            reconstruct(sp, PrecRelation(()), 2)
 
     def test_refuses_more_labels_than_its_budget(self, monkeypatch):
         # one level per integer radius: 10**20 + 1 levels of two points, or a
         # billion of three, refused before the first level is built
-        big = FiniteMetricSpace.build(["a", "b"], [[0, 10**20], [10**20, 0]])
-        u3 = FiniteMetricSpace.build(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        big = FiniteMetricSpace(["a", "b"], [[0, 10**20], [10**20, 0]])
+        u3 = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
         for space, n, labels in [(big, 10**20, 2 * 10**20 + 2), (u3, 10**9, 3 * 10**9 + 3)]:
             with pytest.raises(SizeGuardError, match=(
                 f"^{labels} labels \\({n + 1} levels of {len(space)} points\\) "
                 "exceed the budget of 1000000$"
             )):
-                reconstruct(space, PrecRelation.build(()), n)
+                reconstruct(space, PrecRelation(()), n)
         # the earlier refusals keep their words, and the budget is inclusive
-        half = FiniteMetricSpace.build(["a", "b"], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+        half = FiniteMetricSpace(["a", "b"], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
         with pytest.raises(InputError, match="is not an integer in 0..1000000000$"):
-            reconstruct(half, PrecRelation.build(()), 10**9)
+            reconstruct(half, PrecRelation(()), 10**9)
         monkeypatch.setattr("phyloquiver.esequence._MAX_LABELS", 9)
-        assert len(reconstruct(u3, PrecRelation.build(()), 2).labels()) == 6
+        assert len(reconstruct(u3, PrecRelation(()), 2).labels()) == 6
         with pytest.raises(SizeGuardError, match="^12 labels"):
-            reconstruct(u3, PrecRelation.build(()), 3)
+            reconstruct(u3, PrecRelation(()), 3)
 
     def test_rejects_unlawful_prec(self, two_fiber):
         sp = terminal_ultrametric(two_fiber, 2)
         with pytest.raises(InputError, match="lawful"):
-            reconstruct(sp, PrecRelation.build([("a1", "b1")]), 2)
+            reconstruct(sp, PrecRelation([("a1", "b1")]), 2)
 
     def test_random_round_trips(self):
         # the level-n terminal data come back exactly, and at the top level
@@ -683,7 +683,7 @@ def _reparented(seq, rng):
     m = rng.randint(1, seq.top)
     x = rng.choice(seq.levels[m])
     parent = {**seq.parent, x: rng.choice(seq.levels[m - 1])}
-    return ESequence.build(seq.levels, parent, [p for p in seq.order if x not in p])
+    return ESequence(seq.levels, parent, [p for p in seq.order if x not in p])
 
 
 def _with_cycle(seq, rng):
@@ -698,7 +698,7 @@ def _with_cycle(seq, rng):
 class TestIsomorphism:
     def test_identity_and_relabeling(self, two_fiber):
         assert esequence_isomorphic(two_fiber, two_fiber)
-        renamed = ESequence.build(
+        renamed = ESequence(
             [["R"], ["B", "A"], ["B1", "A2", "A1"]],
             {"A": "R", "B": "R", "A1": "A", "A2": "A", "B1": "B"},
             [("A", "B")],
@@ -706,14 +706,14 @@ class TestIsomorphism:
         assert esequence_isomorphic(two_fiber, renamed)
 
     def test_distinguishes_orders(self, two_fiber):
-        unordered = ESequence.build(
+        unordered = ESequence(
             [["r"], ["a", "b"], ["a1", "a2", "b1"]],
             {"a": "r", "b": "r", "a1": "a", "a2": "a", "b1": "b"},
         )
         assert not esequence_isomorphic(two_fiber, unordered)
 
     def test_distinguishes_shapes(self, two_fiber):
-        other = ESequence.build(
+        other = ESequence(
             [["r"], ["a", "b"], ["a1", "b1", "b2"]],
             {"a": "r", "b": "r", "a1": "a", "b1": "b", "b2": "b"},
             [("a", "b")],
@@ -721,17 +721,17 @@ class TestIsomorphism:
         assert not esequence_isomorphic(two_fiber, other)
 
     def test_level_count_and_sizes(self):
-        one = ESequence.build([["r"]], {})
-        two = ESequence.build([["r"], ["x"]], {"x": "r"})
+        one = ESequence([["r"]], {})
+        two = ESequence([["r"], ["x"]], {"x": "r"})
         assert not esequence_isomorphic(one, two)
 
     def test_compares_transitive_closures(self):
         base = [["r"], ["x", "y", "z"]]
         parent = {"x": "r", "y": "r", "z": "r"}
-        closed = ESequence.build(
+        closed = ESequence(
             base, parent, [("x", "y"), ("y", "z"), ("x", "z")]
         )
-        open_chain = ESequence.build(base, parent, [("x", "y"), ("y", "z")])
+        open_chain = ESequence(base, parent, [("x", "y"), ("y", "z")])
         assert esequence_isomorphic(closed, open_chain)
 
     def test_matches_brute_force_search(self):
@@ -787,8 +787,8 @@ class TestIsomorphism:
         monkeypatch.setattr("phyloquiver.esequence._part_form",
                             lambda *args: calls.append(args))
         labels = [f"a{i}" for i in range(3000)]
-        chain = ESequence.build([[x] for x in labels], dict(zip(labels[1:], labels)))
-        roots = ESequence.build([[f"r{i}" for i in range(2000)]], {})
+        chain = ESequence([[x] for x in labels], dict(zip(labels[1:], labels)))
+        roots = ESequence([[f"r{i}" for i in range(2000)]], {})
         rng = random.Random(6)
         assert esequence_isomorphic(chain, relabeled(chain, rng))
         assert esequence_isomorphic(roots, relabeled(roots, rng))
@@ -805,7 +805,7 @@ class TestIsomorphism:
             if seed is not None:
                 # the level's list order is the order candidates are tried in
                 random.Random(seed).shuffle(level)
-            return ESequence.build(
+            return ESequence(
                 [level], {}, [(lows[i], highs[j]) for i, j in pairs]
             )
 
@@ -821,7 +821,7 @@ class TestIsomorphism:
         # Leaves a1 < b1 and parents a2 < b2, or a leaf below a parent and a
         # parent below a leaf: same codes, counts and no twins either way.
         def seq(order):
-            return ESequence.build(
+            return ESequence(
                 [["r"], ["a1", "a2", "b1", "b2"], ["ca", "cb"]],
                 {"a1": "r", "a2": "r", "b1": "r", "b2": "r",
                  "ca": "a2", "cb": "b2"},
@@ -838,7 +838,7 @@ class TestIsomorphism:
         def crown(pairs, tag):
             lows = [f"{tag}a{i}" for i in range(n)]
             highs = [f"{tag}b{i}" for i in range(n)]
-            return ESequence.build(
+            return ESequence(
                 [lows + highs], {}, [(lows[i], highs[j]) for i, j in pairs]
             )
 
@@ -858,7 +858,7 @@ class TestIsomorphism:
         # orderings of labels with equal keys.
         def group(pairs):
             xs = [f"x{i}" for i in range(n)]
-            return ESequence.build([["r"], xs], dict.fromkeys(xs, "r"),
+            return ESequence([["r"], xs], dict.fromkeys(xs, "r"),
                                    [(xs[i], xs[j]) for i, j in pairs])
 
         rng = random.Random(n)
@@ -877,7 +877,7 @@ class TestIsomorphism:
             pairs += [(lows[i], highs[i // 2 * 2 + (i + j) % 2 if split else (i + j) % 4])
                       for i in range(4) for j in (0, 1)]
             xs = chain + lows + highs
-            return ESequence.build([["r"], xs], dict.fromkeys(xs, "r"), pairs)
+            return ESequence([["r"], xs], dict.fromkeys(xs, "r"), pairs)
 
         rng = random.Random(3)
         for split, expected in [(False, True), (True, False)]:
@@ -889,13 +889,13 @@ class TestIsomorphism:
     def test_twins_never_count_toward_the_budget(self):
         rng = random.Random(5)
         leaves = [f"x{i}" for i in range(12)]
-        fibre = ESequence.build([["r"], leaves], dict.fromkeys(leaves, "r"))
+        fibre = ESequence([["r"], leaves], dict.fromkeys(leaves, "r"))
         assert esequence_isomorphic(fibre, relabeled(fibre, rng))
-        roots = ESequence.build([[f"r{i}" for i in range(50)]], {})
+        roots = ESequence([[f"r{i}" for i in range(50)]], {})
         assert esequence_isomorphic(roots, relabeled(roots, rng))
 
     def test_order_across_sibling_groups_is_not_an_esequence(self):
-        seq = ESequence.build(
+        seq = ESequence(
             [["r", "s"], ["x", "y"]], {"x": "r", "y": "s"}, [("x", "y")]
         )
         with pytest.raises(InputError, match="across sibling groups"):
@@ -905,7 +905,7 @@ class TestIsomorphism:
         # Every order pair crosses; the message names the least one.
         script = (
             "from phyloquiver import ESequence, InputError, esequence_isomorphic\n"
-            "seq = ESequence.build([['r', 's'], ['x', 'y', 'z', 'w']],\n"
+            "seq = ESequence([['r', 's'], ['x', 'y', 'z', 'w']],\n"
             "                      {'x': 'r', 'z': 'r', 'y': 's', 'w': 's'},\n"
             "                      [('x', 'y'), ('z', 'w'), ('x', 'w')])\n"
             "try:\n"
@@ -932,7 +932,7 @@ class TestIsomorphism:
             "    return [(f'{lo}{i}', f'{hi}{(i + j) % n}') for i in range(n) for j in (0, 1)]\n"
             "xs = [f'{t}{i}' for t, n in (('a', 5), ('b', 5), ('c', 6), ('d', 6))\n"
             "      for i in range(n)]\n"
-            "seq = ESequence.build([['r'], xs], dict.fromkeys(xs, 'r'),\n"
+            "seq = ESequence([['r'], xs], dict.fromkeys(xs, 'r'),\n"
             "                      crown(5, 'a', 'b') + crown(6, 'c', 'd'))\n"
             "try:\n"
             "    esequence_isomorphic(seq, seq)\n"
@@ -953,7 +953,7 @@ class TestIsomorphism:
     def test_deep_chain(self):
         def chain(n, tag):
             labels = [f"{tag}{i}" for i in range(n)]
-            return ESequence.build(
+            return ESequence(
                 [[x] for x in labels],
                 {labels[i + 1]: labels[i] for i in range(n - 1)},
             )
@@ -964,20 +964,20 @@ class TestIsomorphism:
 
 def _chain_space():
     # a metric that is not an ultrametric: the path on three points
-    return FiniteMetricSpace.build(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    return FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: ESequence.build([], {}),
+    pytest.param(lambda: ESequence([], {}),
                  "an E-sequence needs at least one level", id="no-levels"),
-    pytest.param(lambda: ESequence.build([["r"], []], {}),
+    pytest.param(lambda: ESequence([["r"], []], {}),
                  "level 1 is empty", id="empty-level"),
-    pytest.param(lambda: ESequence.build([["r"]], {}, [("r", "x")]),
+    pytest.param(lambda: ESequence([["r"]], {}, [("r", "x")]),
                  "order pair ('r', 'x') references unknown labels", id="unknown-order"),
     pytest.param(lambda: terminal_ultrametric(
-        ESequence.build([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "a")]), 1),
+        ESequence([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "a")]), 1),
                  "not an E-sequence: order is not irreflexive: 'a' < 'a'", id="unlawful"),
-    pytest.param(lambda: induce_prec(ESequence.build([["r"]], {}), 1),
+    pytest.param(lambda: induce_prec(ESequence([["r"]], {}), 1),
                  "level 1 out of range 0..0", id="level-range"),
     pytest.param(lambda: validate_prec(
         gen_random_ultrametric(3, seed=0), PrecRelation(frozenset({("p0", "q")})), 1),

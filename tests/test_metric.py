@@ -53,17 +53,17 @@ from oracles import (
 
 @pytest.fixture
 def ultra3():
-    return FiniteMetricSpace.build(["x", "y", "z"], [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
+    return FiniteMetricSpace(["x", "y", "z"], [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
 
 
 @pytest.fixture
 def tri345():
-    return FiniteMetricSpace.build(["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    return FiniteMetricSpace(["x", "y", "z"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
 
 
 @pytest.fixture
 def cycle4():
-    return FiniteMetricSpace.build(
+    return FiniteMetricSpace(
         ["p0", "p1", "p2", "p3"],
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
     )
@@ -105,7 +105,7 @@ class TestValidation:
 
     def test_constructor_enforces_metric(self):
         with pytest.raises(InputError, match="not a metric"):
-            FiniteMetricSpace.build(["a", "b"], [[0, -1], [-1, 0]])
+            FiniteMetricSpace(["a", "b"], [[0, -1], [-1, 0]])
 
     @pytest.mark.parametrize("cell, message", [
         (0.5, "float 0.5 rejected: pass an exact rational or a decimal string"),
@@ -115,7 +115,7 @@ class TestValidation:
     def test_bad_cell_reported_before_short_row(self, cell, message):
         # the short row comes first, but coercion names the bad cell
         with pytest.raises(InputError) as exc:
-            FiniteMetricSpace.build(
+            FiniteMetricSpace(
                 ["a", "b", "c"], [[0, 1], [1, 0, 1], [1, 1, cell]]
             )
         assert str(exc.value) == message
@@ -147,12 +147,12 @@ class TestValidation:
 
     def test_short_row_of_good_cells(self):
         with pytest.raises(InputError) as exc:
-            FiniteMetricSpace.build(["a", "b"], [[0, 1], [1]])
+            FiniteMetricSpace(["a", "b"], [[0, 1], [1]])
         assert str(exc.value) == "distance matrix must be 2x2"
 
     def test_one_fraction_shared_by_many_cells(self):
         d = Fraction(3, 7)
-        sp = FiniteMetricSpace.build(
+        sp = FiniteMetricSpace(
             "abcde", [[0 if i == j else d for j in range(5)] for i in range(5)]
         )
         assert sp.is_ultrametric and n_nonzero(sp) == 1 and min_gap(sp) == d
@@ -164,7 +164,7 @@ class TestValidation:
         # every entry a new object, dropped by the caller once read
         want = gen_random_metric(9, seed=3)
         rows = ((Fraction(v) for v in row) for row in want.rows)
-        assert FiniteMetricSpace.build(want.points, rows) == want
+        assert FiniteMetricSpace(want.points, rows) == want
 
 
 class TestInvariants:
@@ -174,14 +174,14 @@ class TestInvariants:
         assert n_nonzero(ultra3) == 2
 
     def test_single_point(self):
-        sp = FiniteMetricSpace.build(("x",), ((0,),))
+        sp = FiniteMetricSpace(("x",), ((0,),))
         assert norm_total(sp) == 0
         assert n_nonzero(sp) == 0
         with pytest.raises(InputError):
             min_gap(sp)
 
     def test_two_points(self):
-        sp = FiniteMetricSpace.build(["a", "b"], [[0, "7/2"], ["7/2", 0]])
+        sp = FiniteMetricSpace(["a", "b"], [[0, "7/2"], ["7/2", 0]])
         assert norm_total(sp) == 7
         assert min_gap(sp) == Fraction(7, 2)
         assert n_nonzero(sp) == 1
@@ -205,13 +205,13 @@ class TestClassifyMap:
         assert classify_map(pm).is_drift
 
     def test_rejects_non_surjective(self, ultra3):
-        target = FiniteMetricSpace.build(["u", "v"], [[0, 2], [2, 0]])
+        target = FiniteMetricSpace(["u", "v"], [[0, 2], [2, 0]])
         pm = PointMap(ultra3, target, {p: "u" for p in ultra3.points})
         with pytest.raises(InputError, match="surjective"):
             classify_map(pm)
 
     def test_unclassifiable_map(self, tri345):
-        target = FiniteMetricSpace.build(["u", "v"], [[0, 1], [1, 0]])
+        target = FiniteMetricSpace(["u", "v"], [[0, 1], [1, 0]])
         pm = PointMap(tri345, target, {"x": "u", "y": "v", "z": "v"})
         assert classify_map(pm).kind == "none"
 
@@ -228,8 +228,8 @@ class TestClassifyMap:
         assert set(v_kinds) <= {"contraction", "drift"} and "drift" in v_kinds
 
     def test_one_point_map_is_an_isometry(self):
-        one = FiniteMetricSpace.build(["x"], [[0]])
-        other = FiniteMetricSpace.build(["y"], [[0]])
+        one = FiniteMetricSpace(["x"], [[0]])
+        other = FiniteMetricSpace(["y"], [[0]])
         cl = classify_map(PointMap(one, other, {"x": "y"}))
         assert cl.kind == "isometry" and cl.is_drift
         # no pair to compare: the general path's answer
@@ -245,12 +245,12 @@ class TestUltrametricQuotients:
         assert pm.mapping == {"x": "x", "y": "x", "z": "z"}
 
     def test_two_points_to_one(self):
-        sp, _ = quotient_u(FiniteMetricSpace.build(["a", "b"], [[0, 5], [5, 0]]))
+        sp, _ = quotient_u(FiniteMetricSpace(["a", "b"], [[0, 5], [5, 0]]))
         assert len(sp.points) == 1
 
     def test_equidistant_space_to_one(self):
         sp, _ = quotient_u(
-            FiniteMetricSpace.build(
+            FiniteMetricSpace(
                 ["a", "b", "c"], [[0, 2, 2], [2, 0, 2], [2, 2, 0]]
             )
         )
@@ -262,7 +262,7 @@ class TestUltrametricQuotients:
 
     def test_rejects_single_point(self):
         with pytest.raises(InputError, match="two points"):
-            quotient_u(FiniteMetricSpace.build(("x",), ((0,),)))
+            quotient_u(FiniteMetricSpace(("x",), ((0,),)))
 
 
 class TestUltrametricTower:
@@ -272,7 +272,7 @@ class TestUltrametricTower:
         assert [len(s.points) for s in t.spaces] == [3, 2, 1]
 
     def test_single_point(self):
-        assert len(tower_u(FiniteMetricSpace.build(("x",), ((0,),)))) == 0
+        assert len(tower_u(FiniteMetricSpace(("x",), ((0,),)))) == 0
 
     def test_height_law_and_contraction_lemma(self):
         for s in range(60):
@@ -296,7 +296,7 @@ class TestUltrametricTower:
             sp = gen_random_ultrametric(3 + s % 5, depth=2 + s % 3, seed=s)
             t = tower_u(sp)
             for i, pm in enumerate(t.maps):
-                relabeled = FiniteMetricSpace.build(
+                relabeled = FiniteMetricSpace(
                     [f"w{k}" for k in range(len(t.spaces[i + 1].points))],
                     t.spaces[i + 1].rows,
                 )
@@ -311,7 +311,7 @@ class TestUltrametricTower:
             current = sp
             mapping = {p: p for p in sp.points}
             for _ in range(2):
-                shrunk = FiniteMetricSpace.build(
+                shrunk = FiniteMetricSpace(
                     current.points,
                     [
                         [
@@ -336,7 +336,7 @@ class TestUnderlineD:
         }
 
     def test_two_points_half(self):
-        sp = FiniteMetricSpace.build(["a", "b"], [[0, 6], [6, 0]])
+        sp = FiniteMetricSpace(["a", "b"], [[0, 6], [6, 0]])
         assert underline_d(sp) == {"a": 3, "b": 3}
 
     def test_cycle_vanishes(self, cycle4):
@@ -356,7 +356,7 @@ class TestUnderlineD:
     def test_ultrametric_point_seeing_all_at_one_distance(self):
         # x lies at 4 from a cluster of diameter 2: its least deficit is
         # 4 + 4 - 2, not its distance to the nearest point.
-        sp = FiniteMetricSpace.build(
+        sp = FiniteMetricSpace(
             ["a", "b", "c", "x"],
             [[0, 1, 2, 4], [1, 0, 2, 4], [2, 2, 0, 4], [4, 4, 4, 0]],
         )
@@ -368,9 +368,41 @@ class TestUnderlineD:
             labels = [f"s{i}" for i in range(n)]
             rows = [[Fraction(0 if i == j else n if n - 1 in (i, j) else max(i, j), 3)
                      for j in range(n)] for i in range(n)]
-            sp = FiniteMetricSpace.build(labels, rows)
+            sp = FiniteMetricSpace(labels, rows)
             assert sp.is_ultrametric
             assert underline_d(sp) == ref_underline_d(sp)
+
+    def test_ultrametric_law_reads_the_ball_table(self):
+        # x at 4 from y and z, which lie at 2: x is an end of the ball table
+        # in every labeling, and its deficit 4 + 4 - 2 is not twice its
+        # nearest distance, nor 2 * 4 minus its own step.
+        d = {frozenset("yz"): 2, frozenset("xy"): 4, frozenset("xz"): 4}
+        for labels in itertools.permutations("xyz"):
+            rows = [[0 if a == b else d[frozenset((a, b))] for b in labels]
+                    for a in labels]
+            sp = FiniteMetricSpace(labels, rows)
+            assert underline_d(sp) == {"x": 3, "y": 1, "z": 1}
+        spaces = []
+        for n in range(3, 61):
+            labels = [f"p{i}" for i in range(n)]
+            # equilateral, and a star: one point at 4 from an equilateral rest
+            spaces.append(FiniteMetricSpace(labels, [[0 if i == j else 2 for j in range(n)]
+                                                     for i in range(n)]))
+            spaces.append(FiniteMetricSpace(labels, [
+                [0 if i == j else 4 if n - 1 in (i, j) else 2 for j in range(n)]
+                for i in range(n)]))
+            spaces += [gen_random_ultrametric(n, 1 + s % 4, seed=s) for s in range(n, n + 4)]
+        for k, space in enumerate(spaces):
+            assert space.is_ultrametric and "_balls" not in vars(space)
+            ud = underline_d(space)
+            assert "_balls" in vars(space)
+            # the Fraction reference is slow: past 10 points, one draw a size
+            if len(space) <= 10 or (len(space) in (20, 40, 60) and k % 6 == 2):
+                assert ud == ref_underline_d(space)
+            # the cubic kernel of a general metric stands in at every size
+            general = FiniteMetricSpace._trusted(
+                points=space.points, _scaled=space._scaled, is_ultrametric=False)
+            assert space._half_deficits == general._half_deficits
 
     def test_mixed_ultrametrics_and_their_towers(self):
         # The Fraction reference is slow at these sizes; at every size the
@@ -386,7 +418,7 @@ class TestUnderlineD:
 
 class TestTrim:
     def test_single_point(self):
-        assert is_trim(FiniteMetricSpace.build(("x",), ((0,),)))
+        assert is_trim(FiniteMetricSpace(("x",), ((0,),)))
 
     def test_no_two_or_three_point_trim_spaces(self):
         for n in (2, 3):
@@ -408,7 +440,7 @@ class TestDriftTower:
         assert len(t) == 0 and t.terminal == cycle4
 
     def test_two_points_one_step(self):
-        sp = FiniteMetricSpace.build(["a", "b"], [[0, "1/3"], ["1/3", 0]])
+        sp = FiniteMetricSpace(["a", "b"], [[0, "1/3"], ["1/3", 0]])
         t = tower_v(sp)
         assert len(t) == 1 and len(t.terminal.points) == 1
 
@@ -437,7 +469,7 @@ class TestDriftTower:
 
 class TestIsometry:
     def test_relabeled(self, ultra3):
-        other = FiniteMetricSpace.build(
+        other = FiniteMetricSpace(
             ["u", "v", "w"], [[0, 3, 3], [3, 0, 1], [3, 1, 0]]
         )
         found = is_isometric(ultra3, other)
@@ -485,7 +517,7 @@ class TestIsometry:
                 rows = [list(row) for row in space.rows]
                 rows[i][j] = rows[j][i] = rows[i][j] + eps
                 if validate_space(space.points, rows).is_metric:
-                    return FiniteMetricSpace.build(space.points, rows)
+                    return FiniteMetricSpace(space.points, rows)
             raise AssertionError("no perturbation keeps the metric axioms")
 
         counts = {"isometric": 0, "perturbed": 0, "rescaled": 0}
@@ -499,7 +531,7 @@ class TestIsometry:
             copy = shuffled(base.rows, rng, "r")
             pairs = [("isometric", base, copy), ("isometric", copy, base)]
             if n >= 2:
-                rescaled = FiniteMetricSpace.build(
+                rescaled = FiniteMetricSpace(
                     copy.points, [[v / 10007 for v in row] for row in copy.rows]
                 )
                 assert rescaled._scaled[1] == copy._scaled[1]
@@ -530,7 +562,7 @@ class TestIsometry:
             rows = [[0] * n for _ in range(n)]
             for i, j in itertools.combinations(range(n), 2):
                 rows[i][j] = rows[j][i] = rng.choice((1, 2))
-            a = FiniteMetricSpace.build([f"g{i}" for i in range(n)], rows)
+            a = FiniteMetricSpace([f"g{i}" for i in range(n)], rows)
             b = shuffled(rows, rng, "h")
             found = is_isometric(a, b)
             assert found is not None and sorted(found.values()) == sorted(b.points)
@@ -596,7 +628,7 @@ class TestStoredMatrix:
             ]),
         ):
             want = tuple(tuple(map(Fraction, row)) for row in values)
-            spaces = [FiniteMetricSpace.build("xyz", rows) for rows in spellings]
+            spaces = [FiniteMetricSpace("xyz", rows) for rows in spellings]
             for sp in spaces:
                 assert sp == spaces[0] and hash(sp) == hash(spaces[0])
                 assert sp.rows == want
@@ -605,11 +637,11 @@ class TestStoredMatrix:
                 assert sp.distance("x", "z") == want[0][2]
 
     def test_equality_needs_points_and_matrix(self, ultra3):
-        relabelled = FiniteMetricSpace.build("xzy", ultra3.rows)
-        halved = FiniteMetricSpace.build(
+        relabelled = FiniteMetricSpace("xzy", ultra3.rows)
+        halved = FiniteMetricSpace(
             ultra3.points, [[v / 2 for v in row] for row in ultra3.rows]
         )
-        assert ultra3 == FiniteMetricSpace.build(ultra3.points, ultra3.rows)
+        assert ultra3 == FiniteMetricSpace(ultra3.points, ultra3.rows)
         assert ultra3 != relabelled and ultra3 != halved
 
 
@@ -716,7 +748,7 @@ def ref_collapse(space, reduced):
                     rep[y] = x
     heads = sorted(set(rep.values()))
     rows = [[reduced[a, b] if a != b else 0 for b in heads] for a in heads]
-    return FiniteMetricSpace.build(heads, rows), {x: rep[x] for x in space.points}
+    return FiniteMetricSpace(heads, rows), {x: rep[x] for x in space.points}
 
 
 def ref_tower(space, step):
@@ -758,7 +790,7 @@ def mixed_metric(n, seed):
         m[i][j] = m[j][i] = Fraction(rng.randint(den, 20 * den), den)
     for k, i, j in itertools.product(range(n), repeat=3):
         m[i][j] = min(m[i][j], m[i][k] + m[k][j])
-    return FiniteMetricSpace.build([f"m{i}" for i in range(n)], m)
+    return FiniteMetricSpace([f"m{i}" for i in range(n)], m)
 
 
 def mixed_ultrametric(n, seed):
@@ -776,7 +808,7 @@ def mixed_ultrametric(n, seed):
             for j in clusters[b]:
                 m[i][j] = m[j][i] = height
         clusters[a] += clusters.pop(b)
-    return FiniteMetricSpace.build([f"u{i}" for i in range(n)], m)
+    return FiniteMetricSpace([f"u{i}" for i in range(n)], m)
 
 
 def mixed_matrix(n, seed):
@@ -838,28 +870,25 @@ class TestIntKernel:
             failing += not check.is_metric
             if not check.is_metric:
                 with pytest.raises(InputError) as exc:
-                    FiniteMetricSpace.build(labels, rows)
+                    FiniteMetricSpace(labels, rows)
                 assert str(exc.value) == "not a metric: " + "; ".join(want[2])
         assert failing > 50
 
-    def test_constructor_checks_as_build_does(self):
+    def test_constructor_refuses_as_validate_space_does(self):
         flags, refused = set(), 0
         for s in range(150):
             labels, rows = mixed_matrix(1 + s % 7, s)
             for matrix in (rows, mixed_metric(1 + s % 7, s).rows,
                            mixed_ultrametric(1 + s % 7, s).rows):
-                try:
-                    built = FiniteMetricSpace.build(labels, matrix)
-                except InputError as exc:
-                    with pytest.raises(InputError) as plain:
+                check = validate_space(labels, matrix)
+                if not check.is_metric:
+                    with pytest.raises(InputError) as exc:
                         FiniteMetricSpace(labels, matrix)
-                    assert str(plain.value) == str(exc)
-                    assert str(exc).startswith("not a metric: ")
+                    assert str(exc.value) == "not a metric: " + "; ".join(check.problems)
                     refused += 1
                     continue
                 space = FiniteMetricSpace(labels, matrix)
-                assert space == built and hash(space) == hash(built)
-                assert space.is_ultrametric == built.is_ultrametric
+                assert space.is_ultrametric == check.is_ultrametric
                 flags.add(space.is_ultrametric)
         assert flags == {True, False} and refused > 50
 
@@ -941,7 +970,7 @@ class TestIntKernel:
             assert (check.is_metric, check.is_ultrametric, check.problems) == want
             verdicts.append(check.is_ultrametric)
             if check.is_metric:
-                built = FiniteMetricSpace.build(sp.points, m)
+                built = FiniteMetricSpace(sp.points, m)
                 assert built.is_ultrametric == check.is_ultrametric
         assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
@@ -951,9 +980,9 @@ class TestIntKernel:
             assert_matches_reference(sp)
 
     def test_one_and_two_points(self):
-        assert_matches_reference(FiniteMetricSpace.build(("x",), ((0,),)))
+        assert_matches_reference(FiniteMetricSpace(("x",), ((0,),)))
         for den in MIXED_DENOMINATORS:
-            sp = FiniteMetricSpace.build(["a", "b"], [[0, Fraction(7, den)], [Fraction(7, den), 0]])
+            sp = FiniteMetricSpace(["a", "b"], [[0, Fraction(7, den)], [Fraction(7, den), 0]])
             assert_matches_reference(sp)
             assert underline_d(sp) == {"a": Fraction(7, 2 * den), "b": Fraction(7, 2 * den)}
 
@@ -976,7 +1005,7 @@ class TestIntKernel:
         # built from int rows without a check; validating them afresh must
         # agree on everything.
         def caterpillar(n):
-            return FiniteMetricSpace.build(
+            return FiniteMetricSpace(
                 [f"c{i}" for i in range(n)],
                 [[Fraction(max(i, j), 3) if i != j else 0 for j in range(n)]
                  for i in range(n)],
@@ -1000,7 +1029,7 @@ class TestIntKernel:
             check = validate_space(q.points, q.rows)
             assert check.is_metric
             assert q.is_ultrametric == check.is_ultrametric
-            rebuilt = FiniteMetricSpace.build(q.points, q.rows)
+            rebuilt = FiniteMetricSpace(q.points, q.rows)
             assert rebuilt == q and rebuilt.is_ultrametric == q.is_ultrametric
 
     def test_underline_d_returns_a_copy(self, tri345):
@@ -1093,7 +1122,7 @@ def graph_spaces(rng):
             top += 1
         tree = shortest_paths(top, edges)
         shapes.append((f"tree{leaves}", [row[:leaves] for row in tree[:leaves]]))
-    spaces = [FiniteMetricSpace.build([f"g{i}" for i in range(len(rows))], rows)
+    spaces = [FiniteMetricSpace([f"g{i}" for i in range(len(rows))], rows)
               for _, rows in shapes]
     spaces += [mixed_metric(n, 1000 + n) for n in (3, 6, 10, 20, 30)]
     spaces += [gen_random_metric(n, seed=n) for n in (3, 8, 20, 60)]
@@ -1120,7 +1149,7 @@ class TestScanFilters:
                                                 check.problems) else "above and holding"] += 1
             if not check.is_metric:
                 with pytest.raises(InputError) as exc:
-                    FiniteMetricSpace.build(labels, rows)
+                    FiniteMetricSpace(labels, rows)
                 assert str(exc.value) == "not a metric: " + "; ".join(want[2])
         assert min(seen.values()) >= 30, seen
 

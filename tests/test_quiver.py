@@ -39,7 +39,7 @@ def quivers(max_vertices=6, max_edges=14):
     def make(n, pairs):
         verts = VERTICES[: n + 1]
         edges = [(verts[i % (n + 1)], verts[j % (n + 1)]) for i, j in pairs]
-        return Quiver.build(verts, edges)
+        return Quiver(verts, edges)
 
     return st.builds(
         make,
@@ -51,18 +51,18 @@ def quivers(max_vertices=6, max_edges=14):
 class TestQuiverBasics:
     def test_rejects_empty_vertex_class(self):
         with pytest.raises(InputError):
-            Quiver.build([], [])
+            Quiver([], [])
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InputError):
-            Quiver.build(["a", "a"], [])
+            Quiver(["a", "a"], [])
 
     def test_rejects_unknown_edge_endpoints(self):
         with pytest.raises(InputError, match="unknown"):
-            Quiver.build(["a"], [("a", "b")])
+            Quiver(["a"], [("a", "b")])
 
     def test_parallel_edges_and_loops_are_stored(self):
-        q = Quiver.build(["a", "b"], [("a", "b"), ("a", "b"), ("a", "a")])
+        q = Quiver(["a", "b"], [("a", "b"), ("a", "b"), ("a", "a")])
         assert len(q.edges) == 3
         assert q.has_edge("a", "a")
 
@@ -109,7 +109,7 @@ class TestAncestorPreorder:
         # 400 MiB at n = 3000).
         n = 3000
         vs = [f"v{i:04d}" for i in range(n)]
-        q = Quiver.build(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
+        q = Quiver(vs, [(vs[i + 1], vs[i]) for i in range(n - 1)])
         tracemalloc.start()
         try:
             top, root = ancestors(q, vs[-1]), descendants(q, vs[0])
@@ -210,13 +210,13 @@ class TestCondensation:
         assert cond.parents[bc] == (a,) and cond.parents[a] == ()
 
     def test_edgeless(self):
-        q = Quiver.build(["x", "y", "z"], [])
+        q = Quiver(["x", "y", "z"], [])
         cond = condense(q)
         assert len(cond.classes) == 3
         assert cond.parents == ((), (), ())
 
     def test_directed_cycle(self):
-        q = Quiver.build(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")])
+        q = Quiver(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")])
         cond = condense(q)
         assert cond.classes == (("x", "y", "z"),)
         assert cond.parents == ((),)
@@ -296,7 +296,7 @@ class TestEvolutions:
         q = Quiver(["A", "B"], [["B", "A"]])
         assert q.vertices == ("A", "B") and q.edges == (("B", "A"),)
         assert q == Quiver(("A", "B"), (("B", "A"),))
-        assert hash(q) == hash(Quiver.build(("A", "B"), (("B", "A"),)))
+        assert hash(q) == hash(Quiver(("A", "B"), (("B", "A"),)))
 
     def test_concat(self, g3):
         ab = validate_evolution(g3, ["A", "B"])
@@ -333,11 +333,11 @@ def _other_evolution():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: Quiver.build(["a"], [("z", "a")]),
+    pytest.param(lambda: Quiver(["a"], [("z", "a")]),
                  "edge ('z', 'a'): unknown tail vertex", id="edge-tail"),
     pytest.param(lambda: validate_evolution(gen_map_quiver(2), []),
                  "an evolution contains at least one vertex", id="empty-evolution"),
-    pytest.param(lambda: validate_evolution(Quiver.build(["a", "b"], [("b", "a")]),
+    pytest.param(lambda: validate_evolution(Quiver(["a", "b"], [("b", "a")]),
                                             ["b", "a"]),
                  "step 1: no edge from 'a' to 'b'", id="missing-step"),
     pytest.param(lambda: concat(validate_evolution(gen_map_quiver(2), ["1"]),

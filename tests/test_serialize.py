@@ -92,7 +92,7 @@ class TestQuiverJson:
     def test_extra_keys_are_ignored(self, extra):
         vertices, edges = ["A", "B"], [["B", "A"]]
         q = quiver_from_obj({"vertices": vertices, "edges": edges, **extra})
-        assert q == Quiver.build(vertices, edges)
+        assert q == Quiver(vertices, edges)
         assert quiver_to_obj(q).keys() == {"vertices", "edges"}
 
     def test_unreadable_file(self, tmp_path):
@@ -168,13 +168,13 @@ class TestQuiverDot:
         ["node"], ["graph"], ["Node", "EDGE", "diGraph", "SubGraph", "STRICT"],
     ])
     def test_awkward_ids_round_trip(self, ids):
-        q = Quiver.build(ids, [(ids[0], ids[-1])])
+        q = Quiver(ids, [(ids[0], ids[-1])])
         assert quiver_from_dot(quiver_to_dot(q)) == q
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
     def test_any_ids_round_trip(self, ids):
-        q = Quiver.build(ids, list(zip(ids, ids[1:])))
+        q = Quiver(ids, list(zip(ids, ids[1:])))
         assert quiver_from_dot(quiver_to_dot(q)) == q
 
 
@@ -182,7 +182,7 @@ class TestESequenceJson:
     def test_documented_shape(self):
         from phyloquiver import ESequence
 
-        seq = ESequence.build([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "b")])
+        seq = ESequence([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "b")])
         assert esequence_to_obj(seq) == {
             "levels": [["r"], ["a", "b"]],
             "parent": {"a": "r", "b": "r"},
@@ -335,7 +335,7 @@ class TestForestExports:
     def test_newick_needs_single_root(self):
         from phyloquiver import ESequence
 
-        seq = ESequence.build([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
+        seq = ESequence([["r", "s"], ["x", "y"]], {"x": "r", "y": "s"})
         with pytest.raises(InputError, match="single root"):
             forest_to_newick(build_forest(seq))
 
@@ -348,7 +348,7 @@ class TestForestExports:
         for s in range(40):
             seq = gen_random_esequence(1 + s % 5, 1 + s % 4, 0.0, seed=s,
                                        single_root=True)
-            seq = ESequence.build(
+            seq = ESequence(
                 [[x.replace("0", " ") for x in level] for level in seq.levels],
                 {c.replace("0", " "): p.replace("0", " ") for c, p in seq.parent.items()},
             )
@@ -357,7 +357,7 @@ class TestForestExports:
 
     def test_newick_deep_chain(self):
         n = 3000
-        seq = ESequence.build(
+        seq = ESequence(
             [[f"c{i}"] for i in range(n)],
             {f"c{i + 1}": f"c{i}" for i in range(n - 1)},
         )
@@ -471,7 +471,7 @@ class TestDeterminism:
     def test_dumps_without_the_c_encoder(self, monkeypatch):
         q = gen_random_quiver(12, 0.3, seed=5)
         name = {v: f'{v}"\\\x00é\U0001f600' for v in q.vertices}
-        q = Quiver.build(name.values(), [(name[t], name[h]) for t, h in q.edges])
+        q = Quiver(name.values(), [(name[t], name[h]) for t, h in q.edges])
         report = report_to_obj(analyze(q))
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
         try:

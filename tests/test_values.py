@@ -258,21 +258,26 @@ def test_a_plain_type_names_the_field_it_cannot_bind(name):
         assert str(exc.value) == f"{name}() {words}"
 
 
-def test_esequence_constructor_stores_what_build_stores():
+def test_esequence_constructor_stores_its_fields():
     args = ([["r"], ["a", "b"]], {"a": "r", "b": "r"}, {("a", "b")})
     seq = ESequence(*args)
-    assert seq == ESequence.build(*args) == ESequence._trusted(
+    assert seq == ESequence._trusted(
         levels=(("r",), ("a", "b")), parent={"a": "r", "b": "r"},
         order=frozenset({("a", "b")}))
     assert ESequence(iter(args[0]), args[1], [["a", "b"]]) == seq
     assert type(seq.parent) is dict and seq.parent is not args[1]
+    assert ESequence(*args[:2]).order == frozenset()
 
 
-def test_prec_constructor_stores_what_build_stores():
+def test_prec_constructor_stores_its_pairs():
     prec = PrecRelation({("a", "b")})
-    assert prec == PrecRelation.build({("a", "b")}) == PrecRelation([["a", "b"]])
-    assert hash(prec) == hash(PrecRelation.build([("a", "b")]))
+    assert prec == PrecRelation([["a", "b"]])
+    assert hash(prec) == hash(PrecRelation([("a", "b")]))
     assert prec.pairs == frozenset({("a", "b")})
+
+
+def test_no_value_type_has_a_second_constructor():
+    assert [name for name, (cls, *_) in CASES.items() if hasattr(cls, "build")] == []
 
 
 def test_state_outside_the_fields_is_not_compared():
@@ -341,7 +346,7 @@ def trusted_outputs():
         yield reconstruct(terminal_ultrametric(seq, top), induce_prec(seq, top), top)
     for k in (1, 2, 60, 600):
         labels = [f"c{i}" for i in range(k)]
-        chain = ESequence.build([[x] for x in labels], dict(zip(labels[1:], labels)))
+        chain = ESequence([[x] for x in labels], dict(zip(labels[1:], labels)))
         q = realize_esequence(chain)
         yield from (q, evolutionary_sequence(q), clade(q, labels[k // 2]), monotonize(q))
 
