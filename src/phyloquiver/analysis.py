@@ -309,20 +309,17 @@ def phylogenetic_status(quiver: Quiver, v: str) -> bool:
     :func:`verify_universal_bounded` on α decides that at length
     V·(h(v) + 2): a walk state is a vertex and a matched prefix of
     0..h(v) + 1 classes, so no shortest avoiding evolution is longer. Two
-    cheaper rules come first. A normal vertex (self-inclusive) is
-    phylogenetic, and on a monotonous quiver no other is. A vertex whose
-    class reaches two sink classes is not, as an evolution from one never
-    enters the other. Only ``v`` itself is walked, if at all, so
-    :func:`analyze` walks O(V²·h) states at worst, and one walk past
-    ``_MAX_STATES`` raises :class:`SizeGuardError`.
+    cheaper rules come first, read off :func:`_phylogenetic`. A normal
+    vertex (self-inclusive) is phylogenetic, and on a monotonous quiver no
+    other is. A vertex whose class reaches two sink classes is not, as an
+    evolution from one never enters the other. Any other ``v`` is
+    phylogenetic when :func:`_universal_path` walks it to a path, so its
+    universal evolution reuses the walk. Only ``v`` itself is walked, if
+    at all, so :func:`analyze` walks O(V²·h) states at worst, and one walk
+    past ``_MAX_STATES`` raises :class:`SizeGuardError`.
     """
-    table = _phylogenetic(quiver)
-    if v not in table:  # left to the walk, and kept once walked
-        quiver.check_vertex(v)
-        alpha = next(short_full_evolutions(quiver, v))
-        bound = len(quiver.vertices) * (_height_table(quiver)[v] + 2)
-        table.setdefault(v, verify_universal_bounded(quiver, alpha, bound))
-    return table[v]
+    known = _phylogenetic(quiver).get(v)
+    return known if known is not None else _universal_path(quiver, v) is not None
 
 
 is_phylogenetic_vertex = phylogenetic_status
@@ -330,9 +327,10 @@ is_phylogenetic_vertex = phylogenetic_status
 
 @memo
 def _phylogenetic(quiver: Quiver) -> dict[str, bool]:
-    """Per vertex, :func:`phylogenetic_status` where no walk is needed; the
-    rest are added as asked. ``sink`` holds per class id the one sink class
-    it reaches, or -1; all -1 on a monotonous quiver."""
+    """Per vertex, :func:`phylogenetic_status` where the linear passes
+    prove it; a vertex left to the walk is absent, and the table is never
+    written after it is stored. ``sink`` holds per class id the one sink
+    class it reaches, or -1; all -1 on a monotonous quiver."""
     cond, normal = condense(quiver), _normality(quiver)[0]
     ci, sink = cond.class_index, [-1] * len(cond.classes)
     for c in () if is_monotonous(quiver) else cond.order:
@@ -358,10 +356,18 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
 @memo
 def _universal_path(quiver: Quiver, v: str) -> tuple[str, ...] | None:
     """The vertices of :func:`universal_evolution`, or None; kept as ids,
-    since a stored :class:`Evolution` would hold its own quiver."""
-    if not phylogenetic_status(quiver, v):
+    since a stored :class:`Evolution` would hold its own quiver. A vertex
+    :func:`_phylogenetic` leaves out is walked here, its least short full
+    evolution checked by :func:`verify_universal_bounded` at V·(h + 2)."""
+    known = _phylogenetic(quiver).get(v)
+    if known is False:
         return None
-    return next(short_full_evolutions(quiver, v)).vertices
+    alpha = next(short_full_evolutions(quiver, v))  # rejects an unknown v
+    if known is None:
+        bound = len(quiver.vertices) * (_height_table(quiver)[v] + 2)
+        if not verify_universal_bounded(quiver, alpha, bound):
+            return None
+    return alpha.vertices
 
 
 def verify_universal_bounded(

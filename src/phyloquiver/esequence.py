@@ -117,12 +117,6 @@ class ESequence(Frozen):
             out.append(self.parent[out[-1]])
         return out
 
-    def parent_iter(self, x: str, k: int) -> str:
-        """k-fold parent of x."""
-        for _ in range(k):
-            x = self.parent[x]
-        return x
-
     def closed_order(self) -> frozenset[tuple[str, str]]:
         """Transitive closure of the stored relation (per level)."""
         return _transitive_closure(self.order)

@@ -80,19 +80,14 @@ def gen_rooted_tree_quiver(
         count += 1
     if count != len(undirected) - 1:
         raise InputError("input is not a tree: edge count must be vertex count - 1")
-    parent: dict[str, str] = {}
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for w in sorted(undirected[u]):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != len(undirected):
+    parent: dict[str, str] = {}  # one per vertex in a tree, whatever the walk order
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in undirected[u] - parent.keys() - {root}:
+            parent[w] = u
+            stack.append(w)
+    if len(parent) + 1 != len(undirected):
         raise InputError("input is not a tree: not connected")
     vertices = sorted(undirected)
     edges = [(child, parent[child]) for child in vertices if child in parent]

@@ -29,26 +29,31 @@ from .errors import Frozen, InputError
 
 
 def memo(fn):
-    """Store ``fn(quiver, *args)`` on the quiver itself, keyed by the
+    """Store ``fn(value, *args)`` on the value itself, keyed by the
     function's name and its positional arguments.
 
-    Results live and die with their quiver, and a lookup never hashes it.
-    Keys are strings and argument values, so a warmed quiver still pickles.
-    Two threads racing a first call both compute equal values; the first
-    one stored is the one every caller gets. No stored value may hold the
-    quiver, as an :class:`Evolution` does: that would tie the quiver to
-    its own memo in a reference cycle, freed only by the cyclic collector.
-    Store vertex ids and wrap them on the way out.
+    Any value serves: its ``_memo`` table is made on first read, so no
+    constructor stores one. Results live and die with their value, and a
+    lookup never hashes it. Keys are strings and argument values, so a
+    warmed quiver still pickles. Two threads racing a first call both
+    compute equal values; the first one stored is the one every caller
+    gets. No stored value may hold the quiver, as an :class:`Evolution`
+    does: that would tie the quiver to its own memo in a reference cycle,
+    freed only by the cyclic collector. Store vertex ids and wrap them on
+    the way out.
     """
     name = fn.__qualname__
 
     @functools.wraps(fn)
-    def memoized(quiver, *args):
+    def memoized(value, *args):
         key = (name, *args) if args else name
         try:
-            return quiver._memo[key]
+            return value._memo[key]
         except KeyError:
-            return quiver._memo.setdefault(key, fn(quiver, *args))
+            table = value._memo
+        except AttributeError:
+            table = value.__dict__.setdefault("_memo", {})
+        return table.setdefault(key, fn(value, *args))  # no lookup error chained
 
     return memoized
 
@@ -59,16 +64,16 @@ class Quiver(Frozen):
     ``edges[i] = (tail, head)`` reads "tail descends from head". A quiver
     is these two tuples, made of any iterables the constructor is given,
     and nothing else: two quivers are equal, and hash alike, exactly when
-    their vertex and edge tuples are. ``_memo`` holds results derived from
-    this quiver (see :func:`memo`); it is not a field, so it is never
-    compared, hashed or shown.
+    their vertex and edge tuples are. Results derived from it go into a
+    ``_memo`` table that :func:`memo` makes on first read; it is not a
+    field, so it is never compared, hashed or shown.
     """
 
     _fields = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(vertices=tuple(vertices),
-                             edges=tuple((t, h) for t, h in edges), _memo={})
+                             edges=tuple((t, h) for t, h in edges))
         if not self.vertices:
             raise InputError("a quiver needs at least one vertex")
         seen: set[str] = set()
@@ -81,11 +86,6 @@ class Quiver(Frozen):
                 raise InputError(f"edge ({tail!r}, {head!r}): unknown tail vertex")
             if head not in seen:
                 raise InputError(f"edge ({tail!r}, {head!r}): unknown head vertex")
-
-    @classmethod
-    def _trusted(cls, **fields) -> "Quiver":
-        # the memo last, as __init__ stores it, so both share one key layout
-        return super()._trusted(**fields, _memo={})
 
     def check_vertex(self, v: str) -> None:
         if v not in _adjacency(self)[0]:

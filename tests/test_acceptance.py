@@ -108,7 +108,7 @@ def test_criterion_4_class_order_and_parental_maps():
             for b in labels:
                 n = level_of[b]
                 if m <= n:
-                    expected = le(a, seq.parent_iter(b, n - m))
+                    expected = le(a, seq.chain(b)[n - m])
                 else:
                     expected = False
                 assert le(a, b) == expected  # (i)

@@ -39,7 +39,7 @@ from phyloquiver import (
     validate_evolution,
     verify_universal_bounded,
 )
-from phyloquiver.analysis import _critical_heads, _normal_self_inclusive
+from phyloquiver.analysis import _critical_heads, _normal_self_inclusive, _phylogenetic
 from phyloquiver.clades import clade_height, clade_report, is_regular
 from phyloquiver.generators import (
     gen_abnormal,
@@ -600,6 +600,33 @@ class TestPointStatus:
         assert phylogenetic_status(q, "c7") is False and walks == ["c7"]
         analyze(q)
         assert sorted(walks) == sorted(["R", "T", *(f"c{i}" for i in range(1, 31))])
+
+    def test_a_walked_vertex_keeps_its_path_in_one_memo(self, monkeypatch):
+        listed = []
+
+        def spy(q, v):
+            listed.append(v)
+            return short_full_evolutions(q, v)
+
+        monkeypatch.setattr("phyloquiver.analysis.short_full_evolutions", spy)
+        seed8 = gen_random_quiver(8, 0.25, seed=8)
+        assert {v for v in seed8.vertices if v not in _phylogenetic(seed8)} == {
+            "v1", "v4", "v5", "v7"}
+        for q in (seed8, climbing_chain(30)):
+            walked = [v for v in q.vertices if v not in _phylogenetic(q)]
+            for v in walked:
+                for reads in ((phylogenetic_status, universal_evolution),
+                              (universal_evolution, phylogenetic_status)):
+                    fresh = Quiver(q.vertices, q.edges)
+                    listed.clear()
+                    got = {read: read(fresh, v) for read in reads}
+                    assert listed == [v]
+                    status = got[phylogenetic_status]
+                    assert status is (got[universal_evolution] is not None)
+                    if q is seed8:
+                        assert status is (v in ("v5", "v7"))
+            analyze(q)  # walks every vertex, yet leaves the status table as stored
+            assert len(_phylogenetic(q)) == len(_phylogenetic(Quiver(q.vertices, q.edges)))
 
 
 class TestPhylogeneticQuivers:

@@ -407,7 +407,7 @@ def terminal_data_by_walks(seq, n):
         while x != y:
             x, y, k = seq.parent[x], seq.parent[y], k + 1
         rho[a, b] = k
-        if k and (seq.parent_iter(a, k - 1), seq.parent_iter(b, k - 1)) in order:
+        if k and (seq.chain(a)[k - 1], seq.chain(b)[k - 1]) in order:
             prec.add((a, b))
     return rho, frozenset(prec)
 

@@ -306,13 +306,17 @@ def test_a_trusted_value_behaves_like_the_checked_one(case):
         trusted.extra = 1
 
 
-def test_each_trusted_quiver_has_its_own_empty_memo():
-    first = Quiver._trusted(vertices=("A", "B"), edges=(("B", "A"),))
-    second = Quiver._trusted(vertices=("A", "B"), edges=(("B", "A"),))
-    assert first._memo == {} and first._memo is not second._memo
-    assert list(first.__dict__) == list(quiver().__dict__)  # one key layout
-    first.has_edge("B", "A")
-    assert first._memo and second._memo == {}
+def test_a_quiver_makes_its_own_memo_on_first_read():
+    checked = quiver()
+    trusted = Quiver._trusted(vertices=checked.vertices, edges=checked.edges)
+    for q in (checked, trusted):
+        assert list(q.__dict__) == ["vertices", "edges"]  # one key layout
+    checked.has_edge("B", "A")
+    kept = dict(checked._memo)
+    assert kept and "_memo" not in trusted.__dict__
+    trusted.has_edge("B", "A")
+    assert trusted._memo == kept and trusted._memo is not checked._memo
+    assert checked._memo == kept
 
 
 def checked(value):
