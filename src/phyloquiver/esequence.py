@@ -24,7 +24,11 @@ and counting the rest, so a refusal grows with the relation, not with its
 triples. Labels are globally unique across levels, which keeps parental
 maps flat in serialized form.
 
-Isomorphism compares bottom-up canonical codes of sibling groups (AHU), each
+Level orders are closed as sets, not pairs: `_above` hands each label in
+some pair the set of labels above it, from one search per label that takes
+each finished label's set whole. The evolutionary sequence stores those
+sets as pairs; isomorphism reads them, and their inverse, as each label's
+sides. It compares bottom-up canonical codes of sibling groups (AHU), each
 the sorted codes of its connected parts, under a budget of adjacency entries
 per part; an order pair across sibling groups breaks the second axiom and is
 an InputError there. A sibling in no order pair is a part of its own and
@@ -117,29 +121,35 @@ class ESequence(Frozen):
             out.append(self.parent[out[-1]])
         return out
 
-    def closed_order(self) -> frozenset[tuple[str, str]]:
-        """Transitive closure of the stored relation (per level)."""
-        return _transitive_closure(self.order)
 
+def _above(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """The transitive closure of ``pairs``, as the set of labels above each
+    label in some pair: y is above x when a path of pairs leads from x to y.
 
-def _transitive_closure(
-    pairs: Iterable[tuple[str, str]]
-) -> frozenset[tuple[str, str]]:
-    succ: dict[str, set[str]] = {}
+    Labels are searched in order of out-degree, and a search takes the set
+    of each finished label whole (Purdom 1970; Nuutila 1995). A finished set
+    is complete, so a label on a cycle, or in a self-pair, comes out above
+    itself. A search pops the successor of largest out-degree first. On a
+    closed order that is a minimal successor, whose set holds every
+    successor above it, so a closed total order costs about its own pairs.
+    """
+    succ: dict[str, list[str]] = {}
     for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    closed: set[tuple[str, str]] = set()
-    for x in succ:
-        stack = list(succ[x])
-        seen: set[str] = set()
+        succ.setdefault(x, []).append(y)
+        succ.setdefault(y, [])
+    above: dict[str, frozenset[str]] = {}
+    for x in sorted(succ, key=lambda x: len(succ[x])):  # ties keep insertion order
+        seen, stack = set(), sorted(succ[x], key=lambda y: len(succ[y]))
         while stack:
             y = stack.pop()
-            if y in seen:
-                continue
-            seen.add(y)
-            closed.add((x, y))
-            stack.extend(succ.get(y, ()))
-    return frozenset(closed)
+            if y not in seen:
+                seen.add(y)
+                if y in above:
+                    seen |= above[y]
+                else:
+                    stack.extend(succ[y])
+        above[x] = frozenset(seen)
+    return above
 
 
 def validate_esequence(seq: ESequence) -> list[str]:
@@ -215,8 +225,9 @@ def evolutionary_sequence(quiver: Quiver) -> ESequence:
     for x in label:  # classes are sorted by label
         levels[h[x]].append(x)
     parent = {label[i]: label[p] for i, p in enumerate(up) if p is not None}
-    order = _transitive_closure({(label[j], label[i]) for i, js in enumerate(cond.parents)
-                                 for j in js if j != up[i]})
+    above = _above((label[j], label[i]) for i, js in enumerate(cond.parents)
+                   for j in js if j != up[i])
+    order = frozenset((x, y) for x, ys in above.items() for y in ys)
     return ESequence._trusted(levels=tuple(map(tuple, levels)), parent=parent, order=order)
 
 
@@ -532,17 +543,20 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
     """One pass, children first: a label in no order pair hands its parent
     its part code (a part of its own, with no search), any other its code,
     to be joined into connected parts (x ~ y when x < y or y < x). A group's
-    code interns the sorted codes of its parts; the roots hand up to None."""
-    closed = seq.closed_order()
-    crossing = [(x, y) for x, y in closed if seq.parent.get(x) != seq.parent.get(y)]
+    code interns the sorted codes of its parts; the roots hand up to None.
+    Each label's sides, the labels below and above it in the closed order,
+    are the sets of `_above` and their inverse; no set of pairs is built."""
+    parent, above = seq.parent, _above(seq.order)
+    crossing = [(x, y) for x, ys in above.items() for y in ys
+                if parent.get(x) != parent.get(y)]
     if crossing:  # name the least pair, not the first in hash order
         x, y = min(crossing)
         raise InputError(f"not an E-sequence: {x!r} < {y!r} across sibling groups")
-    sides = {x: (set(), set()) for x in set(chain.from_iterable(closed))}
-    for x, y in closed:  # (below x, above x) of the labels in some pair, frozen once
-        sides[x][1].add(y)
-        sides[y][0].add(x)
-    sides = {x: (frozenset(lo), frozenset(up)) for x, (lo, up) in sides.items()}
+    below: dict[str, set[str]] = {x: set() for x in above}  # the labels in some pair
+    for x, ys in above.items():
+        for y in ys:
+            below[y].add(x)
+    sides = {x: (frozenset(below[x]), above[x]) for x in above}  # (below x, above x)
     handed: dict[str | None, list[int]] = {}  # per parent, its unordered children's parts
     ordered: dict[str | None, dict[str, int]] = {}  # per parent, its other children's codes
 
@@ -560,7 +574,7 @@ def _root_code(seq: ESequence, codes: dict[tuple[int, ...], int]) -> int:
                 found.extend(new)
             parts.append(codes.setdefault(_part_form(found, code, sides), len(codes)))
 
-    parent, leaf = seq.parent, codes.setdefault((), len(codes))
+    leaf = codes.setdefault((), len(codes))
     for x in reversed(seq.labels()):
         if x in ordered:
             join(x)

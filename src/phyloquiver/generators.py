@@ -236,7 +236,7 @@ def gen_random_esequence(
     random permutation, so comparable elements share a parent and
     antisymmetry holds by construction; the relation is stored transitively
     closed."""
-    from .esequence import ESequence, _transitive_closure
+    from .esequence import ESequence, _above
 
     if levels < 1:
         raise InputError("levels must be at least 1")
@@ -276,4 +276,4 @@ def gen_random_esequence(
                 for b in perm[i + 1:]:
                     if rng.random() < order_density:
                         order.add((a, b))
-    return ESequence(names, parent, _transitive_closure(frozenset(order)))
+    return ESequence(names, parent, ((x, y) for x, ys in _above(order).items() for y in ys))

@@ -4,9 +4,10 @@ The one home of every reference the suite and ``scripts/random_audit.py``
 check the library against, and of the seeded perturbations both draw
 inputs with. The references deliberately avoid the library's own
 algorithms: reachability by fixed-point iteration over the edge relation,
-full evolutions by explicit walk enumeration, embeddings by trying every
-index subsequence, axioms checked on every pair and triple with Fraction
-distances, isomorphisms and isometries by trying every bijection.
+order closures by a search from every source, full evolutions by explicit
+walk enumeration, embeddings by trying every index subsequence, axioms
+checked on every pair and triple with Fraction distances, isomorphisms and
+isometries by trying every bijection.
 
 Imports only the standard library and ``phyloquiver``, so the audit runs
 against an installed package with this directory on ``sys.path``.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 
 from phyloquiver.esequence import ESequence, PrecRelation
@@ -242,6 +244,28 @@ def one_pair_mutations(space, prec, rng):
     return [PrecRelation(p) for p in out + [prec.pairs | {rng.choice(absent)}]]
 
 
+def brute_closure(
+    pairs: Iterable[tuple[str, str]]
+) -> frozenset[tuple[str, str]]:
+    """Transitive closure of a relation as a set of pairs: a depth-first
+    search from every source, which walks every successor list again."""
+    succ: dict[str, set[str]] = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
+    closed: set[tuple[str, str]] = set()
+    for x in succ:
+        stack = list(succ[x])
+        seen: set[str] = set()
+        while stack:
+            y = stack.pop()
+            if y in seen:
+                continue
+            seen.add(y)
+            closed.add((x, y))
+            stack.extend(succ.get(y, ()))
+    return frozenset(closed)
+
+
 def sibling_groups(seq):
     groups = {}
     for x in seq.labels():
@@ -256,7 +280,7 @@ def toggle_pair(seq, rng):
     if not groups:
         return seq
     x, y = rng.sample(rng.choice(groups), 2)
-    return ESequence(seq.levels, seq.parent, seq.closed_order() ^ {(x, y)})
+    return ESequence(seq.levels, seq.parent, brute_closure(seq.order) ^ {(x, y)})
 
 
 def relabeled(seq, rng):
@@ -296,7 +320,7 @@ def brute_isomorphic(e1, e2):
     """Isomorphism by trying every level-wise bijection (small levels only)."""
     if [len(level) for level in e1.levels] != [len(level) for level in e2.levels]:
         return False
-    o1, o2 = e1.closed_order(), e2.closed_order()
+    o1, o2 = brute_closure(e1.order), brute_closure(e2.order)
     for choice in itertools.product(*map(itertools.permutations, e2.levels)):
         f = {x: y for l1, l2 in zip(e1.levels, choice) for x, y in zip(l1, l2)}
         if all(f[e1.parent[x]] == e2.parent[f[x]] for x in e1.parent) and all(

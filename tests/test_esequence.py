@@ -37,7 +37,7 @@ from phyloquiver import (
     validate_prec,
     validate_space,
 )
-from phyloquiver.esequence import _part_form
+from phyloquiver.esequence import _above, _part_form
 from phyloquiver.generators import (
     gen_g3,
     gen_map_quiver,
@@ -49,6 +49,7 @@ from phyloquiver.generators import (
 )
 
 from oracles import (
+    brute_closure,
     brute_esequence_problems,
     brute_isomorphic,
     one_group,
@@ -152,6 +153,48 @@ class TestESequenceType:
         assert all(kinds.values()), kinds
 
 
+def _relations(rng):
+    """Seeded relations on string labels, each as a list of pairs: DAGs,
+    2- to 5-cycles, self-pairs, closed total orders of up to 60 labels,
+    disjoint chains, and the empty relation."""
+    yield []
+    for n in range(2, 13):  # DAGs along a random permutation
+        names = rng.sample([f"d{i}" for i in range(n)], n)
+        yield [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+               if rng.random() < 0.35]
+    for k in range(2, 6):  # a k-cycle: alone, with a path in and out, into a 2-cycle
+        ring = [f"c{i}" for i in range(k)]
+        pairs = list(zip(ring, ring[1:] + ring[:1]))
+        yield pairs
+        yield pairs + [("t0", "t1"), ("t1", ring[0]), (ring[-1], "u0"), ("u0", "u1")]
+        yield pairs + [("x", "y"), ("y", "x"), (ring[0], "x")]
+    for n in (1, 3, 6):  # self-pairs, alone and on a chain
+        names = [f"s{i}" for i in range(n)]
+        yield [(a, a) for a in names]
+        yield list(zip(names, names[1:])) + [(names[-1], names[-1])]
+    for n in (2, 3, 10, 33, 60):  # closed total orders
+        names = rng.sample([f"o{i}" for i in range(n)], n)
+        yield [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    for lengths in ((2,), (4, 4), (2, 3, 5), (7, 1, 6)):  # disjoint chains
+        yield [(f"h{c}x{i}", f"h{c}x{i + 1}") for c, k in enumerate(lengths)
+               for i in range(k)]
+
+
+class TestOrderClosure:
+    """`_above` against the search from every source in ``oracles``."""
+
+    def test_matches_the_search_from_every_source(self):
+        rng = random.Random(46)
+        for trial in range(20):
+            for pairs in _relations(rng):
+                # ties in out-degree follow insertion order: feed each twice
+                for fed in (pairs, rng.sample(pairs, len(pairs))):
+                    above = _above(fed)
+                    got = {(x, y) for x, ys in above.items() for y in ys}
+                    assert got == brute_closure(fed), (trial, fed)
+                    assert above.keys() == {x for pair in fed for x in pair}, fed
+
+
 class TestEvolutionarySequence:
     def test_surjection_quiver(self):
         seq = evolutionary_sequence(gen_surjection_quiver(5))
@@ -160,6 +203,11 @@ class TestEvolutionarySequence:
         assert seq.order == frozenset(
             (str(j), str(k)) for j in range(2, 6) for k in range(j + 1, 6)
         )
+
+    def test_surjection_quiver_at_size(self):
+        seq = evolutionary_sequence(gen_surjection_quiver(200))
+        assert seq.order == {(str(j), str(k)) for j in range(2, 201)
+                             for k in range(j + 1, 201)}
 
     def test_map_quiver_single_point(self):
         seq = evolutionary_sequence(gen_map_quiver(4))
@@ -400,7 +448,7 @@ def terminal_data_by_walks(seq, n):
     """rho and prec on level n read off their definitions: the split depth
     k of a and b by walking both parent chains, and a prec b when a != b
     and p^(k-1)(a) < p^(k-1)(b) in the closed order."""
-    order = seq.closed_order()
+    order = brute_closure(seq.order)
     rho, prec = {}, set()
     for a, b in itertools.product(seq.levels[n], repeat=2):
         x, y, k = a, b, 0
@@ -885,6 +933,13 @@ class TestIsomorphism:
             start = time.perf_counter()
             assert esequence_isomorphic(group("x", False), other) is expected
             assert time.perf_counter() - start < 2.0
+
+    def test_wide_draw_matches_its_reconstruction(self):
+        # levels of 1, 474, 490 and 497 labels, 109,905 closed order pairs
+        seq = gen_random_esequence(4, 500, 0.3, seed=1, single_root=True, surjective=True)
+        n = seq.top
+        rebuilt = reconstruct(terminal_ultrametric(seq, n), induce_prec(seq, n), n)
+        assert esequence_isomorphic(seq, rebuilt)
 
     def test_twins_never_count_toward_the_budget(self):
         rng = random.Random(5)
