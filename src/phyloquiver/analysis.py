@@ -10,9 +10,13 @@ short one has length h(X). X is phylogenetic when one of its full
 evolutions embeds, as an isotypy-subsequence, in every full evolution for
 X. On monotonous quivers (no edge climbs in height from tail to head) the
 exact criterion is: phylogenetic iff every pair of equal-height critical
-ancestors is isotypic. On any other quiver normality still suffices, and
-:func:`phylogenetic_status` settles the rest by the sink classes they reach
-or by :func:`verify_universal_bounded` at a length that makes it exact.
+ancestors is isotypic. On any other quiver normality still suffices, and a
+vertex whose class reaches two sink classes is not phylogenetic. Where
+these linear rules leave a vertex open, one pass over the condensation
+(:func:`_guaranteed`) decides every vertex: the greatest fixed point of
+the patterns each vertex's evolutions are sure to embed, iterated class by
+class, parents first. :func:`verify_universal_bounded` checks any one
+evolution directly, up to any length.
 
 Normality is decided for every vertex at once, in one pass over the
 condensation (:func:`_normality`), and :func:`universal_evolution` takes
@@ -47,7 +51,8 @@ phylogenetic exactly when every class is normal.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain, count, groupby
 from typing import Iterator
 
 from .errors import Frozen, InputError, SizeGuardError
@@ -303,23 +308,18 @@ def short_full_evolutions(quiver: Quiver, v: str) -> Iterator[Evolution]:
 def phylogenetic_status(quiver: Quiver, v: str) -> bool:
     """Whether ``v`` admits a universal evolution, decided on any quiver.
 
-    A universal evolution embeds in every short full evolution, so it is
-    short and has their one class sequence: ``v`` is phylogenetic exactly
-    when its least short full evolution α embeds in every full evolution.
-    :func:`verify_universal_bounded` on α decides that at length
-    V·(h(v) + 2): a walk state is a vertex and a matched prefix of
-    0..h(v) + 1 classes, so no shortest avoiding evolution is longer. Two
-    cheaper rules come first, read off :func:`_phylogenetic`. A normal
-    vertex (self-inclusive) is phylogenetic, and on a monotonous quiver no
-    other is. A vertex whose class reaches two sink classes is not, as an
-    evolution from one never enters the other. Any other ``v`` is
-    phylogenetic when :func:`_universal_path` walks it to a path, so its
-    universal evolution reuses the walk. Only ``v`` itself is walked, if
-    at all, so :func:`analyze` walks O(V²·h) states at worst, and one walk
-    past ``_MAX_STATES`` raises :class:`SizeGuardError`.
+    A read of :func:`_phylogenetic`, which holds every vertex; an unknown
+    id raises :class:`InputError`. A universal evolution embeds in every
+    short full evolution, so it is short and has their one class sequence:
+    ``v`` is phylogenetic exactly when its least short full evolution
+    embeds in every full evolution. The table's first read decides that
+    for every vertex at once, by linear rules and, where they leave a
+    vertex open, by one pass over the condensation (:func:`_guaranteed`),
+    so no read searches and none is refused.
     """
-    known = _phylogenetic(quiver).get(v)
-    return known if known is not None else _universal_path(quiver, v) is not None
+    if v not in (table := _phylogenetic(quiver)):
+        quiver.check_vertex(v)  # the table holds every vertex: v is unknown
+    return table[v]
 
 
 is_phylogenetic_vertex = phylogenetic_status
@@ -327,17 +327,98 @@ is_phylogenetic_vertex = phylogenetic_status
 
 @memo
 def _phylogenetic(quiver: Quiver) -> dict[str, bool]:
-    """Per vertex, :func:`phylogenetic_status` where the linear passes
-    prove it; a vertex left to the walk is absent, and the table is never
-    written after it is stored. ``sink`` holds per class id the one sink
-    class it reaches, or -1; all -1 on a monotonous quiver."""
+    """Per vertex, :func:`phylogenetic_status`; total, and never written
+    after it is stored. Linear rules come first. A normal vertex
+    (self-inclusive) is phylogenetic, and on a monotonous quiver no other
+    is. A vertex whose class reaches two sink classes is not, as an
+    evolution from one never enters the other: ``sink`` holds per class id
+    the one sink class it reaches, or -1, and is all -1 on a monotonous
+    quiver. When a vertex is left open, :func:`_guaranteed` decides every
+    vertex instead."""
     cond, normal = condense(quiver), _normality(quiver)[0]
     ci, sink = cond.class_index, [-1] * len(cond.classes)
     for c in () if is_monotonous(quiver) else cond.order:
         found = {sink[p] for p in cond.parents[c]} or {c}
         sink[c] = found.pop() if len(found) == 1 else -1
-    return {v: normal[ci[v]] for v in quiver.vertices
-            if normal[ci[v]] or sink[ci[v]] < 0}
+    status = {v: normal[ci[v]] for v in quiver.vertices
+              if normal[ci[v]] or sink[ci[v]] < 0}
+    return status if len(status) == len(quiver.vertices) else _guaranteed(quiver)
+
+
+def _alpha_tree(quiver: Quiver) -> tuple[dict[str, str | None], dict[str | None, int]]:
+    """The tree of least short full evolutions: per vertex ``v``, π(v), the
+    vertex before ``v`` on its least one α(v) (None, the root, at height 0),
+    and the rank of α(v) among the α of every vertex, from 1; the root
+    ranks 0.
+
+    α(v) is α(π(v)) followed by ``v``, and equal-length vertex sequences
+    compare on their prefix first. So, height by height (the height table
+    lists vertices in that order), π(v) is the out-neighbour one height
+    down of least rank, and a height is ranked by (rank of π(v), v) after
+    every lower one: O(E + V log V). Ranks double as bit positions.
+    """
+    h, out = _height_table(quiver), _adjacency(quiver)[0]
+    pi, rank = {}, {None: 0}
+    for k, level in groupby(h, h.__getitem__):
+        up = {v: min((w for w in out[v] if h[w] == k - 1), key=rank.__getitem__,
+                     default=None) for v in level}
+        rank.update(zip(sorted(up, key=lambda v: (rank[up[v]], v)), count(len(rank))))
+        pi.update(up)
+    return pi, rank
+
+
+def _guaranteed(quiver: Quiver) -> dict[str, bool]:
+    """Every vertex's status from one pass over the condensation.
+
+    G(u), the guaranteed patterns of u, is the set of α-tree nodes x
+    (:func:`_alpha_tree`) whose α(x) embeds, up to isotypy, in every full
+    evolution ending at u; α(root) is empty. A vertex ``v`` is phylogenetic
+    exactly when ``v`` is in G(v). Appending u to an evolution E maps its
+    pattern set S to step(S) = S ∪ {x in u's class : π(x) ∈ S}, since α(x)
+    embeds in E followed by u exactly when it embeds in E, or α(π(x)) does
+    and u has x's class. The sets are prefix-closed, and on those step
+    distributes over intersection, so the meet over all evolutions is the
+    greatest fixed point of G(u) = step(⋂ G(u′) over u′ ∈ out[u])
+    (Kildall, POPL 1973; Kam & Ullman, Acta Informatica 1977), where a
+    member of a sink class, in which its evolutions start, also meets
+    {root}: a sink class takes step({root}), the class itself. Classes go
+    in ``cond.order``, parents first, so a class meets final sets outside
+    it and iterates its own from ⊤ (the int -1) until they are stable. A
+    set is one int, bit ``rank[x]`` for x, and a class's sets are dropped
+    once it and its last child class have read them.
+
+    Cost. Inside a class C, step is inflationary, so G(u) is the meet over
+    C's exits of step applied once per edge of a shortest path to them,
+    reached after |C| rounds; one more finds them stable. A round costs
+    an int AND per edge out of C and |C|² bit tests, each O(V / 64)
+    words: O(Σ_C (|C| + 1)(E_C + |C|²) · V / 64) in all, and O(E · V / 64)
+    when every class is one vertex.
+    """
+    cond, out = condense(quiver), _adjacency(quiver)[0]
+    pi, rank = _alpha_tree(quiver)
+    readers = Counter(chain(cond.order, *cond.parents))  # itself, then each child
+    g: dict[str, int] = {}
+    status: dict[str, bool] = {}
+    for c in cond.order:
+        members, start = cond.classes[c], -1 if cond.parents[c] else 1
+        g.update(dict.fromkeys(members, -1))
+        stable = False
+        while not stable:
+            stable = True
+            for u in members:
+                meet = start
+                for w in out[u]:
+                    meet &= g[w]
+                meet |= sum(1 << rank[x] for x in members if meet >> rank[pi[x]] & 1)
+                if meet != g[u]:
+                    g[u], stable = meet, False
+        status.update((v, bool(g[v] >> rank[v] & 1)) for v in members)
+        for p in (c, *cond.parents[c]):
+            readers[p] -= 1
+            if not readers[p]:
+                for x in cond.classes[p]:
+                    del g[x]
+    return status
 
 
 def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
@@ -356,18 +437,11 @@ def universal_evolution(quiver: Quiver, v: str) -> Evolution | None:
 @memo
 def _universal_path(quiver: Quiver, v: str) -> tuple[str, ...] | None:
     """The vertices of :func:`universal_evolution`, or None; kept as ids,
-    since a stored :class:`Evolution` would hold its own quiver. A vertex
-    :func:`_phylogenetic` leaves out is walked here, its least short full
-    evolution checked by :func:`verify_universal_bounded` at V·(h + 2)."""
-    known = _phylogenetic(quiver).get(v)
-    if known is False:
-        return None
-    alpha = next(short_full_evolutions(quiver, v))  # rejects an unknown v
-    if known is None:
-        bound = len(quiver.vertices) * (_height_table(quiver)[v] + 2)
-        if not verify_universal_bounded(quiver, alpha, bound):
-            return None
-    return alpha.vertices
+    since a stored :class:`Evolution` would hold its own quiver. The status
+    is a table read, so only a phylogenetic ``v`` lists its short full
+    evolutions, and only the first."""
+    status = phylogenetic_status(quiver, v)  # rejects an unknown v
+    return next(short_full_evolutions(quiver, v)).vertices if status else None
 
 
 def verify_universal_bounded(

@@ -272,11 +272,14 @@ def forest_distance(forest: ESequence, a: str, b: str) -> int | None:
 # -- terminal data and reconstruction ---------------------------------------
 
 
+@memo
 def _below(seq: ESequence, n: int) -> dict[str, list[int]]:
     """Positions in level ``n`` below each label of levels 0..n, in one pass
     up the parent map, once the terminal-data premises hold: a lawful
     E-sequence, ``n`` in range, one root, and surjective parents, which
-    leave no label without a position."""
+    leave no label without a position. Stored on ``seq``, so a round trip
+    through :func:`terminal_ultrametric` and :func:`induce_prec` checks the
+    premises once; a refusal stores nothing, and both callers only read."""
     _require_esequence(seq)
     if not 0 <= n <= seq.top:
         raise InputError(f"level {n} out of range 0..{seq.top}")

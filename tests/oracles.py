@@ -5,9 +5,10 @@ check the library against, and of the seeded perturbations both draw
 inputs with. The references deliberately avoid the library's own
 algorithms: reachability by fixed-point iteration over the edge relation,
 order closures by a search from every source, full evolutions by explicit
-walk enumeration, embeddings by trying every index subsequence, axioms
-checked on every pair and triple with Fraction distances, isomorphisms and
-isometries by trying every bijection.
+walk enumeration, embeddings by trying every index subsequence, phylogenetic
+status over the written-out evolutions, axioms checked on every pair and
+triple with Fraction distances, isomorphisms and isometries by trying every
+bijection.
 
 Imports only the standard library and ``phyloquiver``, so the audit runs
 against an installed package with this directory on ``sys.path``.
@@ -120,6 +121,49 @@ def brute_embedding_exists(classes, alpha, beta) -> bool:
         if all(classes[alpha[k]] == classes[beta[r]] for k, r in zip(range(m), idx)):
             return True
     return False
+
+
+def brute_status(quiver: Quiver, max_walks: int = 100_000) -> dict[str, bool]:
+    """Per vertex v, whether some short full evolution embeds, up to
+    isotypy, in every full evolution for v: the definition of phylogenetic.
+
+    Full evolutions are written out, each vertex at most h(v) + 1 times. A
+    shortest evolution that avoids a short α meets each vertex at most
+    once per matched prefix of α, so no shorter list misses a verdict.
+    Isotypy is mutual reach, and an embedding is a subsequence test on the
+    class sequences. Exponential: past ``max_walks`` evolutions for one
+    vertex it raises ``RuntimeError``."""
+    reach, prim, h = brute_reach(quiver), brute_primitives(quiver), brute_heights(quiver)
+    cls = {v: frozenset(x for x in reach[v] if v in reach[x]) for v in quiver.vertices}
+    step = {v: set() for v in quiver.vertices}
+    for tail, head in quiver.edges:
+        step[tail].add(head)
+
+    def embeds(alpha, beta):
+        rest = iter(beta)
+        return all(c in rest for c in alpha)
+
+    status = {}
+    for v in quiver.vertices:
+        betas, walk, seen = [], [v], Counter([v])
+
+        def grow(u):
+            if u in prim:
+                betas.append([cls[x] for x in reversed(walk)])
+                if len(betas) > max_walks:
+                    raise RuntimeError(f"more than {max_walks} full evolutions for {v!r}")
+            for w in sorted(step[u]):
+                if seen[w] <= h[v]:
+                    seen[w] += 1
+                    walk.append(w)
+                    grow(w)
+                    walk.pop()
+                    seen[w] -= 1
+
+        grow(v)
+        shorts = [beta for beta in betas if len(beta) == h[v] + 1]
+        status[v] = any(all(embeds(alpha, beta) for beta in betas) for alpha in shorts)
+    return status
 
 
 def brute_critical_ancestors(q, include_self):

@@ -39,7 +39,13 @@ from phyloquiver import (
     validate_evolution,
     verify_universal_bounded,
 )
-from phyloquiver.analysis import _critical_heads, _normal_self_inclusive, _phylogenetic
+from phyloquiver.analysis import (
+    _alpha_tree,
+    _critical_heads,
+    _guaranteed,
+    _normal_self_inclusive,
+    _phylogenetic,
+)
 from phyloquiver.clades import clade_height, clade_report, is_regular
 from phyloquiver.generators import (
     gen_abnormal,
@@ -59,6 +65,7 @@ from oracles import (
     brute_full_evolutions,
     brute_heights,
     brute_primitives,
+    brute_status,
     grouped_isotypic,
 )
 
@@ -407,12 +414,14 @@ class TestPhylogeneticVertices:
         rows = {row.vertex: row.phylogenetic for row in analyze(q).vertices}
         assert rows == {"v0": True, "v1": False, "v2": True, "v3": True}
 
-    def test_walk_counts_against_the_budget(self, monkeypatch):
-        # v1 and v3 are non-normal and reach one sink class, so both walk
+    def test_analyze_ignores_the_walk_budget(self, monkeypatch):
+        # v1 and v3 are non-normal and reach one sink class: the pass decides
+        # both, while a direct walk still counts against the budget
         q = gen_random_quiver(4, 0.25, seed=92)
         monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 1)
+        assert [row.phylogenetic for row in analyze(q).vertices] == [True, False, True, True]
         with pytest.raises(SizeGuardError, match="node budget of 1$"):
-            analyze(q)
+            verify_universal_bounded(q, next(short_full_evolutions(q, "v3")), 16)
 
     def test_universal_evolution_g3(self, g3):
         assert universal_evolution(g3, "C").vertices == ("A", "B", "C")
@@ -511,13 +520,16 @@ class TestExactStatus:
     most V·(h + 2), the bound past which the walk meets no new state."""
 
     def test_matches_any_short_oracle(self, monkeypatch):
-        walked = []
+        decided = []  # the pass's verdicts on non-normal vertices
 
-        def spy(q, alpha, max_length):
-            walked.append(verify_universal_bounded(q, alpha, max_length))
-            return walked[-1]
+        def spy(q):
+            table = _guaranteed(q)
+            decided.extend(s for v, s in table.items() if not _normal_self_inclusive(q, v))
+            return table
 
-        monkeypatch.setattr("phyloquiver.analysis.verify_universal_bounded", spy)
+        monkeypatch.setattr("phyloquiver.analysis._guaranteed", spy)
+        # a status read that walked would call None
+        monkeypatch.setattr("phyloquiver.analysis.verify_universal_bounded", None)
         checked = non_normal = 0
         for n in range(2, 8):
             for d in (0.2, 0.35, 0.5):
@@ -534,9 +546,9 @@ class TestExactStatus:
                             n, d, s, v)
                         checked += 1
                         non_normal += not _normal_self_inclusive(q, v)
-        settled_by_sinks = non_normal - len(walked)
+        settled_by_sinks = non_normal - len(decided)
         assert checked >= 1_500 and non_normal >= 100
-        assert settled_by_sinks > 0 and True in walked and False in walked
+        assert settled_by_sinks > 0 and True in decided and False in decided
 
     def test_point_answers_equal_analyze_rows(self):
         # point queries last to first on one quiver, analyze on a fresh copy
@@ -557,7 +569,7 @@ class TestExactStatus:
 def climbing_chain(k):
     """P <- Q1, P <- Q2, R -> Q1, R -> Q2, a k-chain c1..ck above R, and T
     with edges T -> ck (climbing) and T -> P: R, the chain and T are not
-    normal and reach one sink class, so each is settled by the walk."""
+    normal and reach one sink class, so the linear rules leave them open."""
     chain = [f"c{i}" for i in range(1, k + 1)]
     edges = [("Q1", "P"), ("Q2", "P"), ("R", "Q1"), ("R", "Q2"), ("c1", "R")]
     edges += list(zip(chain[1:], chain))
@@ -565,8 +577,21 @@ def climbing_chain(k):
     return Quiver(["P", "Q1", "Q2", "R", "T", *chain], edges)
 
 
+def mostly_descending(n, seed):
+    """Vertex i of n gets two edges to vertices below i, drawn uniformly,
+    and 1 + n // 10 edges join uniformly drawn pairs, which may climb or
+    close cycles: mostly open to the linear rules."""
+    rng = random.Random(seed)
+    vs = [f"v{i:06d}" for i in range(n)]
+    edges = [(vs[i], vs[rng.randrange(i)]) for i in range(1, n) for _ in range(2)]
+    edges += [(vs[rng.randrange(n)], vs[rng.randrange(n)]) for _ in range(1 + n // 10)]
+    return Quiver(vs, edges)
+
+
 class TestPointStatus:
-    """A point query walks its own vertex at most, never the others."""
+    """A point read walks nothing: the first read of a quiver fills its
+    whole status table in one pass, and a universal read lists short full
+    evolutions at most once."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -586,20 +611,25 @@ class TestPointStatus:
         assert walks == []
 
     def test_each_point_query_walks_at_most_once(self, walks):
-        want = {row.vertex: row.phylogenetic for row in analyze(climbing_chain(30)).vertices}
-        assert len(walks) == 30 + 2  # R, the chain and T
-        for v, status in want.items():
-            walks.clear()
-            q = climbing_chain(30)
-            assert phylogenetic_status(q, v) is status
-            assert walks == ([v] if v in ("R", "T") or v.startswith("c") else [])
-            assert phylogenetic_status(q, v) is status and len(walks) <= 1
+        # no read walks: each reads one total table
+        for host in (climbing_chain(30), gen_random_quiver(8, 0.25, seed=8)):
+            want = {row.vertex: row.phylogenetic for row in analyze(host).vertices}
+            for v, status in want.items():
+                q = Quiver(host.vertices, host.edges)
+                assert phylogenetic_status(q, v) is status
+                assert _phylogenetic(q).keys() == set(q.vertices)
+                assert (universal_evolution(q, v) is not None) is status
+        assert walks == []
 
-    def test_analyze_reuses_the_walked_points(self, walks):
+    def test_analyze_reuses_the_walked_points(self, walks, monkeypatch):
+        passes = []
+        monkeypatch.setattr("phyloquiver.analysis._guaranteed",
+                            lambda q: passes.append(q) or _guaranteed(q))
         q = climbing_chain(30)
-        assert phylogenetic_status(q, "c7") is False and walks == ["c7"]
+        assert phylogenetic_status(q, "c7") is False and passes == [q]
+        assert len(_phylogenetic(q)) == 35
         analyze(q)
-        assert sorted(walks) == sorted(["R", "T", *(f"c{i}" for i in range(1, 31))])
+        assert passes == [q] and walks == []
 
     def test_a_walked_vertex_keeps_its_path_in_one_memo(self, monkeypatch):
         listed = []
@@ -610,23 +640,84 @@ class TestPointStatus:
 
         monkeypatch.setattr("phyloquiver.analysis.short_full_evolutions", spy)
         seed8 = gen_random_quiver(8, 0.25, seed=8)
-        assert {v for v in seed8.vertices if v not in _phylogenetic(seed8)} == {
-            "v1", "v4", "v5", "v7"}
         for q in (seed8, climbing_chain(30)):
-            walked = [v for v in q.vertices if v not in _phylogenetic(q)]
-            for v in walked:
+            for v in q.vertices:
                 for reads in ((phylogenetic_status, universal_evolution),
                               (universal_evolution, phylogenetic_status)):
                     fresh = Quiver(q.vertices, q.edges)
                     listed.clear()
                     got = {read: read(fresh, v) for read in reads}
-                    assert listed == [v]
                     status = got[phylogenetic_status]
                     assert status is (got[universal_evolution] is not None)
-                    if q is seed8:
+                    universal_evolution(fresh, v)
+                    assert listed == ([v] if status else [])
+                    if q is seed8 and v in ("v1", "v4", "v5", "v7"):
                         assert status is (v in ("v5", "v7"))
-            analyze(q)  # walks every vertex, yet leaves the status table as stored
-            assert len(_phylogenetic(q)) == len(_phylogenetic(Quiver(q.vertices, q.edges)))
+
+
+class TestGuaranteedPatterns:
+    """The pass that decides what the linear rules leave open, against the
+    walk at its exact bound and against the definition written out."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("phyloquiver.analysis._guaranteed",
+                            lambda q: ran.append(q) or _guaranteed(q))
+        return ran
+
+    def test_matches_the_bounded_walk(self, passes):
+        verdicts = set()
+        for q in [climbing_chain(k) for k in range(1, 31)] + [
+                mostly_descending(3 + s % 38, seed=s) for s in range(150)]:
+            h = heights(q)
+            for v in q.vertices:
+                alpha = next(short_full_evolutions(q, v))
+                want = verify_universal_bounded(q, alpha, len(q.vertices) * (h[v] + 2))
+                assert phylogenetic_status(q, v) is want, (q.edges, v)
+                verdicts.add(want)
+        assert len(passes) >= 100 and verdicts == {True, False}
+
+    def test_matches_brute_status(self, passes):
+        verdicts = set()
+        for n in range(3, 7):
+            for d in (0.2, 0.3, 0.4):
+                for s in range(200):
+                    q = gen_random_quiver(n, d, seed=s)
+                    table = _phylogenetic(q)
+                    if passes and passes[-1] is q:
+                        assert table == brute_status(q), (n, d, s)
+                        verdicts.update(table.values())
+        assert len(passes) >= 50 and verdicts == {True, False}
+
+    def test_alpha_tree_is_the_least_short_evolution(self, passes):
+        for q in [climbing_chain(30), gen_random_quiver(8, 0.25, seed=8)] + [
+                mostly_descending(3 + s % 38, seed=s) for s in range(60)]:
+            _phylogenetic(q)
+            if not passes or passes[-1] is not q:
+                continue
+            pi = _alpha_tree(q)[0]
+            for v in q.vertices:
+                path = [v]
+                while pi[path[-1]] is not None:
+                    path.append(pi[path[-1]])
+                assert tuple(reversed(path)) == next(short_full_evolutions(q, v)).vertices
+        assert len(passes) >= 30
+
+    def test_memory_grows_linearly(self):
+        # The pass keeps a class's sets only until its last child class has
+        # read them, and stores bit positions, not one int per vertex.
+        peaks = []
+        for k in (10_000, 20_000):
+            q = climbing_chain(k)
+            tracemalloc.start()
+            try:
+                report = analyze(q)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(row.phylogenetic for row in report.vertices) == 4  # P, Q1, Q2, T
+        assert peaks[1] <= 2.5 * peaks[0]
 
 
 class TestPhylogeneticQuivers:

@@ -81,17 +81,19 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err == f"error: {path}: unexpected ':' in DOT digraph\n"
 
-    def test_walk_past_the_budget_gives_status_3(self, capsys, tmp_path, monkeypatch):
-        # v1 and v3 are isotypic, not normal, and reach one sink class: both walk
+    def test_analyze_ignores_the_walk_budget(self, capsys, tmp_path, monkeypatch):
+        # v1 and v3 are isotypic, not normal, and reach one sink class: the
+        # pass decides both, so analyze answers under any walk budget, while
+        # universal --bound still walks against it
         path = tmp_path / "r4.json"
         main(["gen", "random-quiver", "--n", "4", "--density", "0.25", "--seed", "92",
               "-o", str(path)])
+        monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 1)
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert [r["phylogenetic"] for r in json.loads(out)["vertices"]] == [
             True, False, True, True]
-        monkeypatch.setattr("phyloquiver.analysis._MAX_STATES", 1)
-        code, out, err = run(capsys, "analyze", str(path))
+        code, out, err = run(capsys, "universal", str(path), "v3", "--bound", "16")
         assert code == 3 and out == "" and "node budget" in err
 
     def test_byte_identical_reruns(self, capsys, g3_file):
