@@ -52,7 +52,7 @@ phylogenetic exactly when every class is normal.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, count, groupby
+from itertools import chain
 from typing import Iterator
 
 from .errors import Frozen, InputError, SizeGuardError
@@ -311,8 +311,8 @@ def phylogenetic_status(quiver: Quiver, v: str) -> bool:
     A read of :func:`_phylogenetic`, which holds every vertex; an unknown
     id raises :class:`InputError`. A universal evolution embeds in every
     short full evolution, so it is short and has their one class sequence:
-    ``v`` is phylogenetic exactly when its least short full evolution
-    embeds in every full evolution. The table's first read decides that
+    ``v`` is phylogenetic exactly when any short full evolution embeds in
+    every full evolution. The table's first read decides that
     for every vertex at once, by linear rules and, where they leave a
     vertex open, by one pass over the condensation (:func:`_guaranteed`),
     so no read searches and none is refused.
@@ -345,57 +345,43 @@ def _phylogenetic(quiver: Quiver) -> dict[str, bool]:
     return status if len(status) == len(quiver.vertices) else _guaranteed(quiver)
 
 
-def _alpha_tree(quiver: Quiver) -> tuple[dict[str, str | None], dict[str | None, int]]:
-    """The tree of least short full evolutions: per vertex ``v``, π(v), the
-    vertex before ``v`` on its least one α(v) (None, the root, at height 0),
-    and the rank of α(v) among the α of every vertex, from 1; the root
-    ranks 0.
-
-    α(v) is α(π(v)) followed by ``v``, and equal-length vertex sequences
-    compare on their prefix first. So, height by height (the height table
-    lists vertices in that order), π(v) is the out-neighbour one height
-    down of least rank, and a height is ranked by (rank of π(v), v) after
-    every lower one: O(E + V log V). Ranks double as bit positions.
-    """
-    h, out = _height_table(quiver), _adjacency(quiver)[0]
-    pi, rank = {}, {None: 0}
-    for k, level in groupby(h, h.__getitem__):
-        up = {v: min((w for w in out[v] if h[w] == k - 1), key=rank.__getitem__,
-                     default=None) for v in level}
-        rank.update(zip(sorted(up, key=lambda v: (rank[up[v]], v)), count(len(rank))))
-        pi.update(up)
-    return pi, rank
-
-
 def _guaranteed(quiver: Quiver) -> dict[str, bool]:
     """Every vertex's status from one pass over the condensation.
 
-    G(u), the guaranteed patterns of u, is the set of α-tree nodes x
-    (:func:`_alpha_tree`) whose α(x) embeds, up to isotypy, in every full
-    evolution ending at u; α(root) is empty. A vertex ``v`` is phylogenetic
-    exactly when ``v`` is in G(v). Appending u to an evolution E maps its
-    pattern set S to step(S) = S ∪ {x in u's class : π(x) ∈ S}, since α(x)
-    embeds in E followed by u exactly when it embeds in E, or α(π(x)) does
-    and u has x's class. The sets are prefix-closed, and on those step
-    distributes over intersection, so the meet over all evolutions is the
-    greatest fixed point of G(u) = step(⋂ G(u′) over u′ ∈ out[u])
-    (Kildall, POPL 1973; Kam & Ullman, Acta Informatica 1977), where a
-    member of a sink class, in which its evolutions start, also meets
-    {root}: a sink class takes step({root}), the class itself. Classes go
-    in ``cond.order``, parents first, so a class meets final sets outside
-    it and iterates its own from ⊤ (the int -1) until they are stable. A
-    set is one int, bit ``rank[x]`` for x, and a class's sets are dropped
-    once it and its last child class have read them.
+    The α tree: π(v) is the first out-neighbour of ``v`` one height down in
+    the sorted out adjacency (None, the root, at height 0), and α(v) is
+    α(π(v)) followed by ``v``, a short full evolution; α(root) is empty.
+    Each vertex's bit is its position in the height table, from 1; the
+    root's is 0. Every short full evolution of a phylogenetic vertex is
+    universal (:func:`phylogenetic_status`), so α(v) decides ``v`` whichever
+    down-neighbour π picks.
 
-    Cost. Inside a class C, step is inflationary, so G(u) is the meet over
-    C's exits of step applied once per edge of a shortest path to them,
-    reached after |C| rounds; one more finds them stable. A round costs
-    an int AND per edge out of C and |C|² bit tests, each O(V / 64)
-    words: O(Σ_C (|C| + 1)(E_C + |C|²) · V / 64) in all, and O(E · V / 64)
-    when every class is one vertex.
+    G(u), the guaranteed patterns of u, is the set of tree nodes x whose
+    α(x) embeds, up to isotypy, in every full evolution ending at u. A
+    vertex ``v`` is phylogenetic exactly when ``v`` is in G(v). Appending u
+    to an evolution E maps its pattern set S to step(S) = S ∪ {x in u's
+    class : π(x) ∈ S}, since α(x) embeds in E followed by u exactly when it
+    embeds in E, or α(π(x)) does and u has x's class. The sets are
+    prefix-closed, and on those step distributes over intersection, so the
+    meet over all evolutions is the greatest fixed point of G(u) =
+    step(⋂ G(u′) over u′ ∈ out[u]) (Kildall, POPL 1973; Kam & Ullman, Acta
+    Informatica 1977), where a member of a sink class, in which its
+    evolutions start, also meets {root}: a sink class takes step({root}),
+    the class itself. Classes go in ``cond.order``, parents first, so a
+    class meets final sets outside it and iterates its own from ⊤ (the int
+    -1) until they are stable. A set is one int of bits, and a class's sets
+    are dropped once it and its last child class have read them.
+
+    Cost. The tree takes O(E). Inside a class C, step is inflationary, so
+    G(u) is the meet over C's exits of step applied once per edge of a
+    shortest path to them, reached after |C| rounds; one more finds them
+    stable. A round costs an int AND per edge out of C and |C|² bit tests,
+    each O(V / 64) words: O(Σ_C (|C| + 1)(E_C + |C|²) · V / 64) in all, and
+    O(E · V / 64) when every class is one vertex.
     """
-    cond, out = condense(quiver), _adjacency(quiver)[0]
-    pi, rank = _alpha_tree(quiver)
+    cond, h, out = condense(quiver), _height_table(quiver), _adjacency(quiver)[0]
+    bit = {v: i for i, v in enumerate(h, 1)}
+    pi = {v: next((bit[w] for w in out[v] if h[w] == h[v] - 1), 0) for v in h}  # π's bit
     readers = Counter(chain(cond.order, *cond.parents))  # itself, then each child
     g: dict[str, int] = {}
     status: dict[str, bool] = {}
@@ -409,10 +395,10 @@ def _guaranteed(quiver: Quiver) -> dict[str, bool]:
                 meet = start
                 for w in out[u]:
                     meet &= g[w]
-                meet |= sum(1 << rank[x] for x in members if meet >> rank[pi[x]] & 1)
+                meet |= sum(1 << bit[x] for x in members if meet >> pi[x] & 1)
                 if meet != g[u]:
                     g[u], stable = meet, False
-        status.update((v, bool(g[v] >> rank[v] & 1)) for v in members)
+        status.update((v, bool(g[v] >> bit[v] & 1)) for v in members)
         for p in (c, *cond.parents[c]):
             readers[p] -= 1
             if not readers[p]:

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from itertools import islice
 
 import pytest
 
@@ -40,7 +41,6 @@ from phyloquiver import (
     verify_universal_bounded,
 )
 from phyloquiver.analysis import (
-    _alpha_tree,
     _critical_heads,
     _guaranteed,
     _normal_self_inclusive,
@@ -577,6 +577,13 @@ def climbing_chain(k):
     return Quiver(["P", "Q1", "Q2", "R", "T", *chain], edges)
 
 
+def lemma_sweep():
+    """The quivers of the α-tree tests: the pass runs on most of them."""
+    yield gen_random_quiver(8, 0.25, seed=8)
+    yield from (climbing_chain(k) for k in range(1, 31))
+    yield from (mostly_descending(3 + s % 38, seed=s) for s in range(60))
+
+
 def mostly_descending(n, seed):
     """Vertex i of n gets two edges to vertices below i, drawn uniformly,
     and 1 + n // 10 edges join uniformly drawn pairs, which may climb or
@@ -690,19 +697,42 @@ class TestGuaranteedPatterns:
                         verdicts.update(table.values())
         assert len(passes) >= 50 and verdicts == {True, False}
 
-    def test_alpha_tree_is_the_least_short_evolution(self, passes):
-        for q in [climbing_chain(30), gen_random_quiver(8, 0.25, seed=8)] + [
-                mostly_descending(3 + s % 38, seed=s) for s in range(60)]:
-            _phylogenetic(q)
-            if not passes or passes[-1] is not q:
-                continue
-            pi = _alpha_tree(q)[0]
+    def test_every_short_evolution_decides_the_status(self, passes):
+        # The lemma the pass rests on: a phylogenetic vertex's short full
+        # evolutions are all universal, and a non-phylogenetic one's none.
+        several = set()  # the verdicts on vertices with two or more
+        for q in lemma_sweep():
+            h = heights(q)
             for v in q.vertices:
-                path = [v]
-                while pi[path[-1]] is not None:
-                    path.append(pi[path[-1]])
-                assert tuple(reversed(path)) == next(short_full_evolutions(q, v)).vertices
-        assert len(passes) >= 30
+                status, bound = phylogenetic_status(q, v), len(q.vertices) * (h[v] + 2)
+                alphas = list(islice(short_full_evolutions(q, v), 8))
+                for alpha in alphas:
+                    assert verify_universal_bounded(q, alpha, bound) is status, (q.edges, v)
+                if len(alphas) > 1:
+                    several.add(status)
+        assert len(passes) >= 30 and several == {True, False}
+
+    def test_reversed_names_give_the_same_statuses(self, passes):
+        # Reversing name order reverses each sorted out adjacency, so π
+        # takes the last down-neighbour where it took the first.
+        runs = choices = 0
+        for q in lemma_sweep():
+            names = {v: f"r{i:06d}" for i, v in enumerate(sorted(q.vertices, reverse=True))}
+            twin = Quiver([names[v] for v in q.vertices],
+                          [(names[a], names[b]) for a, b in q.edges])
+            passes.clear()
+            table, twin_table = _phylogenetic(q), _phylogenetic(twin)
+            if not passes:
+                continue
+            assert passes == [q, twin]
+            assert {names[v]: s for v, s in table.items()} == twin_table
+            h, down = heights(q), {}
+            for tail, head in q.edges:
+                if h[head] == h[tail] - 1:
+                    down.setdefault(tail, set()).add(head)
+            choices += sum(len(heads) > 1 for heads in down.values())
+            runs += 1
+        assert runs >= 30 and choices
 
     def test_memory_grows_linearly(self):
         # The pass keeps a class's sets only until its last child class has
