@@ -29,7 +29,7 @@ self-exclusive family does on the non-monotonous quivers. The exact status
 family checks every vertex of a non-monotonous quiver against the oracle
 "some short full evolution passes verify_universal_bounded at length
 V·(h + 2)", and counts the non-normal vertices that the sink classes they
-reach settle and those left to the walk.
+reach settle and those the guaranteed-pattern pass decides.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def audit_oracle(count, base, max_n):
 
 
 def audit_exact_status(count, base, max_n):
-    checked = by_sinks = walked = 0
+    checked = by_sinks = by_pass = 0
     for s in range(count):
         q = gen.gen_random_quiver(2 + s % (max_n - 1), 0.2 + 0.05 * (s % 7), seed=base + s)
         if pq.is_monotonous(q):
@@ -113,9 +113,9 @@ def audit_exact_status(count, base, max_n):
                 assert not want, (s, v)
                 by_sinks += 1
             else:
-                walked += 1
+                by_pass += 1
     print(f"exact status              ok on {checked} vertices "
-          f"({by_sinks} settled by sink classes, {walked} walked)")
+          f"({by_sinks} settled by sink classes, {by_pass} by the pass)")
 
 
 def audit_universal(count, base, max_n):

@@ -156,49 +156,50 @@ def validate_esequence(seq: ESequence) -> list[str]:
     """E-sequence axiom violations, empty when the sequence is lawful.
 
     Checked: trivial order on P0; comparable elements share a parent; each
-    level order is irreflexive, antisymmetric, and transitive. Each order
-    pair is worded at most once per check, in sorted order (never in hash
-    order), so there are at most 3 * |order| messages. A pair that breaks
-    transitivity names its least missing successor and counts them all.
+    level order is irreflexive, antisymmetric, and transitive. One pass over
+    the order pairs, grouped by lower label, keeps only the failing ones, and
+    each check's failures are sorted on output (never left in hash order).
+    Each order pair is worded at most once per check, so there are at most
+    3 * |order| messages. A pair that breaks transitivity names its least
+    missing successor and counts them all.
     """
-    violations: list[str] = []
-    lv = seq.level_of
-    pairs = sorted(seq.order)
-    for x, y in pairs:
-        if lv[x] == 0:
-            violations.append(f"order on level 0 must be trivial: {x!r} < {y!r}")
-        elif seq.parent[x] != seq.parent[y]:
-            violations.append(
-                f"{x!r} < {y!r} but their parents differ "
-                f"({seq.parent[x]!r} vs {seq.parent[y]!r})"
-            )
-    for x, y in pairs:
-        if x == y:
-            violations.append(f"order is not irreflexive: {x!r} < {x!r}")
-        elif (y, x) in seq.order and x < y:  # report each bad pair once
-            violations.append(f"order is not antisymmetric: {x!r} <> {y!r}")
+    lv, parent = seq.level_of, seq.parent
+    succ: dict[str, list[str]] = {}
+    for x, y in seq.order:
+        succ.setdefault(x, []).append(y)
     # Successor bitsets, a successor's bit its rank in label order among the
     # successors on its level: x < y is transitive when every successor of
     # y, x itself aside, is a successor of x, and the lowest bit missing is
-    # the least label missing.
+    # the least label missing; y < x too when x's bit is among y's.
     ranked: dict[int, list[str]] = {}
     bit: dict[str, int] = {}
-    for y in sorted({y for _, y in pairs}):
+    for y in sorted({y for ys in succ.values() for y in ys}):
         rank = ranked.setdefault(lv[y], [])
         bit[y] = 1 << len(rank)
         rank.append(y)
-    up: dict[str, int] = {}
-    for x, y in pairs:
-        up[x] = up.get(x, 0) | bit[y]
-    for x, y in pairs:
-        missing = up.get(y, 0) & ~(up[x] | bit.get(x, 0))
-        if missing:
-            z = ranked[lv[x]][(missing & -missing).bit_length() - 1]
-            violations.append(
-                f"order is not transitive: {x!r} < {y!r} < {z!r} without "
-                f"{x!r} < {z!r} (witness 1 of {missing.bit_count()})"
-            )
-    return violations
+    up = {x: sum(bit[y] for y in ys) for x, ys in succ.items()}  # pairs are distinct
+    failed: list[tuple[int, str, str, str]] = []  # (check, x, y, message)
+    for x, ys in succ.items():
+        bx = bit.get(x, 0)
+        ux = up[x] | bx
+        for y in ys:
+            if lv[x] == 0:
+                failed.append((0, x, y, f"order on level 0 must be trivial: {x!r} < {y!r}"))
+            elif parent[x] != parent[y]:
+                failed.append((0, x, y, f"{x!r} < {y!r} but their parents differ "
+                                        f"({parent[x]!r} vs {parent[y]!r})"))
+            uy = up.get(y, 0)
+            if x == y:
+                failed.append((1, x, y, f"order is not irreflexive: {x!r} < {x!r}"))
+            elif uy & bx and x < y:  # report each bad pair once
+                failed.append((1, x, y, f"order is not antisymmetric: {x!r} <> {y!r}"))
+            missing = uy & ~ux
+            if missing:
+                z = ranked[lv[x]][(missing & -missing).bit_length() - 1]
+                failed.append((2, x, y, f"order is not transitive: {x!r} < {y!r} < {z!r} "
+                                        f"without {x!r} < {z!r} (witness 1 of "
+                                        f"{missing.bit_count()})"))
+    return [m for *_, m in sorted(failed)]  # a pair fails each check at most once
 
 
 # -- evolutionary sequence of a phylogenetic quiver -------------------------

@@ -446,18 +446,22 @@ class TestValidate:
         assert code == 1 and "cannot read" in err
 
     def test_output_independent_of_hash_seed(self, tmp_path):
-        # a < b lacks four successors of b: the one named must be the least
-        # label, not the first in the hash order of the order pairs.
+        # One order breaks every check: a pair on level 0, one across
+        # parents, a self-pair, a reversed pair, and unclosed pairs around
+        # the cycle a < b < f < a. Validation visits the pairs in hash
+        # order, so each check's messages must come out sorted, and a < b,
+        # which lacks four successors of b, must name the least of them.
         path = tmp_path / "e.json"
-        kids = list("abcdef")
+        kids = list("abcdefg")
         path.write_text(json.dumps({
-            "levels": [["r"], kids],
-            "parent": dict.fromkeys(kids, "r"),
-            "order": [["a", "b"]] + [["b", k] for k in "cdef"],
+            "levels": [["r", "s"], kids],
+            "parent": {**dict.fromkeys("abcdef", "r"), "g": "s"},
+            "order": [["r", "s"], ["a", "g"], ["c", "c"], ["d", "e"], ["e", "d"],
+                      ["a", "b"], ["f", "a"]] + [["b", k] for k in "cdef"],
         }))
         src = str(Path(__file__).resolve().parent.parent / "src")
         outs = []
-        for seed in ("1", "2"):
+        for seed in ("1", "2", "3", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "phyloquiver", "validate", str(path)],
@@ -465,10 +469,16 @@ class TestValidate:
             )
             assert proc.returncode == 1, proc.stderr
             outs.append(proc.stdout)
-        assert outs[0] == outs[1]
+        assert outs == outs[:1] * 4
         problems = json.loads(outs[0])["problems"]
         assert problems == [
-            "order is not transitive: 'a' < 'b' < 'c' without 'a' < 'c' (witness 1 of 4)"
+            "'a' < 'g' but their parents differ ('r' vs 's')",
+            "order on level 0 must be trivial: 'r' < 's'",
+            "order is not irreflexive: 'c' < 'c'",
+            "order is not antisymmetric: 'd' <> 'e'",
+            "order is not transitive: 'a' < 'b' < 'c' without 'a' < 'c' (witness 1 of 4)",
+            "order is not transitive: 'b' < 'f' < 'a' without 'b' < 'a' (witness 1 of 1)",
+            "order is not transitive: 'f' < 'a' < 'b' without 'f' < 'b' (witness 1 of 2)",
         ]
 
 

@@ -140,11 +140,14 @@ class TestESequenceType:
         assert worded > 1000, worded
 
     def test_matches_axioms_on_mutated_orders(self):
+        # random draws, then a wide closed total order (one level of 59
+        # siblings, 1,711 pairs) where a label has dozens of successors
         rng = random.Random(24)
         kinds = dict.fromkeys(
             ("transitive", "antisymmetric", "irreflexive", "parents", "level 0"), 0)
-        for s in range(40):
-            seq = gen_random_esequence(1 + s % 4, 4 + s % 6, 0.6, seed=s)
+        wide = evolutionary_sequence(gen_surjection_quiver(60))
+        draws = [gen_random_esequence(1 + s % 4, 4 + s % 6, 0.6, seed=s) for s in range(40)]
+        for s, seq in enumerate(draws + [wide] * 12):
             mutated = toggled_order(seq, rng, 2 + s % 4)
             got = validate_esequence(mutated)
             assert got == brute_esequence_problems(mutated), s
