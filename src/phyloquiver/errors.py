@@ -37,7 +37,9 @@ class Frozen:
 
     One construction rule, with no exception: public constructors take
     outside input, checked by the types that override ``__init__``, and
-    :meth:`_trusted` stores every value the library derives."""
+    :meth:`_trusted` stores every value the library derives. A checking
+    constructor walks its input in the order given, so when several items
+    are bad it names the first as written, whatever the hash seed."""
 
     _fields: tuple[str, ...] = ()
 

@@ -57,37 +57,39 @@ class ESequence(Frozen):
     frozenset of pairs, and checks only structure (label uniqueness, total
     parents into the previous level, in-level pairs); the E-sequence axioms
     themselves are the business of :func:`validate_esequence`, which treats
-    breaches as data.
+    breaches as data. The label -> level table its uniqueness check fills
+    is kept as ``level_of``; a sequence the library builds with
+    :meth:`_trusted` makes it on first read.
     """
 
     _fields = ("levels", "parent", "order")
 
     def __init__(self, levels: Iterable[Iterable[str]], parent: Mapping[str, str],
                  order: Iterable[tuple[str, str]] = ()) -> None:
-        self.__dict__.update(levels=tuple(map(tuple, levels)), parent=dict(parent),
-                             order=frozenset((x, y) for x, y in order))
-        if not self.levels:
+        levels, parent = tuple(map(tuple, levels)), dict(parent)
+        order = list(map(tuple, order))
+        if not levels:
             raise InputError("an E-sequence needs at least one level")
-        seen: set[str] = set()
-        for m, level in enumerate(self.levels):
+        lv: dict[str, int] = {}
+        for m, level in enumerate(levels):
             if not level:
                 raise InputError(f"level {m} is empty")
             for x in level:
-                if x in seen:
+                if x in lv:
                     raise InputError(f"duplicate label {x!r}")
-                seen.add(x)
-        lv = self.level_of
-        expected = {x for level in self.levels[1:] for x in level}
-        if set(self.parent) != expected:
+                lv[x] = m
+        # distinct keys, each of level 1 or more, as many as those labels
+        if len(parent) != len(lv) - len(levels[0]) or not all(map(lv.get, parent)):
             raise InputError("parent map must cover levels 1.. exactly")
-        for x, y in self.parent.items():
-            if y not in seen or lv[y] != lv[x] - 1:
+        for x, y in parent.items():
+            if lv.get(y) != lv[x] - 1:
                 raise InputError(f"parent of {x!r} must sit one level below")
-        for x, y in self.order:
-            if x not in seen or y not in seen:
+        for x, y in order:
+            if x not in lv or y not in lv:
                 raise InputError(f"order pair ({x!r}, {y!r}) references unknown labels")
             if lv[x] != lv[y]:
                 raise InputError(f"order pair ({x!r}, {y!r}) crosses levels")
+        self.__dict__.update(levels=levels, parent=parent, order=frozenset(order), level_of=lv)
 
     @property
     def top(self) -> int:

@@ -72,8 +72,7 @@ class Quiver(Frozen):
     _fields = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
-        self.__dict__.update(vertices=tuple(vertices),
-                             edges=tuple((t, h) for t, h in edges))
+        self.__dict__.update(vertices=tuple(vertices), edges=tuple(map(tuple, edges)))
         if not self.vertices:
             raise InputError("a quiver needs at least one vertex")
         seen: set[str] = set()
@@ -227,7 +226,7 @@ def condense(quiver: Quiver) -> Condensation:
 def induced_subquiver(quiver: Quiver, keep: Iterable[str]) -> Quiver:
     """Sub-quiver on ``keep`` with every edge whose endpoints both survive.
     Vertex and edge order of the host is preserved."""
-    kept = set(keep)
+    kept = dict.fromkeys(keep)
     for v in kept:
         quiver.check_vertex(v)
     if not kept:

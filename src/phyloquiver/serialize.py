@@ -261,7 +261,7 @@ def esequence_to_obj(seq: ESequence) -> dict:
     return {
         "levels": [list(level) for level in seq.levels],
         "parent": dict(seq.parent),
-        "order": sorted([x, y] for x, y in seq.order),
+        "order": list(map(list, sorted(seq.order))),
     }
 
 

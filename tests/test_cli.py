@@ -451,7 +451,10 @@ class TestValidate:
         # the cycle a < b < f < a. Validation visits the pairs in hash
         # order, so each check's messages must come out sorted, and a < b,
         # which lacks four successors of b, must name the least of them.
-        path = tmp_path / "e.json"
+        # The constructor refuses the second file, whose order has five bad
+        # pairs (unknown labels, crossed levels): it must name the first as
+        # written, which is not the least.
+        path, bad = tmp_path / "e.json", tmp_path / "bad.json"
         kids = list("abcdefg")
         path.write_text(json.dumps({
             "levels": [["r", "s"], kids],
@@ -459,18 +462,26 @@ class TestValidate:
             "order": [["r", "s"], ["a", "g"], ["c", "c"], ["d", "e"], ["e", "d"],
                       ["a", "b"], ["f", "a"]] + [["b", k] for k in "cdef"],
         }))
+        bad.write_text(json.dumps({
+            "levels": [["r", "s"], ["a", "b", "c"]],
+            "parent": {"a": "r", "b": "r", "c": "s"},
+            "order": [["a", "b"], ["c", "z"], ["b", "s"], ["a", "r"], ["b", "q"],
+                      ["a", "y"]],
+        }))
         src = str(Path(__file__).resolve().parent.parent / "src")
-        outs = []
+        outs, errs = [], []
         for seed in ("1", "2", "3", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "phyloquiver", "validate", str(path)],
-                env=env, capture_output=True, timeout=60,
-            )
-            assert proc.returncode == 1, proc.stderr
-            outs.append(proc.stdout)
+            for target, sink in ((path, outs), (bad, errs)):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "phyloquiver", "validate", str(target)],
+                    env=env, capture_output=True, timeout=60,
+                )
+                assert proc.returncode == 1, proc.stderr
+                sink.append((proc.stdout, proc.stderr))
         assert outs == outs[:1] * 4
-        problems = json.loads(outs[0])["problems"]
+        assert errs == [(b"", b"error: order pair ('c', 'z') references unknown labels\n")] * 4
+        problems = json.loads(outs[0][0])["problems"]
         assert problems == [
             "'a' < 'g' but their parents differ ('r' vs 's')",
             "order on level 0 must be trivial: 'r' < 's'",

@@ -1030,8 +1030,22 @@ def _chain_space():
                  "an E-sequence needs at least one level", id="no-levels"),
     pytest.param(lambda: ESequence([["r"], []], {}),
                  "level 1 is empty", id="empty-level"),
+    pytest.param(lambda: ESequence([["r"], ["a", "r"]], {"a": "r"}),
+                 "duplicate label 'r'", id="duplicate-label"),
+    pytest.param(lambda: ESequence([["r"], ["a", "b"]], {"a": "r"}),
+                 "parent map must cover levels 1.. exactly", id="cover-missing"),
+    pytest.param(lambda: ESequence([["r", "s"], ["a"]], {"a": "r", "s": "r"}),
+                 "parent map must cover levels 1.. exactly", id="cover-level-0"),
+    pytest.param(lambda: ESequence([["r"], ["a", "b"]], {"a": "r", "x": "r"}),
+                 "parent map must cover levels 1.. exactly", id="cover-unknown"),
+    pytest.param(lambda: ESequence([["r"], ["a"]], {"a": "x"}),
+                 "parent of 'a' must sit one level below", id="parent-unknown"),
+    pytest.param(lambda: ESequence([["r"], ["a"], ["b"]], {"a": "r", "b": "r"}),
+                 "parent of 'b' must sit one level below", id="parent-two-down"),
     pytest.param(lambda: ESequence([["r"]], {}, [("r", "x")]),
                  "order pair ('r', 'x') references unknown labels", id="unknown-order"),
+    pytest.param(lambda: ESequence([["r"], ["a"]], {"a": "r"}, [("a", "r")]),
+                 "order pair ('a', 'r') crosses levels", id="crossing-order"),
     pytest.param(lambda: terminal_ultrametric(
         ESequence([["r"], ["a", "b"]], {"a": "r", "b": "r"}, [("a", "a")]), 1),
                  "not an E-sequence: order is not irreflexive: 'a' < 'a'", id="unlawful"),

@@ -333,8 +333,14 @@ def _other_evolution():
 
 
 @pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Quiver([], []),
+                 "a quiver needs at least one vertex", id="empty-quiver"),
+    pytest.param(lambda: Quiver(["a", "b", "a"], []),
+                 "duplicate vertex id 'a'", id="duplicate-vertex"),
     pytest.param(lambda: Quiver(["a"], [("z", "a")]),
                  "edge ('z', 'a'): unknown tail vertex", id="edge-tail"),
+    pytest.param(lambda: Quiver(["a", "b"], [("b", "a"), ("a", "z")]),
+                 "edge ('a', 'z'): unknown head vertex", id="edge-head"),
     pytest.param(lambda: validate_evolution(gen_map_quiver(2), []),
                  "an evolution contains at least one vertex", id="empty-evolution"),
     pytest.param(lambda: validate_evolution(Quiver(["a", "b"], [("b", "a")]),
@@ -345,6 +351,9 @@ def _other_evolution():
                  "cannot concatenate evolutions from different quivers", id="concat"),
     pytest.param(lambda: induced_subquiver(gen_map_quiver(2), []),
                  "induced sub-quiver needs at least one vertex", id="induced-empty"),
+    # the first unknown id as given, not the least or one in hash order
+    pytest.param(lambda: induced_subquiver(Quiver(["a"], []), ["a", "x", "y", "z", "w"]),
+                 "unknown vertex id 'x'", id="induced-unknown-first"),
 ])
 def test_input_errors(call, message):
     with pytest.raises(InputError) as exc:

@@ -193,6 +193,9 @@ class TestESequenceJson:
         for s in range(10):
             seq = gen_random_esequence(3, 4, 0.4, seed=s)
             assert esequence_from_obj(esequence_to_obj(seq)) == seq
+        # a closed level order of 1,711 pairs comes out as sorted [x, y] lists
+        seq = evolutionary_sequence(gen_surjection_quiver(60))
+        assert esequence_to_obj(seq)["order"] == sorted([x, y] for x, y in seq.order)
 
     @pytest.mark.parametrize("obj, message", [
         ({"levels": [["a"]], "parent": {}, "order": [["a"]]},
